@@ -159,15 +159,9 @@ def _prod_T_powers_of_two(lo: int, hi: int, squared: bool) -> Polynomial:
     return total
 
 
-D_SQ_MINUS_4 = None  # filled lazily; Polynomial import-time work kept minimal
-
-
 def _d2m4() -> Polynomial:
-    global D_SQ_MINUS_4
-    if D_SQ_MINUS_4 is None:
-        d = Polynomial.variable("d")
-        D_SQ_MINUS_4 = d * d - 4
-    return D_SQ_MINUS_4
+    d = Polynomial.variable("d")
+    return d * d - 4
 
 
 def _build_prod_to_sum_t(m: int, n: int):
@@ -270,7 +264,7 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     if max_index is None:
         max_index = default_max
     if identity is IdentityId.COR_2_6 and params is None:
-        return _verify_mersenne(max_index, claim=identity.value, tag="chebyshev-identity")
+        return _verify_mersenne(max_index)
     if params is None:
         if arity == 1:
             params = [(i,) for i in range(minima[0], max_index + 1)]
@@ -310,7 +304,7 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     )
 
 
-def _verify_mersenne(kmax: int, claim: str, tag: str) -> Report:
+def _verify_mersenne(kmax: int) -> Report:
     """S_{2^k - 1} against the running product of T_{2^i} for k in 2..kmax.
 
     The product over i < k is extended one factor at a time, so the whole
@@ -323,22 +317,18 @@ def _verify_mersenne(kmax: int, claim: str, tag: str) -> Report:
         expected = cheb_S(2 ** k - 1)
         if product != expected:
             return Report(
-                claim=claim,
-                tag=tag,
+                claim=IdentityId.COR_2_6.value,
+                tag="chebyshev-identity",
                 status="FAIL",
                 params={"at": [k]},
                 witness={"lhs": expected.to_json_obj(), "rhs": product.to_json_obj()},
                 duration_s=time.perf_counter() - started,
             )
     return Report(
-        claim=claim,
-        tag=tag,
+        claim=IdentityId.COR_2_6.value,
+        tag="chebyshev-identity",
         status="PASS",
         params={"checked": max(kmax - 1, 0), "skipped": 0, "max_index": kmax},
         duration_s=time.perf_counter() - started,
     )
 
-
-def verify_mersenne_chain(kmax: int = 12) -> Report:
-    """Factorization of S at Mersenne indices, as a standalone cross-check."""
-    return _verify_mersenne(kmax, claim="Cor2_6", tag="mersenne-chain")

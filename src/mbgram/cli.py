@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cheb_verify = cheb_sub.add_parser("verify", help="verify one identity over a range")
     p_cheb_verify.add_argument("--id", required=True,
                                choices=[i.value for i in IdentityId])
-    p_cheb_verify.add_argument("--kmax", "--max-index", dest="max_index", type=int,
-                               default=None, help="largest parameter value")
-    p_cheb_verify.add_argument("--json", action="store_true", help="JSON output")
+    p_cheb_verify.add_argument("--max-index", type=int, default=None,
+                               help="largest parameter value")
     _add_common(p_cheb_verify)
 
     p_gram = sub.add_parser("gram", help="assemble (and cache) a Gram matrix")
@@ -85,11 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--conjecture", choices=[c.value for c in ConjectureId])
     group.add_argument("--theorem", choices=("3.6",))
-    group.add_argument("--identity", choices=[i.value for i in IdentityId])
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--method", choices=("exact", "randomized"), default="exact")
     p_verify.add_argument("--points", type=int, default=20)
-    p_verify.add_argument("--max-index", type=int, default=None)
     _add_common(p_verify)
 
     p_suite = sub.add_parser("suite", help="run a verification profile end to end")
@@ -101,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, reports: list, stream=None) -> None:
     stream = stream or sys.stdout
-    if args.format == "json" or getattr(args, "json", False):
+    if args.format == "json":
         for r in reports:
             stream.write(r.to_json_line() + "\n")
     else:
@@ -181,10 +178,7 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.identity is not None:
-        report = verify_identity(IdentityId.from_tag(args.identity),
-                                 max_index=args.max_index)
-    elif args.theorem is not None:
+    if args.theorem is not None:
         if args.n is None:
             sys.stderr.write("verify --theorem needs --n\n")
             return 2

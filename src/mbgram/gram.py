@@ -6,13 +6,15 @@ Three matrix variants over the canonical diagram bases:
     mbn1   pairings over the one-crosscap stratum only
     tilde  mbn1 with y = 0 and w = 1 substituted entrywise
 
-Determinants are always exact.  Two backends with a crossover: fraction
-free elimination directly over the polynomial ring for matrices up to
-40x40 or with three or more active variables, and evaluation plus Newton
-interpolation for larger matrices in few variables (the tilde family,
-whose entries are powers of d).  The evaluation backend bottoms out in
-exact integer determinants (see intdet) and both backends are asserted
-equal wherever both are feasible.
+Determinants are always exact.  Two routes with a crossover: fraction
+free elimination (intdet.bareiss_int) directly over the polynomial ring
+for matrices up to 40x40 or with three or more active variables, and
+evaluation plus Newton interpolation for larger matrices in few variables
+(the tilde family, whose entries are powers of d).  The degree bounds of
+the evaluation route are provable from the matrix, so one grid always
+suffices.  Every evaluated point goes through one helper,
+_dets_at_points, down to an exact integer determinant (see intdet); both
+routes are asserted equal wherever both are feasible.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -32,9 +34,9 @@ from math import comb
 from typing import Mapping, Sequence
 
 from mbgram import intdet
-from mbgram.chebyshev import cheb_S, cheb_T
+from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum
-from mbgram.errors import BoundExceededError, NonIntegralResultError
+from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import Polynomial, interpolate
 from mbgram.reporting import Report
@@ -154,53 +156,11 @@ def _matrix_rows(matrix) -> list:
 
 
 def det_exact(matrix) -> Polynomial:
-    """Fraction-free elimination over the polynomial ring.
-
-    Zero pivots are repaired by a column permutation with sign tracking;
-    interior divisions are exact by Sylvester's identity, so a failed
-    division is a fatal internal error, not a condition to handle.
-    """
-    m = _matrix_rows(matrix)
-    n = len(m)
-    if n == 0:
-        return Polynomial.one()
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(n):
-            if isinstance(m[i][j], int):
-                m[i][j] = Polynomial.integer(m[i][j])
-    if n == 1:
-        return m[0][0]
-    sign = 1
-    prev: Polynomial | None = None
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for j in range(k + 1, n):
-                if not m[k][j].is_zero():
-                    for row in m:
-                        row[k], row[j] = row[j], row[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            m_ik = m[i][k]
-            for j in range(k + 1, n):
-                numerator = pivot * m[i][j] - m_ik * m[k][j]
-                if prev is None:
-                    m[i][j] = numerator
-                else:
-                    quotient = numerator.divide_exact(prev)
-                    if quotient is None:
-                        raise RuntimeError(
-                            "inexact interior division in fraction-free elimination")
-                    m[i][j] = quotient
-            m[i][k] = Polynomial.zero()
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    """Fraction-free elimination over the polynomial ring (intdet.bareiss_int)."""
+    rows = [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
+            for row in _matrix_rows(matrix)]
+    det = intdet.bareiss_int(rows)
+    return Polynomial.integer(det) if isinstance(det, int) else det
 
 
 def _grid_points(count: int, var: str) -> list:
@@ -228,100 +188,70 @@ def default_degree_bounds(rows: list, variables: Sequence[str]) -> dict:
 _EVAL_STATE: dict = {}
 
 
-def _eval_worker_init(rows_obj: list, var: str | None) -> None:
+def _eval_worker_init(rows_obj: list) -> None:
     _EVAL_STATE["rows"] = [[Polynomial.from_terms_obj(cell) for cell in row]
                            for row in rows_obj]
-    _EVAL_STATE["var"] = var
 
 
-def _eval_worker_point(t: int) -> int:
-    rows = _EVAL_STATE["rows"]
-    var = _EVAL_STATE["var"]
-    evaluated = [[entry.eval_var(var, t).as_integer() for entry in row] for row in rows]
-    return intdet.int_det(evaluated)
+def _det_at_point(rows: list, point: Mapping[str, int]) -> int:
+    return intdet.int_det([[entry.evaluate(point) for entry in row] for row in rows])
 
 
-def _eval_worker_multipoint(point: Mapping[str, int]) -> int:
-    rows = _EVAL_STATE["rows"]
-    evaluated = [[entry.evaluate(point) for entry in row] for row in rows]
-    return intdet.int_det(evaluated)
+def _eval_worker(point: Mapping[str, int]) -> int:
+    return _det_at_point(_EVAL_STATE["rows"], point)
 
 
-def _dets_at_points(gm: "GramMatrix", points: list, jobs: int) -> list:
+def _dets_at_points(rows: list, points: list, jobs: int) -> list:
     """Exact integer determinants of the matrix at several points.
 
     Worker processes only distribute the per-point work; the values, and
     therefore every downstream outcome, do not depend on the job count.
     """
-    if jobs > 1 and gm.size >= 32 and len(points) > 1:
-        rows_obj = [[entry.to_terms_obj() for entry in row] for row in gm.entries]
+    if jobs > 1 and len(rows) >= 32 and len(points) > 1:
+        rows_obj = [[entry.to_terms_obj() for entry in row] for row in rows]
         with ProcessPoolExecutor(max_workers=jobs, initializer=_eval_worker_init,
-                                 initargs=(rows_obj, None)) as pool:
-            return list(pool.map(_eval_worker_multipoint, points))
-    out = []
-    for point in points:
-        rows = [[entry.evaluate(point) for entry in row] for row in gm.entries]
-        out.append(intdet.int_det(rows))
-    return out
+                                 initargs=(rows_obj,)) as pool:
+            return list(pool.map(_eval_worker, points, chunksize=4))
+    return [_det_at_point(rows, point) for point in points]
 
 
-def _det_by_evaluation_once(rows: list, variables: Sequence[str],
-                            bounds: Mapping[str, int], jobs: int) -> Polynomial:
+def _det_over_grids(rows: list, variables: Sequence[str],
+                    bounds: Mapping[str, int], jobs: int) -> Polynomial:
     if not variables:
-        ints = [[entry.as_integer() for entry in row] for row in rows]
-        return Polynomial.integer(intdet.int_det(ints))
+        return Polynomial.integer(_dets_at_points(rows, [{}], jobs)[0])
     var = variables[0]
     rest = variables[1:]
     points = _grid_points(bounds[var] + 1, var)
-    if not rest and jobs > 1 and len(rows) >= 32 and len(points) >= 8:
-        rows_obj = [[entry.to_terms_obj() for entry in row] for row in rows]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_eval_worker_init,
-                                 initargs=(rows_obj, var)) as pool:
-            values = list(pool.map(_eval_worker_point, points, chunksize=4))
+    if not rest:
+        values = _dets_at_points(rows, [{var: t} for t in points], jobs)
         samples = [(t, Polynomial.integer(v)) for t, v in zip(points, values)]
     else:
         samples = []
         for t in points:
             sub_rows = [[entry.eval_var(var, t) for entry in row] for row in rows]
-            samples.append((t, _det_by_evaluation_once(sub_rows, rest, bounds, jobs)))
+            samples.append((t, _det_over_grids(sub_rows, rest, bounds, jobs)))
     return interpolate(var, samples)
 
 
-def det_by_evaluation(matrix, variables: Sequence[str] | None = None,
-                      bounds: Mapping[str, int] | None = None,
-                      jobs: int = 1) -> Polynomial:
+def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     """Determinant via evaluation grids and Newton interpolation.
 
-    Designated variables are evaluated on symmetric integer grids of
-    (bound + 1) points each, inner determinants recurse until the leaves
-    are plain integer matrices, and the samples are interpolated back.
-    A non-integral interpolation signals a too-small degree bound; it is
-    retried once with doubled bounds, then treated as fatal.
+    Every active variable is evaluated on a symmetric integer grid of
+    (bound + 1) points, with the bound from default_degree_bounds; inner
+    determinants recurse until the leaves are plain integer matrices, and
+    the samples are interpolated back.
     """
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     rows = [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
             for row in rows]
-    if variables is None:
-        used = set()
-        for row in rows:
-            for entry in row:
-                used.update(entry.variables_used())
-        variables = [v for v in ("d", "w", "x", "y", "z") if v in used]
-    variables = list(variables)
-    if bounds is None:
-        bounds = default_degree_bounds(rows, variables)
-    else:
-        bounds = dict(bounds)
-        missing = [v for v in variables if v not in bounds]
-        if missing:
-            bounds.update(default_degree_bounds(rows, missing))
-    try:
-        return _det_by_evaluation_once(rows, variables, bounds, jobs)
-    except NonIntegralResultError:
-        doubled = {v: 2 * b for v, b in bounds.items()}
-        return _det_by_evaluation_once(rows, variables, doubled, jobs)
+    used = set()
+    for row in rows:
+        for entry in row:
+            used.update(entry.variables_used())
+    variables = [v for v in ("d", "w", "x", "y", "z") if v in used]
+    return _det_over_grids(rows, variables, default_degree_bounds(rows, variables), jobs)
 
 
 def choose_backend(matrix) -> str:
@@ -335,14 +265,6 @@ def choose_backend(matrix) -> str:
     if len(rows) <= BAREISS_MAX_SIZE or len(used) >= BAREISS_MIN_VARS:
         return "bareiss"
     return "interp"
-
-
-def det_auto(matrix, jobs: int = 1) -> tuple:
-    """(determinant, backend tag) using the crossover rule."""
-    backend = choose_backend(matrix)
-    if backend == "bareiss":
-        return det_exact(matrix), backend
-    return det_by_evaluation(matrix, jobs=jobs), backend
 
 
 # -- cached assembly and determinants ------------------------------------------
@@ -371,27 +293,27 @@ def get_det(n: int, variant: GramVariant, cache_dir=None, jobs: int = 1,
     if payload is not None and payload.get("n") == n and (
             backend == "auto" or payload.get("backend") == backend):
         poly = Polynomial.from_json_obj(payload["det"])
-        return poly, {k: payload[k] for k in ("backend", "elapsed_s") if k in payload}
+        return poly, {"backend": payload["backend"], "cache": "hit"}
     gm = get_gram(n, variant, cache_dir=cache_dir)
-    started = time.perf_counter()
     if backend == "auto":
-        det, used_backend = det_auto(gm, jobs=jobs)
-    elif backend == "bareiss":
-        det, used_backend = det_exact(gm), "bareiss"
+        backend = choose_backend(gm)
+    started = time.perf_counter()
+    if backend == "bareiss":
+        det = det_exact(gm)
     elif backend == "interp":
-        det, used_backend = det_by_evaluation(gm, jobs=jobs), "interp"
+        det = det_by_evaluation(gm, jobs=jobs)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     elapsed = time.perf_counter() - started
     cache_write(cache_dir, key, DET_FORMAT, {
         "n": n,
         "variant": variant.value,
-        "backend": used_backend,
+        "backend": backend,
         "elapsed_s": round(elapsed, 3),
         "seed": None,  # exact backends only; randomized checks cache nothing
         "det": det.to_json_obj(),
     })
-    return det, {"backend": used_backend, "elapsed_s": elapsed}
+    return det, {"backend": backend, "cache": "miss", "elapsed_s": elapsed}
 
 
 # -- conjectured closed forms ---------------------------------------------------
@@ -399,11 +321,6 @@ def get_det(n: int, variant: GramVariant, cache_dir=None, jobs: int = 1,
 
 def _tilde_factors_via_t(n: int) -> list:
     return [(cheb_T(2 * k) - 2, comb(2 * n, n - k)) for k in range(2, n + 1)]
-
-
-def _d2m4() -> Polynomial:
-    d = Polynomial.variable("d")
-    return d * d - 4
 
 
 def _tilde_factors_via_s(n: int) -> list:
@@ -594,7 +511,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             mag = rng.randint(degree_bound + 1, degree_bound + magnitude)
             point[var] = mag if rng.random() < 0.5 else -mag
         sample.append(point)
-    det_values = _dets_at_points(gm, sample, jobs)
+    det_values = _dets_at_points(gm.entries, sample, jobs)
     mismatch = None
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)

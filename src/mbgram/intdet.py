@@ -1,11 +1,10 @@
-"""Exact determinants of integer matrices.
+"""Exact determinants: one fraction-free elimination, one modular path.
 
-Two interchangeable backends:
-
-  * bareiss_int: fraction-free elimination over Python big integers.
-    Every interior division is exact (Sylvester's identity), so the
-    result is exact for any size; intermediate growth makes it slow past
-    roughly 40x40.
+  * bareiss_int: fraction-free elimination with row pivoting.  Every
+    interior division is exact (Sylvester's identity), so it is exact
+    for any size and over any ring whose // is exact division; gram
+    uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
+    slow on integer matrices past roughly 40x40.
 
   * crt_det: evaluate the determinant modulo enough 31-bit primes to
     exceed twice the Hadamard bound, with numpy int64 elimination batched
@@ -13,8 +12,7 @@ Two interchangeable backends:
     theorem.  Requires the input entries to fit int64; falls back to
     bareiss_int otherwise.
 
-int_det picks a backend automatically.  Both are cross-checked against
-each other in the test suite.
+int_det picks between them by size.  The test suite cross-checks them.
 """
 
 from __future__ import annotations
@@ -74,8 +72,12 @@ def hadamard_bound(rows: list) -> int:
     return isqrt(prod_sq) + 1
 
 
-def bareiss_int(rows: list) -> int:
-    """Fraction-free elimination over Z; exact for any size."""
+def bareiss_int(rows: list):
+    """Fraction-free elimination with row pivoting; exact for any size.
+
+    Entries may come from any ring whose // is exact division (int,
+    Polynomial); an empty matrix gives 1 and a singular one 0.
+    """
     m = [list(r) for r in rows]
     n = len(m)
     if n == 0:
@@ -104,50 +106,33 @@ def bareiss_int(rows: list) -> int:
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
-
-
-def _det_mod_single(a: np.ndarray, p: int) -> int:
-    """Gaussian elimination mod one prime, with row pivoting."""
-    m = np.mod(a, p).astype(np.int64)
-    n = m.shape[0]
-    det = 1
-    for k in range(n):
-        col = m[k:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            m[[k, i]] = m[[i, k]]
-            det = -det
-        piv = int(m[k, k])
-        det = det * piv % p
-        if k + 1 < n:
-            inv = pow(piv, p - 2, p)
-            f = m[k + 1:, k] * inv % p
-            m[k + 1:, k:] = (m[k + 1:, k:] - f[:, None] * m[k, k:]) % p
-    return det % p
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def _dets_mod_batched(a: np.ndarray, primes: list) -> list:
-    """Determinant residues for all primes at once (no pivot search).
+    """Determinant residues for all primes at once, with row pivoting.
 
-    Primes that hit a zero pivot in the shared elimination order are
-    retried individually with pivoting; with 31-bit primes this is rare.
+    A prime whose pivot is zero swaps in its first row below with a
+    nonzero entry in that column.  If there is none, its pivot stays
+    zero: the residue becomes 0 and, as pow(0, p - 2, p) == 0, its
+    elimination step changes nothing.
     """
     parr = np.array(primes, dtype=np.int64)
     m = np.mod(a[None, :, :], parr[:, None, None])
     n = a.shape[0]
-    np_ = len(primes)
-    dets = np.ones(np_, dtype=np.int64)
-    bad = np.zeros(np_, dtype=bool)
+    dets = np.ones(len(primes), dtype=np.int64)
     for k in range(n):
-        piv = m[:, k, k].copy()
-        zero = (piv == 0) & ~bad
+        piv = m[:, k, k]
+        zero = piv == 0
         if zero.any():
-            bad |= zero
-        piv[bad] = 1
+            sel = np.flatnonzero(zero)
+            below = k + np.argmax(m[sel, k:, k] != 0, axis=1)
+            row_k = m[sel, k].copy()
+            m[sel, k] = m[sel, below]
+            m[sel, below] = row_k
+            flip = sel[below != k]
+            dets[flip] = parr[flip] - dets[flip]
+            piv = m[:, k, k]
         dets = dets * piv % parr
         if k + 1 < n:
             inv = np.array([pow(int(v), int(p) - 2, int(p))
@@ -155,13 +140,7 @@ def _dets_mod_batched(a: np.ndarray, primes: list) -> list:
             f = m[:, k + 1:, k] * inv[:, None] % parr[:, None]
             m[:, k + 1:, k:] = (m[:, k + 1:, k:]
                                 - f[:, :, None] * m[:, k, None, k:]) % parr[:, None, None]
-    out = []
-    for i, p in enumerate(primes):
-        if bad[i]:
-            out.append(_det_mod_single(a, int(p)))
-        else:
-            out.append(int(dets[i]) % int(p))
-    return out
+    return [int(d) for d in dets]
 
 
 def _crt(residues: list, primes: list) -> int:

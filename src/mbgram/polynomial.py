@@ -343,6 +343,13 @@ class Polynomial:
                     del remainder[k]
         return Polynomial(_raw=quotient)
 
+    def __floordiv__(self, divisor: PolyLike) -> "Polynomial":
+        """Exact quotient; raises ArithmeticError when a remainder is left."""
+        quotient = self.divide_exact(divisor)
+        if quotient is None:
+            raise ArithmeticError(f"{divisor} does not divide {self}")
+        return quotient
+
     # -- serialization ---------------------------------------------------------
 
     def to_terms_obj(self) -> list:

@@ -3,7 +3,7 @@
 import pytest
 
 from mbgram.chebyshev import (IdentityId, cheb_S, cheb_T, identity_default_max,
-                              verify_identity, verify_mersenne_chain)
+                              verify_identity)
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
 
@@ -148,8 +148,9 @@ class TestIdentities:
         assert any("S_-1" in note for note in report.notes)
 
     def test_mersenne_chain_small(self):
-        report = verify_mersenne_chain(6)
+        report = verify_identity(IdentityId.COR_2_6, max_index=6)
         assert report.status == "PASS"
+        assert report.params["checked"] == 5
 
     def test_empty_range_passes_vacuously(self):
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[])

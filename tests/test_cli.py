@@ -53,7 +53,7 @@ class TestCommands:
 
     def test_cheb_verify(self, capsys):
         code, out, _ = run_cli(capsys, "cheb", "verify", "--id", "Cor2_6",
-                               "--kmax", "5", "--json")
+                               "--max-index", "5", "--format", "json")
         assert code == 0
         report = json.loads(out)
         assert report["status"] == "PASS"
@@ -83,7 +83,7 @@ class TestCommands:
         assert json.loads(out)["status"] == "PASS"
 
     def test_verify_identity(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--identity", "Lemma2_5",
+        code, out, _ = run_cli(capsys, "cheb", "verify", "--id", "Lemma2_5",
                                "--max-index", "8", "--format", "json")
         assert code == 0
         assert json.loads(out)["status"] == "PASS"

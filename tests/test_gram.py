@@ -11,6 +11,7 @@ from mbgram.gram import (ConjectureId, GramMatrix, GramVariant, assemble_gram,
                          det_exact, equal_up_to_simultaneous_permutation,
                          formula_value_at, get_det, get_gram, total_degree_bound,
                          verify_conjecture, verify_formula_identity, verify_theorem_3_6)
+from mbgram.intdet import bareiss_int
 from mbgram.polynomial import Polynomial
 
 D = Polynomial.variable("d")
@@ -116,6 +117,17 @@ class TestDetExact:
         m = [[D, D], [D, D]]
         assert det_exact(m).is_zero()
 
+    def test_integer_entries_match_bareiss_int(self):
+        rng = random.Random(21)
+        for n in (2, 5, 9):
+            ints = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+            ints[0][0] = 0
+            polys = [[Polynomial.integer(v) for v in row] for row in ints]
+            assert det_exact(polys) == bareiss_int(ints)
+        assert det_exact([[Polynomial.integer(2), Polynomial.integer(4)],
+                          [Polynomial.integer(1), Polynomial.integer(2)]]) == 0
+        assert det_exact([]) == 1
+
     def test_permutation_invariance(self):
         rng = random.Random(20)
         for n, variant in ((2, GramVariant.MBN1_TILDE), (1, GramVariant.MB1_FULL),
@@ -134,7 +146,7 @@ class TestDetExact:
 class TestDetByEvaluation:
     def test_class_matrix(self):
         expected = Polynomial.univariate("d", {4: 1, 2: -4})
-        assert det_by_evaluation(class_matrix_4x4(1), ["d"], {"d": 8}) == expected
+        assert det_by_evaluation(class_matrix_4x4(1)) == expected
 
     def test_diagonal(self):
         m = [[D, Polynomial.zero()], [Polynomial.zero(), D * D]]
@@ -275,6 +287,13 @@ class TestCaching:
         det2, prov2 = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert det1 == det2
         assert prov2["backend"] == "bareiss"
+
+    def test_det_provenance_reports_cache_state(self, tmp_path):
+        _, miss = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        assert miss["cache"] == "miss" and miss["elapsed_s"] >= 0
+        _, hit = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        # a hit costs nothing to recompute, so it carries no stored timing
+        assert hit == {"backend": "bareiss", "cache": "hit"}
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)

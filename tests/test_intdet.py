@@ -106,6 +106,25 @@ class TestCrt:
         m = [[p1 * p2, 0], [0, 1]]
         assert crt_det(m) == p1 * p2
 
+    def test_zero_leading_pivot_batched(self):
+        # the shared elimination meets a zero pivot for every prime at step 0
+        rng = random.Random(16)
+        for n in (24, 31):
+            m = random_matrix(rng, n, -10 ** 6, 10 ** 6)
+            m[0][0] = 0
+            det = crt_det(m)
+            assert det == bareiss_int(m) and det != 0
+
+    def test_rank_deficient_batched(self):
+        # column 3 depends on columns 0 and 1: no zero row, but after three
+        # steps every prime finds column 3 zero below the diagonal
+        rng = random.Random(17)
+        m = random_matrix(rng, 26, -10 ** 4, 10 ** 4)
+        for row in m:
+            row[3] = row[0] - 2 * row[1]
+        assert bareiss_int(m) == 0
+        assert crt_det(m) == 0
+
     def test_dispatch(self):
         rng = random.Random(14)
         m = random_matrix(rng, 26, -10 ** 6, 10 ** 6)

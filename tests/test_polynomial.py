@@ -119,6 +119,15 @@ class TestDivision:
         p = D * D - 4
         assert p.divide_exact(D) is None
 
+    def test_floordiv_is_exact_division(self):
+        p = (D + Z) * (W * X - 2)
+        assert p // (D + Z) == W * X - 2
+        assert p // 1 == p
+        with pytest.raises(ArithmeticError):
+            p // (D - Z)
+        with pytest.raises(ArithmeticError):
+            (D * D - 4) // D
+
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             D.divide_exact(Polynomial.zero())
