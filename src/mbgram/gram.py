@@ -6,6 +6,10 @@ Three matrix variants over the canonical diagram bases:
     mbn1   pairings over the one-crosscap stratum only
     tilde  mbn1 with y = 0 and w = 1 substituted entrywise
 
+Assembly pairs only i <= j.  By the transpose law, <m_j, m_i> is
+<m_i, m_j> with x and y exchanged: both orders glue the same curves with
+the two sides swapped.  Equal entries share one immutable Polynomial.
+
 Determinants are always exact.  Two routes with a crossover: fraction
 free elimination (intdet.bareiss_int) directly over the polynomial ring
 for matrices up to 40x40 or with three or more active variables, and
@@ -128,22 +132,32 @@ def gram_basis(n: int, variant: GramVariant) -> list:
 
 
 def assemble_gram(n: int, variant: GramVariant, bound: int | None = None) -> GramMatrix:
-    """Pairing matrix over the canonical basis; tilde substitutes y=0, w=1."""
+    """Pairing matrix over the canonical basis; tilde substitutes y=0, w=1.
+
+    Only i <= j is paired; G[j][i] is G[i][j] with x and y exchanged.
+    """
     limit = bound if bound is not None else variant.default_bound()
     if n > limit:
         raise BoundExceededError(f"n={n} exceeds bound {limit} for {variant.value}")
     basis = gram_basis(n, variant)
+    size = len(basis)
     substitute = variant is GramVariant.MBN1_TILDE
-    entries = []
-    for m_i in basis:
-        row = []
-        for m_j in basis:
-            value = bilinear_form(m_i, m_j)
-            if substitute:
-                value = value.substitute(TILDE_SUBSTITUTION)
-            row.append(value)
-        entries.append(tuple(row))
-    return GramMatrix(n=n, variant=variant, basis=tuple(basis), entries=tuple(entries))
+    shared: dict = {}  # exponent vector -> its entry, one object per distinct value
+
+    def entry(exps: tuple) -> Polynomial:
+        if exps not in shared:
+            value = Polynomial({exps: 1})
+            shared[exps] = value.substitute(TILDE_SUBSTITUTION) if substitute else value
+        return shared[exps]
+
+    rows = [[None] * size for _ in range(size)]
+    for i, m_i in enumerate(basis):
+        for j in range(i, size):
+            (d, w, x, y, z), _ = bilinear_form(m_i, basis[j]).leading_term()
+            rows[j][i] = entry((d, w, y, x, z))
+            rows[i][j] = entry((d, w, x, y, z))
+    return GramMatrix(n=n, variant=variant, basis=tuple(basis),
+                      entries=tuple(tuple(row) for row in rows))
 
 
 # -- determinant backends -----------------------------------------------------

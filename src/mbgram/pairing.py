@@ -10,29 +10,34 @@ product of one variable per curve:
     y  curve through the m2 crosscap only
     w  curve through both crosscaps
 
-The curves are recovered combinatorially from a multigraph on the 2n
-boundary vertices whose edges are the chords of both diagrams plus, per
-diagram, the antipodal pairing of its fixed points (fixed point i pairs
-with i + |F|/2 in increasing-label indexing).  Every vertex carries
-exactly one m1-edge and one m2-edge, so the components are disjoint
-alternating cycles, one per curve.
+Each diagram becomes two lists indexed by the boundary vertices 1..2n.
+partner[v] is the other end of v's chord, or v's antipodal partner when
+v is a fixed point (fixed point i pairs with i + |F|/2 in increasing-label
+indexing).  sweep[v] is the signed counterclockwise sweep of leaving v
+along its chord: +(head - tail) mod 2n from the tail, the negative from
+the head, and None at a fixed point.  Once each side is checked to cover
+1..2n exactly once, both partner lists are perfect matchings, so the
+glued curves are the alternating cycles of the two, and every walk that
+alternates m1 and m2 edges closes.
 
-A component touching fixed points of either diagram is classified by
-which sides it touches (x / y / w).  A component made of chords alone is
-either trivial (d) or winds once around the band (z); the two are told
-apart by the signed sweep of the walk around the cycle.  Traversing an
-arc tail-to-head adds (head - tail) mod 2n, head-to-tail subtracts it,
-for chords of both diagrams alike; the total over a closed cycle is a
-multiple of 2n, equal to 0 for a trivial curve and +/-2n for an
-essential one.  Any other value is a hard internal error.  The walk
-starts at the smallest component vertex that is the tail of an m1 chord
-and first traverses that chord towards its head.
+A cycle meeting fixed points of either diagram is classified by which
+sides it meets (x / y / w).  A cycle of chords alone is either trivial
+(d) or winds once around the band (z), told apart by its total sweep
+psi: a multiple of 2n, 0 for a trivial curve and +/-2n for an essential
+one.  Any other value is a hard internal error.  Reversing a walk only
+negates psi, which is why <m2, m1> is <m1, m2> with x and y exchanged.
+
+Two walk-start conventions: `components` walks every cycle once from its
+smallest vertex, out along the m1 edge; `component_walk`, which only
+`pair_trace` uses, starts at the smallest m1 chord tail of a chord-only
+cycle and first traverses that chord towards its head.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from mbgram.diagrams import Arc, Diagram
+from typing import NamedTuple
+
+from mbgram.diagrams import Diagram
 from mbgram.errors import (MalformedComponentError, SizeMismatchError,
                            UnclassifiableComponentError)
 from mbgram.polynomial import Polynomial
@@ -54,178 +59,114 @@ def antipodal_pairs(fixed: tuple) -> list:
     return [(ordered[i], ordered[(i + half) % k]) for i in range(half)]
 
 
-@dataclass(frozen=True)
-class PairingGraph:
-    """The gluing multigraph of one ordered diagram pair."""
+class PairingGraph(NamedTuple):
+    """Partner and sweep lists of both sides, indexed by vertex 1..n2."""
 
     n2: int
-    t_edges: tuple           # ((u, v, source), ...) source in {"m1", "m2"}
-    ef1: tuple               # antipodal pairs among F(m1)
-    ef2: tuple               # antipodal pairs among F(m2)
-    fixed1: frozenset
-    fixed2: frozenset
-    _p1: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _p2: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _arc1: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-    _arc2: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    partner1: list
+    partner2: list
+    sweep1: list
+    sweep2: list
 
-    def partner(self, v: int, side: int) -> int:
-        table = self._p1 if side == 1 else self._p2
-        try:
-            return table[v]
-        except KeyError:
-            raise MalformedComponentError(
-                f"vertex {v} has no m{side} edge") from None
 
-    def arc_at(self, v: int, side: int) -> Arc | None:
-        """The m-side chord incident to v, or None when v is a fixed point."""
-        return (self._arc1 if side == 1 else self._arc2).get(v)
+def _tables(m: Diagram, n2: int) -> tuple:
+    """The partner and sweep lists of one diagram; its labels must cover 1..n2."""
+    labels = [v for arc in m.chords for v in arc] + list(m.fixed)
+    if sorted(labels) != list(range(1, n2 + 1)):
+        raise MalformedComponentError(f"{m} does not cover 1..{n2} exactly once")
+    partner = [0] * (n2 + 1)
+    sweep = [None] * (n2 + 1)
+    for tail, head in m.chords:
+        partner[tail], partner[head] = head, tail
+        length = (head - tail) % n2
+        sweep[tail], sweep[head] = length, -length
+    for u, v in antipodal_pairs(m.fixed):
+        partner[u], partner[v] = v, u
+    return partner, sweep
 
 
 def build_pairing_graph(m1: Diagram, m2: Diagram) -> PairingGraph:
-    """Assemble the gluing multigraph; diagrams must share a boundary size."""
+    """Both sides' tables; the diagrams must share a boundary size."""
     if m1.n != m2.n:
         raise SizeMismatchError(f"cannot pair n={m1.n} with n={m2.n}")
     n2 = 2 * m1.n
-    p1: dict = {}
-    p2: dict = {}
-    arc1: dict = {}
-    arc2: dict = {}
-    t_edges = []
-    for source, diagram, partners, arcs in (("m1", m1, p1, arc1), ("m2", m2, p2, arc2)):
-        for arc in diagram.chords:
-            partners[arc.tail] = arc.head
-            partners[arc.head] = arc.tail
-            arcs[arc.tail] = arc
-            arcs[arc.head] = arc
-            t_edges.append((arc.tail, arc.head, source))
-    ef1 = tuple(antipodal_pairs(m1.fixed))
-    ef2 = tuple(antipodal_pairs(m2.fixed))
-    for u, v in ef1:
-        p1[u] = v
-        p1[v] = u
-    for u, v in ef2:
-        p2[u] = v
-        p2[v] = u
-    return PairingGraph(
-        n2=n2,
-        t_edges=tuple(t_edges),
-        ef1=ef1,
-        ef2=ef2,
-        fixed1=m1.fixed_set(),
-        fixed2=m2.fixed_set(),
-        _p1=p1,
-        _p2=p2,
-        _arc1=arc1,
-        _arc2=arc2,
-    )
+    partner1, sweep1 = _tables(m1, n2)
+    partner2, sweep2 = _tables(m2, n2)
+    return PairingGraph(n2, partner1, partner2, sweep1, sweep2)
 
 
 def components(g: PairingGraph) -> list:
-    """Disjoint alternating cycles, as vertex tuples in traversal order.
+    """One (vertices, meets F(m1), meets F(m2), psi) tuple per alternating cycle.
 
-    Each cycle starts at its minimum vertex, leaves along the m1 edge, and
-    alternates m2/m1 edges until it closes.
+    Each cycle starts at its smallest vertex, leaves along the m1 edge and
+    alternates m2/m1 edges until it closes; psi sums the sweeps of its
+    chord steps.  A fixed point's partner is a fixed point of the same
+    side, so one end of each edge tells whether the cycle meets F.
     """
-    seen = set()
+    p1, p2, s1, s2 = g.partner1, g.partner2, g.sweep1, g.sweep2
+    seen = [False] * (g.n2 + 1)
     out = []
     for start in range(1, g.n2 + 1):
-        if start in seen:
+        if seen[start]:
             continue
-        cycle = [start]
-        seen.add(start)
-        v = g.partner(start, 1)
-        side = 2
-        while v != start:
-            if v in seen:
-                raise MalformedComponentError(
-                    f"walk from {start} revisited {v} before closing")
-            cycle.append(v)
-            seen.add(v)
-            v = g.partner(v, side)
-            side = 3 - side
-        if side != 1:
-            # the closing edge must be an m2 edge; anything else means the
-            # alternation broke (possible only for malformed inputs)
-            raise MalformedComponentError(
-                f"cycle through {start} closed on the wrong side")
-        out.append(tuple(cycle))
+        cycle = []
+        on1 = on2 = False
+        psi = 0
+        v = start
+        while True:
+            u = p1[v]
+            cycle += (v, u)
+            seen[v] = seen[u] = True
+            if s1[v] is None:
+                on1 = True
+            else:
+                psi += s1[v]
+            if s2[u] is None:
+                on2 = True
+            else:
+                psi += s2[u]
+            v = p2[u]
+            if v == start:
+                break
+        out.append((tuple(cycle), on1, on2, psi))
     return out
 
 
-@dataclass(frozen=True)
-class WalkStep:
-    source: str      # "m1" or "m2"
-    arc: Arc
-    start: int
-    end: int
-    sweep: int       # signed counterclockwise sweep contribution
-
-
-@dataclass(frozen=True)
-class WalkTrace:
-    """Sweep bookkeeping for one fixed-point-free component."""
-
-    vertices: tuple  # walk order, starting vertex first, closing implied
-    steps: tuple
-    psi: int
-
-
-def component_walk(g: PairingGraph, component: tuple) -> WalkTrace:
-    """Walk a fixed-point-free component and total up the signed sweeps."""
-    comp = set(component)
-    starts = [v for v in comp
-              if (arc := g.arc_at(v, 1)) is not None and arc.tail == v]
-    if not starts:
-        raise MalformedComponentError(
-            f"component {sorted(comp)} has no m1 chord tail to start from")
-    start = min(starts)
-    steps = []
-    order = [start]
-    v = start
-    side = 1
-    while True:
-        arc = g.arc_at(v, side)
-        u = g.partner(v, side)
-        if arc is None:
-            raise MalformedComponentError(
-                f"component {sorted(comp)} is not fixed-point-free at {v}")
-        length = (arc.head - arc.tail) % g.n2
-        sweep = length if v == arc.tail else -length
-        steps.append(WalkStep(source=f"m{side}", arc=arc, start=v, end=u, sweep=sweep))
-        v = u
-        side = 3 - side
-        if v == start and side == 1:
-            break
-        order.append(v)
-    return WalkTrace(vertices=tuple(order), steps=tuple(steps),
-                     psi=sum(s.sweep for s in steps))
-
-
-def classify_component(g: PairingGraph, component: tuple) -> str:
-    """One curve class per component: x / y / w by fixed points, else d / z."""
-    comp = set(component)
-    touches1 = bool(comp & g.fixed1)
-    touches2 = bool(comp & g.fixed2)
-    if touches1 and touches2:
+def curve_class(n2: int, on1: bool, on2: bool, psi: int) -> str:
+    """The curve class of one cycle: x / y / w by fixed points, else d / z by psi."""
+    if on1 and on2:
         return "w"
-    if touches1:
+    if on1:
         return "x"
-    if touches2:
+    if on2:
         return "y"
-    psi = component_walk(g, component).psi
     if psi == 0:
         return "d"
-    if psi == g.n2 or psi == -g.n2:
+    if psi == n2 or psi == -n2:
         return "z"
-    raise UnclassifiableComponentError(
-        f"component {sorted(comp)} swept {psi}, expected 0 or +/-{g.n2}")
+    raise UnclassifiableComponentError(f"cycle swept {psi}, expected 0 or +/-{n2}")
+
+
+def component_walk(g: PairingGraph, component: tuple) -> tuple:
+    """(psi, sweeps) of a chord-only cycle, walked in pair_trace's convention.
+
+    sweeps holds one [source, start, end, sweep] entry per step.
+    """
+    start = min(v for v in component if g.sweep1[v] > 0)
+    sweeps = []
+    v, side = start, 1
+    while not sweeps or v != start:
+        partner, sweep = (g.partner1, g.sweep1) if side == 1 else (g.partner2, g.sweep2)
+        sweeps.append([f"m{side}", v, partner[v], sweep[v]])
+        v, side = partner[v], 3 - side
+    return sum(step[3] for step in sweeps), sweeps
 
 
 def curve_profile(m1: Diagram, m2: Diagram) -> tuple:
     """Sorted tuple of curve classes, one per glued component."""
     g = build_pairing_graph(m1, m2)
-    return tuple(sorted(classify_component(g, comp) for comp in components(g)))
+    return tuple(sorted(curve_class(g.n2, on1, on2, psi)
+                        for _, on1, on2, psi in components(g)))
 
 
 def bilinear_form(m1: Diagram, m2: Diagram) -> Polynomial:
@@ -240,13 +181,11 @@ def pair_trace(m1: Diagram, m2: Diagram) -> dict:
     """Full JSON-ready trace of one pairing, for the CLI."""
     g = build_pairing_graph(m1, m2)
     comps = []
-    for comp in components(g):
-        cls = classify_component(g, comp)
-        entry = {"vertices": list(comp), "class": cls}
+    for vertices, on1, on2, psi in components(g):
+        cls = curve_class(g.n2, on1, on2, psi)
+        entry = {"vertices": list(vertices), "class": cls}
         if cls in ("d", "z"):
-            walk = component_walk(g, comp)
-            entry["psi"] = walk.psi
-            entry["sweeps"] = [[s.source, s.start, s.end, s.sweep] for s in walk.steps]
+            entry["psi"], entry["sweeps"] = component_walk(g, vertices)
         comps.append(entry)
     value = bilinear_form(m1, m2)
     return {
@@ -254,8 +193,9 @@ def pair_trace(m1: Diagram, m2: Diagram) -> dict:
         "m2": m2.serialize(),
         "value": str(value),
         "value_poly": value.to_json_obj(),
-        "t_edges": [[u, v, source] for u, v, source in g.t_edges],
-        "ef1": [list(p) for p in g.ef1],
-        "ef2": [list(p) for p in g.ef2],
+        "t_edges": [[a.tail, a.head, source]
+                    for source, m in (("m1", m1), ("m2", m2)) for a in m.chords],
+        "ef1": [list(p) for p in antipodal_pairs(m1.fixed)],
+        "ef2": [list(p) for p in antipodal_pairs(m2.fixed)],
         "components": comps,
     }

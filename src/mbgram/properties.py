@@ -13,8 +13,8 @@ import time
 
 from mbgram import gram as gram_mod
 from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, parse_diagram
-from mbgram.pairing import (bilinear_form, build_pairing_graph, component_walk,
-                            components, curve_profile)
+from mbgram.pairing import (bilinear_form, build_pairing_graph, components,
+                            curve_profile, pair_trace)
 from mbgram.polynomial import Polynomial
 from mbgram.reporting import Report
 
@@ -55,16 +55,16 @@ def check_crosscap_pair_fixture() -> Report:
     started = time.perf_counter()
     m1 = parse_diagram(FIG4_M1)
     m2 = parse_diagram(FIG4_M2)
-    g = build_pairing_graph(m1, m2)
-    t_pairs = sorted(tuple(sorted((u, v))) for u, v, _ in g.t_edges)
+    trace = pair_trace(m1, m2)
+    t_pairs = sorted(tuple(sorted((u, v))) for u, v, _ in trace["t_edges"])
     expected_t = sorted(tuple(sorted(p)) for p in ((2, 5), (3, 4), (6, 1)))
     expected_ef1 = {frozenset((1, 6))}
     expected_ef2 = {frozenset((2, 4)), frozenset((3, 5))}
     value = Polynomial.monomial(1, {"x": 1, "y": 1})
     actual = bilinear_form(m1, m2)
     ok = (t_pairs == expected_t
-          and {frozenset(p) for p in g.ef1} == expected_ef1
-          and {frozenset(p) for p in g.ef2} == expected_ef2
+          and {frozenset(p) for p in trace["ef1"]} == expected_ef1
+          and {frozenset(p) for p in trace["ef2"]} == expected_ef2
           and actual == value)
     if ok:
         return Report(
@@ -75,8 +75,8 @@ def check_crosscap_pair_fixture() -> Report:
         claim="pair-fixture", tag="pairing", status="FAIL",
         params={"m1": FIG4_M1, "m2": FIG4_M2},
         witness={"t_edges": [sorted(p) for p in t_pairs],
-                 "ef1": [sorted(p) for p in g.ef1],
-                 "ef2": [sorted(p) for p in g.ef2],
+                 "ef1": [sorted(p) for p in trace["ef1"]],
+                 "ef2": [sorted(p) for p in trace["ef2"]],
                  "value": str(actual)},
         duration_s=time.perf_counter() - started)
 
@@ -92,20 +92,14 @@ def check_transpose_symmetry(n_max: int = 4) -> Report:
     pairs = 0
     for n in range(1, n_max + 1):
         basis = basis_mb1(n)
-        profiles = {}
         for i, m_i in enumerate(basis):
-            for j, m_j in enumerate(basis):
-                if j < i:
-                    continue
-                profiles[(i, j)] = curve_profile(m_i, m_j)
-        for i, m_i in enumerate(basis):
-            for j in range(i, len(basis)):
-                forward = profiles[(i, j)]
-                backward = curve_profile(basis[j], m_i) if j != i else forward
+            for m_j in basis[i:]:
+                forward = curve_profile(m_i, m_j)
+                backward = curve_profile(m_j, m_i)
                 if backward != _swap_xy(forward):
                     return Report(
                         claim="transpose-symmetry", tag="pairing", status="FAIL",
-                        params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                        params={"at": [n, m_i.serialize(), m_j.serialize()]},
                         witness={"forward": list(forward), "backward": list(backward)},
                         duration_s=time.perf_counter() - started)
                 pairs += 1
@@ -155,15 +149,14 @@ def check_winding_range(n_max: int = 5) -> Report:
             for m_j in basis:
                 g = build_pairing_graph(m_i, m_j)
                 comps = components(g)
-                for comp in comps:
-                    if set(comp) & (g.fixed1 | g.fixed2):
+                for vertices, on1, on2, psi in comps:
+                    if on1 or on2:
                         continue
-                    psi = component_walk(g, comp).psi
                     if psi not in (0, n2, -n2):
                         return Report(
                             claim="winding-range", tag="pairing", status="FAIL",
                             params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                            witness={"component": sorted(comp), "psi": psi},
+                            witness={"component": sorted(vertices), "psi": psi},
                             duration_s=time.perf_counter() - started)
                     walked += 1
                 value = bilinear_form(m_i, m_j)

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from mbgram.errors import BoundExceededError
-from mbgram.gram import (ConjectureId, GramMatrix, GramVariant, assemble_gram,
-                         choose_backend, class_matrix_4x4, conjecture_factors,
+from mbgram.gram import (TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVariant,
+                         assemble_gram, choose_backend, class_matrix_4x4, conjecture_factors,
                          conjecture_formula, default_degree_bounds, det_by_evaluation,
                          det_exact, equal_up_to_simultaneous_permutation,
                          formula_value_at, get_det, get_gram, total_degree_bound,
                          verify_conjecture, verify_formula_identity, verify_theorem_3_6)
 from mbgram.intdet import bareiss_int
+from mbgram.pairing import bilinear_form
 from mbgram.polynomial import Polynomial
 
 D = Polynomial.variable("d")
@@ -76,6 +77,22 @@ class TestAssemble:
         for i in range(gm.size):
             for j in range(gm.size):
                 assert gm.entries[j][i] == gm.entries[i][j].substitute(swap)
+
+    def test_matches_plain_double_loop(self):
+        # assembly pairs only i <= j; every entry must equal a direct pairing
+        for variant in GramVariant:
+            for n in (1, 2, 3):
+                gm = assemble_gram(n, variant)
+                direct = []
+                for m_i in gm.basis:
+                    row = []
+                    for m_j in gm.basis:
+                        value = bilinear_form(m_i, m_j)
+                        if variant is GramVariant.MBN1_TILDE:
+                            value = value.substitute(TILDE_SUBSTITUTION)
+                        row.append(value)
+                    direct.append(tuple(row))
+                assert gm.entries == tuple(direct), (variant, n)
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):

@@ -3,9 +3,10 @@
 import pytest
 
 from mbgram.diagrams import Diagram, enumerate_stratum, parse_diagram, Stratum
-from mbgram.errors import SizeMismatchError
+from mbgram.errors import (MalformedComponentError, SizeMismatchError,
+                           UnclassifiableComponentError)
 from mbgram.pairing import (antipodal_pairs, bilinear_form, build_pairing_graph,
-                            classify_component, component_walk, components,
+                            component_walk, components, curve_class,
                             curve_profile, pair_trace)
 from mbgram.polynomial import Polynomial
 
@@ -21,24 +22,31 @@ FIG_M2 = parse_diagram("(6 1)(2)(3)(4)(5)")
 
 class TestGraph:
     def test_six_point_fixture_edge_sets(self):
-        g = build_pairing_graph(FIG_M1, FIG_M2)
-        t = {(min(u, v), max(u, v), s) for u, v, s in g.t_edges}
+        trace = pair_trace(FIG_M1, FIG_M2)
+        t = {(min(u, v), max(u, v), s) for u, v, s in trace["t_edges"]}
         assert t == {(2, 5, "m1"), (3, 4, "m1"), (1, 6, "m2")}
-        assert {frozenset(p) for p in g.ef1} == {frozenset({1, 6})}
-        assert {frozenset(p) for p in g.ef2} == {frozenset({2, 4}), frozenset({3, 5})}
+        assert {frozenset(p) for p in trace["ef1"]} == {frozenset({1, 6})}
+        assert {frozenset(p) for p in trace["ef2"]} == {frozenset({2, 4}), frozenset({3, 5})}
+        g = build_pairing_graph(FIG_M1, FIG_M2)
+        assert g.partner1[1:] == [6, 5, 4, 3, 2, 1]
+        assert g.partner2[1:] == [6, 4, 5, 2, 3, 1]
+        assert g.sweep1[1:] == [None, 3, 1, -1, -3, None]
+        assert g.sweep2[1:] == [-1, None, None, None, None, 1]
 
     def test_doubled_chord(self):
         m = Diagram.build(1, [(1, 2)], [])
+        trace = pair_trace(m, m)
+        assert sorted(s for _, _, s in trace["t_edges"]) == ["m1", "m2"]
+        assert trace["ef1"] == [] and trace["ef2"] == []
         g = build_pairing_graph(m, m)
-        assert sorted(s for _, _, s in g.t_edges) == ["m1", "m2"]
-        assert g.ef1 == () and g.ef2 == ()
+        assert g.partner1 == g.partner2 and g.sweep1 == g.sweep2
 
     def test_two_fixed_pairs(self):
         m1 = Diagram.build(2, [(3, 4)], [1, 2])
         m2 = Diagram.build(2, [(1, 2)], [3, 4])
-        g = build_pairing_graph(m1, m2)
-        assert g.ef1 == ((1, 2),)
-        assert g.ef2 == ((3, 4),)
+        trace = pair_trace(m1, m2)
+        assert trace["ef1"] == [[1, 2]]
+        assert trace["ef2"] == [[3, 4]]
 
     def test_antipodal_indexing(self):
         assert antipodal_pairs((2, 3, 4, 5)) == [(2, 4), (3, 5)]
@@ -51,51 +59,82 @@ class TestGraph:
             build_pairing_graph(Diagram.build(1, [(1, 2)], []),
                                 Diagram.build(2, [(1, 2), (3, 4)], []))
 
+    def test_reused_label_is_malformed(self):
+        reused = Diagram.build(2, [(1, 2), (2, 3)], [4, 1])
+        full = Diagram.build(2, [(1, 2), (3, 4)], [])
+        for m1, m2 in ((reused, full), (full, reused)):
+            with pytest.raises(MalformedComponentError):
+                bilinear_form(m1, m2)
+
+    def test_missing_label_is_malformed(self):
+        missing = Diagram.build(2, [(1, 2)], [])
+        full = Diagram.build(2, [(1, 2), (3, 4)], [])
+        for m1, m2 in ((missing, full), (full, missing)):
+            with pytest.raises(MalformedComponentError):
+                bilinear_form(m1, m2)
+
+    def test_label_above_boundary_is_malformed(self):
+        high = Diagram.build(1, [(1, 3)], [])
+        chord = Diagram.build(1, [(1, 2)], [])
+        for m1, m2 in ((high, high), (high, chord), (chord, high)):
+            with pytest.raises(MalformedComponentError):
+                bilinear_form(m1, m2)
+
+
+def _classes(g) -> dict:
+    """Curve class by component vertex set."""
+    return {frozenset(vertices): curve_class(g.n2, on1, on2, psi)
+            for vertices, on1, on2, psi in components(g)}
+
 
 class TestWalk:
     def test_diagonal_component_sweeps_zero(self):
         m = Diagram.build(2, [(1, 2), (3, 4)], [])
         g = build_pairing_graph(m, m)
-        comp = next(c for c in components(g) if set(c) == {1, 2})
-        walk = component_walk(g, comp)
-        assert [s.sweep for s in walk.steps] == [1, -1]
-        assert walk.psi == 0
+        comp = next(c for c in components(g) if set(c[0]) == {1, 2})
+        assert comp == ((1, 2), False, False, 0)
+        psi, sweeps = component_walk(g, comp[0])
+        assert [s[3] for s in sweeps] == [1, -1]
+        assert psi == 0
 
     def test_opposed_winding_sweeps_full_turn(self):
         m1 = Diagram.build(1, [(1, 2)], [])
         m2 = Diagram.build(1, [(2, 1)], [])
         g = build_pairing_graph(m1, m2)
-        walk = component_walk(g, (1, 2))
-        assert [s.sweep for s in walk.steps] == [1, 1]
-        assert walk.psi == 2
+        assert components(g) == [((1, 2), False, False, 2)]
+        psi, sweeps = component_walk(g, (1, 2))
+        assert [s[3] for s in sweeps] == [1, 1]
+        assert psi == 2
 
     def test_diagonal_always_trivial(self):
         for n in range(1, 4):
             for m in enumerate_stratum(n, Stratum.ZERO_CROSSCAP):
                 g = build_pairing_graph(m, m)
-                for comp in components(g):
-                    assert component_walk(g, comp).psi == 0
+                for vertices, _, _, psi in components(g):
+                    assert psi == 0
+                    assert component_walk(g, vertices)[0] == 0
 
 
 class TestClassification:
     def test_fixture_components(self):
-        g = build_pairing_graph(FIG_M1, FIG_M2)
-        by_vertices = {frozenset(c): c for c in components(g)}
-        assert classify_component(g, by_vertices[frozenset({1, 6})]) == "x"
-        assert classify_component(g, by_vertices[frozenset({2, 3, 4, 5})]) == "y"
+        classes = _classes(build_pairing_graph(FIG_M1, FIG_M2))
+        assert classes[frozenset({1, 6})] == "x"
+        assert classes[frozenset({2, 3, 4, 5})] == "y"
 
     def test_both_sides_fixed_gives_w(self):
         m = Diagram.build(1, [], [1, 2])
-        g = build_pairing_graph(m, m)
-        comps = components(g)
-        assert len(comps) == 1
-        assert classify_component(g, comps[0]) == "w"
+        classes = _classes(build_pairing_graph(m, m))
+        assert list(classes.values()) == ["w"]
 
     def test_opposed_winding_gives_z(self):
         m1 = Diagram.build(1, [(1, 2)], [])
         m2 = Diagram.build(1, [(2, 1)], [])
-        g = build_pairing_graph(m1, m2)
-        assert classify_component(g, (1, 2)) == "z"
+        assert _classes(build_pairing_graph(m1, m2)) == {frozenset({1, 2}): "z"}
+
+    def test_partial_sweep_is_unclassifiable(self):
+        assert curve_class(4, False, False, 4) == "z"
+        with pytest.raises(UnclassifiableComponentError):
+            curve_class(4, False, False, 1)
 
 
 class TestBilinearForm:
