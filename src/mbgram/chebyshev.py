@@ -121,13 +121,6 @@ class IdentityId(Enum):
     COR_2_6 = "Cor2_6"              # S_{2^k - 1} = prod_{i=0}^{k-1} T_{2^i}
     T_SQ_BRIDGE = "TSqBridge"       # T_n^2 - d^2 = S_n S_{n-2} (d^2 - 4)
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "IdentityId":
-        for member in cls:
-            if member.value == tag:
-                return member
-        raise ValueError(f"unknown identity tag {tag!r}")
-
 
 # each identity builder returns (lhs, rhs, uses_negative_index)
 
@@ -235,14 +228,6 @@ _IDENTITY_SPECS = {
     IdentityId.COR_2_6: (1, (2,), 12, _build_cor_2_6),
     IdentityId.T_SQ_BRIDGE: (1, (0,), 64, _build_t_sq_bridge),
 }
-
-
-def identity_arity(identity: IdentityId) -> int:
-    return _IDENTITY_SPECS[identity][0]
-
-
-def identity_min_params(identity: IdentityId) -> tuple:
-    return _IDENTITY_SPECS[identity][1]
 
 
 def identity_default_max(identity: IdentityId) -> int:

@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--n", type=int, required=True)
     p_det.add_argument("--variant", choices=[v.value for v in GramVariant],
                        required=True)
-    p_det.add_argument("--backend", choices=("auto", "bareiss", "interp"),
-                       default="auto")
     _add_common(p_det)
 
     p_verify = sub.add_parser("verify", help="verify a determinant claim")
@@ -138,7 +136,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_cheb(args) -> int:
     if getattr(args, "cheb_command", None) == "verify":
-        report = verify_identity(IdentityId.from_tag(args.id), max_index=args.max_index)
+        report = verify_identity(IdentityId(args.id), max_index=args.max_index)
         _emit(args, [report])
         return 0 if report.passed() else 1
     if args.kind is None or args.n is None:
@@ -166,8 +164,7 @@ def _cmd_gram(args) -> int:
 
 def _cmd_det(args) -> int:
     det, provenance = gram.get_det(args.n, GramVariant(args.variant),
-                                   cache_dir=args.cache_dir, jobs=args.jobs,
-                                   backend=args.backend)
+                                   cache_dir=args.cache_dir, jobs=args.jobs)
     if args.format == "json":
         obj = {"n": args.n, "variant": args.variant, **provenance,
                "det": det.to_json_obj()}

@@ -129,13 +129,6 @@ class Diagram:
         arcs = tuple(sorted((Arc(int(t), int(h)) for t, h in chords), key=lambda a: a.tail))
         return cls(n=n, chords=arcs, fixed=tuple(sorted(int(f) for f in fixed)))
 
-    @property
-    def boundary_size(self) -> int:
-        return 2 * self.n
-
-    def fixed_set(self) -> frozenset:
-        return frozenset(self.fixed)
-
     def serialize(self) -> str:
         parts = [f"({a.tail} {a.head})" for a in self.chords]
         parts += [f"({f})" for f in self.fixed]

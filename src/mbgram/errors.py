@@ -6,10 +6,12 @@ class BoundExceededError(ValueError):
 
 
 class NonIntegralResultError(ArithmeticError):
-    """Interpolation divided differences did not clear to integers.
+    """An interpolation divided difference did not divide exactly.
 
-    Signals a wrong degree bound upstream: with enough sample points the
-    Newton coefficients of an integer polynomial are always integral.
+    Interpolation divides in the integer polynomial ring, and an integer
+    polynomial sampled at integer abscissae has integral divided
+    differences; an inexact step therefore signals a wrong degree bound
+    upstream (too few sample points for the true degree).
     """
 
 

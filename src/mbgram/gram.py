@@ -10,15 +10,18 @@ Assembly pairs only i <= j.  By the transpose law, <m_j, m_i> is
 <m_i, m_j> with x and y exchanged: both orders glue the same curves with
 the two sides swapped.  Equal entries share one immutable Polynomial.
 
-Determinants are always exact.  Two routes with a crossover: fraction
-free elimination (intdet.bareiss_int) directly over the polynomial ring
-for matrices up to 40x40 or with three or more active variables, and
-evaluation plus Newton interpolation for larger matrices in few variables
-(the tilde family, whose entries are powers of d).  The degree bounds of
-the evaluation route are provable from the matrix, so one grid always
-suffices.  Every evaluated point goes through one helper,
-_dets_at_points, down to an exact integer determinant (see intdet); both
-routes are asserted equal wherever both are feasible.
+Determinants are always exact.  Two routes, and choose_backend alone
+picks between them from the matrix: fraction free elimination
+(intdet.bareiss_int) directly over the polynomial ring for matrices up to
+40x40 or with three or more active variables, and evaluation plus Newton
+interpolation for larger matrices in few variables (the tilde family,
+whose entries are powers of d).  The degree bounds of the evaluation
+route are provable from the matrix, so one grid always suffices.  Every
+evaluated point goes through one helper, _dets_at_points, down to an
+exact integer determinant (see intdet), and interpolation divides exactly
+in the polynomial ring; both routes are asserted equal wherever both are
+feasible.  _matrix_rows turns any input matrix into rows of Polynomials
+once, for both routes and for choose_backend.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -42,7 +45,7 @@ from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
-from mbgram.polynomial import Polynomial, interpolate
+from mbgram.polynomial import VARIABLES, Polynomial, interpolate
 from mbgram.reporting import Report
 from mbgram.storage import cache_read, cache_write, resolve_cache_dir
 
@@ -96,14 +99,6 @@ class GramMatrix:
 
     def rows(self) -> list:
         return [list(row) for row in self.entries]
-
-    def active_variables(self) -> tuple:
-        used = set()
-        for row in self.entries:
-            for entry in row:
-                used.update(entry.variables_used())
-        order = [v for v in ("d", "w", "x", "y", "z") if v in used]
-        return tuple(order)
 
     def to_json_obj(self) -> dict:
         return {
@@ -164,16 +159,25 @@ def assemble_gram(n: int, variant: GramVariant, bound: int | None = None) -> Gra
 
 
 def _matrix_rows(matrix) -> list:
+    """Rows of a GramMatrix or a nested sequence, int entries as Polynomials."""
     if isinstance(matrix, GramMatrix):
-        return matrix.rows()
-    return [list(row) for row in matrix]
+        matrix = matrix.entries
+    return [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
+            for row in matrix]
+
+
+def _active_variables(rows: list) -> list:
+    """Variables occurring in some entry, in the order d, w, x, y, z."""
+    used = set()
+    for row in rows:
+        for entry in row:
+            used.update(entry.variables_used())
+    return [v for v in VARIABLES if v in used]
 
 
 def det_exact(matrix) -> Polynomial:
     """Fraction-free elimination over the polynomial ring (intdet.bareiss_int)."""
-    rows = [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
-            for row in _matrix_rows(matrix)]
-    det = intdet.bareiss_int(rows)
+    det = intdet.bareiss_int(_matrix_rows(matrix))
     return Polynomial.integer(det) if isinstance(det, int) else det
 
 
@@ -258,25 +262,14 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
-    rows = [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
-            for row in rows]
-    used = set()
-    for row in rows:
-        for entry in row:
-            used.update(entry.variables_used())
-    variables = [v for v in ("d", "w", "x", "y", "z") if v in used]
+    variables = _active_variables(rows)
     return _det_over_grids(rows, variables, default_degree_bounds(rows, variables), jobs)
 
 
 def choose_backend(matrix) -> str:
     """Crossover rule between the two determinant backends."""
     rows = _matrix_rows(matrix)
-    used = set()
-    for row in rows:
-        for entry in row:
-            if isinstance(entry, Polynomial):
-                used.update(entry.variables_used())
-    if len(rows) <= BAREISS_MAX_SIZE or len(used) >= BAREISS_MIN_VARS:
+    if len(rows) <= BAREISS_MAX_SIZE or len(_active_variables(rows)) >= BAREISS_MIN_VARS:
         return "bareiss"
     return "interp"
 
@@ -298,33 +291,27 @@ def get_gram(n: int, variant: GramVariant, cache_dir=None,
     return gm
 
 
-def get_det(n: int, variant: GramVariant, cache_dir=None, jobs: int = 1,
-            backend: str = "auto") -> tuple:
-    """(determinant, provenance) with disk caching."""
+def get_det(n: int, variant: GramVariant, cache_dir=None, jobs: int = 1) -> tuple:
+    """(determinant, provenance) with disk caching; choose_backend picks the route.
+
+    The cached payload holds only what the computation determines, so two
+    runs write the same bytes; the wall time is reported on a miss only.
+    """
     cache_dir = resolve_cache_dir(cache_dir)
     key = f"det_{variant.value}_{n}"
     payload = cache_read(cache_dir, key, DET_FORMAT)
-    if payload is not None and payload.get("n") == n and (
-            backend == "auto" or payload.get("backend") == backend):
+    if payload is not None and payload.get("n") == n:
         poly = Polynomial.from_json_obj(payload["det"])
         return poly, {"backend": payload["backend"], "cache": "hit"}
     gm = get_gram(n, variant, cache_dir=cache_dir)
-    if backend == "auto":
-        backend = choose_backend(gm)
+    backend = choose_backend(gm)
     started = time.perf_counter()
-    if backend == "bareiss":
-        det = det_exact(gm)
-    elif backend == "interp":
-        det = det_by_evaluation(gm, jobs=jobs)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    det = det_exact(gm) if backend == "bareiss" else det_by_evaluation(gm, jobs=jobs)
     elapsed = time.perf_counter() - started
     cache_write(cache_dir, key, DET_FORMAT, {
         "n": n,
         "variant": variant.value,
         "backend": backend,
-        "elapsed_s": round(elapsed, 3),
-        "seed": None,  # exact backends only; randomized checks cache nothing
         "det": det.to_json_obj(),
     })
     return det, {"backend": backend, "cache": "miss", "elapsed_s": elapsed}
@@ -496,7 +483,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             claim=conjecture.value, tag="conjecture", status=status,
             params={"n": n, "variant": variant.value, "size": variant.size(n),
                     "method": "exact"},
-            witness=witness, backend=provenance.get("backend"),
+            witness=witness, backend=provenance["backend"],
             duration_s=time.perf_counter() - started)
     if method != "randomized":
         raise ValueError(f"unknown method {method!r}")
@@ -564,18 +551,13 @@ def verify_theorem_3_6(n: int, jobs: int = 1, cache_dir=None) -> Report:
     k = comb(2 * n, n - 2)
     divisor = Polynomial.monomial(1, {"d": 2 * k})
     quotient = det.divide_exact(divisor)
-    if quotient is not None:
-        return Report(
-            claim="Thm3_6", tag="divisibility", status="PASS",
-            params={"n": n, "divisor_exponent": 2 * k},
-            witness={"quotient": _witness_poly(quotient)},
-            backend=provenance.get("backend"),
-            duration_s=time.perf_counter() - started)
+    status = "PASS" if quotient is not None else "FAIL"
+    witness = ({"quotient": _witness_poly(quotient)} if quotient is not None
+               else {"determinant": _witness_poly(det)})
     return Report(
-        claim="Thm3_6", tag="divisibility", status="FAIL",
+        claim="Thm3_6", tag="divisibility", status=status,
         params={"n": n, "divisor_exponent": 2 * k},
-        witness={"determinant": _witness_poly(det)},
-        backend=provenance.get("backend"),
+        witness=witness, backend=provenance["backend"],
         duration_s=time.perf_counter() - started)
 
 

@@ -19,7 +19,6 @@ nothing ever overflows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from mbgram.errors import NonIntegralResultError
@@ -119,16 +118,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_integer(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and ZERO_EXP in self._terms)
-
-    def as_integer(self) -> int:
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and ZERO_EXP in self._terms:
-            return self._terms[ZERO_EXP]
-        raise ValueError(f"not a constant: {self}")
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -420,66 +409,36 @@ def _coerce(value: PolyLike) -> Polynomial:
 def interpolate(var: str, points: Sequence[tuple]) -> Polynomial:
     """Reconstruct a polynomial in `var` from (abscissa, value) samples.
 
-    Values are Polynomials (or ints) in the remaining variables.  Uses
-    Newton divided differences over exact rationals; the result of degree
-    < len(points) is unique, and for an integer polynomial all rational
-    intermediates must clear, otherwise NonIntegralResultError is raised
-    (the classic symptom of a degree bound that was too small upstream).
+    Values are Polynomials (or ints) in the remaining variables.  Newton
+    divided differences are taken in the ring itself, each step an exact
+    division by an abscissa difference, and the Newton form is expanded
+    by Horner's rule; the result of degree < len(points) is unique.  An
+    integer polynomial sampled at integer abscissae has integral divided
+    differences, so an inexact step means no integer polynomial of that
+    degree fits the samples and raises NonIntegralResultError (the classic
+    symptom of a degree bound that was too small upstream).
     """
     if not points:
         raise ValueError("need at least one interpolation point")
-    vi = _check_var(var)
     xs = [int(t) for t, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation abscissae must be pairwise distinct")
-    for _, val in points:
-        v = _coerce(val)
-        if v.degree_in(var) > 0:
-            raise ValueError(f"interpolation values must not contain {var!r}")
+    table = [_coerce(val) for _, val in points]
+    if any(v.degree_in(var) > 0 for v in table):
+        raise ValueError(f"interpolation values must not contain {var!r}")
 
-    # divided-difference table over {exponents: Fraction}
-    table = [{e: Fraction(c) for e, c in _coerce(val)._terms.items()} for _, val in points]
     k = len(points)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            hi, lo = table[i], table[i - 1]
-            dx = xs[i] - xs[i - level]
-            diff = dict(hi)
-            for e, c in lo.items():
-                s = diff.get(e, 0) - c
-                if s:
-                    diff[e] = s
-                elif e in diff:
-                    del diff[e]
-            table[i] = {e: c / dx for e, c in diff.items()}
+    try:
+        for level in range(1, k):
+            for i in range(k - 1, level - 1, -1):
+                table[i] = (table[i] - table[i - 1]) // (xs[i] - xs[i - level])
+    except ArithmeticError:
+        raise NonIntegralResultError(
+            f"divided difference of order {level} at abscissa {xs[i]} is not "
+            "integral; degree bound upstream is too small") from None
 
-    # Horner assembly: p = dd[k-1]; p = p*(X - x_i) + dd[i] going down
+    x = Polynomial.variable(var)
     acc = table[k - 1]
     for i in range(k - 2, -1, -1):
-        shifted: dict = {}
-        for e, c in acc.items():
-            e_up = e[:vi] + (e[vi] + 1,) + e[vi + 1:]
-            shifted[e_up] = shifted.get(e_up, 0) + c
-            if xs[i]:
-                s = shifted.get(e, 0) - xs[i] * c
-                if s:
-                    shifted[e] = s
-                elif e in shifted:
-                    del shifted[e]
-        for e, c in table[i].items():
-            s = shifted.get(e, 0) + c
-            if s:
-                shifted[e] = s
-            elif e in shifted:
-                del shifted[e]
-        acc = shifted
-
-    raw = {}
-    for e, c in acc.items():
-        if c:
-            if c.denominator != 1:
-                raise NonIntegralResultError(
-                    f"non-integral coefficient {c} at exponents {e}; "
-                    "degree bound upstream is too small")
-            raw[e] = int(c)
-    return Polynomial(_raw=raw)
+        acc = acc * (x - xs[i]) + table[i]
+    return acc

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mbgram.errors import BoundExceededError
-from mbgram.gram import (TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVariant,
+from mbgram.gram import (DET_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVariant,
                          assemble_gram, choose_backend, class_matrix_4x4, conjecture_factors,
                          conjecture_formula, default_degree_bounds, det_by_evaluation,
                          det_exact, equal_up_to_simultaneous_permutation,
@@ -14,6 +14,7 @@ from mbgram.gram import (TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVaria
 from mbgram.intdet import bareiss_int
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import Polynomial
+from mbgram.storage import cache_read, cache_write
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -186,14 +187,17 @@ class TestDetByEvaluation:
         assert bounds == {"d": 4, "w": 4}
 
     def test_integer_matrix(self):
-        m = [[Polynomial.integer(3), Polynomial.integer(1)],
+        # a plain int entry is coerced the same way on both routes
+        m = [[Polynomial.integer(3), 1],
              [Polynomial.integer(1), Polynomial.integer(2)]]
         assert det_by_evaluation(m) == 5
+        assert det_exact(m) == 5
 
 
 class TestCrossover:
     def test_small_goes_to_elimination(self):
         assert choose_backend(class_matrix_4x4(1)) == "bareiss"
+        assert choose_backend([[D, 1], [1, D]]) == "bareiss"
 
     def test_many_variables_go_to_elimination(self):
         gm = assemble_gram(3, GramVariant.MB1_FULL)  # 35x35, five variables
@@ -203,6 +207,10 @@ class TestCrossover:
         gm = get_gram(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert gm.size == 56
         assert choose_backend(gm) == "interp"
+        # int entries count as constants, not as active variables
+        rows = gm.rows()
+        rows[0][0] = 1
+        assert choose_backend(rows) == "interp"
 
 
 class TestFormulas:
@@ -285,6 +293,16 @@ class TestVerification:
         quotient = Polynomial.from_json_obj(report.witness["quotient"])
         assert quotient == D * D - 4
 
+    def test_theorem_divisibility_failure_is_a_finding(self, tmp_path):
+        # a cached determinant that d^2 does not divide gives FAIL, not an error
+        wrong = D ** 4 - 4 * D * D + 1
+        cache_write(tmp_path, "det_tilde_2", DET_FORMAT, {
+            "n": 2, "variant": "tilde", "backend": "bareiss", "det": wrong.to_json_obj()})
+        report = verify_theorem_3_6(2, cache_dir=tmp_path)
+        assert report.status == "FAIL"
+        assert report.backend == "bareiss"
+        assert Polynomial.from_json_obj(report.witness["determinant"]) == wrong
+
     def test_degree_bound_covers_true_degree(self, tmp_path):
         gm = get_gram(2, GramVariant.MB1_FULL, cache_dir=tmp_path)
         det = det_exact(gm)
@@ -311,6 +329,15 @@ class TestCaching:
         _, hit = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         # a hit costs nothing to recompute, so it carries no stored timing
         assert hit == {"backend": "bareiss", "cache": "hit"}
+
+    def test_det_cache_payload_is_deterministic(self, tmp_path):
+        get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        first = (tmp_path / "det_tilde_2.json").read_bytes()
+        payload = cache_read(tmp_path, "det_tilde_2", DET_FORMAT)
+        assert set(payload) == {"n", "variant", "backend", "det"}
+        (tmp_path / "det_tilde_2.json").unlink()
+        get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        assert (tmp_path / "det_tilde_2.json").read_bytes() == first
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)

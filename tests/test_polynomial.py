@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbgram.errors import NonIntegralResultError
 from mbgram.polynomial import Polynomial, VARIABLES, interpolate, monomial_key
@@ -190,6 +192,28 @@ class TestInterpolation:
     def test_duplicate_abscissae_rejected(self):
         with pytest.raises(ValueError):
             interpolate("d", [(1, 1), (1, 2)])
+
+    @settings(deadline=None)
+    @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(VARIABLES)),
+                                 st.integers(-10 ** 12, 10 ** 12), max_size=6),
+           var=st.sampled_from(VARIABLES), data=st.data())
+    def test_reproduces_integer_polynomials(self, terms, var, data):
+        p = Polynomial(terms)
+        count = max(p.degree_in(var), 0) + 1 + data.draw(st.integers(0, 3))
+        xs = data.draw(st.lists(st.integers(-40, 40), min_size=count, max_size=count,
+                                unique=True))
+        assert interpolate(var, [(t, p.eval_var(var, t)) for t in xs]) == p
+
+    @settings(deadline=None)
+    @given(samples=st.dictionaries(st.integers(-40, 40), st.integers(-10 ** 6, 10 ** 6),
+                                   min_size=1, max_size=8))
+    def test_integer_data_fits_or_raises(self, samples):
+        try:
+            p = interpolate("d", list(samples.items()))
+        except NonIntegralResultError:
+            return
+        assert p.degree_in("d") < len(samples)
+        assert all(p.evaluate({"d": t}) == v for t, v in samples.items())
 
 
 class TestCanonicalForm:
