@@ -21,7 +21,7 @@ from mbgram.chebyshev import IdentityId, cheb_S, cheb_T, verify_identity
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, validate_diagram
 from mbgram.gram import ConjectureId, DEFAULT_SEED, GramVariant
 from mbgram.pairing import pair_trace
-from mbgram.reporting import Report, ReportWriter, render_table
+from mbgram.reporting import Report, ReportWriter, render_table, timed
 from mbgram.storage import resolve_cache_dir
 
 PROFILES = ("quick", "full", "stretch")
@@ -136,7 +136,8 @@ def _cmd_pair(args) -> int:
 
 def _cmd_cheb(args) -> int:
     if getattr(args, "cheb_command", None) == "verify":
-        report = verify_identity(IdentityId(args.id), max_index=args.max_index)
+        report = timed(lambda: verify_identity(IdentityId(args.id),
+                                               max_index=args.max_index))
         _emit(args, [report])
         return 0 if report.passed() else 1
     if args.kind is None or args.n is None:
@@ -179,16 +180,16 @@ def _cmd_verify(args) -> int:
         if args.n is None:
             sys.stderr.write("verify --theorem needs --n\n")
             return 2
-        report = gram.verify_theorem_3_6(args.n, jobs=args.jobs,
-                                         cache_dir=args.cache_dir)
+        report = timed(lambda: gram.verify_theorem_3_6(args.n, jobs=args.jobs,
+                                                       cache_dir=args.cache_dir))
     else:
         if args.n is None:
             sys.stderr.write("verify --conjecture needs --n\n")
             return 2
-        report = gram.verify_conjecture(
+        report = timed(lambda: gram.verify_conjecture(
             ConjectureId(args.conjecture), args.n, method=args.method,
             seed=args.seed, points=args.points, jobs=args.jobs,
-            cache_dir=args.cache_dir)
+            cache_dir=args.cache_dir))
     _emit(args, [report])
     return 0 if report.status != "FAIL" else 1
 
@@ -249,7 +250,7 @@ def run_suite(profile: str, jobs: int = 1, seed: int | None = None,
     writer = ReportWriter(stream)
     with open(reports_path, "a") as sink:
         for claim in suite_claims(profile, jobs, seed, cache_dir):
-            report = claim()
+            report = timed(claim)
             writer.emit(report)
             sink.write(report.to_json_line() + "\n")
             sink.flush()

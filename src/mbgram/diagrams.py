@@ -261,8 +261,7 @@ def _arc_systems(free: tuple, fixed: tuple, placed: list, n2: int) -> Iterator[t
             placed.pop()
 
 
-def enumerate_stratum(n: int, stratum: Stratum,
-                      bound: int = ENUMERATION_BOUND) -> list:
+def enumerate_stratum(n: int, stratum: Stratum) -> list:
     """All diagrams of one stratum, in canonical order.
 
     Canonical order is lexicographic on the serialized text.  The result
@@ -272,8 +271,8 @@ def enumerate_stratum(n: int, stratum: Stratum,
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > bound:
-        raise BoundExceededError(f"n={n} exceeds enumeration bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise BoundExceededError(f"n={n} exceeds enumeration bound {ENUMERATION_BOUND}")
     n2 = 2 * n
     vertices = tuple(range(1, n2 + 1))
     out = []
@@ -290,7 +289,7 @@ def enumerate_stratum(n: int, stratum: Stratum,
     return out
 
 
-def basis_mb1(n: int, bound: int = ENUMERATION_BOUND) -> list:
+def basis_mb1(n: int) -> list:
     """Canonical joint basis: zero-crosscap diagrams first, then one-crosscap."""
-    return (enumerate_stratum(n, Stratum.ZERO_CROSSCAP, bound=bound)
-            + enumerate_stratum(n, Stratum.ONE_CROSSCAP, bound=bound))
+    return (enumerate_stratum(n, Stratum.ZERO_CROSSCAP)
+            + enumerate_stratum(n, Stratum.ONE_CROSSCAP))

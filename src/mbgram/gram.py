@@ -126,12 +126,12 @@ def gram_basis(n: int, variant: GramVariant) -> list:
     return enumerate_stratum(n, Stratum.ONE_CROSSCAP)
 
 
-def assemble_gram(n: int, variant: GramVariant, bound: int | None = None) -> GramMatrix:
+def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
     """Pairing matrix over the canonical basis; tilde substitutes y=0, w=1.
 
     Only i <= j is paired; G[j][i] is G[i][j] with x and y exchanged.
     """
-    limit = bound if bound is not None else variant.default_bound()
+    limit = variant.default_bound()
     if n > limit:
         raise BoundExceededError(f"n={n} exceeds bound {limit} for {variant.value}")
     basis = gram_basis(n, variant)
@@ -277,8 +277,7 @@ def choose_backend(matrix) -> str:
 # -- cached assembly and determinants ------------------------------------------
 
 
-def get_gram(n: int, variant: GramVariant, cache_dir=None,
-             bound: int | None = None) -> GramMatrix:
+def get_gram(n: int, variant: GramVariant, cache_dir=None) -> GramMatrix:
     cache_dir = resolve_cache_dir(cache_dir)
     key = f"gram_{variant.value}_{n}"
     payload = cache_read(cache_dir, key, GRAM_FORMAT)
@@ -286,7 +285,7 @@ def get_gram(n: int, variant: GramVariant, cache_dir=None,
         gm = GramMatrix.from_json_obj(payload)
         if gm.n == n and gm.variant is variant and gm.size == variant.size(n):
             return gm
-    gm = assemble_gram(n, variant, bound=bound)
+    gm = assemble_gram(n, variant)
     cache_write(cache_dir, key, GRAM_FORMAT, gm.to_json_obj())
     return gm
 
@@ -461,14 +460,12 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     degree bound; the report states the resulting failure bound.  A
     mismatch is a first-class finding (FAIL with witness), not an error.
     """
-    started = time.perf_counter()
     if conjecture is ConjectureId.C5_1:
         return Report(
             claim=conjecture.value, tag="conjecture", status="SKIPPED",
             params={"n": n},
             notes=["builder only: verifying the whole-band determinant needs "
-                   "pairings of diagrams with several crosscap curves"],
-            duration_s=time.perf_counter() - started)
+                   "pairings of diagrams with several crosscap curves"])
     variant = _conjecture_variant(conjecture)
     if method == "exact":
         det, provenance = get_det(n, variant, cache_dir=cache_dir, jobs=jobs)
@@ -483,8 +480,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             claim=conjecture.value, tag="conjecture", status=status,
             params={"n": n, "variant": variant.value, "size": variant.size(n),
                     "method": "exact"},
-            witness=witness, backend=provenance["backend"],
-            duration_s=time.perf_counter() - started)
+            witness=witness, backend=provenance["backend"])
     if method != "randomized":
         raise ValueError(f"unknown method {method!r}")
 
@@ -526,16 +522,14 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
                     "method": "randomized", "points": points,
                     "degree_bound": degree_bound,
                     "failure_bound": failure_bound},
-            backend="randomized", seed=seed,
-            duration_s=time.perf_counter() - started)
+            backend="randomized", seed=seed)
     point, det_value, formula_value = mismatch
     return Report(
         claim=conjecture.value, tag="conjecture", status="FAIL",
         params={"n": n, "variant": variant.value, "method": "randomized"},
         witness={"point": point, "determinant_value": str(det_value),
                  "formula_value": str(formula_value)},
-        backend="randomized", seed=seed,
-        duration_s=time.perf_counter() - started)
+        backend="randomized", seed=seed)
 
 
 def verify_theorem_3_6(n: int, jobs: int = 1, cache_dir=None) -> Report:
@@ -544,7 +538,6 @@ def verify_theorem_3_6(n: int, jobs: int = 1, cache_dir=None) -> Report:
     S_1 = d, so the claimed divisor S_1^{2k} with k = C(2n, n-2) is the
     pure power d^{2k}; the check divides exactly and stores the quotient.
     """
-    started = time.perf_counter()
     if n < 2:
         raise ValueError(f"divisibility check needs n >= 2, got {n}")
     det, provenance = get_det(n, GramVariant.MBN1_TILDE, cache_dir=cache_dir, jobs=jobs)
@@ -557,8 +550,7 @@ def verify_theorem_3_6(n: int, jobs: int = 1, cache_dir=None) -> Report:
     return Report(
         claim="Thm3_6", tag="divisibility", status=status,
         params={"n": n, "divisor_exponent": 2 * k},
-        witness=witness, backend=provenance["backend"],
-        duration_s=time.perf_counter() - started)
+        witness=witness, backend=provenance["backend"])
 
 
 def verify_formula_identity(n_max: int = 8) -> Report:
@@ -569,7 +561,6 @@ def verify_formula_identity(n_max: int = 8) -> Report:
     implies equality of the full products, which themselves would have
     degree tens of thousands at n = 8.
     """
-    started = time.perf_counter()
     for n in range(2, n_max + 1):
         via_t = conjecture_factors(ConjectureId.C3_3, n)
         via_s = conjecture_factors(ConjectureId.C3_5, n)
@@ -583,12 +574,10 @@ def verify_formula_identity(n_max: int = 8) -> Report:
                     params={"at": [n, idx]},
                     witness={"lhs": t_factor.to_json_obj(),
                              "rhs": combined.to_json_obj(),
-                             "exponents": [t_exp, e1, e2]},
-                    duration_s=time.perf_counter() - started)
+                             "exponents": [t_exp, e1, e2]})
     return Report(
         claim="C3_3==C3_5", tag="formula-identity", status="PASS",
-        params={"n_range": [2, n_max], "comparison": "factorwise"},
-        duration_s=time.perf_counter() - started)
+        params={"n_range": [2, n_max], "comparison": "factorwise"})
 
 
 # -- small fixtures ---------------------------------------------------------------

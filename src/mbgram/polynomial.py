@@ -19,6 +19,7 @@ nothing ever overflows.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping, Sequence, Union
 
 from mbgram.errors import NonIntegralResultError
@@ -44,6 +45,11 @@ def _check_var(name: str) -> int:
 def monomial_key(exps: Exponents):
     """Canonical graded-lex sort key; the leading term has the largest key."""
     return (sum(exps), exps)
+
+
+def _heap_entry(exps: Exponents) -> tuple:
+    """Negated monomial_key, then exps: heapq pops the leading monomial first."""
+    return (-sum(exps), (-exps[0], -exps[1], -exps[2], -exps[3], -exps[4]), exps)
 
 
 class Polynomial:
@@ -303,8 +309,9 @@ class Polynomial:
         """Return q with divisor * q == self, or None when not divisible.
 
         Long division with respect to the canonical monomial order; the
-        remainder must come out zero.  Raises ZeroDivisionError for a zero
-        divisor.
+        remainder's leading term comes off a heap of negated graded-lex
+        keys, and the remainder must come out zero.  Raises
+        ZeroDivisionError for a zero divisor.
         """
         divisor = _coerce(divisor)
         if divisor.is_zero():
@@ -312,23 +319,32 @@ class Polynomial:
         if self.is_zero():
             return Polynomial.zero()
         lead_exps, lead_coef = divisor.leading_term()
+        tail = [(exps, coef) for exps, coef in divisor._terms.items() if exps != lead_exps]
         remainder = dict(self._terms)
+        heap = [_heap_entry(exps) for exps in remainder]
+        heapq.heapify(heap)
         quotient: dict = {}
-        while remainder:
-            r_exps = max(remainder, key=monomial_key)
-            r_coef = remainder[r_exps]
+        while heap:
+            r_exps = heapq.heappop(heap)[2]
+            r_coef = remainder.pop(r_exps, 0)
+            if not r_coef:
+                continue
             q_exps = tuple(r - l for r, l in zip(r_exps, lead_exps))
             if any(e < 0 for e in q_exps) or r_coef % lead_coef:
                 return None
             q_coef = r_coef // lead_coef
             quotient[q_exps] = q_coef
-            for exps, coef in divisor._terms.items():
+            # the leading term cancels r_exps exactly; only the tail is left
+            for exps, coef in tail:
                 k = (q_exps[0] + exps[0], q_exps[1] + exps[1], q_exps[2] + exps[2],
                      q_exps[3] + exps[3], q_exps[4] + exps[4])
-                s = remainder.get(k, 0) - q_coef * coef
+                old = remainder.get(k, 0)
+                s = old - q_coef * coef
                 if s:
                     remainder[k] = s
-                elif k in remainder:
+                    if not old:
+                        heapq.heappush(heap, _heap_entry(k))
+                elif old:
                     del remainder[k]
         return Polynomial(_raw=quotient)
 

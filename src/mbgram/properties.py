@@ -9,8 +9,6 @@ certify each other wherever both are feasible.
 
 from __future__ import annotations
 
-import time
-
 from mbgram import gram as gram_mod
 from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, parse_diagram
 from mbgram.pairing import (bilinear_form, build_pairing_graph, components,
@@ -21,29 +19,25 @@ from mbgram.reporting import Report
 
 def check_enumeration_counts(n_max: int = 6) -> Report:
     """Counts equal C(2n, n) and C(2n, n-1), the primary predicate check."""
-    started = time.perf_counter()
     counts = {}
     for n in range(1, n_max + 1):
         for stratum in Stratum:
-            diagrams = enumerate_stratum(n, stratum, bound=n_max)
+            diagrams = enumerate_stratum(n, stratum)
             expected = stratum.expected_count(n)
             counts[f"{stratum.value}/{n}"] = len(diagrams)
             if len(diagrams) != expected:
                 return Report(
                     claim="enumeration-counts", tag="diagrams", status="FAIL",
                     params={"at": [n, stratum.value]},
-                    witness={"expected": expected, "actual": len(diagrams)},
-                    duration_s=time.perf_counter() - started)
+                    witness={"expected": expected, "actual": len(diagrams)})
             if len(set(diagrams)) != len(diagrams):
                 return Report(
                     claim="enumeration-counts", tag="diagrams", status="FAIL",
                     params={"at": [n, stratum.value]},
-                    witness={"expected": expected, "actual": "duplicates"},
-                    duration_s=time.perf_counter() - started)
+                    witness={"expected": expected, "actual": "duplicates"})
     return Report(
         claim="enumeration-counts", tag="diagrams", status="PASS",
-        params={"n_max": n_max, "counts": counts},
-        duration_s=time.perf_counter() - started)
+        params={"n_max": n_max, "counts": counts})
 
 
 FIG4_M1 = "(2 5)(3 4)(1)(6)"
@@ -52,7 +46,6 @@ FIG4_M2 = "(6 1)(2)(3)(4)(5)"
 
 def check_crosscap_pair_fixture() -> Report:
     """The worked six-point pairing: edge sets and the value x*y."""
-    started = time.perf_counter()
     m1 = parse_diagram(FIG4_M1)
     m2 = parse_diagram(FIG4_M2)
     trace = pair_trace(m1, m2)
@@ -69,16 +62,14 @@ def check_crosscap_pair_fixture() -> Report:
     if ok:
         return Report(
             claim="pair-fixture", tag="pairing", status="PASS",
-            params={"m1": FIG4_M1, "m2": FIG4_M2, "value": str(actual)},
-            duration_s=time.perf_counter() - started)
+            params={"m1": FIG4_M1, "m2": FIG4_M2, "value": str(actual)})
     return Report(
         claim="pair-fixture", tag="pairing", status="FAIL",
         params={"m1": FIG4_M1, "m2": FIG4_M2},
         witness={"t_edges": [sorted(p) for p in t_pairs],
                  "ef1": [sorted(p) for p in trace["ef1"]],
                  "ef2": [sorted(p) for p in trace["ef2"]],
-                 "value": str(actual)},
-        duration_s=time.perf_counter() - started)
+                 "value": str(actual)})
 
 
 def _swap_xy(profile: tuple) -> tuple:
@@ -88,7 +79,6 @@ def _swap_xy(profile: tuple) -> tuple:
 
 def check_transpose_symmetry(n_max: int = 4) -> Report:
     """<m2, m1> equals <m1, m2> with x and y exchanged, exhaustively."""
-    started = time.perf_counter()
     pairs = 0
     for n in range(1, n_max + 1):
         basis = basis_mb1(n)
@@ -100,18 +90,15 @@ def check_transpose_symmetry(n_max: int = 4) -> Report:
                     return Report(
                         claim="transpose-symmetry", tag="pairing", status="FAIL",
                         params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                        witness={"forward": list(forward), "backward": list(backward)},
-                        duration_s=time.perf_counter() - started)
+                        witness={"forward": list(forward), "backward": list(backward)})
                 pairs += 1
     return Report(
         claim="transpose-symmetry", tag="pairing", status="PASS",
-        params={"n_max": n_max, "pairs": pairs},
-        duration_s=time.perf_counter() - started)
+        params={"n_max": n_max, "pairs": pairs})
 
 
 def check_diagonal_law(n_max: int = 5) -> Report:
     """<m, m> is d^n on the chord stratum and d^(n-1) w with one crosscap curve."""
-    started = time.perf_counter()
     checked = 0
     for n in range(1, n_max + 1):
         for stratum in Stratum:
@@ -125,13 +112,11 @@ def check_diagonal_law(n_max: int = 5) -> Report:
                     return Report(
                         claim="diagonal-law", tag="pairing", status="FAIL",
                         params={"at": [n, m.serialize()]},
-                        witness={"expected": list(expected), "actual": list(profile)},
-                        duration_s=time.perf_counter() - started)
+                        witness={"expected": list(expected), "actual": list(profile)})
                 checked += 1
     return Report(
         claim="diagonal-law", tag="pairing", status="PASS",
-        params={"n_max": n_max, "diagrams": checked},
-        duration_s=time.perf_counter() - started)
+        params={"n_max": n_max, "diagrams": checked})
 
 
 def check_winding_range(n_max: int = 5) -> Report:
@@ -140,7 +125,6 @@ def check_winding_range(n_max: int = 5) -> Report:
     Also re-checks that the monomial degree equals the component count on
     every pairing of the joint basis.
     """
-    started = time.perf_counter()
     walked = 0
     for n in range(1, n_max + 1):
         basis = basis_mb1(n)
@@ -156,25 +140,21 @@ def check_winding_range(n_max: int = 5) -> Report:
                         return Report(
                             claim="winding-range", tag="pairing", status="FAIL",
                             params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                            witness={"component": sorted(vertices), "psi": psi},
-                            duration_s=time.perf_counter() - started)
+                            witness={"component": sorted(vertices), "psi": psi})
                     walked += 1
                 value = bilinear_form(m_i, m_j)
                 if value.total_degree() != len(comps):
                     return Report(
                         claim="winding-range", tag="pairing", status="FAIL",
                         params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                        witness={"components": len(comps), "degree": value.total_degree()},
-                        duration_s=time.perf_counter() - started)
+                        witness={"components": len(comps), "degree": value.total_degree()})
     return Report(
         claim="winding-range", tag="pairing", status="PASS",
-        params={"n_max": n_max, "components_walked": walked},
-        duration_s=time.perf_counter() - started)
+        params={"n_max": n_max, "components_walked": walked})
 
 
 def check_entry_profiles(n_max: int = 4) -> Report:
     """One-crosscap pairings carry exactly {w} or {x, y} plus d/z factors."""
-    started = time.perf_counter()
     checked = 0
     for n in range(1, n_max + 1):
         for m_i in enumerate_stratum(n, Stratum.ONE_CROSSCAP):
@@ -185,30 +165,25 @@ def check_entry_profiles(n_max: int = 4) -> Report:
                     return Report(
                         claim="entry-profiles", tag="pairing", status="FAIL",
                         params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                        witness={"profile": list(profile)},
-                        duration_s=time.perf_counter() - started)
+                        witness={"profile": list(profile)})
                 checked += 1
     return Report(
         claim="entry-profiles", tag="pairing", status="PASS",
-        params={"n_max": n_max, "pairs": checked},
-        duration_s=time.perf_counter() - started)
+        params={"n_max": n_max, "pairs": checked})
 
 
 def check_tilde_block_fixture(cache_dir=None) -> Report:
     """The 4x4 tilde matrix matches the four-element class pattern with u=1."""
-    started = time.perf_counter()
     gm = gram_mod.get_gram(2, gram_mod.GramVariant.MBN1_TILDE, cache_dir=cache_dir)
     reference = gram_mod.class_matrix_4x4(1)
     if gram_mod.equal_up_to_simultaneous_permutation(gm.rows(), reference):
         return Report(
             claim="tilde-block-fixture", tag="gram", status="PASS",
-            params={"n": 2, "size": 4},
-            duration_s=time.perf_counter() - started)
+            params={"n": 2, "size": 4})
     return Report(
         claim="tilde-block-fixture", tag="gram", status="FAIL",
         params={"n": 2},
-        witness={"matrix": [[str(e) for e in row] for row in gm.rows()]},
-        duration_s=time.perf_counter() - started)
+        witness={"matrix": [[str(e) for e in row] for row in gm.rows()]})
 
 
 # the variant/size pairs where both determinant backends are feasible.
@@ -227,7 +202,6 @@ BACKEND_CROSSCHECK_CASES = (
 
 def check_det_backends_agree(cache_dir=None) -> Report:
     """Evaluation-interpolation equals fraction-free elimination."""
-    started = time.perf_counter()
     compared = []
     for variant, ns in BACKEND_CROSSCHECK_CASES:
         for n in ns:
@@ -239,10 +213,8 @@ def check_det_backends_agree(cache_dir=None) -> Report:
                     claim="det-backends-agree", tag="gram", status="FAIL",
                     params={"at": [variant.value, n]},
                     witness={"bareiss": exact.to_json_obj(),
-                             "interp": interp.to_json_obj()},
-                    duration_s=time.perf_counter() - started)
+                             "interp": interp.to_json_obj()})
             compared.append(f"{variant.value}/{n}")
     return Report(
         claim="det-backends-agree", tag="gram", status="PASS",
-        params={"cases": compared},
-        duration_s=time.perf_counter() - started)
+        params={"cases": compared})

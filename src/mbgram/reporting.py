@@ -5,13 +5,15 @@ mismatch: conjectures are allowed to fail, and a failure is a finding
 that must carry its witness.  Reports serialize to JSON lines.  The
 canonical form (used for determinism comparisons) excludes volatile
 fields such as wall-clock durations; the full form includes them.
+Checks never time themselves: `timed`, the one runner, stamps duration_s.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 REPORT_FORMAT = "mbgram.report/1"
 
@@ -75,6 +77,14 @@ class Report:
     def canonical_json(self) -> str:
         """Byte-stable form: identical inputs and seed give identical text."""
         return self.to_json_line(volatile=False)
+
+
+def timed(claim: Callable[[], Report]) -> Report:
+    """Run a zero-argument claim and stamp its wall time on the Report."""
+    started = time.perf_counter()
+    report = claim()
+    report.duration_s = time.perf_counter() - started
+    return report
 
 
 class ReportWriter:

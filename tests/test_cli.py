@@ -57,6 +57,7 @@ class TestCommands:
         assert code == 0
         report = json.loads(out)
         assert report["status"] == "PASS"
+        assert "duration_s" in report
 
     def test_gram_and_det(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gram", "--n", "2", "--variant", "tilde",
@@ -74,7 +75,9 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_5", "--n", "2",
                                "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 0
-        assert json.loads(out)["status"] == "PASS"
+        report = json.loads(out)
+        assert report["status"] == "PASS"
+        assert "duration_s" in report
 
     def test_verify_theorem(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",
@@ -95,7 +98,8 @@ class TestSuite:
                                "--cache-dir", str(tmp_path))
         assert code == 0
         assert "failed=0" in out
-        assert (tmp_path / "reports.jsonl").exists()
+        lines = (tmp_path / "reports.jsonl").read_text().splitlines()
+        assert lines and all("duration_s" in json.loads(line) for line in lines)
 
     def test_reports_are_deterministic(self, tmp_path):
         code1, reports1 = run_suite("quick", cache_dir=tmp_path / "a", seed=123)

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbgram.errors import NonIntegralResultError
@@ -110,6 +110,7 @@ class TestDivision:
         p = Polynomial.univariate("d", {4: 1, 2: -4})  # d^4 - 4 d^2
         q = Polynomial.univariate("d", {2: 1})
         assert p.divide_exact(q) == D * D - 4
+        assert (D * D - 1).divide_exact(D - 1) == D + 1  # d cancels in (d + 1)(d - 1)
 
     def test_divide_by_one(self):
         rng = random.Random(5)
@@ -150,6 +151,19 @@ class TestDivision:
         assert p.divide_exact(D + Z) == W * X - 2
         assert p.divide_exact(W * X - 2) == D + Z
         assert p.divide_exact(D - Z) is None
+
+    # small exponents and coefficients make a * b cancel terms often, so the
+    # division must bring back monomials that the product no longer has
+    @settings(deadline=None)
+    @given(a=st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(VARIABLES)),
+                             st.integers(-3, 3), max_size=6).map(Polynomial),
+           b=st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(VARIABLES)),
+                             st.integers(-3, 3), min_size=1, max_size=6).map(Polynomial))
+    def test_divide_exact_is_exact(self, a, b):
+        assume(not b.is_zero())
+        assert (a * b).divide_exact(b) == a
+        if b.total_degree() > 0:
+            assert (a * b + 1).divide_exact(b) is None
 
 
 class TestInterpolation:
