@@ -5,7 +5,7 @@ rendered from those lines and is never the source of truth.  The suite
 appends its lines to reports.jsonl in the cache directory.  Randomized
 checks use a fixed published seed unless --seed overrides it, and suite
 outcomes are independent of --jobs by construction: worker counts only
-distribute point evaluations, never change what is computed.
+distribute evaluation points and primes, never change what is computed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="cache directory (default: $MBGRAM_CACHE_DIR or ./cache)")
     parser.add_argument("--format", choices=("json", "table"), default="table")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for evaluation points")
+                        help="worker processes for evaluation points and primes")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized checks (default: published constant)")
 

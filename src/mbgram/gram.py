@@ -13,15 +13,14 @@ the two sides swapped.  Equal entries share one immutable Polynomial.
 Determinants are always exact.  Two routes, and choose_backend alone
 picks between them from the matrix: fraction free elimination
 (intdet.bareiss_int) directly over the polynomial ring for matrices up to
-40x40 or with three or more active variables, and evaluation plus Newton
-interpolation for larger matrices in few variables (the tilde family,
-whose entries are powers of d).  The degree bounds of the evaluation
-route are provable from the matrix, so one grid always suffices.  Every
-evaluated point goes through one helper, _dets_at_points, down to an
-exact integer determinant (see intdet), and interpolation divides exactly
-in the polynomial ring; both routes are asserted equal wherever both are
-feasible.  _matrix_rows turns any input matrix into rows of Polynomials
-once, for both routes and for choose_backend.
+40x40 or with three or more active variables, and the modular route for
+larger matrices in few variables (the tilde family, whose entries are
+powers of d).  Per prime, the modular route takes the determinants at
+every point of a grid 0..bound per variable (bounds provable from the
+matrix) in batches and interpolates them mod p; the primes exceed twice
+a coefficient bound read off the matrix, and CRT gives the coefficients.
+Both routes are asserted equal wherever both are feasible.  _pool_map
+spreads the primes, and the randomized check's points, over `jobs`.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -32,20 +31,24 @@ finding, never an exception.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from functools import partial
+from math import comb, prod
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from mbgram import intdet
 from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
-from mbgram.polynomial import VARIABLES, Polynomial, interpolate
+from mbgram.polynomial import VARIABLES, Polynomial
 from mbgram.reporting import Report
 from mbgram.storage import cache_read, cache_write, resolve_cache_dir
 
@@ -175,22 +178,18 @@ def _active_variables(rows: list) -> list:
     return [v for v in VARIABLES if v in used]
 
 
+def _pool_map(fn, args: list, jobs: int) -> list:
+    """map(fn, args) over `jobs` processes; the results do not depend on jobs."""
+    if jobs <= 1 or len(args) < 2:
+        return list(map(fn, args))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, args))
+
+
 def det_exact(matrix) -> Polynomial:
     """Fraction-free elimination over the polynomial ring (intdet.bareiss_int)."""
     det = intdet.bareiss_int(_matrix_rows(matrix))
     return Polynomial.integer(det) if isinstance(det, int) else det
-
-
-def _grid_points(count: int, var: str) -> list:
-    """Symmetric integer abscissae; for d the values 0, +/-1 are excluded."""
-    points = []
-    t = 2 if var == "d" else 0
-    while len(points) < count:
-        points.append(t)
-        if t > 0 and len(points) < count:
-            points.append(-t)
-        t += 1 if t else 1
-    return points[:count]
 
 
 def default_degree_bounds(rows: list, variables: Sequence[str]) -> dict:
@@ -203,67 +202,63 @@ def default_degree_bounds(rows: list, variables: Sequence[str]) -> dict:
     }
 
 
-_EVAL_STATE: dict = {}
+# Cells per elimination batch: about 1 MB of int64 per array the kernel
+# holds, the size of one CRT integer determinant's residue block at tilde
+# n=4 (42 primes x 56 x 56), so the grid costs no more memory than a point.
+_ELIMINATION_CELLS = 1 << 17
 
 
-def _eval_worker_init(rows_obj: list) -> None:
-    _EVAL_STATE["rows"] = [[Polynomial.from_terms_obj(cell) for cell in row]
-                           for row in rows_obj]
+def _det_coefficients_mod(values: list, codes: np.ndarray, shape: tuple,
+                          p: int) -> np.ndarray:
+    """Coefficients mod p of det, flattened in C order over the degree grid;
+    values[g][e] is distinct entry e at grid point g, codes[i][j] names G_ij."""
+    residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
+    step = max(1, _ELIMINATION_CELLS // codes.size)
+    dets = np.empty(len(residues), dtype=np.int64)
+    for start in range(0, len(dets), step):
+        stack = residues[start:start + step][:, codes]
+        dets[start:start + step] = intdet.dets_mod(stack, np.full(len(stack), p))
+    coeffs = dets.reshape(shape)
+    for axis in range(len(shape)):
+        coeffs = intdet.interpolate_mod(coeffs, p, axis)
+    return coeffs.ravel()
 
 
 def _det_at_point(rows: list, point: Mapping[str, int]) -> int:
     return intdet.int_det([[entry.evaluate(point) for entry in row] for row in rows])
 
 
-def _eval_worker(point: Mapping[str, int]) -> int:
-    return _det_at_point(_EVAL_STATE["rows"], point)
-
-
-def _dets_at_points(rows: list, points: list, jobs: int) -> list:
-    """Exact integer determinants of the matrix at several points.
-
-    Worker processes only distribute the per-point work; the values, and
-    therefore every downstream outcome, do not depend on the job count.
-    """
-    if jobs > 1 and len(rows) >= 32 and len(points) > 1:
-        rows_obj = [[entry.to_terms_obj() for entry in row] for row in rows]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_eval_worker_init,
-                                 initargs=(rows_obj,)) as pool:
-            return list(pool.map(_eval_worker, points, chunksize=4))
-    return [_det_at_point(rows, point) for point in points]
-
-
-def _det_over_grids(rows: list, variables: Sequence[str],
-                    bounds: Mapping[str, int], jobs: int) -> Polynomial:
-    if not variables:
-        return Polynomial.integer(_dets_at_points(rows, [{}], jobs)[0])
-    var = variables[0]
-    rest = variables[1:]
-    points = _grid_points(bounds[var] + 1, var)
-    if not rest:
-        values = _dets_at_points(rows, [{var: t} for t in points], jobs)
-        samples = [(t, Polynomial.integer(v)) for t, v in zip(points, values)]
-    else:
-        samples = []
-        for t in points:
-            sub_rows = [[entry.eval_var(var, t) for entry in row] for row in rows]
-            samples.append((t, _det_over_grids(sub_rows, rest, bounds, jobs)))
-    return interpolate(var, samples)
-
-
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
-    """Determinant via evaluation grids and Newton interpolation.
+    """Determinant by the modular algorithm (von zur Gathen & Gerhard, ch. 5).
 
-    Every active variable is evaluated on a symmetric integer grid of
-    (bound + 1) points, with the bound from default_degree_bounds; inner
-    determinants recurse until the leaves are plain integer matrices, and
-    the samples are interpolated back.
+    Each distinct entry value is evaluated once per grid point (0..bound_v
+    per active variable, from default_degree_bounds); each prime is one
+    task: eliminate at all points mod p, interpolate, CRT each coefficient.
     """
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
+    if not rows:
+        return Polynomial.one()
+    # |coef| <= per(||G_ij||_1) <= prod_i sum_j ||G_ij||_1, ||.||_1 the sum of
+    # absolute coefficients (submultiplicative); 0 means a zero row
+    bound = prod(sum(sum(map(abs, e.terms.values())) for e in row) for row in rows)
+    if bound == 0:
+        return Polynomial.zero()
     variables = _active_variables(rows)
-    return _det_over_grids(rows, variables, default_degree_bounds(rows, variables), jobs)
+    bounds = default_degree_bounds(rows, variables)
+    shape = tuple(bounds[var] + 1 for var in variables)
+    # keyed by value: a matrix read from the cache shares no entry objects
+    distinct = {frozenset(entry.terms.items()): entry for row in rows for entry in row}
+    index = {key: e for e, key in enumerate(distinct)}
+    codes = np.array([[index[frozenset(entry.terms.items())] for entry in row] for row in rows])
+    grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
+    values = [[entry.evaluate(point) for entry in distinct.values()] for point in grid]
+    primes = intdet.primes_for(bound)
+    per_prime = _pool_map(partial(_det_coefficients_mod, values, codes, shape), primes, jobs)
+    return Polynomial({tuple(point.get(var, 0) for var in VARIABLES):
+                       intdet.crt([int(r) for r in residues], primes)
+                       for point, residues in zip(grid, zip(*per_prime))})
 
 
 def choose_backend(matrix) -> str:
@@ -456,9 +451,11 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
 
     method="exact": both sides as canonical polynomials, structural
     equality.  method="randomized": equality of exact integer values at
-    `points` seeded sample points whose coordinates exceed the total
-    degree bound; the report states the resulting failure bound.  A
-    mismatch is a first-class finding (FAIL with witness), not an error.
+    `points` seeded sample points whose coordinates exceed a bound on
+    the total degree of det - formula (the larger of total_degree_bound
+    and the closed form's degree); the report states that bound and the
+    resulting failure bound.  A mismatch is a first-class finding (FAIL
+    with witness), not an error.
     """
     if conjecture is ConjectureId.C5_1:
         return Report(
@@ -485,7 +482,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
         raise ValueError(f"unknown method {method!r}")
 
     gm = get_gram(n, variant, cache_dir=cache_dir)
-    degree_bound = total_degree_bound(gm)
+    formula_degree = sum(f.total_degree() * e for f, e in conjecture_factors(conjecture, n))
+    degree_bound = max(total_degree_bound(gm), formula_degree)
     if seed is None:
         seed = DEFAULT_SEED
     rng = random.Random(seed)
@@ -508,7 +506,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             mag = rng.randint(degree_bound + 1, degree_bound + magnitude)
             point[var] = mag if rng.random() < 0.5 else -mag
         sample.append(point)
-    det_values = _dets_at_points(gm.entries, sample, jobs)
+    det_values = _pool_map(partial(_det_at_point, gm.entries), sample, jobs)
     mismatch = None
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)
@@ -604,8 +602,6 @@ def class_matrix_4x4(u) -> list:
 
 def equal_up_to_simultaneous_permutation(a: list, b: list) -> bool:
     """True iff P a P^T == b for some permutation P (small sizes only)."""
-    import itertools
-
     n = len(a)
     if len(b) != n:
         return False

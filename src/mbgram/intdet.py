@@ -1,4 +1,4 @@
-"""Exact determinants: one fraction-free elimination, one modular path.
+"""Exact determinants: one fraction-free elimination, one modular kernel.
 
   * bareiss_int: fraction-free elimination with row pivoting.  Every
     interior division is exact (Sylvester's identity), so it is exact
@@ -6,18 +6,18 @@
     uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
     slow on integer matrices past roughly 40x40.
 
-  * crt_det: evaluate the determinant modulo enough 31-bit primes to
-    exceed twice the Hadamard bound, with numpy int64 elimination batched
-    across all primes at once, then recombine by the Chinese remainder
-    theorem.  Requires the input entries to fit int64; falls back to
-    bareiss_int otherwise.
+  * dets_mod: determinants of a stack of residue matrices, one modulus
+    each, by numpy int64 elimination.  crt_det stacks one integer matrix
+    once per prime, enough to exceed twice the Hadamard bound, and
+    recombines by CRT (int64 entries only; bareiss_int otherwise); gram
+    stacks grid points under one prime and calls interpolate_mod.
 
 int_det picks between them by size.  The test suite cross-checks them.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
@@ -51,14 +51,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _primes_descending(start: int, count: int) -> list:
-    out = []
-    c = start if start % 2 else start - 1
-    while len(out) < count:
+def primes_for(bound: int) -> list:
+    """Descending primes below 2^31, enough for CRT to recover |x| <= bound."""
+    primes, modulus, c = [], 1, 2 ** 31 - 1
+    while modulus <= 2 * bound:
         if _is_prime(c):
-            out.append(c)
+            primes.append(c)
+            modulus *= c
         c -= 2
-    return out
+    return primes
 
 
 def hadamard_bound(rows: list) -> int:
@@ -109,51 +110,63 @@ def bareiss_int(rows: list):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def _dets_mod_batched(a: np.ndarray, primes: list) -> list:
-    """Determinant residues for all primes at once, with row pivoting.
+def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Determinant residues of a (batch, n, n) stack, matrix b modulo moduli[b].
 
-    A prime whose pivot is zero swaps in its first row below with a
-    nonzero entry in that column.  If there is none, its pivot stays
-    zero: the residue becomes 0 and, as pow(0, p - 2, p) == 0, its
-    elimination step changes nothing.
+    Entries must be residues; the stack is overwritten.  A zero pivot
+    swaps in the first row below with a nonzero entry (flipping the sign);
+    if there is none the residue is 0, and as the inverse of 0 comes out
+    0 the step changes nothing.  Inverses are pivot^(p-2), by square and
+    multiply over the whole batch; residues below 2^31 keep products in int64.
     """
-    parr = np.array(primes, dtype=np.int64)
-    m = np.mod(a[None, :, :], parr[:, None, None])
-    n = a.shape[0]
-    dets = np.ones(len(primes), dtype=np.int64)
+    batch, n, _ = stack.shape
+    exponent_bits = [(moduli - 2) >> i & 1 == 1 for i in range(31)]
+    det = np.ones(batch, dtype=np.int64)
     for k in range(n):
-        piv = m[:, k, k]
-        zero = piv == 0
+        zero = stack[:, k, k] == 0
         if zero.any():
             sel = np.flatnonzero(zero)
-            below = k + np.argmax(m[sel, k:, k] != 0, axis=1)
-            row_k = m[sel, k].copy()
-            m[sel, k] = m[sel, below]
-            m[sel, below] = row_k
-            flip = sel[below != k]
-            dets[flip] = parr[flip] - dets[flip]
-            piv = m[:, k, k]
-        dets = dets * piv % parr
+            below = k + np.argmax(stack[sel, k:, k] != 0, axis=1)
+            stack[sel, k], stack[sel, below] = stack[sel, below], stack[sel, k]
+            det[sel[below != k]] *= -1
+        pivot = stack[:, k, k].copy()
+        det = det * pivot % moduli
         if k + 1 < n:
-            inv = np.array([pow(int(v), int(p) - 2, int(p))
-                            for v, p in zip(piv, parr)], dtype=np.int64)
-            f = m[:, k + 1:, k] * inv[:, None] % parr[:, None]
-            m[:, k + 1:, k:] = (m[:, k + 1:, k:]
-                                - f[:, :, None] * m[:, k, None, k:]) % parr[:, None, None]
-    return [int(d) for d in dets]
+            inverse, power = np.ones_like(pivot), pivot
+            for bit in exponent_bits:
+                inverse = np.where(bit, inverse * power % moduli, inverse)
+                power = power * power % moduli
+            factor = stack[:, k + 1:, k] * inverse[:, None] % moduli[:, None]
+            rest = stack[:, k + 1:, k + 1:]
+            rest -= factor[:, :, None] * stack[:, k, None, k + 1:]
+            np.remainder(rest, moduli[:, None, None], out=rest)
+    return det
 
 
-def _crt(residues: list, primes: list) -> int:
-    x = 0
-    modulus = 1
+def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
+    """Coefficients mod p, lowest degree first along axis, of the polynomial
+    with the given values at 0, 1, ..., k-1: Newton divided differences,
+    where level l divides by l itself, then Horner's rule.
+    """
+    table = np.moveaxis(np.asarray(values, dtype=np.int64) % p, axis, 0)
+    k = table.shape[0]
+    for level in range(1, k):
+        table[level:] = (table[level:] - table[level - 1:-1]) % p * pow(level, -1, p) % p
+    coeffs = np.zeros_like(table)
+    for i in range(k - 1, -1, -1):
+        # coeffs <- coeffs * (X - i) + table[i]
+        coeffs[1:] = (coeffs[:-1] - i * coeffs[1:]) % p
+        coeffs[0] = (table[i] - i * coeffs[0]) % p
+    return np.moveaxis(coeffs, 0, axis)
+
+
+def crt(residues: list, primes: list) -> int:
+    """The integer of least absolute value with the given residues."""
+    x, modulus = 0, 1
     for r, p in zip(residues, primes):
-        delta = (r - x) % p
-        delta = delta * pow(modulus % p, p - 2, p) % p
-        x += modulus * delta
+        x += modulus * ((r - x) * pow(modulus, -1, p) % p)
         modulus *= p
-    if x > modulus // 2:
-        x -= modulus
-    return x
+    return x - modulus if x > modulus // 2 else x
 
 
 def crt_det(rows: list) -> int:
@@ -166,15 +179,10 @@ def crt_det(rows: list) -> int:
         return 0
     if max(abs(v) for row in rows for v in row) >= _INT64_SAFE:
         return bareiss_int(rows)
-    # product of primes must exceed 2 * bound
-    target_bits = bound.bit_length() + 2
-    count = target_bits // 30 + 1
-    primes = _primes_descending(2 ** 31, count)
-    while prod(primes) <= 2 * bound:
-        primes += _primes_descending(primes[-1] - 2, 1)
-    a = np.array(rows, dtype=np.int64)
-    residues = _dets_mod_batched(a, primes)
-    return _crt(residues, primes)
+    primes = primes_for(bound)
+    moduli = np.array(primes, dtype=np.int64)
+    stack = np.array(rows, dtype=np.int64)[None] % moduli[:, None, None]
+    return crt(dets_mod(stack, moduli).tolist(), primes)
 
 
 def int_det(rows: list) -> int:

@@ -192,7 +192,7 @@ def check_tilde_block_fixture(cache_dir=None) -> Report:
 # points already at n=2 and ~10^10 at n=3, and the unsubstituted
 # one-crosscap matrix ~10^5 at n=3.  Those stay with elimination only;
 # the substituted family (evaluation's actual target) is covered through
-# n=3 and the multi-variable recursion through five variables at n=1.
+# n=3 and the multi-variable grid through five variables at n=1.
 BACKEND_CROSSCHECK_CASES = (
     (gram_mod.GramVariant.MBN1_TILDE, (1, 2, 3)),
     (gram_mod.GramVariant.MBN1, (1, 2)),

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mbgram import gram
 from mbgram.errors import BoundExceededError
 from mbgram.gram import (DET_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVariant,
                          assemble_gram, choose_backend, class_matrix_4x4, conjecture_factors,
@@ -186,12 +189,43 @@ class TestDetByEvaluation:
         bounds = default_degree_bounds(gm.rows(), ["d", "w"])
         assert bounds == {"d": 4, "w": 4}
 
+    def test_empty_matrix(self):
+        assert det_by_evaluation([]) == 1
+
+    def test_zero_row(self):
+        m = [[D, W + 1, 2], [0, 0, 0], [X, 1, D * D]]
+        assert det_by_evaluation(m) == 0
+
     def test_integer_matrix(self):
         # a plain int entry is coerced the same way on both routes
         m = [[Polynomial.integer(3), 1],
              [Polynomial.integer(1), Polynomial.integer(2)]]
         assert det_by_evaluation(m) == 5
         assert det_exact(m) == 5
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Square matrices of size 1-5 in one or two variables: sparse entries
+    with negative and non-unit coefficients, zero entries included."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.sampled_from([("d",), ("w",), ("d", "w"), ("x", "z")]))
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    entry = st.dictionaries(exps, st.integers(-4, 4), max_size=3)
+
+    def poly(terms):
+        out = Polynomial.zero()
+        for e, c in terms.items():
+            out = out + Polynomial.monomial(c, dict(zip(names, e)))
+        return out
+
+    return [[poly(draw(entry)) for _ in range(n)] for _ in range(n)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(polynomial_matrices())
+def test_evaluation_matches_elimination(rows):
+    assert det_by_evaluation(rows) == det_exact(rows)
 
 
 class TestCrossover:
@@ -274,13 +308,28 @@ class TestVerification:
         assert 0 < report.params["failure_bound"] < 2 ** -40
 
     def test_randomized_independent_of_jobs(self, tmp_path):
-        # size 35 exceeds the pool threshold, so jobs=2 takes the worker path
+        # jobs=2 spreads the three points over a worker pool
         serial = verify_conjecture(ConjectureId.C3_4, 3, method="randomized",
                                    seed=11, points=3, jobs=1, cache_dir=tmp_path)
         pooled = verify_conjecture(ConjectureId.C3_4, 3, method="randomized",
                                    seed=11, points=3, jobs=2, cache_dir=tmp_path)
         assert serial.canonical_json() == pooled.canonical_json()
         assert serial.status == "PASS"
+
+    def test_randomized_degree_bound_covers_the_formula(self, tmp_path, monkeypatch):
+        # a wrong closed form of higher degree than det(G): the stated degree
+        # bound and the sample coordinates must cover det - formula
+        builder, n_min = gram._FACTOR_BUILDERS[ConjectureId.C3_4]
+        monkeypatch.setitem(gram._FACTOR_BUILDERS, ConjectureId.C3_4,
+                            (lambda n: builder(n) + [(D, 50)], n_min))
+        degree = total_degree_bound(get_gram(2, GramVariant.MB1_FULL, cache_dir=tmp_path)) + 50
+        stated = verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=0,
+                                   cache_dir=tmp_path)
+        assert stated.params["degree_bound"] == degree
+        found = verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=4,
+                                  cache_dir=tmp_path)
+        assert found.status == "FAIL"
+        assert all(abs(v) > degree for v in found.witness["point"].values())
 
     def test_c5_1_skipped(self, tmp_path):
         report = verify_conjecture(ConjectureId.C5_1, 3, cache_dir=tmp_path)

@@ -2,9 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
-from mbgram.intdet import (_is_prime, _primes_descending, bareiss_int, crt_det,
-                           hadamard_bound, int_det)
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mbgram.intdet import (_is_prime, bareiss_int, crt_det, hadamard_bound, int_det,
+                           interpolate_mod, primes_for)
+from mbgram.polynomial import Polynomial, interpolate
 
 
 def cofactor_det(rows):
@@ -60,8 +66,10 @@ class TestCrt:
         known = [2, 3, 5, 7, 2 ** 31 - 1]
         assert all(_is_prime(p) for p in known)
         assert not any(_is_prime(c) for c in (1, 4, 9, 2 ** 31 - 3))
-        ps = _primes_descending(2 ** 31, 5)
+        ps = primes_for(2 ** 140)
         assert len(set(ps)) == 5 and all(_is_prime(p) for p in ps)
+        assert ps == sorted(ps, reverse=True) and ps[0] == 2 ** 31 - 1
+        assert prod(ps) > 2 * 2 ** 140 >= prod(ps[:-1])
 
     def test_hadamard_bound_dominates(self):
         rng = random.Random(11)
@@ -102,7 +110,7 @@ class TestCrt:
 
     def test_structured_singular_mod_prime(self):
         # determinant divisible by several of the CRT primes still comes out right
-        p1, p2 = _primes_descending(2 ** 31, 2)
+        p1, p2 = primes_for(2 ** 40)
         m = [[p1 * p2, 0], [0, 1]]
         assert crt_det(m) == p1 * p2
 
@@ -158,3 +166,50 @@ class TestRationalCross:
             expected = int(det) * sign if det else 0
             assert bareiss_int(m) == expected
             assert int_det(m) == expected
+
+
+# -- property tests -------------------------------------------------------------
+
+# deadline=None: example timings vary with host load; a slow example is not a failure
+
+
+@st.composite
+def integer_matrices(draw, max_size=8):
+    """Random square matrices: some singular, some with a zero row, some with
+    entries beyond int64; magnitude 1 (entries -1..1) makes zero pivots common."""
+    n = draw(st.integers(1, max_size))
+    magnitude = draw(st.sampled_from([1, 9, 10 ** 6, 2 ** 62, 2 ** 70]))
+    cell = st.integers(-magnitude, magnitude)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["random", "singular", "zero-row"]))
+    if n > 1 and shape == "singular":
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1 % (n - 1)])]
+    elif shape == "zero-row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_matrices())
+def test_int_and_crt_det_match_bareiss(rows):
+    expected = bareiss_int(rows)
+    assert crt_det(rows) == expected
+    assert int_det(rows) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6),
+                min_size=1, max_size=4),
+       st.integers(0, 3), st.sampled_from(primes_for(2 ** 62)))
+def test_interpolate_mod_matches_ring_interpolation(columns, extra, p):
+    # one integer polynomial per column, sampled at 0..k-1 with k above its degree
+    k = max(len(c) for c in columns) + extra
+    polys = [Polynomial.univariate("d", dict(enumerate(c))) for c in columns]
+    values = np.array([[f.evaluate({"d": t}) % p for f in polys] for t in range(k)])
+    got = interpolate_mod(values, p, axis=0)
+    for col, f in enumerate(polys):
+        ring = interpolate("d", [(t, f.evaluate({"d": t})) for t in range(k)])
+        expected = [ring.terms.get((deg, 0, 0, 0, 0), 0) % p for deg in range(k)]
+        assert got[:, col].tolist() == expected
+    assert interpolate_mod(values.T, p, axis=1).tolist() == got.T.tolist()
