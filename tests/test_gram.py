@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from mbgram import gram
 from mbgram.errors import BoundExceededError
-from mbgram.gram import (DET_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix, GramVariant,
-                         assemble_gram, choose_backend, class_matrix_4x4, conjecture_factors,
-                         conjecture_formula, default_degree_bounds, det_by_evaluation,
-                         det_exact, equal_up_to_simultaneous_permutation,
+from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix,
+                         GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
+                         conjecture_factors, conjecture_formula, default_degree_bounds,
+                         det_by_evaluation, det_exact, equal_up_to_simultaneous_permutation,
                          formula_value_at, get_det, get_gram, total_degree_bound,
                          verify_conjecture, verify_formula_identity, verify_theorem_3_6)
 from mbgram.intdet import bareiss_int
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import Polynomial
-from mbgram.storage import cache_read, cache_write
+from mbgram.storage import cache_read, cache_write, payload_digest
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -387,6 +387,15 @@ class TestCaching:
         (tmp_path / "det_tilde_2.json").unlink()
         get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert (tmp_path / "det_tilde_2.json").read_bytes() == first
+
+    def test_full_n2_gram_digest_is_pinned(self, tmp_path):
+        # SHA-256 of the canonical JSON of the cached matrix: a change of
+        # enumeration order or pairing convention changes it, and must come
+        # with a new GRAM_FORMAT so that no stale cached matrix is read
+        get_gram(2, GramVariant.MB1_FULL, cache_dir=tmp_path)
+        payload = cache_read(tmp_path, "gram_full_2", GRAM_FORMAT)
+        assert (GRAM_FORMAT, payload_digest(payload)) == (
+            "mbgram.gram/1", "325397881a14b18a7473a401f696ad13c4d26b07c15c53b8f1ac35c11bcfd6d5")
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)

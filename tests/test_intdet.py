@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbgram.intdet import (_is_prime, bareiss_int, crt_det, hadamard_bound, int_det,
@@ -213,3 +213,15 @@ def test_interpolate_mod_matches_ring_interpolation(columns, extra, p):
         expected = [ring.terms.get((deg, 0, 0, 0, 0), 0) % p for deg in range(k)]
         assert got[:, col].tolist() == expected
     assert interpolate_mod(values.T, p, axis=1).tolist() == got.T.tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=7),
+       st.sampled_from(primes_for(2 ** 62)))
+def test_interpolate_mod_one_point_short_never_returns_f(coeffs, p):
+    assume(coeffs[-1] % p)
+    f = Polynomial.univariate("d", dict(enumerate(coeffs)))
+    short = len(coeffs) - 1  # one point fewer than the degree bound
+    values = np.array([f.evaluate({"d": t}) % p for t in range(short)])
+    got = interpolate_mod(values, p).tolist() + [0]
+    assert got != [c % p for c in coeffs]

@@ -2,13 +2,16 @@
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mbgram import polynomial
 from mbgram.errors import NonIntegralResultError
-from mbgram.polynomial import Polynomial, VARIABLES, interpolate, monomial_key
+from mbgram.polynomial import (DENSE_MIN_TERMS, Polynomial, VARIABLES, _sparse_product,
+                               interpolate, monomial_key)
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -69,6 +72,51 @@ class TestArithmetic:
         assert (0, 0, 0, 0, 0) not in p.terms
         q = p - p
         assert q.terms == {}
+
+
+@st.composite
+def d_only_polys(draw):
+    """d-only polynomials on both sides of the dense crossover, with gaps."""
+    lo, step = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    size = draw(st.integers(0, 2 * DENSE_MIN_TERMS + 4))
+    degrees = draw(st.lists(st.integers(0, 3 * DENSE_MIN_TERMS), min_size=size,
+                            max_size=size, unique=True))
+    coeffs = st.integers(-3, 3).filter(bool) | st.integers(-10 ** 40, 10 ** 40).filter(bool)
+    return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
+
+
+class TestDenseProduct:
+    @settings(deadline=None, max_examples=100)
+    @given(a=d_only_polys(), b=d_only_polys(), data=st.data())
+    def test_matches_dict_loop(self, a, b, data):
+        # an extra w, x, y or z term makes one factor multivariate
+        mixed = data.draw(st.sampled_from([None, "a", "b"]))
+        extra = data.draw(st.sampled_from([W, X, Y, Z])) * D ** 2
+        if mixed == "a":
+            a = a + extra
+        elif mixed == "b":
+            b = b + extra
+        dense = polynomial._dense_d_product
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomial, "_dense_d_product",
+                       lambda x, y: calls.append(1) or dense(x, y))
+            got = a * b
+        assert got.terms == _sparse_product(a.terms, b.terms)
+        # a multivariate, monomial or short factor keeps the dict loop
+        shorter = min(a.num_terms(), b.num_terms())
+        assert len(calls) == (mixed is None and shorter >= DENSE_MIN_TERMS)
+
+    def test_coefficients_past_int_string_limit(self):
+        # str(int) and int(str) refuse more than 4300 digits by default
+        big = 10 ** 4400
+        a = Polynomial.univariate("d", {k: big + k if k % 3 else -big
+                                        for k in range(DENSE_MIN_TERMS + 4)})
+        b = Polynomial.univariate("d", {2 * k + 1: (-1) ** k * (7 * big - k)
+                                        for k in range(DENSE_MIN_TERMS)})
+        limit = sys.get_int_max_str_digits()
+        assert (a * b).terms == _sparse_product(a.terms, b.terms)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestSubstitution:
@@ -217,6 +265,22 @@ class TestInterpolation:
         xs = data.draw(st.lists(st.integers(-40, 40), min_size=count, max_size=count,
                                 unique=True))
         assert interpolate(var, [(t, p.eval_var(var, t)) for t in xs]) == p
+
+    @settings(deadline=None)
+    @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(VARIABLES)),
+                                 st.integers(-10 ** 12, 10 ** 12), max_size=6),
+           var=st.sampled_from(VARIABLES), data=st.data())
+    def test_one_point_short_never_returns_p(self, terms, var, data):
+        p = Polynomial(terms)
+        count = p.degree_in(var)
+        assume(count >= 1)
+        xs = data.draw(st.lists(st.integers(-40, 40), min_size=count, max_size=count,
+                                unique=True))
+        try:
+            q = interpolate(var, [(t, p.eval_var(var, t)) for t in xs])
+        except NonIntegralResultError:
+            return
+        assert q != p
 
     @settings(deadline=None)
     @given(samples=st.dictionaries(st.integers(-40, 40), st.integers(-10 ** 6, 10 ** 6),
