@@ -124,10 +124,13 @@ class IdentityId(Enum):
 # each identity builder returns (lhs, rhs, uses_negative_index)
 
 def _sum_of_S(lo: int, hi: int) -> Polynomial:
-    total = Polynomial.zero()
+    """S_lo + S_(lo+2) + ... + S_hi, summed in one coefficient list by degree
+    in d (every S lies in Z[d]), not by a chain of Polynomial copies."""
+    coeffs = [0] * (hi + 1)
     for i in range(lo, hi + 1, 2):
-        total = total + cheb_S(i)
-    return total
+        for exps, coef in cheb_S(i).terms.items():
+            coeffs[exps[0]] += coef
+    return Polynomial.univariate("d", dict(enumerate(coeffs)))
 
 
 _S_PRODUCTS: dict = {}

@@ -149,6 +149,13 @@ class Diagram:
         return self.serialize()
 
 
+def rotate(m: Diagram) -> Diagram:
+    """The diagram turned one boundary step: every label v becomes v mod 2n + 1."""
+    n2 = 2 * m.n
+    return Diagram.build(m.n, [(a.tail % n2 + 1, a.head % n2 + 1) for a in m.chords],
+                         [f % n2 + 1 for f in m.fixed])
+
+
 _TOKEN_RE = re.compile(r"\(\s*(\d+)(?:\s+(\d+))?\s*\)|\s+|(.)")
 
 

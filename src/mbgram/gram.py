@@ -22,6 +22,21 @@ a coefficient bound read off the matrix, and CRT gives the coefficients.
 Both routes are asserted equal wherever both are feasible.  _pool_map
 spreads the primes, and the randomized check's points, over `jobs`.
 
+Both modular routes (the engine and the randomized check's integer
+determinants) split G into blocks under the boundary rotation
+diagrams.rotate, r, first.  rotation_orbits uses r only after checking
+on the matrix itself that it maps the basis onto itself and that
+G[r(i)][r(j)] == G[i][j] for all i, j, i.e. P G P^T = G for r's
+permutation matrix P; every Gram variant passes at the sizes checked
+(full n <= 4, mbn1 n <= 3, tilde n <= 5), and a matrix that fails gets
+singleton orbits, one block, G itself.  Over a prime p = 1 (mod L), L the
+lcm of the orbit sizes, a primitive L-th root of unity w exists; each
+orbit's characters under w form a Vandermonde matrix in distinct roots
+of unity, so the change to that basis is invertible mod p, G is similar
+to the direct sum of its blocks and det G is the product of their
+determinants mod p (intdet module docstring).  Grid, bounds, primes per
+bound and CRT are unchanged, so the determinants are the same integers.
+
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
 lists; products with tens of thousands of degrees are only ever compared
@@ -38,14 +53,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from mbgram import intdet
 from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
-from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum
+from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import VARIABLES, Polynomial
@@ -178,6 +193,35 @@ def _active_variables(rows: list) -> list:
     return [v for v in VARIABLES if v in used]
 
 
+def rotation_orbits(matrix) -> list:
+    """Basis orbits under diagrams.rotate, r, each as (i, r(i), r(r(i)), ...)
+    from its smallest index, in increasing order of that index.
+
+    Only a GramMatrix whose rotated basis is its basis and whose entries
+    satisfy G[r(i)][r(j)] == G[i][j] for all i, j gets them; raw row lists
+    and any other matrix get singleton orbits.
+    """
+    size = len(matrix.entries if isinstance(matrix, GramMatrix) else matrix)
+    singletons = [(i,) for i in range(size)]
+    if not isinstance(matrix, GramMatrix):
+        return singletons
+    index = {m: i for i, m in enumerate(matrix.basis)}
+    perm = [index.get(rotate(m)) for m in matrix.basis]
+    g = matrix.entries
+    if None in perm or any(g[perm[i]][perm[j]] != g[i][j]
+                           for i in range(size) for j in range(size)):
+        return singletons
+    orbits, seen = [], set()
+    for i in range(size):
+        if i not in seen:
+            orbit = [i]
+            while perm[orbit[-1]] != i:
+                orbit.append(perm[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
+    return orbits
+
+
 def _pool_map(fn, args: list, jobs: int) -> list:
     """map(fn, args) over `jobs` processes; the results do not depend on jobs."""
     if jobs <= 1 or len(args) < 2:
@@ -202,30 +246,31 @@ def default_degree_bounds(rows: list, variables: Sequence[str]) -> dict:
     }
 
 
-# Cells per elimination batch: about 1 MB of int64 per array the kernel
-# holds, the size of one CRT integer determinant's residue block at tilde
-# n=4 (42 primes x 56 x 56), so the grid costs no more memory than a point.
+# Cells of representative rows per elimination batch: about 1 MB of int64
+# per array the block kernel holds (representative rows x N per point).
 _ELIMINATION_CELLS = 1 << 17
 
 
-def _det_coefficients_mod(values: list, codes: np.ndarray, shape: tuple,
+def _det_coefficients_mod(values: list, codes: np.ndarray, orbits: list, shape: tuple,
                           p: int) -> np.ndarray:
     """Coefficients mod p of det, flattened in C order over the degree grid;
-    values[g][e] is distinct entry e at grid point g, codes[i][j] names G_ij."""
+    values[g][e] is distinct entry e at grid point g, codes[i][j] names G_ij,
+    orbits are rotation_orbits of the matrix."""
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    step = max(1, _ELIMINATION_CELLS // codes.size)
+    rep_codes = codes[[orbit[0] for orbit in orbits]]
+    step = max(1, _ELIMINATION_CELLS // rep_codes.size)
     dets = np.empty(len(residues), dtype=np.int64)
     for start in range(0, len(dets), step):
-        stack = residues[start:start + step][:, codes]
-        dets[start:start + step] = intdet.dets_mod(stack, np.full(len(stack), p))
+        stack = residues[start:start + step][:, rep_codes]
+        dets[start:start + step] = intdet.block_dets_mod(stack, orbits, np.full(len(stack), p))
     coeffs = dets.reshape(shape)
     for axis in range(len(shape)):
         coeffs = intdet.interpolate_mod(coeffs, p, axis)
     return coeffs.ravel()
 
 
-def _det_at_point(rows: list, point: Mapping[str, int]) -> int:
-    return intdet.int_det([[entry.evaluate(point) for entry in row] for row in rows])
+def _det_at_point(rows: list, orbits: list, point: Mapping[str, int]) -> int:
+    return intdet.int_det([[entry.evaluate(point) for entry in row] for row in rows], orbits)
 
 
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
@@ -233,7 +278,8 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
 
     Each distinct entry value is evaluated once per grid point (0..bound_v
     per active variable, from default_degree_bounds); each prime is one
-    task: eliminate at all points mod p, interpolate, CRT each coefficient.
+    task: eliminate the rotation blocks at all points mod p, interpolate,
+    CRT each coefficient.
     """
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
@@ -254,8 +300,10 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     codes = np.array([[index[frozenset(entry.terms.items())] for entry in row] for row in rows])
     grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
     values = [[entry.evaluate(point) for entry in distinct.values()] for point in grid]
-    primes = intdet.primes_for(bound)
-    per_prime = _pool_map(partial(_det_coefficients_mod, values, codes, shape), primes, jobs)
+    orbits = rotation_orbits(matrix)
+    primes = intdet.primes_for(bound, lcm(*(len(orbit) for orbit in orbits)))
+    per_prime = _pool_map(partial(_det_coefficients_mod, values, codes, orbits, shape),
+                          primes, jobs)
     return Polynomial({tuple(point.get(var, 0) for var in VARIABLES):
                        intdet.crt([int(r) for r in residues], primes)
                        for point, residues in zip(grid, zip(*per_prime))})
@@ -506,7 +554,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             mag = rng.randint(degree_bound + 1, degree_bound + magnitude)
             point[var] = mag if rng.random() < 0.5 else -mag
         sample.append(point)
-    det_values = _pool_map(partial(_det_at_point, gm.entries), sample, jobs)
+    det_values = _pool_map(partial(_det_at_point, gm.entries, rotation_orbits(gm)),
+                           sample, jobs)
     mismatch = None
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)

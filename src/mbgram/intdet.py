@@ -6,18 +6,40 @@
     uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
     slow on integer matrices past roughly 40x40.
 
-  * dets_mod: determinants of a stack of residue matrices, one modulus
-    each, by numpy int64 elimination.  crt_det stacks one integer matrix
-    once per prime, enough to exceed twice the Hadamard bound, and
-    recombines by CRT (int64 entries only; bareiss_int otherwise); gram
-    stacks grid points under one prime and calls interpolate_mod.
+  * block_dets_mod: determinants of a stack of residue matrices, one
+    modulus each, by numpy int64 elimination (dets_mod) of their blocks
+    under a permutation symmetry.  crt_det stacks one integer matrix once
+    per prime, enough to exceed twice the Hadamard bound, and recombines
+    by CRT (int64 entries only; bareiss_int otherwise); gram stacks grid
+    points under one prime and calls interpolate_mod.
 
 int_det picks between them by size.  The test suite cross-checks them.
+
+The blocks.  Let r permute the indices with G[r(i)][r(j)] == G[i][j] for
+all i, j, i.e. P G P^T = G for its permutation matrix P, and split the
+indices into the orbits of r, each listed as (i, r(i), r(r(i)), ...).
+Let L be the lcm of the orbit sizes, p = 1 (mod L) a prime and w a
+primitive L-th root of unity mod p (one exists because F_p^* is cyclic
+of order p - 1).  For an orbit of size s and each k with k s = 0 (mod L),
+the vector sum_j w^(-jk) e_(r^j(i)) is an eigenvector of P for w^k.  The
+k run over s distinct multiples of L/s, so an orbit's vectors form an
+s x s Vandermonde matrix in distinct s-th roots of unity: invertible mod
+p, and all of them together are a basis.  G commutes with P, so it maps
+each eigenspace of P into itself and is block diagonal in that basis:
+block k, over the orbits with k s = 0 (mod L), has entries
+
+    B_k[a][b] = sum_j w^(-jk) G[rep_a][r^j(rep_b)],
+
+read off at the representative rep_a, and det G = prod_k det B_k (mod p)
+by similarity.  Only the representatives' rows are ever needed.  With
+singleton orbits L = 1 and the one block is G itself.  The root is
+tested as primitive by w^(L/q) != 1 for every prime q | L; testing only
+w^(L/2) = -1 would accept w = -1 for L = 6.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -51,15 +73,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def primes_for(bound: int) -> list:
-    """Descending primes below 2^31, enough for CRT to recover |x| <= bound."""
-    primes, modulus, c = [], 1, 2 ** 31 - 1
+def primes_for(bound: int, order: int = 1) -> list:
+    """Descending primes p = 1 (mod lcm(2, order)) below 2^31, enough for
+    CRT to recover |x| <= bound; mod each of them, order-th roots of unity exist."""
+    step = lcm(2, order)
+    primes, modulus, c = [], 1, (2 ** 31 - 2) // step * step + 1
     while modulus <= 2 * bound:
         if _is_prime(c):
             primes.append(c)
             modulus *= c
-        c -= 2
+        c -= step
     return primes
+
+
+def _root_of_unity(p: int, order: int) -> int:
+    """A primitive order-th root of unity mod a prime p = 1 (mod order)."""
+    factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        w = pow(g, (p - 1) // order, p)
+        if all(pow(w, order // q, p) != 1 for q in factors):
+            return w
+    raise ValueError(f"no primitive {order}-th root of unity mod {p}")
 
 
 def hadamard_bound(rows: list) -> int:
@@ -113,10 +147,10 @@ def bareiss_int(rows: list):
 def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """Determinant residues of a (batch, n, n) stack, matrix b modulo moduli[b].
 
-    Entries must be residues; the stack is overwritten.  A zero pivot
-    swaps in the first row below with a nonzero entry (flipping the sign);
-    if there is none the residue is 0, and as the inverse of 0 comes out
-    0 the step changes nothing.  Inverses are pivot^(p-2), by square and
+    Entries must be residues and moduli below 2^31; the stack is
+    overwritten.  A zero pivot swaps in the first row below with a nonzero
+    entry (flipping the sign); if there is none the residue is 0, and as
+    the inverse of 0 comes out 0 the step changes nothing.  Inverses are pivot^(p-2), by square and
     multiply over the whole batch; residues below 2^31 keep products in int64.
     """
     batch, n, _ = stack.shape
@@ -140,6 +174,46 @@ def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
             rest = stack[:, k + 1:, k + 1:]
             rest -= factor[:, :, None] * stack[:, k, None, k + 1:]
             np.remainder(rest, moduli[:, None, None], out=rest)
+    return det
+
+
+def block_dets_mod(residues: np.ndarray, orbits: list, moduli: np.ndarray) -> np.ndarray:
+    """Determinant residues of a stack of matrices invariant under the
+    permutation whose orbits are given (module docstring), matrix b modulo
+    moduli[b], each moduli[b] a prime = 1 (mod the lcm of the orbit sizes).
+
+    residues[b, a] is row orbits[a][0] of matrix b, reduced mod moduli[b];
+    each block k is eliminated by dets_mod and the results multiplied.
+    """
+    assert (moduli < 2 ** 31).all(), "residue products must stay within int64"
+    sizes = np.array([len(orbit) for orbit in orbits])
+    order = lcm(*sizes.tolist())
+    width = int(sizes.max())
+    # orbit b's members along the last axis, padded with its first member
+    members = np.array([orbit + orbit[:1] * (width - len(orbit)) for orbit in orbits])
+    distinct, which = np.unique(moduli, return_inverse=True)
+    # inverse_powers[b, t] = w^(-t) mod moduli[b]
+    roots = {p: _root_of_unity(p, order) for p in distinct.tolist()}
+    inverse_powers = np.array([[pow(w, -t, p) for t in range(order)] for p, w in roots.items()],
+                              dtype=np.int64)[which]
+    m = moduli[:, None, None, None]
+    columns = residues[:, :, members]
+    blocks = np.zeros(columns.shape[:3] + (order,), dtype=np.int64)
+    for j in range(width):
+        # weight[b, c, k] = w^(-jk), or 0 past the end of orbit c
+        weight = inverse_powers[:, np.arange(order) * j % order][:, None, :] * (j < sizes)[:, None]
+        blocks = (blocks + columns[:, :, :, j, None] * weight[:, None]) % m
+    # blocks k over the same orbits are eliminated together, in one stack
+    same_orbits: dict = {}
+    for k in range(order):
+        same_orbits.setdefault(tuple(np.flatnonzero(k * sizes % order == 0)), []).append(k)
+    det = np.ones(len(moduli), dtype=np.int64)
+    for block, ks in same_orbits.items():
+        index = np.array(block)
+        stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ks], 3, 0)
+        dets = dets_mod(stack.reshape(-1, len(block), len(block)), np.tile(moduli, len(ks)))
+        for part in dets.reshape(len(ks), -1):
+            det = det * part % moduli
     return det
 
 
@@ -169,8 +243,12 @@ def crt(residues: list, primes: list) -> int:
     return x - modulus if x > modulus // 2 else x
 
 
-def crt_det(rows: list) -> int:
-    """Exact determinant via residues modulo 31-bit primes."""
+def crt_det(rows: list, orbits: list | None = None) -> int:
+    """Exact determinant via residues modulo 31-bit primes.
+
+    orbits: those of a permutation that leaves the matrix invariant, as
+    for block_dets_mod; singletons when None.
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -179,15 +257,18 @@ def crt_det(rows: list) -> int:
         return 0
     if max(abs(v) for row in rows for v in row) >= _INT64_SAFE:
         return bareiss_int(rows)
-    primes = primes_for(bound)
+    if orbits is None:
+        orbits = [(i,) for i in range(n)]
+    primes = primes_for(bound, lcm(*(len(orbit) for orbit in orbits)))
     moduli = np.array(primes, dtype=np.int64)
-    stack = np.array(rows, dtype=np.int64)[None] % moduli[:, None, None]
-    return crt(dets_mod(stack, moduli).tolist(), primes)
+    reps = np.array([rows[orbit[0]] for orbit in orbits], dtype=np.int64)
+    residues = reps[None] % moduli[:, None, None]
+    return crt(block_dets_mod(residues, orbits, moduli).tolist(), primes)
 
 
-def int_det(rows: list) -> int:
-    """Exact integer determinant; backend chosen by size."""
+def int_det(rows: list, orbits: list | None = None) -> int:
+    """Exact integer determinant; backend chosen by size, orbits as for crt_det."""
     n = len(rows)
     if n < _CRT_MIN_SIZE:
         return bareiss_int(rows)
-    return crt_det(rows)
+    return crt_det(rows, orbits)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mbgram.chebyshev import (IdentityId, cheb_S, cheb_T, identity_default_max,
+from mbgram.chebyshev import (IdentityId, _sum_of_S, cheb_S, cheb_T, identity_default_max,
                               verify_identity)
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
@@ -105,6 +105,14 @@ class TestGenerators:
 
 
 class TestIdentities:
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (1, 9), (0, 64), (7, 121)])
+    def test_sum_of_s_matches_chained_addition(self, lo, hi):
+        total = Polynomial.zero()
+        for i in range(lo, hi + 1, 2):
+            total = total + cheb_S(i)
+        assert _sum_of_S(lo, hi) == total
+        assert _sum_of_S(lo, hi).to_json_obj() == total.to_json_obj()
+
     def test_prod_to_sum_t_hand_example(self):
         # T_2 T_3 = T_5 + T_1, both sides expanded by hand
         lhs = (D * D - 2) * (D ** 3 - 3 * D)

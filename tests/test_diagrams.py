@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from mbgram.diagrams import (Arc, Diagram, Stratum, arcs_cross, basis_mb1,
-                             enumerate_stratum, fixed_point_blocked, parse_diagram,
+                             enumerate_stratum, fixed_point_blocked, parse_diagram, rotate,
                              validate_diagram)
 from mbgram.errors import BoundExceededError, ParseError, SharedEndpointError
 
@@ -164,6 +164,17 @@ class TestEnumerate:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
             enumerate_stratum(7, Stratum.ZERO_CROSSCAP)
+
+
+class TestRotate:
+    def test_one_step(self):
+        assert rotate(parse_diagram("(2 5)(3 4)(1)(6)")) == parse_diagram("(3 6)(4 5)(1)(2)")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_permutes_each_stratum(self, n):
+        for stratum in Stratum:
+            basis = enumerate_stratum(n, stratum)
+            assert sorted(map(str, map(rotate, basis))) == list(map(str, basis))
 
 
 class TestSerialization:

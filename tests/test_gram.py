@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbgram import gram
+from mbgram.diagrams import rotate
 from mbgram.errors import BoundExceededError
 from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix,
                          GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
                          conjecture_factors, conjecture_formula, default_degree_bounds,
                          det_by_evaluation, det_exact, equal_up_to_simultaneous_permutation,
-                         formula_value_at, get_det, get_gram, total_degree_bound,
-                         verify_conjecture, verify_formula_identity, verify_theorem_3_6)
+                         formula_value_at, get_det, get_gram, rotation_orbits,
+                         total_degree_bound, verify_conjecture, verify_formula_identity,
+                         verify_theorem_3_6)
 from mbgram.intdet import bareiss_int
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import Polynomial
@@ -202,6 +204,40 @@ class TestDetByEvaluation:
              [Polynomial.integer(1), Polynomial.integer(2)]]
         assert det_by_evaluation(m) == 5
         assert det_exact(m) == 5
+
+
+class TestRotationOrbits:
+    @pytest.mark.parametrize("variant, n, sizes", [
+        (GramVariant.MB1_FULL, 4, {8: 15, 4: 1, 2: 1}),
+        (GramVariant.MBN1_TILDE, 4, {8: 7}),
+        (GramVariant.MBN1_TILDE, 5, {10: 20, 5: 2}),
+    ])
+    def test_orbit_sizes_are_pinned(self, variant, n, sizes):
+        gm = assemble_gram(n, variant)
+        orbits = rotation_orbits(gm)
+        assert {s: [len(o) for o in orbits].count(s) for s in sizes} == sizes
+        assert sorted(i for orbit in orbits for i in orbit) == list(range(gm.size))
+
+    def test_orbits_follow_the_rotation(self):
+        gm = assemble_gram(3, GramVariant.MB1_FULL)
+        for orbit in rotation_orbits(gm):
+            assert orbit[0] == min(orbit)
+            for i, j in zip(orbit, orbit[1:] + orbit[:1]):
+                assert rotate(gm.basis[i]) == gm.basis[j]
+
+    def test_raw_rows_get_singletons(self):
+        rows = assemble_gram(2, GramVariant.MBN1_TILDE).rows()
+        assert rotation_orbits(rows) == [(i,) for i in range(len(rows))]
+
+    def test_changed_entry_gets_singletons(self):
+        gm = assemble_gram(3, GramVariant.MBN1_TILDE)
+        assert len(rotation_orbits(gm)) == 3
+        rows = gm.rows()
+        rows[0][1] = rows[0][1] + D
+        changed = GramMatrix(n=gm.n, variant=gm.variant, basis=gm.basis,
+                             entries=tuple(map(tuple, rows)))
+        assert rotation_orbits(changed) == [(i,) for i in range(gm.size)]
+        assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
 
 
 @st.composite

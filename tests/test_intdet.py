@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -70,6 +70,13 @@ class TestCrt:
         assert len(set(ps)) == 5 and all(_is_prime(p) for p in ps)
         assert ps == sorted(ps, reverse=True) and ps[0] == 2 ** 31 - 1
         assert prod(ps) > 2 * 2 ** 140 >= prod(ps[:-1])
+
+    def test_primes_for_an_order(self):
+        assert primes_for(2 ** 140, 1) == primes_for(2 ** 140)
+        for order in (3, 6, 8, 10):
+            ps = primes_for(2 ** 200, order)
+            assert all(_is_prime(p) and p % lcm(2, order) == 1 for p in ps)
+            assert ps == sorted(ps, reverse=True) and prod(ps) > 2 * 2 ** 200
 
     def test_hadamard_bound_dominates(self):
         rng = random.Random(11)
@@ -139,6 +146,45 @@ class TestCrt:
         assert int_det(m) == bareiss_int(m)
 
 
+def invariant_matrix(cycle_sizes, labels, cell):
+    """A matrix with G[r(i)][r(j)] == G[i][j] for the permutation r whose
+    cycles are cut from `labels` in the given sizes, and r's orbits, each
+    as (i, r(i), ...); cell() supplies one value per orbit of index pairs."""
+    orbits, start = [], 0
+    for size in cycle_sizes:
+        orbits.append(tuple(labels[start:start + size]))
+        start += size
+    perm = {}
+    for orbit in orbits:
+        for t, i in enumerate(orbit):
+            perm[i] = orbit[(t + 1) % len(orbit)]
+    n = len(labels)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] is None:
+                value, a, b = cell(), i, j
+                while rows[a][b] is None:
+                    rows[a][b] = value
+                    a, b = perm[a], perm[b]
+    return rows, orbits
+
+
+class TestRotationBlocks:
+    def test_order_six_needs_a_primitive_root(self):
+        # L = 6: a root tested only by w^3 = -1 can be w = -1, e.g. for the
+        # first prime 2^31 - 1, which puts wrong residues into the CRT
+        rng = random.Random(18)
+        labels = list(range(24))
+        rng.shuffle(labels)
+        rows, orbits = invariant_matrix((1, 2, 3, 6, 6, 6), labels,
+                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        expected = bareiss_int(rows)
+        assert expected != 0
+        assert crt_det(rows, orbits) == expected
+        assert int_det(rows, orbits) == expected
+
+
 class TestRationalCross:
     def test_fraction_elimination_oracle(self):
         # one more independent route: Gaussian elimination over Fraction
@@ -196,6 +242,26 @@ def test_int_and_crt_det_match_bareiss(rows):
     expected = bareiss_int(rows)
     assert crt_det(rows) == expected
     assert int_det(rows) == expected
+
+
+@st.composite
+def invariant_matrices(draw):
+    """Matrices invariant under a random permutation with mixed cycle sizes:
+    lcm 6 from sizes {1, 2, 3, 6}, lcm 8 from {2, 4, 8}; each size occurs."""
+    sizes = draw(st.sampled_from([(1, 2, 3, 6), (2, 4, 8)]))
+    cycle_sizes = list(sizes) + draw(st.lists(st.sampled_from(sizes), max_size=3))
+    cycle_sizes = draw(st.permutations(cycle_sizes))
+    labels = draw(st.permutations(range(sum(cycle_sizes))))
+    magnitude = draw(st.sampled_from([1, 9, 10 ** 6, 10 ** 9]))
+    return invariant_matrix(cycle_sizes, labels,
+                            lambda: draw(st.integers(-magnitude, magnitude)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(invariant_matrices())
+def test_block_crt_det_matches_bareiss(case):
+    rows, orbits = case
+    assert crt_det(rows, orbits) == bareiss_int(rows)
 
 
 @settings(deadline=None, max_examples=60)
