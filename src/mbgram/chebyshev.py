@@ -16,14 +16,18 @@ closed form never goes unchecked.
 
 The module also knows a catalog of ten named identities (IdentityId)
 relating products, squares and index-doubling of T and S, including the
-factorization of S at Mersenne indices into a product of T's.  Each
-identity is verified by building both sides as expanded polynomials and
-comparing structurally; failures are reported, never raised.
+factorization of S at Mersenne indices into a product of T's.  All ten
+run through the one loop in verify_identity, which builds both sides as
+expanded polynomials at each parameter tuple and compares them
+structurally; failures are reported, never raised.  functools caches hold
+the generated polynomials, the S products and the running power-of-two
+product of T's.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache, lru_cache
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -69,30 +73,17 @@ def _t_coeffs(n: int) -> dict:
     return out
 
 
-class _Memo:
-    """Append-only per-kind memo table (safe under the GIL: plain dict)."""
-
-    def __init__(self, builder: Callable[[int], dict]):
-        self._builder = builder
-        self._table: dict = {}
-
-    def get(self, n: int) -> Polynomial:
-        poly = self._table.get(n)
-        if poly is None:
-            poly = Polynomial.univariate("d", self._builder(n))
-            self._table[n] = poly
-        return poly
-
-
-_T_MEMO = _Memo(_t_coeffs)
-_S_MEMO = _Memo(_s_coeffs)
+@cache
+def _closed_form(coeffs: Callable[[int], dict], n: int) -> Polynomial:
+    """The polynomial of one closed-form builder at n >= 0, built once."""
+    return Polynomial.univariate("d", coeffs(n))
 
 
 def cheb_T(n: int) -> Polynomial:
     """First-kind polynomial T_n; T_{-n} = T_n."""
     if abs(n) > DEFAULT_BOUND:
         raise BoundExceededError(f"|{n}| exceeds Chebyshev index bound {DEFAULT_BOUND}")
-    return _T_MEMO.get(abs(n))
+    return _closed_form(_t_coeffs, abs(n))
 
 
 def cheb_S(n: int) -> Polynomial:
@@ -100,10 +91,10 @@ def cheb_S(n: int) -> Polynomial:
     if abs(n) > DEFAULT_BOUND:
         raise BoundExceededError(f"|{n}| exceeds Chebyshev index bound {DEFAULT_BOUND}")
     if n >= 0:
-        return _S_MEMO.get(n)
+        return _closed_form(_s_coeffs, n)
     if n == -1:
         return Polynomial.zero()
-    return -_S_MEMO.get(-n - 2)
+    return -_closed_form(_s_coeffs, -n - 2)
 
 
 class IdentityId(Enum):
@@ -133,25 +124,25 @@ def _sum_of_S(lo: int, hi: int) -> Polynomial:
     return Polynomial.univariate("d", dict(enumerate(coeffs)))
 
 
-_S_PRODUCTS: dict = {}
-
-
 def _s_product(m: int, n: int) -> Polynomial:
-    """Memoized S_m * S_n; the product identities reuse the same pairs."""
-    key = (m, n) if m <= n else (n, m)
-    poly = _S_PRODUCTS.get(key)
-    if poly is None:
-        poly = cheb_S(key[0]) * cheb_S(key[1])
-        _S_PRODUCTS[key] = poly
-    return poly
+    """S_m * S_n, memoized under (min, max); the product identities reuse
+    the same pairs."""
+    return _ordered_s_product(min(m, n), max(m, n))
 
 
-def _prod_T_powers_of_two(lo: int, hi: int, squared: bool) -> Polynomial:
-    total = Polynomial.one()
-    for i in range(lo, hi + 1):
-        t = cheb_T(2 ** i)
-        total = total * (t * t if squared else t)
-    return total
+@cache
+def _ordered_s_product(m: int, n: int) -> Polynomial:
+    return cheb_S(m) * cheb_S(n)
+
+
+@lru_cache(maxsize=1)
+def _t_power_product(lo: int, hi: int) -> Polynomial:
+    """prod_{i=lo}^{hi} T_{2^i} (1 when hi < lo), extending the product for
+    hi - 1.  The identity loop walks hi upward, so the one cached entry is
+    the previous prefix."""
+    if hi < lo:
+        return Polynomial.one()
+    return _t_power_product(lo, hi - 1) * cheb_T(2 ** hi)
 
 
 def _d2m4() -> Polynomial:
@@ -188,13 +179,14 @@ def _build_lemma_2_3b(n: int):
 def _build_cor_2_4a(n: int):
     t = cheb_T(2 ** n)
     t2 = cheb_T(2)
-    return t * t - 4, (t2 * t2 - 4) * _prod_T_powers_of_two(1, n - 1, squared=True), False
+    p = _t_power_product(1, n - 1)
+    return t * t - 4, (t2 * t2 - 4) * (p * p), False
 
 
 def _build_cor_2_4b(n: int):
     t1 = cheb_T(1)
-    lhs = cheb_T(2 ** n) - 2
-    return lhs, (t1 * t1 - 4) * _prod_T_powers_of_two(0, n - 2, squared=True), False
+    p = _t_power_product(0, n - 2)
+    return cheb_T(2 ** n) - 2, (t1 * t1 - 4) * (p * p), False
 
 
 def _build_lemma_2_5(n: int):
@@ -203,7 +195,9 @@ def _build_lemma_2_5(n: int):
 
 
 def _build_cor_2_6(k: int):
-    return cheb_S(2 ** k - 1), _prod_T_powers_of_two(0, k - 1, squared=False), False
+    # the product first: its multiply then runs before S_(2^k - 1) is held
+    product = _t_power_product(0, k - 1)
+    return cheb_S(2 ** k - 1), product, False
 
 
 def _build_t_sq_bridge(n: int):
@@ -250,8 +244,6 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     arity, minima, default_max, builder = _IDENTITY_SPECS[identity]
     if max_index is None:
         max_index = default_max
-    if identity is IdentityId.COR_2_6 and params is None:
-        return _verify_mersenne(max_index)
     if params is None:
         if arity == 1:
             params = [(i,) for i in range(minima[0], max_index + 1)]
@@ -285,31 +277,5 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
         status="PASS",
         params={"checked": checked, "skipped": skipped, "max_index": max_index},
         notes=notes,
-    )
-
-
-def _verify_mersenne(kmax: int) -> Report:
-    """S_{2^k - 1} against the running product of T_{2^i} for k in 2..kmax.
-
-    The product over i < k is extended one factor at a time, so the whole
-    chain costs a single pass up to the largest index.
-    """
-    product = cheb_T(1)  # i = 0 factor
-    for k in range(2, kmax + 1):
-        product = product * cheb_T(2 ** (k - 1))
-        expected = cheb_S(2 ** k - 1)
-        if product != expected:
-            return Report(
-                claim=IdentityId.COR_2_6.value,
-                tag="chebyshev-identity",
-                status="FAIL",
-                params={"at": [k]},
-                witness={"lhs": expected.to_json_obj(), "rhs": product.to_json_obj()},
-            )
-    return Report(
-        claim=IdentityId.COR_2_6.value,
-        tag="chebyshev-identity",
-        status="PASS",
-        params={"checked": max(kmax - 1, 0), "skipped": 0, "max_index": kmax},
     )
 

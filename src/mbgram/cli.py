@@ -27,14 +27,28 @@ from mbgram.storage import resolve_cache_dir
 PROFILES = ("quick", "full", "stretch")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: $MBGRAM_CACHE_DIR or ./cache)")
+_COMMON_FLAGS = {
+    "cache-dir": dict(default=None,
+                      help="cache directory (default: $MBGRAM_CACHE_DIR or ./cache)"),
+    "jobs": dict(type=int, default=1,
+                 help="worker processes for evaluation points and primes"),
+    "seed": dict(type=int, default=None,
+                 help="seed for randomized checks (default: published constant)"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """--format, plus those of --cache-dir, --jobs and --seed the command reads."""
     parser.add_argument("--format", choices=("json", "table"), default="table")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for evaluation points and primes")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (default: published constant)")
+    for flag in flags:
+        parser.add_argument(f"--{flag}", **_COMMON_FLAGS[flag])
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gram.add_argument("--n", type=int, required=True)
     p_gram.add_argument("--variant", choices=[v.value for v in GramVariant],
                         required=True)
-    _add_common(p_gram)
+    _add_common(p_gram, "cache-dir")
 
     p_det = sub.add_parser("det", help="exact determinant of a Gram matrix")
     p_det.add_argument("--n", type=int, required=True)
     p_det.add_argument("--variant", choices=[v.value for v in GramVariant],
                        required=True)
-    _add_common(p_det)
+    _add_common(p_det, "cache-dir", "jobs")
 
     p_verify = sub.add_parser("verify", help="verify a determinant claim")
     group = p_verify.add_mutually_exclusive_group(required=True)
@@ -84,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theorem", choices=("3.6",))
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--method", choices=("exact", "randomized"), default="exact")
-    p_verify.add_argument("--points", type=int, default=20)
-    _add_common(p_verify)
+    p_verify.add_argument("--points", type=_positive_int, default=20)
+    _add_common(p_verify, "cache-dir", "jobs", "seed")
 
     p_suite = sub.add_parser("suite", help="run a verification profile end to end")
     p_suite.add_argument("--profile", choices=PROFILES, default="full")
-    _add_common(p_suite)
+    _add_common(p_suite, "cache-dir", "jobs", "seed")
 
     return parser
 
@@ -202,8 +216,7 @@ def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
     def add(fn, *fn_args, **fn_kwargs):
         claims.append(lambda: fn(*fn_args, **fn_kwargs))
 
-    # Chebyshev identity block (quick and up); the Cor2_6 check runs the
-    # whole Mersenne product chain incrementally, so it needs no separate claim
+    # Chebyshev identity block (quick and up), each at its registry range
     for ident in IdentityId:
         add(verify_identity, ident)
 

@@ -503,8 +503,11 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     the total degree of det - formula (the larger of total_degree_bound
     and the closed form's degree); the report states that bound and the
     resulting failure bound.  A mismatch is a first-class finding (FAIL
-    with witness), not an error.
+    with witness), not an error.  A randomized check needs `points` >= 1;
+    fewer raise ValueError before any work is done.
     """
+    if method == "randomized" and points < 1:
+        raise ValueError(f"randomized check needs points >= 1, got {points}")
     if conjecture is ConjectureId.C5_1:
         return Report(
             claim=conjecture.value, tag="conjecture", status="SKIPPED",
@@ -573,7 +576,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     point, det_value, formula_value = mismatch
     return Report(
         claim=conjecture.value, tag="conjecture", status="FAIL",
-        params={"n": n, "variant": variant.value, "method": "randomized"},
+        params={"n": n, "variant": variant.value, "method": "randomized",
+                "points": points, "degree_bound": degree_bound},
         witness={"point": point, "determinant_value": str(det_value),
                  "formula_value": str(formula_value)},
         backend="randomized", seed=seed)

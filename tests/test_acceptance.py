@@ -53,8 +53,8 @@ def criterion(number: int, description: str, budget_s: float):
 
 def test_criterion_01_chebyshev_identities():
     with criterion(1, "ten Chebyshev identities, exact equality", 10):
-        # the Cor2_6 entry runs the full Mersenne product chain to k = 12,
-        # which is also the chain cross-check invariant
+        # every identity runs its registry range through verify_identity's
+        # one loop; Cor2_6 checks S_(2^k - 1) for k = 2..12
         for identity in IdentityId:
             report = verify_identity(identity)
             assert report.status == "PASS", report.to_json_line()

@@ -1,9 +1,12 @@
 """Chebyshev generators: initial values, recurrence, identities, bounds."""
 
+import random
+
 import pytest
 
-from mbgram.chebyshev import (IdentityId, _sum_of_S, cheb_S, cheb_T, identity_default_max,
-                              verify_identity)
+from mbgram import chebyshev
+from mbgram.chebyshev import (IdentityId, _sum_of_S, _t_power_product, cheb_S, cheb_T,
+                              identity_default_max, verify_identity)
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
 
@@ -159,6 +162,32 @@ class TestIdentities:
         report = verify_identity(IdentityId.COR_2_6, max_index=6)
         assert report.status == "PASS"
         assert report.params["checked"] == 5
+
+    def test_mersenne_default_range(self):
+        report = verify_identity(IdentityId.COR_2_6)
+        assert report.status == "PASS"
+        assert report.params == {"checked": 11, "skipped": 0, "max_index": 12}
+        assert not report.notes
+
+    def test_t_power_product_in_any_order(self):
+        # the one-entry cache must not leak a prefix of another (lo, hi)
+        pairs = [(lo, hi) for lo in (0, 1) for hi in range(-1, 9)]
+        random.Random(7).shuffle(pairs)
+        for lo, hi in pairs + pairs[::-1]:
+            expected = Polynomial.one()
+            for i in range(lo, hi + 1):
+                expected = expected * cheb_T(2 ** i)
+            assert _t_power_product(lo, hi) == expected, (lo, hi)
+
+    def test_mersenne_mismatch_fails_with_witness(self, monkeypatch):
+        product = chebyshev._t_power_product
+        monkeypatch.setattr(chebyshev, "_t_power_product",
+                            lambda lo, hi: product(lo, hi) + (1 if hi == 3 else 0))
+        report = verify_identity(IdentityId.COR_2_6)
+        assert report.status == "FAIL"
+        assert report.params == {"at": [4], "checked": 2, "skipped": 0}
+        assert Polynomial.from_json_obj(report.witness["lhs"]) == cheb_S(15)
+        assert Polynomial.from_json_obj(report.witness["rhs"]) == cheb_S(15) + 1
 
     def test_empty_range_passes_vacuously(self):
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[])

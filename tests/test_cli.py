@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mbgram.cli import main, run_suite
 
 
@@ -78,6 +80,45 @@ class TestCommands:
         report = json.loads(out)
         assert report["status"] == "PASS"
         assert "duration_s" in report
+
+    def test_verify_rejects_zero_points(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--conjecture", "C3_4", "--n", "2", "--method", "randomized",
+                  "--points", "0", "--cache-dir", str(tmp_path), "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--points: must be at least 1" in captured.err
+        assert not any(tmp_path.iterdir())
+
+    def test_randomized_verify_independent_of_jobs(self, capsys, tmp_path):
+        # two points at --jobs 2 go through the process pool
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_4", "--n", "3",
+                                   "--method", "randomized", "--points", "2",
+                                   "--jobs", jobs, "--cache-dir", str(tmp_path / jobs),
+                                   "--format", "json")
+            assert code == 0
+            report = json.loads(out)
+            assert report.pop("duration_s") >= 0
+            outputs.append(json.dumps(report, sort_keys=True))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["params"]["points"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "2", "--stratum", "one", "--jobs", "7"),
+        ("enumerate", "--n", "2", "--stratum", "one", "--seed", "3"),
+        ("pair", "--m1", "(1 2)", "--m2", "(2 1)", "--cache-dir", "unused"),
+        ("cheb", "verify", "--id", "Cor2_6", "--jobs", "2"),
+        ("gram", "--n", "1", "--variant", "tilde", "--jobs", "2"),
+        ("det", "--n", "1", "--variant", "tilde", "--seed", "3"),
+    ])
+    def test_flags_a_command_never_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verify_theorem(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",

@@ -359,13 +359,17 @@ class TestVerification:
         monkeypatch.setitem(gram._FACTOR_BUILDERS, ConjectureId.C3_4,
                             (lambda n: builder(n) + [(D, 50)], n_min))
         degree = total_degree_bound(get_gram(2, GramVariant.MB1_FULL, cache_dir=tmp_path)) + 50
-        stated = verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=0,
-                                   cache_dir=tmp_path)
-        assert stated.params["degree_bound"] == degree
         found = verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=4,
                                   cache_dir=tmp_path)
         assert found.status == "FAIL"
+        assert found.params["degree_bound"] == degree
         assert all(abs(v) > degree for v in found.witness["point"].values())
+
+    def test_randomized_needs_a_point(self, tmp_path):
+        with pytest.raises(ValueError, match="points >= 1"):
+            verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=0,
+                              cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())  # raised before the Gram matrix was built
 
     def test_c5_1_skipped(self, tmp_path):
         report = verify_conjecture(ConjectureId.C5_1, 3, cache_dir=tmp_path)
