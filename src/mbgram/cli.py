@@ -19,7 +19,7 @@ from pathlib import Path
 from mbgram import gram, properties
 from mbgram.chebyshev import IdentityId, cheb_S, cheb_T, verify_identity
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, validate_diagram
-from mbgram.gram import ConjectureId, DEFAULT_SEED, GramVariant
+from mbgram.gram import ConjectureId, GramVariant
 from mbgram.pairing import pair_trace
 from mbgram.reporting import Report, ReportWriter, render_table, timed
 from mbgram.storage import resolve_cache_dir
@@ -135,8 +135,7 @@ def _cmd_pair(args) -> int:
     for name, m in (("m1", m1), ("m2", m2)):
         violations = validate_diagram(m)
         if violations:
-            sys.stderr.write(f"{name} is not a valid diagram: {violations}\n")
-            return 2
+            raise ValueError(f"{name} is not a valid diagram: {violations}")
     trace = pair_trace(m1, m2)
     if args.format == "json":
         sys.stdout.write(json.dumps(trace, sort_keys=True) + "\n")
@@ -155,8 +154,7 @@ def _cmd_cheb(args) -> int:
         _emit(args, [report])
         return 0 if report.passed() else 1
     if args.kind is None or args.n is None:
-        sys.stderr.write("cheb: need --kind and --n (or the verify subcommand)\n")
-        return 2
+        raise ValueError("cheb: need --kind and --n (or the verify subcommand)")
     poly = cheb_T(args.n) if args.kind == "T" else cheb_S(args.n)
     if args.format == "json":
         sys.stdout.write(json.dumps(poly.to_json_obj(), sort_keys=True) + "\n")
@@ -190,16 +188,12 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n is None:
+        raise ValueError("verify: need --n")
     if args.theorem is not None:
-        if args.n is None:
-            sys.stderr.write("verify --theorem needs --n\n")
-            return 2
         report = timed(lambda: gram.verify_theorem_3_6(args.n, jobs=args.jobs,
                                                        cache_dir=args.cache_dir))
     else:
-        if args.n is None:
-            sys.stderr.write("verify --conjecture needs --n\n")
-            return 2
         report = timed(lambda: gram.verify_conjecture(
             ConjectureId(args.conjecture), args.n, method=args.method,
             seed=args.seed, points=args.points, jobs=args.jobs,
@@ -210,7 +204,6 @@ def _cmd_verify(args) -> int:
 
 def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
     """Ordered claim list for one profile; every entry is a zero-arg callable."""
-    seed = DEFAULT_SEED if seed is None else seed
     claims: list = []
 
     def add(fn, *fn_args, **fn_kwargs):
@@ -303,8 +296,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; an input error (ValueError) prints one line, exit code 2."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        sys.stderr.write(f"mbgram: error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,6 +120,21 @@ class TestCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--n", "7", "--stratum", "one"),
+        ("cheb", "--kind", "T", "--n", "5000"),
+        ("cheb", "--kind", "T"),
+        ("verify", "--theorem", "3.6", "--n", "1"),
+        ("verify", "--conjecture", "C3_5"),
+        ("pair", "--m1", "(1 2", "--m2", "(1)(2)"),
+    ])
+    def test_input_errors_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mbgram: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_theorem(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",
                                "--cache-dir", str(tmp_path), "--format", "json")

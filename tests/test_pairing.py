@@ -175,8 +175,9 @@ class TestBilinearForm:
                 assert bilinear_form(m, m) == D ** (n - 1) * W
 
     def test_monomial_structure(self):
-        # every value is a single monomial whose degree counts components
-        for n in (1, 2, 3):
+        # every value is a single monomial whose degree counts components;
+        # check_winding_range relies on this instead of re-checking it
+        for n in (1, 2, 3, 4):
             basis = (enumerate_stratum(n, Stratum.ZERO_CROSSCAP)
                      + enumerate_stratum(n, Stratum.ONE_CROSSCAP))
             for m_i in basis:

@@ -1,5 +1,6 @@
 """Cross-module invariant claims at reduced ranges (acceptance runs them full)."""
 
+from mbgram import pairing, properties
 from mbgram.properties import (check_crosscap_pair_fixture, check_det_backends_agree,
                                check_diagonal_law, check_entry_profiles,
                                check_enumeration_counts, check_tilde_block_fixture,
@@ -31,6 +32,20 @@ def test_winding_range_small():
     report = check_winding_range(3)
     assert report.status == "PASS"
     assert report.params["components_walked"] > 0
+
+
+def test_winding_range_reports_a_bad_sweep(monkeypatch):
+    # a chord-only cycle sweeping 1 is no curve on the band; the first one
+    # met is the single cycle of <(1 2), (1 2)> at n=1
+    def skewed(g):
+        return [(vertices, on1, on2, psi if on1 or on2 else 1)
+                for vertices, on1, on2, psi in pairing.components(g)]
+
+    monkeypatch.setattr(properties, "components", skewed)
+    report = check_winding_range(2)
+    assert report.status == "FAIL"
+    assert report.params == {"at": [1, "(1 2)", "(1 2)"]}
+    assert report.witness == {"component": [1, 2], "psi": 1}
 
 
 def test_entry_profiles_small():
