@@ -241,6 +241,10 @@ def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
         add(properties.check_det_backends_agree, cache_dir=cache_dir)
 
     if profile == "stretch":
+        # exact at n=5, with the randomized comparison kept as a cross-check
+        add(gram.verify_conjecture, ConjectureId.C3_5, 5, jobs=jobs, cache_dir=cache_dir)
+        add(gram.verify_conjecture, ConjectureId.C3_3, 5, jobs=jobs, cache_dir=cache_dir)
+        add(gram.verify_theorem_3_6, 5, jobs=jobs, cache_dir=cache_dir)
         add(gram.verify_conjecture, ConjectureId.C3_5, 5, method="randomized",
             seed=seed, points=24, jobs=jobs, cache_dir=cache_dir)
 

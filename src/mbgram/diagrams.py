@@ -170,6 +170,8 @@ def parse_diagram(text: str) -> Diagram:
     seen = {}
     for match in _TOKEN_RE.finditer(text):
         if match.group(3) is not None:
+            if match.group(3) == "(" and ")" not in text[match.end(3):]:
+                raise ParseError("missing ')' at the end of the text", len(text))
             raise ParseError(f"unexpected character {match.group(3)!r}", match.start(3))
         if match.group(1) is None:
             continue  # whitespace between groups

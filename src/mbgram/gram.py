@@ -13,16 +13,13 @@ the two sides swapped.  Equal entries share one immutable Polynomial.
 Determinants are always exact.  Two routes, and choose_backend alone
 picks between them from the matrix: fraction free elimination
 (intdet.bareiss_int) directly over the polynomial ring for matrices up to
-40x40 or with three or more active variables, and the modular route for
-larger matrices in few variables (the tilde family, whose entries are
-powers of d).  Per prime, the modular route takes the determinants at
-every point of a grid 0..bound per variable (bounds provable from the
-matrix) in batches and interpolates them mod p; the primes exceed twice
-a coefficient bound read off the matrix, and CRT gives the coefficients.
-Both routes are asserted equal wherever both are feasible.  _pool_map
-spreads the primes, and the randomized check's points, over `jobs` as
-integer codes and values: each distinct entry is evaluated once per point
-(_evaluate_distinct), not once per cell.
+40x40 or with three or more active variables, and the modular route
+(det_by_evaluation) for larger matrices in few variables (the tilde
+family, whose entries are powers of d).  Both routes are asserted equal
+wherever both are feasible.  _pool_map spreads the primes, and the
+randomized check's points, over `jobs` as integer codes and values: each
+distinct entry is evaluated once per point (_evaluate_distinct), not once
+per cell.
 
 Both modular routes (the engine and the randomized check's integer
 determinants) split G into blocks under the boundary rotation
@@ -35,9 +32,25 @@ singleton orbits, one block, G itself.  Over a prime p = 1 (mod L), L the
 lcm of the orbit sizes, a primitive L-th root of unity w exists; each
 orbit's characters under w form a Vandermonde matrix in distinct roots
 of unity, so the change to that basis is invertible mod p, G is similar
-to the direct sum of its blocks and det G is the product of their
-determinants mod p (intdet module docstring).  Grid, bounds, primes per
-bound and CRT are unchanged, so the determinants are the same integers.
+to the direct sum of its blocks B_0 .. B_(L-1) and det G is the product
+of their determinants mod p (intdet module docstring).
+
+The engine works block by block.  Each block gets its own degree bound
+per variable, the smaller of its row-wise and column-wise sums of entry
+degrees (block_degree_bounds); over all blocks these sum to at most G's
+own row-wise and column-wise bounds.  Per prime it eliminates every needed
+block at each point of one grid, 0..max_k bound_k per variable,
+interpolates each det B_k mod p from the corner 0..bound_k of that grid,
+and multiplies the block polynomials mod p by Kronecker substitution
+into one int, each embedded in the box of the determinant's degree bounds
+(the sums of the block bounds) so that one code path serves one variable
+and five.  The primes exceed twice a coefficient bound read off the
+matrix, and CRT gives the product's coefficients.  When G equals its
+transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
+and y to equal powers; no full matrix at n <= 4, whose transpose
+exchanges x and y), det B_(L-k) = det B_k, so only blocks
+0..L/2 are eliminated (proof at det_by_evaluation).  At tilde n=5 the
+grid has 89 points where one grid for det G itself needed 841.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -238,14 +251,27 @@ def det_exact(matrix) -> Polynomial:
     return Polynomial.integer(det) if isinstance(det, int) else det
 
 
-def default_degree_bounds(rows: list, variables: Sequence[str]) -> dict:
-    """Per-variable determinant degree bound: size x max entry degree."""
-    size = len(rows)
-    return {
-        var: size * max((entry.degree_in(var) for row in rows for entry in row),
-                        default=0)
-        for var in variables
-    }
+def block_degree_bounds(rows: list, orbits: list, variables: Sequence[str]) -> list:
+    """Per block k of the orbits (intdet.block_orbits), a bound on the
+    degree of det B_k in each variable, in the order given.
+
+    Entry B_k[a][b] is a combination of G[rep_a][j] over the members j of
+    orbit b, so its degree is at most their largest, D[a][b].  A
+    determinant's degree is at most the sum over its rows of their largest
+    entry degree, and likewise over its columns; the bound is the smaller
+    sum.  Zero entries count as degree 0.
+    """
+    reps = [orbit[0] for orbit in orbits]
+    # per variable, D[a][b]
+    orbit_degrees = [[[max(max(rows[i][j].degree_in(var), 0) for j in orbit) for orbit in orbits]
+                      for i in reps] for var in variables]
+
+    def bound(block: tuple, degrees: list) -> int:
+        sub = [[degrees[a][b] for b in block] for a in block]
+        return min(sum(map(max, sub)), sum(map(max, zip(*sub))))
+
+    return [tuple(bound(block, degrees) for degrees in orbit_degrees)
+            for block in intdet.block_orbits(orbits)]
 
 
 # Cells of representative rows per elimination batch: about 1 MB of int64
@@ -264,22 +290,33 @@ def _evaluate_distinct(rows, points: list) -> tuple:
     return codes, [[entry.evaluate(point) for entry in distinct.values()] for point in points]
 
 
-def _det_coefficients_mod(values: list, codes: np.ndarray, orbits: list, shape: tuple,
-                          p: int) -> np.ndarray:
-    """Coefficients mod p of det, flattened in C order over the degree grid;
-    values[g][e] is distinct entry e at grid point g, codes[i][j] names G_ij,
-    orbits are rotation_orbits of the matrix."""
+def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape: tuple,
+                          block_bounds: list, factors: list, box: tuple, p: int) -> np.ndarray:
+    """Coefficients mod p of det, flattened in C order over the box of its
+    degree bounds; values[g][e] is distinct entry e at grid point g (C order
+    over grid_shape), codes[i][j] names G_ij, orbits are rotation_orbits of
+    the matrix, block_bounds[k] bounds det B_k's degrees, and factors lists
+    each k once per time det B_k divides det."""
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
     rep_codes = codes[[orbit[0] for orbit in orbits]]
+    ks = sorted(set(factors))
     step = max(1, _ELIMINATION_CELLS // rep_codes.size)
-    dets = np.empty(len(residues), dtype=np.int64)
-    for start in range(0, len(dets), step):
+    dets = np.empty((len(ks), len(residues)), dtype=np.int64)
+    for start in range(0, len(residues), step):
         stack = residues[start:start + step][:, rep_codes]
-        dets[start:start + step] = intdet.block_dets_mod(stack, orbits, np.full(len(stack), p))
-    coeffs = dets.reshape(shape)
-    for axis in range(len(shape)):
-        coeffs = intdet.interpolate_mod(coeffs, p, axis)
-    return coeffs.ravel()
+        dets[:, start:start + step] = intdet.block_dets_mod(stack, orbits,
+                                                            np.full(len(stack), p), ks)
+    dets = dets.reshape((len(ks),) + grid_shape)
+    block_polys = {}
+    for k, block_dets in zip(ks, dets):
+        # det B_k from the corner of the grid its bounds need, embedded in the box
+        corner = tuple(slice(b + 1) for b in block_bounds[k])
+        coeffs = block_dets[corner]
+        for axis in range(len(corner)):
+            coeffs = intdet.interpolate_mod(coeffs, p, axis)
+        block_polys[k] = np.zeros(box, dtype=np.int64)
+        block_polys[k][corner] = coeffs
+    return intdet.multiply_mod([block_polys[k].ravel() for k in factors], p)
 
 
 def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
@@ -287,13 +324,32 @@ def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
     return intdet.int_det(np.array(values, dtype=object)[codes].tolist(), orbits)
 
 
+def _is_symmetric(rows: list) -> bool:
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     """Determinant by the modular algorithm (von zur Gathen & Gerhard, ch. 5).
 
-    Each distinct entry value is evaluated once per grid point (0..bound_v
-    per active variable, from default_degree_bounds); each prime is one
-    task: eliminate the rotation blocks at all points mod p, interpolate,
-    CRT each coefficient.
+    G splits into the blocks B_k of its rotation_orbits, k = 0..L-1, with
+    det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
+    docstring).  Each distinct entry value is evaluated once per point of
+    one grid, 0..max_k bound_k per active variable, the bounds from
+    block_degree_bounds.  Each prime is one task: eliminate the needed
+    blocks at every grid point, interpolate each det B_k from the corner
+    0..bound_k of the grid, multiply the block polynomials (Kronecker
+    substitution, each embedded in the box of the sums of the block
+    bounds, so one code path serves any number of variables), and CRT
+    each coefficient of the product.
+
+    When G equals its transpose, only blocks 0..L/2 are eliminated and
+    each 0 < k < L/2 is counted twice: with S = diag(orbit sizes),
+    B_{-k} = S^-1 B_k^T S, so det B_{-k} = det B_k (S is invertible as
+    p > L).  Proof: the terms of B_k[b][a] repeat with period s_a in j, so
+    it equals (s_a / L) sum_{j < L} w^(-jk) G[rep_b][r^j(rep_a)]; by the
+    invariance and the symmetry G[rep_b][r^j(rep_a)] = G[rep_a][r^-j(rep_b)],
+    and j -> -j turns the sum into (L / s_b) B_{-k}[a][b].  A matrix that
+    is not symmetric gets every block.
     """
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
@@ -306,17 +362,32 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     if bound == 0:
         return Polynomial.zero()
     variables = _active_variables(rows)
-    bounds = default_degree_bounds(rows, variables)
-    shape = tuple(bounds[var] + 1 for var in variables)
-    grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
-    codes, values = _evaluate_distinct(rows, grid)
     orbits = rotation_orbits(matrix)
-    primes = intdet.primes_for(bound, lcm(*(len(orbit) for orbit in orbits)))
-    per_prime = _pool_map(partial(_det_coefficients_mod, values, codes, orbits, shape),
-                          primes, jobs)
-    return Polynomial({tuple(point.get(var, 0) for var in VARIABLES):
-                       intdet.crt([int(r) for r in residues], primes)
-                       for point, residues in zip(grid, zip(*per_prime))})
+    order = lcm(*(len(orbit) for orbit in orbits))
+    block_bounds = block_degree_bounds(rows, orbits, variables)
+    if _is_symmetric(rows):
+        # det B_(L-k) = det B_k: blocks 0..L/2, each 0 < k < L/2 counted twice
+        factors = [k for k in range(order // 2 + 1)
+                   for _ in range(1 if 2 * k % order == 0 else 2)]
+    else:
+        factors = list(range(order))
+    # per variable: the largest bound of a needed block, and their sum
+    per_variable = list(zip(*(block_bounds[k] for k in factors)))
+    grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
+    box = tuple(sum(bounds) + 1 for bounds in per_variable)
+    grid = [dict(zip(variables, point))
+            for point in itertools.product(*map(range, grid_shape))]
+    codes, values = _evaluate_distinct(rows, grid)
+    primes = intdet.primes_for(bound, order)
+    per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, orbits, grid_shape,
+                                  block_bounds, factors, box), primes, jobs)
+    terms = {}
+    cells = itertools.product(*map(range, box))  # C order, as the coefficients
+    for cell, residues in zip(cells, np.array(per_prime).T.tolist()):
+        if any(residues):
+            degrees = dict(zip(variables, cell))
+            terms[tuple(degrees.get(var, 0) for var in VARIABLES)] = intdet.crt(residues, primes)
+    return Polynomial(terms)
 
 
 def choose_backend(matrix) -> str:

@@ -6,12 +6,16 @@
     uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
     slow on integer matrices past roughly 40x40.
 
-  * block_dets_mod: determinants of a stack of residue matrices, one
-    modulus each, by numpy int64 elimination (dets_mod) of their blocks
-    under a permutation symmetry.  crt_det stacks one integer matrix once
-    per prime, enough to exceed twice the Hadamard bound, and recombines
-    by CRT (int64 entries only; bareiss_int otherwise); gram stacks grid
-    points under one prime and calls interpolate_mod.
+  * block_dets_mod: the determinants of the blocks of a stack of residue
+    matrices under a permutation symmetry, one modulus per matrix, each
+    block eliminated by numpy int64 elimination (dets_mod).  It returns
+    every requested block's determinant, not their product.  crt_det
+    stacks one integer matrix once per prime, enough to exceed twice the
+    Hadamard bound, multiplies the blocks' determinants and recombines by
+    CRT (int64 entries only; bareiss_int otherwise).  gram stacks grid
+    points under one prime, interpolates each block's determinant on its
+    own part of the grid (interpolate_mod) and multiplies the block
+    polynomials (multiply_mod).
 
 int_det picks between them by size.  The test suite cross-checks them.
 
@@ -26,15 +30,22 @@ k run over s distinct multiples of L/s, so an orbit's vectors form an
 s x s Vandermonde matrix in distinct s-th roots of unity: invertible mod
 p, and all of them together are a basis.  G commutes with P, so it maps
 each eigenspace of P into itself and is block diagonal in that basis:
-block k, over the orbits with k s = 0 (mod L), has entries
+block k, over the orbits with k s = 0 (mod L) (block_orbits), has entries
 
     B_k[a][b] = sum_j w^(-jk) G[rep_a][r^j(rep_b)],
 
 read off at the representative rep_a, and det G = prod_k det B_k (mod p)
-by similarity.  Only the representatives' rows are ever needed.  With
-singleton orbits L = 1 and the one block is G itself.  The root is
+by similarity.  Only the representatives' rows are ever needed, and only
+the requested blocks are formed.  With singleton orbits L = 1 and the one
+block is G itself; a block over no orbit has determinant 1.  The root is
 tested as primitive by w^(L/q) != 1 for every prime q | L; testing only
 w^(L/2) = -1 would accept w = -1 for L = 6.
+
+multiply_mod multiplies polynomials mod p by Kronecker substitution (von
+zur Gathen & Gerhard, Modern Computer Algebra, 8.4): each coefficient
+vector becomes the base-2^b digits of one Python int, with b large enough
+that a digit of the product never carries, and one int product replaces
+the coefficient pairs.
 """
 
 from __future__ import annotations
@@ -177,17 +188,30 @@ def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return det
 
 
-def block_dets_mod(residues: np.ndarray, orbits: list, moduli: np.ndarray) -> np.ndarray:
-    """Determinant residues of a stack of matrices invariant under the
-    permutation whose orbits are given (module docstring), matrix b modulo
-    moduli[b], each moduli[b] a prime = 1 (mod the lcm of the orbit sizes).
+def block_orbits(orbits: list) -> list:
+    """For each block k = 0..L-1 of the permutation whose orbits are given
+    (module docstring), the indices a of the orbits in it: k s_a = 0 (mod L)."""
+    sizes = [len(orbit) for orbit in orbits]
+    order = lcm(*sizes)
+    return [tuple(a for a, s in enumerate(sizes) if k * s % order == 0)
+            for k in range(order)]
 
-    residues[b, a] is row orbits[a][0] of matrix b, reduced mod moduli[b];
-    each block k is eliminated by dets_mod and the results multiplied.
+
+def block_dets_mod(residues: np.ndarray, orbits: list, moduli: np.ndarray,
+                   ks=None) -> np.ndarray:
+    """Determinant residues of the blocks of a stack of matrices invariant
+    under the permutation whose orbits are given (module docstring), matrix
+    b modulo moduli[b], each moduli[b] a prime = 1 (mod the lcm L of the
+    orbit sizes).
+
+    residues[b, a] is row orbits[a][0] of matrix b, reduced mod moduli[b].
+    Returns dets[t, b], the determinant of block ks[t] of matrix b; ks
+    defaults to every block 0..L-1, and only the blocks in ks are formed.
     """
     assert (moduli < 2 ** 31).all(), "residue products must stay within int64"
     sizes = np.array([len(orbit) for orbit in orbits])
     order = lcm(*sizes.tolist())
+    ks = np.arange(order) if ks is None else np.asarray(ks)
     width = int(sizes.max())
     # orbit b's members along the last axis, padded with its first member
     members = np.array([orbit + orbit[:1] * (width - len(orbit)) for orbit in orbits])
@@ -198,23 +222,23 @@ def block_dets_mod(residues: np.ndarray, orbits: list, moduli: np.ndarray) -> np
                               dtype=np.int64)[which]
     m = moduli[:, None, None, None]
     columns = residues[:, :, members]
-    blocks = np.zeros(columns.shape[:3] + (order,), dtype=np.int64)
+    blocks = np.zeros(columns.shape[:3] + (len(ks),), dtype=np.int64)
     for j in range(width):
-        # weight[b, c, k] = w^(-jk), or 0 past the end of orbit c
-        weight = inverse_powers[:, np.arange(order) * j % order][:, None, :] * (j < sizes)[:, None]
+        # weight[b, c, t] = w^(-j ks[t]), or 0 past the end of orbit c
+        weight = inverse_powers[:, ks * j % order][:, None, :] * (j < sizes)[:, None]
         blocks = (blocks + columns[:, :, :, j, None] * weight[:, None]) % m
-    # blocks k over the same orbits are eliminated together, in one stack
+    # blocks over the same orbits are eliminated together, in one stack
     same_orbits: dict = {}
-    for k in range(order):
-        same_orbits.setdefault(tuple(np.flatnonzero(k * sizes % order == 0)), []).append(k)
-    det = np.ones(len(moduli), dtype=np.int64)
-    for block, ks in same_orbits.items():
-        index = np.array(block)
-        stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ks], 3, 0)
-        dets = dets_mod(stack.reshape(-1, len(block), len(block)), np.tile(moduli, len(ks)))
-        for part in dets.reshape(len(ks), -1):
-            det = det * part % moduli
-    return det
+    in_block = block_orbits(orbits)
+    for t, k in enumerate(ks.tolist()):
+        same_orbits.setdefault(in_block[k], []).append(t)
+    dets = np.empty((len(ks), len(moduli)), dtype=np.int64)
+    for block, ts in same_orbits.items():
+        index = np.array(block, dtype=np.intp)
+        stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ts], 3, 0)
+        dets[ts] = dets_mod(stack.reshape(-1, len(block), len(block)),
+                            np.tile(moduli, len(ts))).reshape(len(ts), -1)
+    return dets
 
 
 def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
@@ -232,6 +256,41 @@ def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
         coeffs[1:] = (coeffs[:-1] - i * coeffs[1:]) % p
         coeffs[0] = (table[i] - i * coeffs[0]) % p
     return np.moveaxis(coeffs, 0, axis)
+
+
+def _pack(coeffs: np.ndarray, words: int) -> int:
+    """The int whose base-2^(32 words) digits are coeffs (residues < 2^31)."""
+    digits = np.zeros((len(coeffs), words), dtype="<u4")
+    digits[:, 0] = coeffs
+    return int.from_bytes(digits.tobytes(), "little")
+
+
+def _unpack(x: int, length: int, words: int, p: int) -> np.ndarray:
+    """The first `length` base-2^(32 words) digits of x >= 0, each mod p."""
+    digits = np.frombuffer(x.to_bytes(4 * words * length, "little"), dtype="<u4")
+    digits = digits.reshape(length, words).astype(np.int64)
+    out = np.zeros(length, dtype=np.int64)
+    for word in range(words - 1, -1, -1):
+        # out <= p - 1 < 2^31 - 1, so out * 2^32 + word stays below 2^63
+        out = ((out << 32) + digits[:, word]) % p
+    return out
+
+
+def multiply_mod(factors: list, p: int) -> np.ndarray:
+    """Coefficients mod p of the product of polynomials given by equally
+    long coefficient vectors (residues mod p < 2^31), whose product fits the
+    same length: Kronecker substitution, one int product per factor.
+
+    A multivariate polynomial is flattened in C order over a box large
+    enough for the whole product, so no digit wraps into the next row.
+    """
+    length = len(factors[0])
+    # a product digit is a sum of at most `length` products below p^2 < 2^62
+    words = (62 + length.bit_length()) // 32 + 1
+    product = factors[0] % p
+    for factor in factors[1:]:
+        product = _unpack(_pack(product, words) * _pack(factor, words), length, words, p)
+    return product
 
 
 def crt(residues: list, primes: list) -> int:
@@ -263,7 +322,10 @@ def crt_det(rows: list, orbits: list | None = None) -> int:
     moduli = np.array(primes, dtype=np.int64)
     reps = np.array([rows[orbit[0]] for orbit in orbits], dtype=np.int64)
     residues = reps[None] % moduli[:, None, None]
-    return crt(block_dets_mod(residues, orbits, moduli).tolist(), primes)
+    det = np.ones(len(primes), dtype=np.int64)
+    for block_det in block_dets_mod(residues, orbits, moduli):
+        det = det * block_det % moduli
+    return crt(det.tolist(), primes)
 
 
 def int_det(rows: list, orbits: list | None = None) -> int:

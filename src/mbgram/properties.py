@@ -181,13 +181,14 @@ def check_tilde_block_fixture(cache_dir=None) -> Report:
         witness={"matrix": [[str(e) for e in row] for row in gm.rows()]})
 
 
-# the variant/size pairs where both determinant backends are feasible.
-# Evaluation grids are products of per-variable degree bounds, so the
-# many-variable matrices blow up fast: the full basis needs ~6 * 10^5 grid
-# points already at n=2 and ~10^10 at n=3, and the unsubstituted
-# one-crosscap matrix ~10^5 at n=3.  Those stay with elimination only;
-# the substituted family (evaluation's actual target) is covered through
-# n=3 and the multi-variable grid through five variables at n=1.
+# the variant/size pairs where both determinant backends are compared.
+# Evaluation multiplies the block polynomials densely over the box of the
+# determinant's per-variable degree bounds, so the many-variable matrices
+# blow up fast: the box has ~3 * 10^4 cells for the full basis at n=2 and
+# ~2.5 * 10^7 at n=3, and ~9 * 10^5 for the unsubstituted one-crosscap
+# matrix at n=3.  Those stay with elimination only; the substituted
+# family (evaluation's actual target) is covered through n=3 and the
+# multi-variable path through five variables at n=1.
 BACKEND_CROSSCHECK_CASES = (
     (gram_mod.GramVariant.MBN1_TILDE, (1, 2, 3)),
     (gram_mod.GramVariant.MBN1, (1, 2)),

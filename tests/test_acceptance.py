@@ -20,7 +20,7 @@ import pytest
 
 from mbgram.chebyshev import IdentityId, verify_identity
 from mbgram.diagrams import Stratum, enumerate_stratum
-from mbgram.gram import (ConjectureId, DEFAULT_SEED, GramVariant, class_matrix_4x4,
+from mbgram.gram import (DET_FORMAT, ConjectureId, DEFAULT_SEED, GramVariant, class_matrix_4x4,
                          conjecture_formula, det_exact, equal_up_to_simultaneous_permutation,
                          get_det, get_gram, verify_conjecture, verify_formula_identity,
                          verify_theorem_3_6)
@@ -28,6 +28,10 @@ from mbgram.polynomial import Polynomial
 from mbgram.properties import (check_crosscap_pair_fixture, check_det_backends_agree,
                                check_diagonal_law, check_transpose_symmetry,
                                check_winding_range)
+from mbgram.storage import cache_read, payload_digest
+
+# SHA-256 of the canonical JSON of the cached exact tilde n=5 determinant
+TILDE_5_DET_DIGEST = "e54ebd97db302a54efdd340730477b5795302208a0b5a97a6828fcc2dcbc2bda"
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -149,6 +153,16 @@ def test_criterion_10_property_suites(cache_dir):
 def test_criterion_11_stretch_n5(cache_dir):
     started = time.perf_counter()
     jobs = int(os.environ.get("MBGRAM_STRETCH_JOBS", "2"))
+    # exact: the determinant, its cached payload pinned by digest, and the
+    # three claims on it
+    for report in (verify_conjecture(ConjectureId.C3_5, 5, jobs=jobs, cache_dir=cache_dir),
+                   verify_conjecture(ConjectureId.C3_3, 5, jobs=jobs, cache_dir=cache_dir),
+                   verify_theorem_3_6(5, jobs=jobs, cache_dir=cache_dir)):
+        assert report.status == "PASS", report.to_json_line()
+    payload = cache_read(cache_dir, "det_tilde_5", DET_FORMAT)
+    assert payload_digest(payload) == TILDE_5_DET_DIGEST
+    exact_elapsed = time.perf_counter() - started
+    # the randomized comparison stays as a cross-check
     report = verify_conjecture(ConjectureId.C3_5, 5, method="randomized",
                                seed=DEFAULT_SEED, points=24, jobs=jobs,
                                cache_dir=cache_dir)
@@ -156,6 +170,8 @@ def test_criterion_11_stretch_n5(cache_dir):
     # both verdicts are acceptable outcomes here; what matters is that the
     # comparison ran and is reported with its provenance
     assert report.status in ("PASS", "FAIL"), report.to_json_line()
+    print(f"[PASS] criterion 11 (stretch): exact 210x210 determinant equals C3_5 and "
+          f"C3_3 and is divisible by d^{2 * comb(10, 3)} ({exact_elapsed:.0f}s)")
     print(f"[{report.status}] criterion 11 (stretch): 210x210 determinant vs "
           f"closed form at 24 exact points, failure bound "
           f"{report.params.get('failure_bound', 'n/a')}, seed {report.seed} "

@@ -48,6 +48,12 @@ class TestCommands:
         assert code == 2
         assert "not a valid diagram" in err
 
+    def test_pair_reports_unclosed_group(self, capsys):
+        code, out, err = run_cli(capsys, "pair", "--m1", "(1 2", "--m2", "(1)(2)")
+        assert code == 2
+        assert out == ""
+        assert err == "mbgram: error: missing ')' at the end of the text (at position 4)\n"
+
     def test_cheb_show(self, capsys):
         code, out, _ = run_cli(capsys, "cheb", "--kind", "T", "--n", "17")
         assert code == 0

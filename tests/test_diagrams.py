@@ -219,3 +219,11 @@ class TestSerialization:
             assert err.position == 5
         else:
             pytest.fail("expected ParseError")
+
+    def test_unclosed_group_reports_missing_parenthesis_at_end(self):
+        with pytest.raises(ParseError, match=r"missing '\)' at the end") as err:
+            parse_diagram("(1 2")
+        assert err.value.position == 4
+        with pytest.raises(ParseError, match=r"missing '\)' at the end") as err:
+            parse_diagram("(1 2)(3 4")
+        assert err.value.position == 9

@@ -1,17 +1,20 @@
 """Gram assembly, determinant backends, closed forms, and verification drivers."""
 
+import itertools
 import random
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbgram import gram
+from mbgram import gram, intdet
 from mbgram.diagrams import rotate
 from mbgram.errors import BoundExceededError
 from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix,
                          GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
-                         conjecture_factors, conjecture_formula, default_degree_bounds,
+                         block_degree_bounds, conjecture_factors, conjecture_formula,
                          det_by_evaluation, det_exact, equal_up_to_simultaneous_permutation,
                          formula_value_at, get_det, get_gram, rotation_orbits,
                          total_degree_bound, verify_conjecture, verify_formula_identity,
@@ -184,12 +187,13 @@ class TestDetByEvaluation:
             gm = assemble_gram(n, GramVariant.MBN1_TILDE)
             assert det_by_evaluation(gm) == det_exact(gm)
 
-    def test_default_bounds_rule(self):
+    def test_block_bounds_rule(self):
+        # one block, G itself: four rows of largest degree 1
         rows = class_matrix_4x4(1)
-        assert default_degree_bounds(rows, ["d"]) == {"d": 4 * 1}
+        assert block_degree_bounds(rows, [(i,) for i in range(4)], ["d"]) == [(4,)]
+        # one orbit of four: four 1x1 blocks, each a combination of row 0
         gm = assemble_gram(2, GramVariant.MBN1)
-        bounds = default_degree_bounds(gm.rows(), ["d", "w"])
-        assert bounds == {"d": 4, "w": 4}
+        assert block_degree_bounds(gm.rows(), rotation_orbits(gm), ["d", "w"]) == [(1, 1)] * 4
 
     def test_empty_matrix(self):
         assert det_by_evaluation([]) == 1
@@ -238,6 +242,130 @@ class TestRotationOrbits:
                              entries=tuple(map(tuple, rows)))
         assert rotation_orbits(changed) == [(i,) for i in range(gm.size)]
         assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
+
+
+def block_det_polys_mod(gm, p):
+    """(variables, coefficient arrays mod p of det B_k for every block k of
+    gm's rotation orbits), interpolated on the grid 0..size x max entry
+    degree per variable, which bounds the degree of every block's
+    determinant."""
+    rows = gm.rows()
+    variables = gram._active_variables(rows)
+    shape = tuple(gm.size * max(e.degree_in(v) for row in rows for e in row) + 1
+                  for v in variables)
+    grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
+    codes, values = gram._evaluate_distinct(rows, grid)
+    orbits = rotation_orbits(gm)
+    residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
+    dets = intdet.block_dets_mod(residues[:, codes[[orbit[0] for orbit in orbits]]], orbits,
+                                 np.full(len(grid), p))
+    polys = []
+    for det in dets:
+        coeffs = det.reshape(shape)
+        for axis in range(len(shape)):
+            coeffs = intdet.interpolate_mod(coeffs, p, axis)
+        polys.append(coeffs)
+    return variables, polys
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("variant, n", [
+        (GramVariant.MBN1_TILDE, 3), (GramVariant.MBN1_TILDE, 4),
+        (GramVariant.MBN1, 2), (GramVariant.MB1_FULL, 1),
+    ])
+    def test_block_bounds_cover_block_degrees(self, variant, n):
+        gm = assemble_gram(n, variant)
+        orbits = rotation_orbits(gm)
+        for p in intdet.primes_for(2 ** 62, lcm(*map(len, orbits))):
+            variables, polys = block_det_polys_mod(gm, p)
+            bounds = block_degree_bounds(gm.rows(), orbits, variables)
+            for coeffs, bound in zip(polys, bounds):
+                for axis, b in enumerate(bound):
+                    nonzero = np.flatnonzero(np.moveaxis(coeffs, axis, 0).any(
+                        axis=tuple(range(1, coeffs.ndim))))
+                    assert nonzero.max(initial=0) <= b
+
+    def test_tilde_block_bounds_are_tight(self):
+        gm = assemble_gram(4, GramVariant.MBN1_TILDE)
+        bounds = block_degree_bounds(gm.rows(), rotation_orbits(gm), ["d"])
+        assert bounds == [(21,)] * 8
+        assert sum(b for b, in bounds) == conjecture_formula(ConjectureId.C3_5, 4).degree_in("d")
+
+    def test_tilde_opposite_blocks_agree(self):
+        # det B_k = det B_(L-k) mod p for the symmetric tilde matrix, L = 8
+        gm = assemble_gram(4, GramVariant.MBN1_TILDE)
+        _, polys = block_det_polys_mod(gm, intdet.primes_for(1, 8)[0])
+        assert len(polys) == 8
+        for k in range(1, 8):
+            assert polys[k].tolist() == polys[8 - k].tolist()
+        assert polys[1].tolist() != polys[2].tolist()
+
+    def test_symmetric_matrix_gets_half_the_blocks(self, monkeypatch):
+        calls = spy_on_blocks(monkeypatch)
+        gm = assemble_gram(4, GramVariant.MBN1_TILDE)  # one orbit size, L = 8
+        assert det_by_evaluation(gm) == conjecture_formula(ConjectureId.C3_5, 4)
+        assert calls and all(ks == [0, 1, 2, 3, 4] for ks in calls)
+
+    def test_non_symmetric_matrix_gets_every_block(self, monkeypatch):
+        calls = spy_on_blocks(monkeypatch)
+        gm = assemble_gram(2, GramVariant.MB1_FULL)  # orbit sizes 2, 4, 4: L = 4
+        assert gm.rows() != [list(col) for col in zip(*gm.rows())]
+        assert det_by_evaluation(gm) == det_exact(gm) == conjecture_formula(ConjectureId.C3_4, 2)
+        assert calls and all(ks == [0, 1, 2, 3] for ks in calls)
+
+
+def spy_on_blocks(monkeypatch) -> list:
+    """Record the blocks that every call of intdet.block_dets_mod forms."""
+    calls = []
+    original = intdet.block_dets_mod
+
+    def spy(residues, orbits, moduli, ks=None):
+        calls.append([int(k) for k in ks])
+        return original(residues, orbits, moduli, ks)
+
+    monkeypatch.setattr(intdet, "block_dets_mod", spy)
+    return calls
+
+
+@st.composite
+def rotation_invariant_matrices(draw):
+    """Matrices on a real diagram basis, so that rotation_orbits finds the
+    rotation, with random entries in one or two variables that repeat along
+    each orbit of index pairs, as in test_intdet.invariant_matrix; when
+    symmetric, G[j][i] repeats G[i][j] as well."""
+    n, variant = draw(st.sampled_from([(1, GramVariant.MB1_FULL), (2, GramVariant.MBN1),
+                                       (2, GramVariant.MB1_FULL), (3, GramVariant.MBN1)]))
+    basis = gram.gram_basis(n, variant)
+    # the 15x15 basis (orbit sizes 6, 3, 6) in one variable only, to keep
+    # the reference elimination fast
+    names = draw(st.sampled_from([("d",), ("d", "w"), ("x", "z")] if n < 3 else [("d",)]))
+    symmetric = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    terms = st.dictionaries(exps, st.integers(-4, 4), max_size=3)
+    index = {m: i for i, m in enumerate(basis)}
+    perm = [index[rotate(m)] for m in basis]
+    size = len(basis)
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if rows[i][j] is None:
+                value = Polynomial({tuple(dict(zip(names, e)).get(v, 0) for v in "dwxyz"): c
+                                    for e, c in draw(terms).items()})
+                a, b = i, j
+                while rows[a][b] is None:
+                    rows[a][b] = value
+                    if symmetric:
+                        rows[b][a] = value
+                    a, b = perm[a], perm[b]
+    return GramMatrix(n=n, variant=variant, basis=tuple(basis),
+                      entries=tuple(map(tuple, rows)))
+
+
+@settings(deadline=None, max_examples=30)
+@given(rotation_invariant_matrices())
+def test_blockwise_evaluation_matches_elimination(gm):
+    assert len(rotation_orbits(gm)) < gm.size
+    assert det_by_evaluation(gm) == det_exact(gm)
 
 
 @st.composite

@@ -8,8 +8,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mbgram.intdet import (_is_prime, bareiss_int, crt_det, hadamard_bound, int_det,
-                           interpolate_mod, primes_for)
+from mbgram.intdet import (_is_prime, bareiss_int, block_dets_mod, crt_det, hadamard_bound,
+                           int_det, interpolate_mod, multiply_mod, primes_for)
 from mbgram.polynomial import Polynomial, interpolate
 
 
@@ -291,3 +291,42 @@ def test_interpolate_mod_one_point_short_never_returns_f(coeffs, p):
     values = np.array([f.evaluate({"d": t}) % p for t in range(short)])
     got = interpolate_mod(values, p).tolist() + [0]
     assert got != [c % p for c in coeffs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=4),
+       st.sampled_from(primes_for(2 ** 62)), st.integers(0, 2 ** 32))
+def test_multiply_mod_matches_direct_product(shapes, p, seed):
+    # polynomials in two variables with coefficient boxes of the given
+    # shapes, each flattened in C order over the box of their product
+    rng = random.Random(seed)
+    box = tuple(sum(shape[v] - 1 for shape in shapes) + 1 for v in range(2))
+    factors, expected = [], np.zeros(box, dtype=object)
+    expected[0, 0] = 1
+    for rows, cols in shapes:
+        coeffs = np.zeros(box, dtype=object)
+        coeffs[:rows, :cols] = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(cols)]
+                                for _ in range(rows)]
+        factors.append(coeffs.astype(np.int64).ravel())
+        product = np.zeros(box, dtype=object)
+        for i in range(rows):
+            for j in range(cols):
+                product[i:, j:] += coeffs[i, j] * expected[:box[0] - i, :box[1] - j]
+        expected = product % p
+    assert multiply_mod(factors, p).tolist() == expected.ravel().tolist()
+
+
+@settings(deadline=None, max_examples=40)
+@given(invariant_matrices())
+def test_block_dets_multiply_to_the_determinant(case):
+    rows, orbits = case
+    order = lcm(*map(len, orbits))
+    p = primes_for(1, order)[0]
+    residues = np.array([rows[orbit[0]] for orbit in orbits], dtype=np.int64)[None] % p
+    dets = block_dets_mod(residues, orbits, np.array([p]))
+    assert dets.shape == (order, 1)
+    assert prod(dets[:, 0].tolist()) % p == bareiss_int(rows) % p
+    # a subset of the blocks, in any order, gives the same block determinants
+    ks = [order - 1, 0]
+    assert block_dets_mod(residues, orbits, np.array([p]), ks)[:, 0].tolist() == [
+        dets[k, 0] for k in ks]
