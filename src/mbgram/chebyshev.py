@@ -7,12 +7,14 @@ forces
 
     T_{-n} = T_n,        S_{-1} = 0,  S_{-n} = -S_{n-2}  (n >= 1).
 
-Coefficients are produced in closed form (binomial sums, see _s_coeffs
-and _t_coeffs), which is orders of magnitude faster than walking the
-recurrence up to the default bound of 4096.  The recurrence itself is
-asserted structurally in the test suite, both exhaustively for small
-indices and at every large index class the identity checks touch, so the
-closed form never goes unchecked.
+Coefficients come from one closed form, the binomial sum of S_n
+(_s_coeffs), which is orders of magnitude faster than walking the
+recurrence up to the default bound of 4096.  T_n = S_n - S_(n-2) turns it
+into the first kind coefficient by coefficient: the degree-k coefficient
+of T_n is 2n/(n+k) times that of S_n (n >= 1; T_0 = 2).  The recurrence
+itself is asserted structurally in the test suite for both kinds, both
+exhaustively for small indices and at every large index class the
+identity checks touch, so the closed form never goes unchecked.
 
 The module also knows a catalog of ten named identities (IdentityId)
 relating products, squares and index-doubling of T and S, including the
@@ -21,14 +23,14 @@ run through the one loop in verify_identity, which builds both sides as
 expanded polynomials at each parameter tuple and compares them
 structurally; failures are reported, never raised.  functools caches hold
 the generated polynomials, the S products and the running power-of-two
-product of T's.
+product of T's; a list keeps the parity prefix sums S_k + S_(k-2) + ...,
+which give ProdToSumS each of its sums by one subtraction.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache, lru_cache
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 from mbgram.errors import BoundExceededError
@@ -62,15 +64,12 @@ def _s_coeffs(n: int) -> dict:
 def _t_coeffs(n: int) -> dict:
     """Coefficients of T_n for n >= 0, as {degree: coefficient}.
 
-    For n >= 1 the degree n-2j coefficient is (-1)^j (C(n-j,j) + C(n-j-1,j-1)).
+    T_n = S_n - S_(n-2) gives (-1)^j C(n-j, j) * n/(n-j) at degree k = n-2j,
+    that is 2n/(n+k) times S_n's coefficient; the division is exact.
     """
     if n == 0:
         return {0: 2}
-    out = {n: 1}
-    for j in range(1, n // 2 + 1):
-        c = comb(n - j, j) + comb(n - j - 1, j - 1)
-        out[n - 2 * j] = -c if j & 1 else c
-    return out
+    return {k: 2 * n * c // (n + k) for k, c in _s_coeffs(n).items()}
 
 
 @cache
@@ -115,13 +114,23 @@ class IdentityId(Enum):
 # each identity builder returns (lhs, rhs, uses_negative_index)
 
 def _sum_of_S(lo: int, hi: int) -> Polynomial:
-    """S_lo + S_(lo+2) + ... + S_hi, summed in one coefficient list by degree
-    in d (every S lies in Z[d]), not by a chain of Polynomial copies."""
-    coeffs = [0] * (hi + 1)
-    for i in range(lo, hi + 1, 2):
-        for exps, coef in cheb_S(i).terms.items():
-            coeffs[exps[0]] += coef
-    return Polynomial.univariate("d", dict(enumerate(coeffs)))
+    """S_lo + S_(lo+2) + ... + S_hi, for lo <= hi of equal parity."""
+    return _s_parity_sum(hi) - _s_parity_sum(lo - 2)
+
+
+# P(0), P(1), ..., grown bottom-up: a cached recursion on P(k - 2) would
+# pass the interpreter's recursion limit on a cold call near the bound
+_S_PARITY_SUMS: list = []
+
+
+def _s_parity_sum(k: int) -> Polynomial:
+    """P(k) = S_k + S_(k-2) + ... down to S_0 or S_1; zero for k < 0."""
+    if k < 0:
+        return Polynomial.zero()
+    while len(_S_PARITY_SUMS) <= k:
+        i = len(_S_PARITY_SUMS)
+        _S_PARITY_SUMS.append(_s_parity_sum(i - 2) + cheb_S(i))
+    return _S_PARITY_SUMS[k]
 
 
 def _s_product(m: int, n: int) -> Polynomial:

@@ -21,7 +21,7 @@ from mbgram.chebyshev import IdentityId, cheb_S, cheb_T, verify_identity
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, validate_diagram
 from mbgram.gram import ConjectureId, GramVariant
 from mbgram.pairing import pair_trace
-from mbgram.reporting import Report, ReportWriter, render_table, timed
+from mbgram.reporting import render_table, timed
 from mbgram.storage import resolve_cache_dir
 
 PROFILES = ("quick", "full", "stretch")
@@ -37,9 +37,10 @@ _COMMON_FLAGS = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, *flags: str,
+                format_default="table") -> None:
     """--format, plus those of --cache-dir, --jobs and --seed the command reads."""
-    parser.add_argument("--format", choices=("json", "table"), default="table")
+    parser.add_argument("--format", choices=("json", "table"), default=format_default)
     for flag in flags:
         parser.add_argument(f"--{flag}", **_COMMON_FLAGS[flag])
 
@@ -78,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                                choices=[i.value for i in IdentityId])
     p_cheb_verify.add_argument("--max-index", type=int, default=None,
                                help="largest parameter value")
-    _add_common(p_cheb_verify)
+    # absent after `verify`, --format keeps the value given before it
+    _add_common(p_cheb_verify, format_default=argparse.SUPPRESS)
 
     p_gram = sub.add_parser("gram", help="assemble (and cache) a Gram matrix")
     p_gram.add_argument("--n", type=int, required=True)
@@ -108,13 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, reports: list, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(args, reports: list) -> None:
     if args.format == "json":
         for r in reports:
-            stream.write(r.to_json_line() + "\n")
+            sys.stdout.write(r.to_json_line() + "\n")
     else:
-        stream.write(render_table(reports) + "\n")
+        sys.stdout.write(render_table(reports) + "\n")
 
 
 def _cmd_enumerate(args) -> int:
@@ -148,7 +149,9 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_cheb(args) -> int:
-    if getattr(args, "cheb_command", None) == "verify":
+    if args.cheb_command == "verify":
+        if args.kind is not None or args.n is not None:
+            raise ValueError("cheb verify: --kind and --n only select a polynomial to show")
         report = timed(lambda: verify_identity(IdentityId(args.id),
                                                max_index=args.max_index))
         _emit(args, [report])
@@ -252,32 +255,36 @@ def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
 
 
 def run_suite(profile: str, jobs: int = 1, seed: int | None = None,
-              cache_dir=None, stream=None, progress=None) -> tuple:
-    """Run a profile; returns (exit_code, reports)."""
+              cache_dir=None, on_report=None) -> tuple:
+    """Run a profile; returns (exit_code, reports).  Each report is appended
+    to reports.jsonl in the cache directory, then passed to `on_report`."""
     cache_dir = resolve_cache_dir(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    reports_path = Path(cache_dir) / "reports.jsonl"
-    writer = ReportWriter(stream)
-    with open(reports_path, "a") as sink:
+    reports = []
+    with open(Path(cache_dir) / "reports.jsonl", "a") as sink:
         for claim in suite_claims(profile, jobs, seed, cache_dir):
             report = timed(claim)
-            writer.emit(report)
+            reports.append(report)
             sink.write(report.to_json_line() + "\n")
             sink.flush()
-            if progress is not None:
-                progress.write(f"## {report.claim} [{report.tag}] {report.status} "
-                               f"({report.duration_s:.2f}s)\n")
-                progress.flush()
-    return (1 if writer.any_failed() else 0), writer.reports
+            if on_report is not None:
+                on_report(report)
+    return (1 if any(r.status == "FAIL" for r in reports) else 0), reports
 
 
 def _cmd_suite(args) -> int:
     started = time.perf_counter()
-    stream = sys.stdout if args.format == "json" else None
-    progress = sys.stderr if args.format != "json" else None
+
+    def on_report(report) -> None:
+        # JSON lines stream to stdout; the table view shows progress on stderr
+        if args.format == "json":
+            print(report.to_json_line(), flush=True)
+        else:
+            print(f"## {report.claim} [{report.tag}] {report.status} "
+                  f"({report.duration_s:.2f}s)", file=sys.stderr, flush=True)
+
     code, reports = run_suite(args.profile, jobs=args.jobs, seed=args.seed,
-                              cache_dir=args.cache_dir, stream=stream,
-                              progress=progress)
+                              cache_dir=args.cache_dir, on_report=on_report)
     if args.format != "json":
         sys.stdout.write(render_table(reports) + "\n")
         failed = sum(r.status == "FAIL" for r in reports)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 REPORT_FORMAT = "mbgram.report/1"
 
@@ -85,24 +85,6 @@ def timed(claim: Callable[[], Report]) -> Report:
     report = claim()
     report.duration_s = time.perf_counter() - started
     return report
-
-
-class ReportWriter:
-    """Serializes report lines through a single append-only stream."""
-
-    def __init__(self, stream: IO[str] | None = None):
-        self._stream = stream
-        self.reports: list[Report] = []
-
-    def emit(self, report: Report) -> Report:
-        self.reports.append(report)
-        if self._stream is not None:
-            self._stream.write(report.to_json_line() + "\n")
-            self._stream.flush()
-        return report
-
-    def any_failed(self) -> bool:
-        return any(r.status == "FAIL" for r in self.reports)
 
 
 def render_table(reports: Sequence[Report]) -> str:

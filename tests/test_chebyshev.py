@@ -75,6 +75,15 @@ class TestGenerators:
             p = 2 ** i
             assert cheb_T(p) == D * cheb_T(p - 1) - cheb_T(p - 2)
 
+    def test_first_kind_is_second_kind_difference(self):
+        # T_n = S_n - S_(n-2), the relation T's coefficients are built from;
+        # with the recurrence checks above, it ties the two kinds together
+        indices = set(range(0, 301))
+        for i in range(1, 13):
+            indices.update(n for n in (2 ** i - 1, 2 ** i, 2 ** i + 1) if n <= 4096)
+        for n in sorted(indices):
+            assert cheb_T(n) == cheb_S(n) - cheb_S(n - 2), n
+
     def test_degree_and_leading_coefficient(self):
         for n in range(0, 200):
             assert cheb_T(n).degree_in("d") == n
@@ -108,7 +117,8 @@ class TestGenerators:
 
 
 class TestIdentities:
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (1, 9), (0, 64), (7, 121)])
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (1, 9), (0, 64), (7, 121),
+                                        (0, 128), (1, 127), (64, 64)])
     def test_sum_of_s_matches_chained_addition(self, lo, hi):
         total = Polynomial.zero()
         for i in range(lo, hi + 1, 2):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from mbgram import cli
 from mbgram.cli import main, run_suite
+from mbgram.reporting import Report
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +68,23 @@ class TestCommands:
         report = json.loads(out)
         assert report["status"] == "PASS"
         assert "duration_s" in report
+
+    @pytest.mark.parametrize("argv", [
+        ("cheb", "--format", "json", "verify", "--id", "Cor2_6", "--max-index", "3"),
+        ("cheb", "verify", "--id", "Cor2_6", "--max-index", "3", "--format", "json"),
+        ("cheb", "--format", "table", "verify", "--id", "Cor2_6", "--max-index", "3",
+         "--format", "json"),
+    ])
+    def test_cheb_verify_format_in_either_position(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1
+        assert json.loads(out)["params"]["checked"] == 2
+
+    def test_cheb_verify_defaults_to_table(self, capsys):
+        code, out, _ = run_cli(capsys, "cheb", "verify", "--id", "Cor2_6", "--max-index", "3")
+        assert code == 0
+        assert out.startswith("CLAIM")
 
     def test_gram_and_det(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "gram", "--n", "2", "--variant", "tilde",
@@ -133,6 +152,8 @@ class TestCommands:
         ("verify", "--theorem", "3.6", "--n", "1"),
         ("verify", "--conjecture", "C3_5"),
         ("pair", "--m1", "(1 2", "--m2", "(1)(2)"),
+        ("cheb", "--kind", "T", "verify", "--id", "Cor2_6"),
+        ("cheb", "--n", "5", "verify", "--id", "Cor2_6"),
     ])
     def test_input_errors_exit_2_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--format", "json")
@@ -154,7 +175,29 @@ class TestCommands:
         assert json.loads(out)["status"] == "PASS"
 
 
+def _two_claims():
+    return [lambda: Report(claim="a", tag="t", status="PASS"),
+            lambda: Report(claim="b", tag="t", status="FAIL", witness={"w": 1})]
+
+
 class TestSuite:
+    def test_json_writes_one_line_per_report(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "suite_claims", lambda *args: _two_claims())
+        code, out, err = run_cli(capsys, "suite", "--format", "json",
+                                 "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert [json.loads(line)["claim"] for line in lines] == ["a", "b"]
+        assert (tmp_path / "reports.jsonl").read_text().splitlines() == lines
+
+    def test_failed_claim_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "suite_claims", lambda *args: _two_claims())
+        code, out, err = run_cli(capsys, "suite", "--cache-dir", str(tmp_path))
+        assert code == 1
+        assert "failed=1" in out
+        assert err.count("\n") == 2 and "## b [t] FAIL" in err
+
     def test_quick_suite_passes(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "suite", "--profile", "quick",
                                "--cache-dir", str(tmp_path))

@@ -1,11 +1,10 @@
 """Report serialization discipline and the digest-checked disk cache."""
 
-import io
 import json
 
 import pytest
 
-from mbgram.reporting import Report, ReportWriter, render_table
+from mbgram.reporting import Report, render_table
 from mbgram.storage import cache_read, cache_write, payload_digest, resolve_cache_dir
 
 
@@ -31,15 +30,6 @@ class TestReport:
         r = Report(claim="c", tag="t", status="PASS", seed=5)
         obj = json.loads(r.to_json_line())
         assert list(obj) == sorted(obj)
-
-    def test_writer_streams_lines(self):
-        sink = io.StringIO()
-        writer = ReportWriter(sink)
-        writer.emit(Report(claim="a", tag="t", status="PASS"))
-        writer.emit(Report(claim="b", tag="t", status="FAIL", witness={"w": 1}))
-        lines = sink.getvalue().strip().split("\n")
-        assert len(lines) == 2
-        assert writer.any_failed()
 
     def test_render_table(self):
         rows = render_table([Report(claim="a", tag="t", status="PASS",
