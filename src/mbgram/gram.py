@@ -324,10 +324,6 @@ def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
     return intdet.int_det(np.array(values, dtype=object)[codes].tolist(), orbits)
 
 
-def _is_symmetric(rows: list) -> bool:
-    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
-
-
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     """Determinant by the modular algorithm (von zur Gathen & Gerhard, ch. 5).
 
@@ -365,7 +361,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     orbits = rotation_orbits(matrix)
     order = lcm(*(len(orbit) for orbit in orbits))
     block_bounds = block_degree_bounds(rows, orbits, variables)
-    if _is_symmetric(rows):
+    if intdet.is_symmetric(rows):
         # det B_(L-k) = det B_k: blocks 0..L/2, each 0 < k < L/2 counted twice
         factors = [k for k in range(order // 2 + 1)
                    for _ in range(1 if 2 * k % order == 0 else 2)]

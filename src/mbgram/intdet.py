@@ -4,7 +4,12 @@
     interior division is exact (Sylvester's identity), so it is exact
     for any size and over any ring whose // is exact division; gram
     uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
-    slow on integer matrices past roughly 40x40.
+    slow on integer matrices past roughly 40x40.  A matrix equal to its
+    transpose (is_symmetric) keeps a symmetric trailing block until its
+    first row swap, so only the entries on and above the diagonal are
+    eliminated, about half the products and divisions (proof at
+    bareiss_int).  gram's modular engine reads the same is_symmetric to
+    halve its rotation blocks.
 
   * block_dets_mod: the determinants of the blocks of a stack of residue
     matrices under a permutation symmetry, one modulus per matrix, each
@@ -118,11 +123,25 @@ def hadamard_bound(rows: list) -> int:
     return isqrt(prod_sq) + 1
 
 
+def is_symmetric(rows: list) -> bool:
+    """True when the square matrix equals its transpose."""
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
 def bareiss_int(rows: list):
     """Fraction-free elimination with row pivoting; exact for any size.
 
     Entries may come from any ring whose // is exact division (int,
     Polynomial); an empty matrix gives 1 and a singular one 0.
+
+    A matrix equal to its transpose is eliminated by halves: each step
+    computes the entries (i, j) with j >= i and copies (j, i) to (i, j).
+    Proof: while no rows have been swapped, the entry (i, j) after step k
+    is, by Sylvester's identity, the minor of G on rows 0..k, i and columns
+    0..k, j.  For G = G^T that minor is the transpose of the one on rows
+    0..k, j and columns 0..k, i, the entry (j, i), so the block left to
+    eliminate stays symmetric.  A row swap breaks the symmetry, and from
+    the first one on every entry is computed.
     """
     m = [list(r) for r in rows]
     n = len(m)
@@ -132,6 +151,7 @@ def bareiss_int(rows: list):
         raise ValueError("matrix must be square")
     if n == 1:
         return m[0][0]
+    symmetric = is_symmetric(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -140,15 +160,20 @@ def bareiss_int(rows: list):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
+                    symmetric = False
                     break
             else:
                 return 0
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
+            mik = row_i[k]
+            if symmetric:
+                # rows k+1..i-1 of this step are done: copy their column i
+                for j in range(k + 1, i):
+                    row_i[j] = m[j][i]
+            for j in range(i if symmetric else k + 1, n):
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot

@@ -29,29 +29,55 @@ is Karatsuba only.  On a 2-vCPU Xeon VM, for the last factor of
 S_4095 = T_1 T_2 ... T_2048, the packed operands' int product took
 0.58 s and their Decimal product 0.08 s.  The crossover is a
 measurement, not a setting: on the same VM the dense path's fixed cost
-(~50 us) made it 0.6x the dict loop at 8 terms, even at 12, 1.3x faster
-at 16 and 3x at 64.  Every other product (a multivariate factor, a
-monomial, a short factor) is the dict loop _sparse_product, which the
-tests keep as the reference.
+(~50 us) made it 0.6x the tuple-keyed loop that preceded _sparse_product
+at 8 terms, even at 12, 1.3x faster at 16 and 3x at 64.  Against
+_sparse_product it breaks even near 22 terms of Chebyshev-like factors,
+but a crossover there made no difference the identity catalogue could
+show, so it stayed at 16.
 
 The transform allocates about four times the product's size, so the rest
 is kept lean.  Digits are packed and unpacked in slices of _SLICE
 coefficients, so no product-sized string is ever built.  int <-> str
 conversion is used only while w is within the interpreter's limit on
 integer string digits (4300 by default, never changed here); past it each
-coefficient goes through Decimal alone, which is slower.  Dense products
-and univariate("d", ...) share one key tuple per degree up to 256 from
-the immutable table _D_KEYS, which saves 80 bytes per term of the
-Chebyshev memos; most of their terms have such degrees, and a longer
-table would cost more than it shares.
+coefficient goes through Decimal alone, which is slower.  All d-only
+products and quotients, and univariate("d", ...), share one key tuple per
+degree up to 256 from the immutable table _D_KEYS, which saves 80 bytes
+per term of the Chebyshev memos; most of their terms have such degrees,
+and a longer table would cost more than it shares.
+
+Every other product (a multivariate factor, a short factor) is
+_sparse_product, term pair by term pair on packed monomial keys (Monagan
+& Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
+46 (2011)).  A monomial becomes one int, its exponents in bit fields, z
+lowest and d highest.  Variable i's field is wide enough for 2 m_i, m_i
+its largest exponent in either factor, so the sum of two exponents never
+carries into the next field; a variable neither factor uses gets no
+field.  Multiplying two monomials is then one int addition, and each
+product term is unpacked once.  When both factors are d-only no field
+lies below d's, so the key is the d-exponent itself, and unpacking goes
+through _d_key.  A monomial factor scales and shifts the other's terms.
+
+divide_exact uses the same layout with one width for every field in
+use: the bit length of the largest total degree of either operand, plus
+a guard bit.  Every remainder monomial has total degree at most the
+dividend's, so no exponent reaches a guard bit.  The total degree sits
+in a field above d's, so int order is graded-lex order, and the heap
+holds negated ints.  A quotient exponent is one subtraction of keys.  If
+a field of it is negative, the lowest such field gets no borrow from
+below and wraps to a value with its guard bit set, and the division
+returns None.  A one-term divisor divides term by term.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from mbgram.errors import NonIntegralResultError
@@ -85,11 +111,6 @@ def _check_var(name: str) -> int:
 def monomial_key(exps: Exponents):
     """Canonical graded-lex sort key; the leading term has the largest key."""
     return (sum(exps), exps)
-
-
-def _heap_entry(exps: Exponents) -> tuple:
-    """Negated monomial_key, then exps: heapq pops the leading monomial first."""
-    return (-sum(exps), (-exps[0], -exps[1], -exps[2], -exps[3], -exps[4]), exps)
 
 
 class Polynomial:
@@ -342,9 +363,10 @@ class Polynomial:
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return q with divisor * q == self, or None when not divisible.
 
-        Long division with respect to the canonical monomial order; the
-        remainder's leading term comes off a heap of negated graded-lex
-        keys, and the remainder must come out zero.  Raises
+        Long division with respect to the canonical monomial order on
+        packed keys (module docstring): the remainder's leading term comes
+        off a heap of negated keys, a guard bit per field shows a negative
+        quotient exponent, and the remainder must come out zero.  Raises
         ZeroDivisionError for a zero divisor.
         """
         divisor = _coerce(divisor)
@@ -352,35 +374,53 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial.zero()
-        lead_exps, lead_coef = divisor.leading_term()
-        tail = [(exps, coef) for exps, coef in divisor._terms.items() if exps != lead_exps]
-        remainder = dict(self._terms)
-        heap = [_heap_entry(exps) for exps in remainder]
-        heapq.heapify(heap)
+        if len(divisor._terms) == 1:
+            return self._divide_by_monomial(*divisor._terms.items())
+        both = (*self._terms, *divisor._terms)
+        # every remainder monomial has total degree <= the dividend's, so a
+        # field this wide holds any exponent that occurs below its guard bit
+        width = max(map(sum, both)).bit_length() + 1
+        shifts, masks, top, guards = _layout(tuple(width if m else 0
+                                                   for m in map(max, zip(*both))))
+        packed = dict(zip(_graded_keys(divisor._terms, shifts, top), divisor._terms.values()))
+        lead = max(packed)
+        lead_coef = packed.pop(lead)
+        tail = [(k, -c) for k, c in packed.items()]
+        remainder = dict(zip(_graded_keys(self._terms, shifts, top), self._terms.values()))
+        get = remainder.get
+        heap = [-k for k in remainder]
+        heapify(heap)
         quotient: dict = {}
         while heap:
-            r_exps = heapq.heappop(heap)[2]
-            r_coef = remainder.pop(r_exps, 0)
+            r = -heappop(heap)
+            r_coef = remainder.pop(r)  # every key is pushed once, when it enters
             if not r_coef:
                 continue
-            q_exps = tuple(r - l for r, l in zip(r_exps, lead_exps))
-            if any(e < 0 for e in q_exps) or r_coef % lead_coef:
+            q = r - lead
+            if q & guards or r_coef % lead_coef:
                 return None
             q_coef = r_coef // lead_coef
-            quotient[q_exps] = q_coef
-            # the leading term cancels r_exps exactly; only the tail is left
-            for exps, coef in tail:
-                k = (q_exps[0] + exps[0], q_exps[1] + exps[1], q_exps[2] + exps[2],
-                     q_exps[3] + exps[3], q_exps[4] + exps[4])
-                old = remainder.get(k, 0)
-                s = old - q_coef * coef
-                if s:
-                    remainder[k] = s
-                    if not old:
-                        heapq.heappush(heap, _heap_entry(k))
-                elif old:
-                    del remainder[k]
-        return Polynomial(_raw=quotient)
+            quotient[q] = q_coef
+            # the leading term cancels r exactly; only the tail is left
+            for t, coef in tail:
+                k = q + t
+                old = get(k)
+                if old is None:
+                    remainder[k] = q_coef * coef
+                    heappush(heap, -k)
+                else:
+                    remainder[k] = old + q_coef * coef
+        return Polynomial(_raw=_unpacked_terms(quotient, shifts, masks))
+
+    def _divide_by_monomial(self, term: tuple) -> "Polynomial | None":
+        """divide_exact for a one-term divisor: term by term."""
+        exps, coef = term
+        if any(c % coef for c in self._terms.values()):
+            return None
+        if exps == ZERO_EXP:
+            return Polynomial(_raw={e: c // coef for e, c in self._terms.items()})
+        quotient = {tuple(map(sub, e, exps)): c // coef for e, c in self._terms.items()}
+        return None if min(map(min, quotient)) < 0 else Polynomial(_raw=quotient)
 
     def __floordiv__(self, divisor: PolyLike) -> "Polynomial":
         """Exact quotient; raises ArithmeticError when a remainder is left."""
@@ -457,16 +497,60 @@ def _coerce(value: PolyLike) -> Polynomial:
 
 
 def _sparse_product(a: dict, b: dict) -> dict:
-    """Terms of a * b, term pair by term pair."""
+    """Terms of a * b, term pair by term pair on packed monomial keys.
+
+    Field i holds 2 m_i, m_i the largest exponent of variable i in either
+    factor, so no sum of two exponents carries into the next field and one
+    int addition multiplies two monomials.
+    """
+    if not a or not b:
+        return {}
+    shifts, masks, _, _ = _layout(tuple((2 * m).bit_length() for m in map(max, zip(*a, *b))))
     out: dict = {}
     get = out.get
-    for ea, ca in a.items():
-        a0, a1, a2, a3, a4 = ea
-        for eb, cb in b.items():
-            k = (a0 + eb[0], a1 + eb[1], a2 + eb[2], a3 + eb[3], a4 + eb[4])
+    pb = list(zip(_packed_keys(b, shifts), b.values()))
+    for ka, ca in zip(_packed_keys(a, shifts), a.values()):
+        for kb, cb in pb:
+            k = ka + kb
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
-    return {e: c for e, c in out.items() if c}
+    return _unpacked_terms(out, shifts, masks)
+
+
+@lru_cache(maxsize=256)  # a few dozen layouts occur in a run
+def _layout(widths: tuple) -> tuple:
+    """(shifts, masks, top, guards) of the fields of the given bit widths,
+    one per variable, z lowest: top is the shift just above d's field, and
+    guards has the highest bit of every field set."""
+    ends = tuple(accumulate(reversed(widths), initial=0))
+    shifts = ends[NVARS - 1::-1]
+    guards = sum(1 << (s + w - 1) for s, w in zip(shifts, widths) if w)
+    return shifts, tuple((1 << w) - 1 for w in widths), ends[NVARS], guards
+
+
+def _packed_keys(terms, shifts: tuple) -> list:
+    """Each monomial's exponents shifted into their fields, summed."""
+    sd, sw, sx, sy, _ = shifts
+    if not sd:
+        # no field below d's: the key is the d-exponent itself
+        return list(map(sum, terms))
+    return [(d << sd) + (w << sw) + (x << sx) + (y << sy) + z for d, w, x, y, z in terms]
+
+
+def _graded_keys(terms, shifts: tuple, top: int) -> list:
+    """_packed_keys with the total degree above top: int order is graded-lex order."""
+    return [k + (t << top) for k, t in zip(_packed_keys(terms, shifts), map(sum, terms))]
+
+
+def _unpacked_terms(packed: dict, shifts: tuple, masks: tuple) -> dict:
+    """The term map of packed keys, zero coefficients dropped; d-only keys
+    become the shared tuples of _d_key."""
+    sd, sw, sx, sy, _ = shifts
+    md, mw, mx, my, mz = masks
+    if not sd:
+        return {_d_key(k & md): c for k, c in packed.items() if c}
+    return {(k >> sd & md, k >> sw & mw, k >> sx & mx, k >> sy & my, k & mz): c
+            for k, c in packed.items() if c}
 
 
 def _d_key(deg: int) -> Exponents:

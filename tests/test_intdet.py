@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbgram.intdet import (_is_prime, bareiss_int, block_dets_mod, crt_det, hadamard_bound,
-                           int_det, interpolate_mod, multiply_mod, primes_for)
+                           int_det, interpolate_mod, is_symmetric, multiply_mod, primes_for)
 from mbgram.polynomial import Polynomial, interpolate
 
 
@@ -59,6 +59,46 @@ class TestBareiss:
         m = [[1, 2], [3, 4]]
         bareiss_int(m)
         assert m == [[1, 2], [3, 4]]
+
+
+class TestSymmetricBareiss:
+    def test_zero_leading_pivot(self):
+        # the first row swap ends the halving; both results need it
+        assert bareiss_int([[0, 1], [1, 0]]) == -1
+        m = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+        assert bareiss_int(m) == cofactor_det(m) == 12
+
+    def test_later_zero_pivot(self):
+        m = [[1, 1, 0], [1, 1, 1], [0, 1, 5]]
+        assert is_symmetric(m)
+        assert bareiss_int(m) == cofactor_det(m) == -1
+
+    def test_polynomial_matrix(self):
+        d, x, y = (Polynomial.variable(v) for v in "dxy")
+        m = [[d * d - 1, x * y, d + 2, x],
+             [x * y, d, y * y - d, 1],
+             [d + 2, y * y - d, x * x * d, d * y - 3],
+             [x, 1, d * y - 3, d ** 3]]
+        assert is_symmetric(m)
+        assert bareiss_int(m) == cofactor_det(m)
+
+    def test_halves_the_divisions(self, monkeypatch):
+        # step k computes the m (m + 1) / 2 entries on and above the diagonal
+        # of the m x m block left, m = n - k - 1, not all m^2 of them
+        d = Polynomial.variable("d")
+        n = 5
+        m = [[(i + j + 1) * d ** (i * j % 3) + 7 * (i == j) for j in range(n)] for i in range(n)]
+        assert bareiss_int(m) == cofactor_det(m)
+        calls = []
+        divide = Polynomial.divide_exact
+        monkeypatch.setattr(Polynomial, "divide_exact",
+                            lambda self, other: calls.append(1) or divide(self, other))
+        bareiss_int(m)
+        assert len(calls) == sum(k * (k + 1) // 2 for k in range(1, n))
+        calls.clear()
+        m[0][1] = m[0][1] + 1  # no longer symmetric: every entry
+        bareiss_int(m)
+        assert len(calls) == sum(k * k for k in range(1, n))
 
 
 class TestCrt:
@@ -242,6 +282,24 @@ def test_int_and_crt_det_match_bareiss(rows):
     expected = bareiss_int(rows)
     assert crt_det(rows) == expected
     assert int_det(rows) == expected
+
+
+@st.composite
+def symmetric_matrices(draw, max_size=6):
+    """Matrices equal to their transpose; entries -1..1 make zero pivots, and
+    with them the switch to full elimination, common."""
+    n = draw(st.integers(1, max_size))
+    magnitude = draw(st.sampled_from([1, 9, 10 ** 6, 2 ** 70]))
+    upper = [draw(st.lists(st.integers(-magnitude, magnitude), min_size=n - i, max_size=n - i))
+             for i in range(n)]
+    return [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(symmetric_matrices())
+def test_symmetric_bareiss_matches_cofactor(rows):
+    assert is_symmetric(rows)
+    assert bareiss_int(rows) == cofactor_det(rows)
 
 
 @st.composite

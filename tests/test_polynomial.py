@@ -85,6 +85,44 @@ def d_only_polys(draw):
     return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
 
 
+# exponents at powers of two and one below: the sum of two of them fills a
+# field of packed keys to its last bit, so a carry into the next would show
+EDGE_EXPONENTS = st.tuples(*[st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64,
+                                              127, 128, 255, 256])] * len(VARIABLES))
+
+
+def tuple_keyed_product(a, b):
+    """Reference product: term pairs added on exponent tuples, no packing."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ea, eb))
+            out[k] = out.get(k, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class TestPackedProduct:
+    @settings(deadline=None, max_examples=100)
+    @given(a=st.dictionaries(EDGE_EXPONENTS, st.integers(-10 ** 20, 10 ** 20), max_size=5),
+           b=st.dictionaries(EDGE_EXPONENTS, st.integers(-10 ** 20, 10 ** 20), max_size=5),
+           points=st.lists(st.tuples(*[st.integers(-7, 7)] * len(VARIABLES)),
+                           min_size=3, max_size=3))
+    def test_matches_evaluation(self, a, b, points):
+        a, b = Polynomial(a), Polynomial(b)
+        product = a * b
+        assert product == b * a
+        for values in points:
+            point = dict(zip(VARIABLES, values))
+            assert product.evaluate(point) == a.evaluate(point) * b.evaluate(point)
+        assert product.terms == tuple_keyed_product(a.terms, b.terms)
+
+    def test_d_only_products_share_key_tuples(self):
+        a = Polynomial.univariate("d", {0: 1, 3: -2, 5: 7})
+        b = Polynomial.univariate("d", {1: 4, 2: 1})
+        for exps in (a * b).terms:
+            assert exps is Polynomial.univariate("d", {exps[0]: 1}).leading_term()[0]
+
+
 class TestDenseProduct:
     @settings(deadline=None, max_examples=100)
     @given(a=d_only_polys(), b=d_only_polys(), data=st.data())
@@ -208,6 +246,39 @@ class TestDivision:
            b=st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(VARIABLES)),
                              st.integers(-3, 3), min_size=1, max_size=6).map(Polynomial))
     def test_divide_exact_is_exact(self, a, b):
+        assume(not b.is_zero())
+        assert (a * b).divide_exact(b) == a
+        if b.total_degree() > 0:
+            assert (a * b + 1).divide_exact(b) is None
+
+    def test_negative_field_is_not_divisible(self):
+        # x y^2 / (x^2 y): the total degree fits, the x exponent would be -1
+        assert (X * Y ** 2).divide_exact(X ** 2 * Y) is None
+        # the same through the packed kernel, with a two-term divisor
+        assert (X * Y ** 2).divide_exact(X ** 2 * Y + 1) is None
+        # y goes negative between two fields that stay non-negative
+        assert (D * Z ** 3).divide_exact(D * Y + Z) is None
+        assert (X * Z ** 4).divide_exact(X * Y ** 2 + Z) is None
+        # quotients y / z and y^2 / z: without the guard bits a borrow from
+        # the z field would go unseen and return z^7 and y z^15
+        assert (2 * Y - Y * Z).divide_exact(2 * Z - Z ** 2) is None
+        assert (Y ** 3 + 2 * Y ** 3 * Z).divide_exact(2 * Y * Z ** 2 + Y * Z) is None
+
+    def test_mixed_d_only_and_multivariate(self):
+        # a d-only dividend, a multivariate divisor, and the other way round
+        assert (D ** 4).divide_exact(D * X + 1) is None
+        assert (D * X).divide_exact(D ** 2 + 1) is None
+        assert (D * X).divide_exact(D ** 2) is None
+        p = (D ** 2 + 1) * (D * X - Z)
+        assert p.divide_exact(D ** 2 + 1) == D * X - Z
+        assert p.divide_exact(D * X - Z) == D ** 2 + 1
+        assert (D ** 5 - D).divide_exact(D ** 2 + 1) == D ** 3 - D
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.dictionaries(EDGE_EXPONENTS, st.integers(-3, 3), max_size=4).map(Polynomial),
+           b=st.dictionaries(EDGE_EXPONENTS, st.integers(-3, 3), min_size=1,
+                             max_size=4).map(Polynomial))
+    def test_divide_exact_at_field_edges(self, a, b):
         assume(not b.is_zero())
         assert (a * b).divide_exact(b) == a
         if b.total_degree() > 0:
