@@ -24,6 +24,15 @@
 
 int_det picks between them by size.  The test suite cross-checks them.
 
+The primes.  For each step s = lcm(2, order) there is one sequence: the
+primes p = 1 (mod s) below 2^31, descending.  primes_for(bound, order)
+returns its shortest prefix whose product exceeds 2 bound, finding
+primes only past the end of what earlier calls found (_PRIMES), so the
+primes are the same in any call order.  The randomized checks call
+crt_det once per sample point, and each call would otherwise repeat the
+scan: about 660 primality tests for the 62-69 primes of one C3_4 point
+at n=3.  _root_of_unity is cached for the same reason.
+
 The blocks.  Let r permute the indices with G[r(i)][r(j)] == G[i][j] for
 all i, j, i.e. P G P^T = G for its permutation matrix P, and split the
 indices into the orbits of r, each listed as (i, r(i), r(r(i)), ...).
@@ -55,6 +64,7 @@ the coefficient pairs.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt, lcm
 
 import numpy as np
@@ -89,19 +99,30 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# step -> the descending primes = 1 (mod step) below 2^31 found so far
+_PRIMES: dict = {}
+
+
 def primes_for(bound: int, order: int = 1) -> list:
     """Descending primes p = 1 (mod lcm(2, order)) below 2^31, enough for
-    CRT to recover |x| <= bound; mod each of them, order-th roots of unity exist."""
+    CRT to recover |x| <= bound; mod each of them, order-th roots of unity
+    exist.  The prefix of one sequence per step, extended on demand
+    (module docstring)."""
     step = lcm(2, order)
-    primes, modulus, c = [], 1, (2 ** 31 - 2) // step * step + 1
+    known = _PRIMES.setdefault(step, [])
+    modulus, count = 1, 0
     while modulus <= 2 * bound:
-        if _is_prime(c):
-            primes.append(c)
-            modulus *= c
-        c -= step
-    return primes
+        if count == len(known):
+            c = known[-1] - step if known else (2 ** 31 - 2) // step * step + 1
+            while not _is_prime(c):
+                c -= step
+            known.append(c)
+        modulus *= known[count]
+        count += 1
+    return known[:count]
 
 
+@cache  # one entry per prime of _PRIMES and order
 def _root_of_unity(p: int, order: int) -> int:
     """A primitive order-th root of unity mod a prime p = 1 (mod order)."""
     factors = [q for q in range(2, order + 1) if order % q == 0 and _is_prime(q)]

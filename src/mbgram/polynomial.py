@@ -67,6 +67,54 @@ holds negated ints.  A quotient exponent is one subtraction of keys.  If
 a field of it is negative, the lowest such field gets no borrow from
 below and wraps to a value with its guard bit set, and the division
 returns None.  A one-term divisor divides term by term.
+
+From VECTOR_MIN_PAIRS term pairs on, both kernels run on numpy int64
+arrays of the same keys, but only where a bound proves that int64 cannot
+overflow; otherwise the loops above run unchanged.
+
+  * The product takes the outer sum of the keys and the outer product of
+    the coefficients, sorts the pairs by key and sums equal keys with
+    np.add.reduceat.  The keys must fit in _KEY_BITS = 62 bits, and
+    ||a||_1 ||b||_1 < 2^63.  Every coefficient product, and every partial
+    sum of any set of them, is at most sum |c_a| |c_b| = ||a||_1 ||b||_1
+    in absolute value, so no order of summation leaves int64.  Two d-only
+    factors stay in the loop (or go dense from DENSE_MIN_TERMS).  The
+    Chebyshev identities make about 900 such products of 256 to 500 pairs
+    with small coefficients.  Replayed alone (best of five), the kernel
+    took 0.065 s of them against 0.086 s; but whole runs of the catalogue
+    were 1.5% slower with it, and its first call maps about 0.75 MB of
+    numpy code (sorts, ufunc loops) into a process that runs no other
+    numpy.
+
+  * Exact division goes by layers of the d-exponent, when the divisor
+    has a single term c m of its top d-degree D.  The remainder R starts
+    as the dividend.  Its top layer, divided term by term by c m, is the
+    next layer q of the quotient; then R -= q * tail, tail the divisor
+    without c m, lands wholly below that layer, as every tail term has
+    d-degree below D.  The quotient of a divisible dividend is unique, so
+    every q is a layer of it and every monomial of q * tail is one of
+    quotient times divisor, whose exponent of each variable is at most
+    the dividend's.  So a guard bit set in q (a negative exponent, or a
+    layer below D) or in q plus the tail's largest exponents proves that
+    the divisor does not divide, as does a coefficient that c does not
+    divide; the division returns None.  The bound, checked before each
+    subtraction: max|R| + ||q||_1 max|tail| < 2^62, with every dividend
+    and divisor coefficient below 2^62 to begin with.  For one term of q
+    the keys q + t are distinct, so a remainder coefficient, and every
+    partial sum towards it, moves by at most ||q||_1 max|tail|.  When the
+    check fails (max|R| is read afresh first), the division starts again
+    on the heap.  A divisor with several terms of top d-degree stays on
+    the heap, and so does a d-only one: each of its layers is one term,
+    and numpy's fixed cost would be paid once per quotient term.
+
+The crossover is a measurement.  Replaying det_exact's products and
+divisions on the mbn1 n=3 and full n=2 matrices (best of three per
+operation, 2-vCPU Xeon VM), the int64 product broke even with the loop
+near 128 term pairs, and the division near 128-256 pairs per layer: the
+dividend's terms times the divisor's, over the dividend's d-exponents.
+With both at 256 the replay took 0.25 s of products against 0.67 s, and
+0.22 s of divisions against 0.49 s; crossovers from 128 to 512 differed
+by under 2%, and in-process det_exact could not tell them apart.
 """
 
 from __future__ import annotations
@@ -79,6 +127,8 @@ from itertools import accumulate
 from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from mbgram.errors import NonIntegralResultError
 
@@ -93,6 +143,15 @@ POLY_FORMAT = "mbgram.poly/1"
 DENSE_MIN_TERMS = 16
 # coefficients per base-10^w string when packing and unpacking
 _SLICE = 128
+# term pairs per numpy pass from which products and exact divisions run
+# on int64 arrays (module docstring)
+VECTOR_MIN_PAIRS = 256
+# packed keys of the int64 kernels stay below 2^_KEY_BITS
+_KEY_BITS = 62
+# a remainder coefficient of the int64 division stays below this
+_LAYER_LIMIT = 1 << 62
+# what _layered_quotient returns when the heap must divide instead
+_ON_HEAP = object()
 # one shared key per d-only degree up to 256: the Chebyshev memos hold
 # ~10^5 d-only terms of such degrees, at 80 bytes per key tuple
 _D_KEYS = tuple((i, 0, 0, 0, 0) for i in range(257))
@@ -382,6 +441,10 @@ class Polynomial:
         width = max(map(sum, both)).bit_length() + 1
         shifts, masks, top, guards = _layout(tuple(width if m else 0
                                                    for m in map(max, zip(*both))))
+        if top <= _KEY_BITS and len(self._terms) * len(divisor._terms) >= VECTOR_MIN_PAIRS:
+            quotient = _layered_quotient(self._terms, divisor._terms, shifts, masks, guards)
+            if quotient is not _ON_HEAP:
+                return None if quotient is None else Polynomial(_raw=quotient)
         packed = dict(zip(_graded_keys(divisor._terms, shifts, top), divisor._terms.values()))
         lead = max(packed)
         lead_coef = packed.pop(lead)
@@ -501,11 +564,17 @@ def _sparse_product(a: dict, b: dict) -> dict:
 
     Field i holds 2 m_i, m_i the largest exponent of variable i in either
     factor, so no sum of two exponents carries into the next field and one
-    int addition multiplies two monomials.
+    int addition multiplies two monomials.  From VECTOR_MIN_PAIRS pairs on,
+    if a factor is multivariate (a field lies below d's), the keys fit in
+    _KEY_BITS bits and ||a||_1 ||b||_1 < 2^63, the pairs are formed and
+    summed on int64 arrays instead (module docstring).
     """
     if not a or not b:
         return {}
-    shifts, masks, _, _ = _layout(tuple((2 * m).bit_length() for m in map(max, zip(*a, *b))))
+    shifts, masks, top, _ = _layout(tuple((2 * m).bit_length() for m in map(max, zip(*a, *b))))
+    if (shifts[0] and len(a) * len(b) >= VECTOR_MIN_PAIRS and top <= _KEY_BITS
+            and _norm(a) * _norm(b) < 1 << 63):
+        return _unpacked_arrays(*_int64_product(a, b, shifts), shifts, masks)
     out: dict = {}
     get = out.get
     pb = list(zip(_packed_keys(b, shifts), b.values()))
@@ -515,6 +584,100 @@ def _sparse_product(a: dict, b: dict) -> dict:
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
     return _unpacked_terms(out, shifts, masks)
+
+
+def _norm(terms: dict) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, terms.values()))
+
+
+def _int64_product(a: dict, b: dict, shifts: tuple) -> tuple:
+    """(keys, coefficients) of a * b as int64 arrays, keys ascending, zero
+    coefficients dropped; the caller has checked the bounds of _sparse_product."""
+    keys, coefs = _key_array(b, shifts), _coef_array(b)
+    order = np.argsort(keys)  # each term of a then makes one sorted run of pairs
+    return _collect((_key_array(a, shifts)[:, None] + keys[order]).ravel(),
+                    (_coef_array(a)[:, None] * coefs[order]).ravel())
+
+
+def _key_array(terms: dict, shifts: tuple) -> np.ndarray:
+    return np.array(_packed_keys(terms, shifts), dtype=np.int64)
+
+
+def _coef_array(terms: dict) -> np.ndarray:
+    return np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
+
+
+def _collect(keys: np.ndarray, coefs: np.ndarray) -> tuple:
+    """Equal keys merged, their coefficients summed, zero sums dropped, keys
+    ascending.  The stable sort (a merge sort) gains from sorted runs."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(coefs[order], starts)
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
+
+
+def _layered_quotient(dividend: dict, divisor: dict, shifts: tuple, masks: tuple,
+                      guards: int):
+    """divide_exact on int64 arrays, one d-layer of the quotient at a time
+    (module docstring).  Returns the quotient's terms, None when the divisor
+    does not divide, or _ON_HEAP when the heap must divide: the divisor is
+    d-only or has several terms of its top d-degree, a coefficient reaches
+    _LAYER_LIMIT, the layers are too thin for VECTOR_MIN_PAIRS, or a layer's
+    bound trips.
+    """
+    top_d = max(e[0] for e in divisor)
+    bound = max(map(abs, dividend.values()))  # >= every remainder coefficient
+    if (_d_only(divisor) or sum(e[0] == top_d for e in divisor) > 1
+            or len(dividend) * len(divisor) < VECTOR_MIN_PAIRS * len({e[0] for e in dividend})
+            or bound >= _LAYER_LIMIT or max(map(abs, divisor.values())) >= _LAYER_LIMIT):
+        return _ON_HEAP
+    sd = shifts[0]
+    keys, coefs = _key_array(divisor, shifts), _coef_array(divisor)
+    lead = int(keys.argmax())  # d's field is the highest: the top-d term
+    lead_key, lead_coef = int(keys[lead]), int(coefs[lead])
+    tail_keys, tail_coefs = np.delete(keys, lead), -np.delete(coefs, lead)
+    order = np.argsort(tail_keys)
+    tail_keys, tail_coefs = tail_keys[order], tail_coefs[order]
+    tail_max = int(np.abs(tail_coefs).max())
+    # each variable's largest tail exponent in its field
+    reach = sum(int((tail_keys >> s & m).max()) << s for s, m in zip(shifts, masks) if m)
+    r_keys = _key_array(dividend, shifts)
+    order = np.argsort(r_keys)
+    r_keys, r_coefs = r_keys[order], _coef_array(dividend)[order]
+    q_keys: list = []
+    q_coefs: list = []
+    while len(r_keys):
+        start = int(np.searchsorted(r_keys, int(r_keys[-1]) >> sd << sd))
+        layer = r_keys[start:] - lead_key
+        # a set guard bit: a negative quotient exponent (also a d-degree
+        # below the lead's), or an exponent no quotient of the dividend has
+        if ((layer | (layer + reach)) & guards).any():
+            return None
+        layer_coefs, rem = np.divmod(r_coefs[start:], lead_coef)
+        if rem.any():
+            return None
+        step = sum(map(abs, layer_coefs.tolist())) * tail_max
+        if bound + step >= _LAYER_LIMIT:
+            bound = int(np.abs(r_coefs[:start]).max(initial=0))
+            if bound + step >= _LAYER_LIMIT:
+                return _ON_HEAP
+        bound += step
+        q_keys.append(layer)
+        q_coefs.append(layer_coefs)
+        # the layer's products fall below it, from its lowest key + the tail's
+        lo = int(np.searchsorted(r_keys, int(layer[0]) + int(tail_keys[0])))
+        merged = _collect(np.concatenate((r_keys[lo:start], (layer[:, None] + tail_keys).ravel())),
+                          np.concatenate((r_coefs[lo:start],
+                                          (layer_coefs[:, None] * tail_coefs).ravel())))
+        r_keys = np.concatenate((r_keys[:lo], merged[0]))
+        r_coefs = np.concatenate((r_coefs[:lo], merged[1]))
+    return _unpacked_arrays(np.concatenate(q_keys), np.concatenate(q_coefs), shifts, masks)
 
 
 @lru_cache(maxsize=256)  # a few dozen layouts occur in a run
@@ -551,6 +714,13 @@ def _unpacked_terms(packed: dict, shifts: tuple, masks: tuple) -> dict:
         return {_d_key(k & md): c for k, c in packed.items() if c}
     return {(k >> sd & md, k >> sw & mw, k >> sx & mx, k >> sy & my, k & mz): c
             for k, c in packed.items() if c}
+
+
+def _unpacked_arrays(keys: np.ndarray, coefs: np.ndarray, shifts: tuple, masks: tuple) -> dict:
+    """_unpacked_terms for int64 arrays of keys and nonzero coefficients,
+    in a layout with a field below d's."""
+    fields = [(keys >> s & m).tolist() for s, m in zip(shifts, masks)]
+    return dict(zip(zip(*fields), coefs.tolist()))
 
 
 def _d_key(deg: int) -> Exponents:

@@ -50,7 +50,8 @@ def cache_write(cache_dir: Path, key: str, fmt: str, payload) -> Path:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(envelope, handle, sort_keys=True)
+            # dumps runs the C encoder; dump would run the pure-Python one
+            handle.write(json.dumps(envelope, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

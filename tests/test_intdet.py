@@ -118,6 +118,23 @@ class TestCrt:
             assert all(_is_prime(p) and p % lcm(2, order) == 1 for p in ps)
             assert ps == sorted(ps, reverse=True) and prod(ps) > 2 * 2 ** 200
 
+    def test_primes_for_in_any_call_order(self):
+        def fresh(bound, order):
+            # the descending scan primes_for extends, run from the top each time
+            step = lcm(2, order)
+            primes, c = [], (2 ** 31 - 2) // step * step + 1
+            while prod(primes) <= 2 * bound:
+                if _is_prime(c):
+                    primes.append(c)
+                c -= step
+            return primes
+
+        cases = [(2 ** bits, order) for bits in (0, 1, 30, 31, 62, 140, 400)
+                 for order in (1, 2, 3, 4, 6, 12)]
+        random.Random(13).shuffle(cases)
+        for bound, order in cases:
+            assert primes_for(bound, order) == fresh(bound, order), (bound, order)
+
     def test_hadamard_bound_dominates(self):
         rng = random.Random(11)
         for n in range(1, 6):

@@ -43,6 +43,12 @@ class TestCache:
         cache_write(tmp_path, "k", "fmt/1", payload)
         assert cache_read(tmp_path, "k", "fmt/1") == payload
 
+    def test_written_bytes_are_sorted_dumps(self, tmp_path):
+        payload = {"det": {"terms": [[-3, 2, 0, 1, 0, 0]], "format": "p/1"}, "n": 3, "b": "x"}
+        path = cache_write(tmp_path, "k", "fmt/1", payload)
+        envelope = {"format": "fmt/1", "digest": payload_digest(payload), "payload": payload}
+        assert path.read_bytes() == json.dumps(envelope, sort_keys=True).encode()
+
     def test_cold_cache_miss(self, tmp_path):
         assert cache_read(tmp_path, "absent", "fmt/1") is None
 
