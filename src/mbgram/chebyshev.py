@@ -168,12 +168,8 @@ def _build_prod_to_sum_s(m: int, n: int):
 
 
 def _build_s_prod_recur(m: int, n: int):
-    lhs = _s_product(n, m)
-    if m >= 1 and n >= 1:
-        rhs = _s_product(m - 1, n - 1) + cheb_S(n + m)
-    else:
-        rhs = cheb_S(m - 1) * cheb_S(n - 1) + cheb_S(n + m)
-    return lhs, rhs, (m == 0 or n == 0)
+    # at m = 0 or n = 0 the product on the right holds S_(-1) = 0
+    return _s_product(n, m), _s_product(m - 1, n - 1) + cheb_S(n + m), (m == 0 or n == 0)
 
 
 def _build_lemma_2_3a(n: int):

@@ -44,11 +44,12 @@ interpolates each det B_k mod p from the corner 0..bound_k of that grid,
 and multiplies the block polynomials mod p by Kronecker substitution
 into one int, each embedded in the box of the determinant's degree bounds
 (the sums of the block bounds) so that one code path serves one variable
-and five.  The primes exceed twice a coefficient bound read off the
-matrix, and CRT gives the product's coefficients.  When G equals its
-transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
-and y to equal powers; no full matrix at n <= 4, whose transpose
-exchanges x and y), det B_(L-k) = det B_k, so only blocks
+and five.  The primes exceed twice the Hadamard bound of the matrix of
+entry l1 norms, which bounds every coefficient (proof at
+det_by_evaluation), and CRT gives the product's coefficients.  When G
+equals its transpose (every tilde and mbn1 matrix at n <= 5, whose
+entries carry x and y to equal powers; no full matrix at n <= 4, whose
+transpose exchanges x and y), det B_(L-k) = det B_k, so only blocks
 0..L/2 are eliminated (proof at det_by_evaluation).  At tilde n=5 the
 grid has 89 points where one grid for det G itself needed 841.
 
@@ -68,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import comb, lcm, prod
+from math import comb, lcm
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -346,15 +347,22 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     invariance and the symmetry G[rep_b][r^j(rep_a)] = G[rep_a][r^-j(rep_b)],
     and j -> -j turns the sum into (L / s_b) B_{-k}[a][b].  A matrix that
     is not symmetric gets every block.
+
+    The primes exceed twice intdet.hadamard_bound of the entry norms
+    N_ij = ||G_ij||_1, the sums of absolute coefficients.  Proof: on the
+    unit torus |G_ij(zeta)| <= N_ij, so by Hadamard's inequality
+    |det G(zeta)| <= prod_i (sum_j N_ij^2)^(1/2); each coefficient of
+    det G is the torus mean of det G(zeta) zeta^(-alpha), so the same
+    bound covers every coefficient.
     """
     rows = _matrix_rows(matrix)
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square")
     if not rows:
         return Polynomial.one()
-    # |coef| <= per(||G_ij||_1) <= prod_i sum_j ||G_ij||_1, ||.||_1 the sum of
-    # absolute coefficients (submultiplicative); 0 means a zero row
-    bound = prod(sum(sum(map(abs, e.terms.values())) for e in row) for row in rows)
+    # every coefficient's bound (docstring); 0 means a zero row
+    bound = intdet.hadamard_bound([[sum(map(abs, e.terms.values())) for e in row]
+                                   for row in rows])
     if bound == 0:
         return Polynomial.zero()
     variables = _active_variables(rows)
@@ -443,9 +451,10 @@ def _tilde_factors_via_t(n: int) -> list:
     return [(cheb_T(2 * k) - 2, comb(2 * n, n - k)) for k in range(2, n + 1)]
 
 
-def _tilde_factors_via_s(n: int) -> list:
+def _tilde_factors_via_s(n: int, first: int = 2) -> list:
+    """(d^2-4)^C S_(k-1)^(2C), C = C(2n, n-k), for k = first..n."""
     out = []
-    for k in range(2, n + 1):
+    for k in range(first, n + 1):
         e = comb(2 * n, n - k)
         out.append((_d2m4(), e))
         out.append((cheb_S(k - 1), 2 * e))
@@ -492,10 +501,7 @@ def _whole_band_factors(n: int) -> list:
         else:
             out.append(((t_d - sign * z) * t_w - 2 * (2 - z), e))
     for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            e = comb(2 * n, n - k)
-            out.append((_d2m4(), e))
-            out.append((cheb_S(k - 1), 2 * e))
+        out.extend(_tilde_factors_via_s(n, i + 1))
     return out
 
 
@@ -621,7 +627,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
                         if not e.is_zero()), default=1)
     int64_cap = int(2 ** (60 / max(entry_degree, 1))) - degree_bound - 2
     # the lower clamp keeps the sample space large; if it forces values past
-    # the int64 range the determinant core just falls back to big integers
+    # the int64 range the integer determinant reduces them mod each prime
+    # as Python ints
     magnitude = max(min(2 ** 20, int64_cap), 8 * degree_bound)
     sample_size = 2 * magnitude  # signed magnitudes above the degree bound
     failure_bound = (degree_bound / sample_size) ** points

@@ -17,10 +17,10 @@
     every requested block's determinant, not their product.  crt_det
     stacks one integer matrix once per prime, enough to exceed twice the
     Hadamard bound, multiplies the blocks' determinants and recombines by
-    CRT (int64 entries only; bareiss_int otherwise).  gram stacks grid
-    points under one prime, interpolates each block's determinant on its
-    own part of the grid (interpolate_mod) and multiplies the block
-    polynomials (multiply_mod).
+    CRT; entries past int64 are reduced mod each prime as Python ints.
+    gram stacks grid points under one prime, interpolates each block's
+    determinant on its own part of the grid (interpolate_mod) and
+    multiplies the block polynomials (multiply_mod).
 
 int_det picks between them by size.  The test suite cross-checks them.
 
@@ -69,8 +69,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-_INT64_SAFE = 2 ** 62  # entries must stay clear of int64 limits
-_CRT_MIN_SIZE = 24     # below this, plain Bareiss wins
+_CRT_MIN_SIZE = 24  # below this, plain Bareiss wins
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -360,14 +359,16 @@ def crt_det(rows: list, orbits: list | None = None) -> int:
     bound = hadamard_bound(rows)
     if bound == 0:
         return 0
-    if max(abs(v) for row in rows for v in row) >= _INT64_SAFE:
-        return bareiss_int(rows)
     if orbits is None:
         orbits = [(i,) for i in range(n)]
     primes = primes_for(bound, lcm(*(len(orbit) for orbit in orbits)))
     moduli = np.array(primes, dtype=np.int64)
-    reps = np.array([rows[orbit[0]] for orbit in orbits], dtype=np.int64)
-    residues = reps[None] % moduli[:, None, None]
+    reps = [rows[orbit[0]] for orbit in orbits]
+    try:
+        residues = np.array(reps, dtype=np.int64)[None] % moduli[:, None, None]
+    except OverflowError:  # an entry past int64: reduce the Python ints
+        residues = np.array([[[v % p for v in row] for row in reps] for p in primes],
+                            dtype=np.int64)
     det = np.ones(len(primes), dtype=np.int64)
     for block_det in block_dets_mod(residues, orbits, moduli):
         det = det * block_det % moduli

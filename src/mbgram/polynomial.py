@@ -401,21 +401,7 @@ class Polynomial:
 
     def eval_var(self, name: str, value: int) -> "Polynomial":
         """Partially evaluate one variable at an integer, keeping the rest."""
-        i = _check_var(name)
-        out: dict = {}
-        for exps, coef in self._terms.items():
-            e = exps[i]
-            if e:
-                coef = coef * value ** e
-                if not coef:
-                    continue
-                exps = exps[:i] + (0,) + exps[i + 1:]
-            s = out.get(exps, 0) + coef
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return Polynomial(_raw=out)
+        return self.substitute({name: value})
 
     # -- exact division ------------------------------------------------------
 

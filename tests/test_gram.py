@@ -209,6 +209,34 @@ class TestDetByEvaluation:
         assert det_by_evaluation(m) == 5
         assert det_exact(m) == 5
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_hadamard_matrix_meets_the_bound(self, n):
+        # a Sylvester Hadamard matrix scaled by 2^40 has |det| equal to the
+        # Hadamard bound of its entry norms, and the grading d^(a_i + b_j)
+        # leaves every norm as it is
+        h = [[2 ** 40 * (-1) ** bin(i & j).count("1") for j in range(n)] for i in range(n)]
+        det = bareiss_int(h)
+        assert abs(det) == 2 ** (40 * n) * n ** (n // 2)
+        a, b = [i % 3 for i in range(n)], [j % 2 for j in range(n)]
+        graded = [[h[i][j] * D ** (a[i] + b[j]) for j in range(n)] for i in range(n)]
+        assert det_by_evaluation(h) == det
+        assert det_by_evaluation(graded) == det * D ** (sum(a) + sum(b))
+
+    def test_tilde_n4_needs_five_primes(self, monkeypatch):
+        # twice the Hadamard bound of the entry norms needs five 31-bit primes
+        counts = []
+        original = intdet.primes_for
+
+        def spy(bound, order=1):
+            primes = original(bound, order)
+            counts.append(len(primes))
+            return primes
+
+        monkeypatch.setattr(intdet, "primes_for", spy)
+        gm = assemble_gram(4, GramVariant.MBN1_TILDE)
+        assert det_by_evaluation(gm) == conjecture_formula(ConjectureId.C3_5, 4)
+        assert counts == [5]
+
 
 class TestRotationOrbits:
     @pytest.mark.parametrize("variant, n, sizes", [
@@ -452,6 +480,19 @@ class TestFormulas:
         trailing_len = sum(2 * (n - i) for i in range(1, n + 1))
         block_i1 = factors[-trailing_len:][: len(tilde)]
         assert [(str(f), e) for f, e in block_i1] == [(str(f), e) for f, e in tilde]
+
+    def test_whole_band_factors_are_pinned(self):
+        digests = {
+            1: "8fc442bb1955be2ab1d081fecb66275189cc3108287a24f02509168e926db962",
+            2: "509308ed1b618a9ba174218b77e21bd02da322bda5fc906d45e849081520a002",
+            3: "678856a9b4db4eab6d8ee8261236fc92e167ec1f68fa71a075a7b8799469a80d",
+            4: "8c04338feeee2887f735dee8d6eecc7213cb6b636fa602a13dc74bde473364bf",
+            5: "3434d02e5efa4f849e8d5dc980342f20fc909b766ab4db2709e2e56c5acc4e6b",
+            6: "1e32f90cbbb24d4b0d4c0aebc052d4b863c6a8a1a3caf107a0ce0ec99a444d67",
+        }
+        for n, digest in digests.items():
+            factors = conjecture_factors(ConjectureId.C5_1, n)
+            assert payload_digest([[f.to_json_obj(), e] for f, e in factors]) == digest, n
 
 
 class TestVerification:

@@ -5,9 +5,11 @@ from fractions import Fraction
 from math import lcm, prod
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mbgram import intdet
 from mbgram.intdet import (_is_prime, bareiss_int, block_dets_mod, crt_det, hadamard_bound,
                            int_det, interpolate_mod, is_symmetric, multiply_mod, primes_for)
 from mbgram.polynomial import Polynomial, interpolate
@@ -167,10 +169,31 @@ class TestCrt:
             expected *= i + 2
         assert crt_det(diag) == expected
 
-    def test_huge_entries_fall_back(self):
+    def test_huge_entries_stay_modular(self, monkeypatch):
+        # entries past int64 are reduced as Python ints; bareiss_int only checks
         big = 2 ** 70
-        m = [[big, 1], [1, big]]
-        assert crt_det(m) == big * big - 1
+        rng = random.Random(19)
+        cases = [([[big, 1], [1, big]], None),
+                 ([[big + rng.randint(-10 ** 6, 10 ** 6) for _ in range(6)] for _ in range(6)],
+                  None),
+                 invariant_matrix((4, 4), list(range(8)), lambda: rng.randint(-big, big))]
+        expected = [bareiss_int(rows) for rows, _ in cases]
+        assert expected[0] == big * big - 1 and all(expected)
+
+        def refuse(rows):
+            raise AssertionError("crt_det left the modular algorithm")
+
+        monkeypatch.setattr(intdet, "bareiss_int", refuse)
+        assert [crt_det(rows, orbits) for rows, orbits in cases] == expected
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_hadamard_matrix_meets_the_bound(self, n):
+        # a Sylvester Hadamard matrix scaled by 2^40 meets Hadamard's bound,
+        # so any lower bound would not cover its determinant
+        rows = [[2 ** 40 * (-1) ** bin(i & j).count("1") for j in range(n)] for i in range(n)]
+        det = bareiss_int(rows)
+        assert abs(det) == 2 ** (40 * n) * n ** (n // 2) == hadamard_bound(rows) - 1
+        assert crt_det(rows) == det
 
     def test_structured_singular_mod_prime(self):
         # determinant divisible by several of the CRT primes still comes out right
