@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from mbgram.errors import BoundExceededError, ParseError, SharedEndpointError
+from mbgram.errors import (BoundExceededError, MalformedComponentError, ParseError,
+                           SharedEndpointError)
 
 ENUMERATION_BOUND = 6
 
@@ -117,7 +119,9 @@ class Diagram:
     """One crossingless connection; immutable value object.
 
     chords are stored sorted by tail and fixed points sorted increasing,
-    so equal diagrams compare and hash equal.
+    so equal diagrams compare and hash equal.  The pairing tables are
+    built on first use and kept on the object; they are not a field, so
+    eq, hash, repr and pickling see only n, chords and fixed.
     """
 
     n: int
@@ -147,6 +151,55 @@ class Diagram:
 
     def __str__(self) -> str:
         return self.serialize()
+
+    def __getstate__(self) -> dict:
+        # the fields only: a pickled diagram leaves its cached tables behind
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def tables(self) -> tuple:
+        """(partner, sweep), built by pairing_tables on first use.
+
+        A diagram that fails the coverage check caches nothing, so it
+        raises on every pairing.
+        """
+        return pairing_tables(self)
+
+
+def antipodal_pairs(fixed: tuple) -> list:
+    """Pair fixed points antipodally: index i with i + |F|/2, labels increasing.
+
+    For the usual two fixed points this is the single pair; for 2i fixed
+    points it produces i pairs, each a curve through the crosscap.
+    """
+    k = len(fixed)
+    if k % 2:
+        raise ValueError(f"odd number of fixed points: {fixed}")
+    ordered = sorted(fixed)
+    half = k // 2
+    return [(ordered[i], ordered[(i + half) % k]) for i in range(half)]
+
+
+def pairing_tables(m: Diagram) -> tuple:
+    """The partner and sweep tuples of one diagram, indexed by vertex 1..2n.
+
+    The labels must cover 1..2n exactly once (MalformedComponentError
+    otherwise).  pairing.py's module docstring defines both tables; use
+    m.tables, which builds them once per diagram object.
+    """
+    n2 = 2 * m.n
+    labels = [v for arc in m.chords for v in arc] + list(m.fixed)
+    if sorted(labels) != list(range(1, n2 + 1)):
+        raise MalformedComponentError(f"{m} does not cover 1..{n2} exactly once")
+    partner = [0] * (n2 + 1)
+    sweep = [None] * (n2 + 1)
+    for tail, head in m.chords:
+        partner[tail], partner[head] = head, tail
+        length = (head - tail) % n2
+        sweep[tail], sweep[head] = length, -length
+    for u, v in antipodal_pairs(m.fixed):
+        partner[u], partner[v] = v, u
+    return tuple(partner), tuple(sweep)
 
 
 def rotate(m: Diagram) -> Diagram:

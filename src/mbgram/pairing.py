@@ -10,15 +10,18 @@ product of one variable per curve:
     y  curve through the m2 crosscap only
     w  curve through both crosscaps
 
-Each diagram becomes two lists indexed by the boundary vertices 1..2n.
+Each diagram has two tables, tuples indexed by the boundary vertices
+1..2n (`Diagram.tables`, built by `diagrams.pairing_tables`).
 partner[v] is the other end of v's chord, or v's antipodal partner when
 v is a fixed point (fixed point i pairs with i + |F|/2 in increasing-label
 indexing).  sweep[v] is the signed counterclockwise sweep of leaving v
 along its chord: +(head - tail) mod 2n from the tail, the negative from
-the head, and None at a fixed point.  Once each side is checked to cover
-1..2n exactly once, both partner lists are perfect matchings, so the
-glued curves are the alternating cycles of the two, and every walk that
-alternates m1 and m2 edges closes.
+the head, and None at a fixed point.  The tables are built, and the
+labels checked to cover 1..2n exactly once, once per diagram object and
+kept on it, not once per pairing; a diagram that fails the check keeps
+nothing and raises on every pairing.  After the check both partner
+tables are perfect matchings, so the glued curves are the alternating
+cycles of the two, and every walk that alternates m1 and m2 edges closes.
 
 A cycle meeting fixed points of either diagram is classified by which
 sides it meets (x / y / w).  A cycle of chords alone is either trivial
@@ -37,62 +40,27 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from mbgram.diagrams import Diagram
-from mbgram.errors import (MalformedComponentError, SizeMismatchError,
-                           UnclassifiableComponentError)
-from mbgram.polynomial import Polynomial
-
-CURVE_CLASSES = ("d", "x", "y", "w", "z")
-
-
-def antipodal_pairs(fixed: tuple) -> list:
-    """Pair fixed points antipodally: index i with i + |F|/2, labels increasing.
-
-    For the usual two fixed points this is the single pair; for 2i fixed
-    points it produces i pairs, each a curve through the crosscap.
-    """
-    k = len(fixed)
-    if k % 2:
-        raise ValueError(f"odd number of fixed points: {fixed}")
-    ordered = sorted(fixed)
-    half = k // 2
-    return [(ordered[i], ordered[(i + half) % k]) for i in range(half)]
-
+from mbgram.diagrams import Diagram, antipodal_pairs
+from mbgram.errors import SizeMismatchError, UnclassifiableComponentError
+from mbgram.polynomial import NVARS, VAR_INDEX, Polynomial
 
 class PairingGraph(NamedTuple):
-    """Partner and sweep lists of both sides, indexed by vertex 1..n2."""
+    """Partner and sweep tables of both sides, indexed by vertex 1..n2."""
 
     n2: int
-    partner1: list
-    partner2: list
-    sweep1: list
-    sweep2: list
-
-
-def _tables(m: Diagram, n2: int) -> tuple:
-    """The partner and sweep lists of one diagram; its labels must cover 1..n2."""
-    labels = [v for arc in m.chords for v in arc] + list(m.fixed)
-    if sorted(labels) != list(range(1, n2 + 1)):
-        raise MalformedComponentError(f"{m} does not cover 1..{n2} exactly once")
-    partner = [0] * (n2 + 1)
-    sweep = [None] * (n2 + 1)
-    for tail, head in m.chords:
-        partner[tail], partner[head] = head, tail
-        length = (head - tail) % n2
-        sweep[tail], sweep[head] = length, -length
-    for u, v in antipodal_pairs(m.fixed):
-        partner[u], partner[v] = v, u
-    return partner, sweep
+    partner1: tuple
+    partner2: tuple
+    sweep1: tuple
+    sweep2: tuple
 
 
 def build_pairing_graph(m1: Diagram, m2: Diagram) -> PairingGraph:
     """Both sides' tables; the diagrams must share a boundary size."""
     if m1.n != m2.n:
         raise SizeMismatchError(f"cannot pair n={m1.n} with n={m2.n}")
-    n2 = 2 * m1.n
-    partner1, sweep1 = _tables(m1, n2)
-    partner2, sweep2 = _tables(m2, n2)
-    return PairingGraph(n2, partner1, partner2, sweep1, sweep2)
+    partner1, sweep1 = m1.tables
+    partner2, sweep2 = m2.tables
+    return PairingGraph(2 * m1.n, partner1, partner2, sweep1, sweep2)
 
 
 def components(g: PairingGraph) -> list:
@@ -171,10 +139,11 @@ def curve_profile(m1: Diagram, m2: Diagram) -> tuple:
 
 def bilinear_form(m1: Diagram, m2: Diagram) -> Polynomial:
     """The pairing value: a single monomial, one variable per curve."""
-    exps = {name: 0 for name in CURVE_CLASSES}
-    for cls in curve_profile(m1, m2):
-        exps[cls] += 1
-    return Polynomial.monomial(1, exps)
+    g = build_pairing_graph(m1, m2)
+    exps = [0] * NVARS
+    for _, on1, on2, psi in components(g):
+        exps[VAR_INDEX[curve_class(g.n2, on1, on2, psi)]] += 1
+    return Polynomial(_raw={tuple(exps): 1})
 
 
 def pair_trace(m1: Diagram, m2: Diagram) -> dict:

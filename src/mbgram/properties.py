@@ -124,7 +124,7 @@ def check_winding_range(n_max: int = 5) -> Report:
 
     One pairing graph per ordered pair of the joint basis.  The monomial's
     degree equals the component count by construction (bilinear_form adds
-    one variable per curve_profile entry, one entry per component).
+    one variable per component).
     """
     walked = 0
     for n in range(1, n_max + 1):

@@ -1,14 +1,19 @@
 """Pairing graph construction, component classification, and the form values."""
 
+import pickle
+from collections import Counter
+
 import pytest
 
-from mbgram.diagrams import Diagram, enumerate_stratum, parse_diagram, Stratum
+from mbgram import diagrams
+from mbgram.diagrams import Diagram, basis_mb1, enumerate_stratum, parse_diagram, Stratum
 from mbgram.errors import (MalformedComponentError, SizeMismatchError,
                            UnclassifiableComponentError)
 from mbgram.pairing import (antipodal_pairs, bilinear_form, build_pairing_graph,
                             component_walk, components, curve_class,
                             curve_profile, pair_trace)
-from mbgram.polynomial import Polynomial
+from mbgram.gram import GramVariant, assemble_gram
+from mbgram.polynomial import VARIABLES, Polynomial
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -28,10 +33,12 @@ class TestGraph:
         assert {frozenset(p) for p in trace["ef1"]} == {frozenset({1, 6})}
         assert {frozenset(p) for p in trace["ef2"]} == {frozenset({2, 4}), frozenset({3, 5})}
         g = build_pairing_graph(FIG_M1, FIG_M2)
-        assert g.partner1[1:] == [6, 5, 4, 3, 2, 1]
-        assert g.partner2[1:] == [6, 4, 5, 2, 3, 1]
-        assert g.sweep1[1:] == [None, 3, 1, -1, -3, None]
-        assert g.sweep2[1:] == [-1, None, None, None, None, 1]
+        assert g.partner1[1:] == (6, 5, 4, 3, 2, 1)
+        assert g.partner2[1:] == (6, 4, 5, 2, 3, 1)
+        assert g.sweep1[1:] == (None, 3, 1, -1, -3, None)
+        assert g.sweep2[1:] == (-1, None, None, None, None, 1)
+        # tuples compare unequal to lists: the cached tables are tuples
+        assert FIG_M1.tables == (g.partner1, g.sweep1)
 
     def test_doubled_chord(self):
         m = Diagram.build(1, [(1, 2)], [])
@@ -62,6 +69,7 @@ class TestGraph:
     def test_reused_label_is_malformed(self):
         reused = Diagram.build(2, [(1, 2), (2, 3)], [4, 1])
         full = Diagram.build(2, [(1, 2), (3, 4)], [])
+        # the same object twice: a failed table build caches nothing
         for m1, m2 in ((reused, full), (full, reused)):
             with pytest.raises(MalformedComponentError):
                 bilinear_form(m1, m2)
@@ -79,6 +87,44 @@ class TestGraph:
         for m1, m2 in ((high, high), (high, chord), (chord, high)):
             with pytest.raises(MalformedComponentError):
                 bilinear_form(m1, m2)
+
+
+class TestTables:
+    def test_built_once_per_diagram(self, monkeypatch):
+        build, built = diagrams.pairing_tables, []
+
+        def spy(m):
+            built.append(m)
+            return build(m)
+
+        monkeypatch.setattr(diagrams, "pairing_tables", spy)
+        matrix = assemble_gram(3, GramVariant.MB1_FULL)
+        assert len(matrix.basis) == 35
+        assert sorted(built, key=str) == sorted(matrix.basis, key=str)
+
+    def test_paired_diagram_is_unchanged_as_a_value(self):
+        text = "(2 5)(3 4)(1)(6)"
+        paired = parse_diagram(text)
+        bilinear_form(paired, FIG_M2)
+        fresh = parse_diagram(text)
+        assert "tables" in vars(paired) and "tables" not in vars(fresh)
+        assert paired == fresh and hash(paired) == hash(fresh)
+        assert repr(paired) == repr(fresh)
+        assert paired.serialize() == fresh.serialize() == text
+        assert paired.to_json_obj() == fresh.to_json_obj()
+        assert pickle.dumps(paired) == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(paired))
+        assert restored == fresh and "tables" not in vars(restored)
+
+    def test_form_counts_the_profile(self):
+        # bilinear_form counts classes itself; curve_profile is the reference
+        basis = basis_mb1(3)
+        for m_i in basis:
+            for m_j in basis:
+                (exps, coef), = bilinear_form(m_i, m_j).sorted_terms()
+                counts = Counter(curve_profile(m_i, m_j))
+                assert coef == 1
+                assert exps == tuple(counts[v] for v in VARIABLES)
 
 
 def _classes(g) -> dict:
