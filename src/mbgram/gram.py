@@ -50,7 +50,8 @@ det_by_evaluation), and CRT gives the product's coefficients.  When G
 equals its transpose (every tilde and mbn1 matrix at n <= 5, whose
 entries carry x and y to equal powers; no full matrix at n <= 4, whose
 transpose exchanges x and y), det B_(L-k) = det B_k, so only blocks
-0..L/2 are eliminated (proof at det_by_evaluation).  At tilde n=5 the
+0..L/2 are eliminated (intdet.block_factors, which picks the blocks for
+the randomized check's integer determinants too).  At tilde n=5 the
 grid has 89 points where one grid for det G itself needed 841.
 
 The conjectured closed forms for the determinants are built from the
@@ -275,11 +276,6 @@ def block_degree_bounds(rows: list, orbits: list, variables: Sequence[str]) -> l
             for block in intdet.block_orbits(orbits)]
 
 
-# Cells of representative rows per elimination batch: about 1 MB of int64
-# per array the block kernel holds (representative rows x N per point).
-_ELIMINATION_CELLS = 1 << 17
-
-
 def _evaluate_distinct(rows, points: list) -> tuple:
     """(codes, values): codes[i][j] numbers G_ij among the distinct entries
     of rows, and values[g][e] is distinct entry e at points[g]."""
@@ -299,14 +295,8 @@ def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape
     the matrix, block_bounds[k] bounds det B_k's degrees, and factors lists
     each k once per time det B_k divides det."""
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    rep_codes = codes[[orbit[0] for orbit in orbits]]
     ks = sorted(set(factors))
-    step = max(1, _ELIMINATION_CELLS // rep_codes.size)
-    dets = np.empty((len(ks), len(residues)), dtype=np.int64)
-    for start in range(0, len(residues), step):
-        stack = residues[start:start + step][:, rep_codes]
-        dets[:, start:start + step] = intdet.block_dets_mod(stack, orbits,
-                                                            np.full(len(stack), p), ks)
+    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(residues), p), ks)
     dets = dets.reshape((len(ks),) + grid_shape)
     block_polys = {}
     for k, block_dets in zip(ks, dets):
@@ -339,14 +329,10 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     bounds, so one code path serves any number of variables), and CRT
     each coefficient of the product.
 
-    When G equals its transpose, only blocks 0..L/2 are eliminated and
-    each 0 < k < L/2 is counted twice: with S = diag(orbit sizes),
-    B_{-k} = S^-1 B_k^T S, so det B_{-k} = det B_k (S is invertible as
-    p > L).  Proof: the terms of B_k[b][a] repeat with period s_a in j, so
-    it equals (s_a / L) sum_{j < L} w^(-jk) G[rep_b][r^j(rep_a)]; by the
-    invariance and the symmetry G[rep_b][r^j(rep_a)] = G[rep_a][r^-j(rep_b)],
-    and j -> -j turns the sum into (L / s_b) B_{-k}[a][b].  A matrix that
-    is not symmetric gets every block.
+    intdet.block_factors picks the blocks: when G equals its transpose,
+    det B_(L-k) = det B_k (proof there), so only blocks 0..L/2 are
+    eliminated and each 0 < k < L/2 is counted twice; a matrix that is not
+    symmetric gets every block.
 
     The primes exceed twice intdet.hadamard_bound of the entry norms
     N_ij = ||G_ij||_1, the sums of absolute coefficients.  Proof: on the
@@ -369,12 +355,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     orbits = rotation_orbits(matrix)
     order = lcm(*(len(orbit) for orbit in orbits))
     block_bounds = block_degree_bounds(rows, orbits, variables)
-    if intdet.is_symmetric(rows):
-        # det B_(L-k) = det B_k: blocks 0..L/2, each 0 < k < L/2 counted twice
-        factors = [k for k in range(order // 2 + 1)
-                   for _ in range(1 if 2 * k % order == 0 else 2)]
-    else:
-        factors = list(range(order))
+    factors = intdet.block_factors(intdet.is_symmetric(rows), order)
     # per variable: the largest bound of a needed block, and their sum
     per_variable = list(zip(*(block_bounds[k] for k in factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
@@ -621,14 +602,14 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     seed = DEFAULT_SEED if seed is None else seed
     rng = random.Random(seed)
     # Coordinates must exceed the degree bound; beyond that, keep them small
-    # enough that evaluated entries stay within int64 (fast residue path in
-    # the integer determinant) while the sample space still beats 2^-40.
+    # enough that evaluated entries stay within about 2^60 (each bit of the
+    # entries costs the integer determinant primes, through its Hadamard
+    # bound) while the sample space still beats 2^-40.
     entry_degree = max((e.total_degree() for row in gm.entries for e in row
                         if not e.is_zero()), default=1)
     int64_cap = int(2 ** (60 / max(entry_degree, 1))) - degree_bound - 2
-    # the lower clamp keeps the sample space large; if it forces values past
-    # the int64 range the integer determinant reduces them mod each prime
-    # as Python ints
+    # the lower clamp keeps the sample space large, even where it forces
+    # entries past 2^60
     magnitude = max(min(2 ** 20, int64_cap), 8 * degree_bound)
     sample_size = 2 * magnitude  # signed magnitudes above the degree bound
     failure_bound = (degree_bound / sample_size) ** points

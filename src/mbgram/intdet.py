@@ -8,21 +8,25 @@
     transpose (is_symmetric) keeps a symmetric trailing block until its
     first row swap, so only the entries on and above the diagonal are
     eliminated, about half the products and divisions (proof at
-    bareiss_int).  gram's modular engine reads the same is_symmetric to
-    halve its rotation blocks.
+    bareiss_int).
 
-  * block_dets_mod: the determinants of the blocks of a stack of residue
-    matrices under a permutation symmetry, one modulus per matrix, each
-    block eliminated by numpy int64 elimination (dets_mod).  It returns
-    every requested block's determinant, not their product.  crt_det
-    stacks one integer matrix once per prime, enough to exceed twice the
-    Hadamard bound, multiplies the blocks' determinants and recombines by
-    CRT; entries past int64 are reduced mod each prime as Python ints.
-    gram stacks grid points under one prime, interpolates each block's
+  * block_dets_mod: the determinants of the blocks of matrices under a
+    permutation symmetry, one modulus per matrix, each given by the
+    residues of its distinct values and one matrix of entry codes.  It
+    gathers the representative rows and eliminates them by numpy int64
+    elimination (dets_mod) in batches of at most _ELIMINATION_CELLS
+    cells, and returns every requested block's determinant, not their
+    product.  block_factors picks the blocks for both of its callers, half
+    of them for a matrix equal to its transpose.  crt_det (and int_det,
+    which calls it at every size) reduces an integer matrix's distinct
+    entries mod enough primes to exceed twice the Hadamard bound, as
+    Python ints, multiplies the blocks' determinants per prime and
+    recombines by CRT.  gram's engine reduces the distinct entries at the
+    points of a grid under one prime, interpolates each block's
     determinant on its own part of the grid (interpolate_mod) and
     multiplies the block polynomials (multiply_mod).
 
-int_det picks between them by size.  The test suite cross-checks them.
+The test suite cross-checks bareiss_int and crt_det.
 
 The primes.  For each step s = lcm(2, order) there is one sequence: the
 primes p = 1 (mod s) below 2^31, descending.  primes_for(bound, order)
@@ -68,8 +72,6 @@ from functools import cache
 from math import isqrt, lcm
 
 import numpy as np
-
-_CRT_MIN_SIZE = 24  # below this, plain Bareiss wins
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -242,47 +244,79 @@ def block_orbits(orbits: list) -> list:
             for k in range(order)]
 
 
-def block_dets_mod(residues: np.ndarray, orbits: list, moduli: np.ndarray,
-                   ks=None) -> np.ndarray:
-    """Determinant residues of the blocks of a stack of matrices invariant
-    under the permutation whose orbits are given (module docstring), matrix
-    b modulo moduli[b], each moduli[b] a prime = 1 (mod the lcm L of the
-    orbit sizes).
+# Cells of representative rows per elimination batch: about 1 MB of int64
+# per array the block kernel holds (representative rows x N per matrix).
+_ELIMINATION_CELLS = 1 << 17
 
-    residues[b, a] is row orbits[a][0] of matrix b, reduced mod moduli[b].
-    Returns dets[t, b], the determinant of block ks[t] of matrix b; ks
-    defaults to every block 0..L-1, and only the blocks in ks are formed.
+
+def block_factors(symmetric: bool, order: int) -> list:
+    """The blocks k whose determinants multiply to det G mod p, each listed
+    once per time det B_k divides it, for an invariant matrix G with
+    blocks k = 0..L-1, L = order (module docstring): every block, or, when
+    G equals its transpose, blocks 0..L/2 with each 0 < k < L/2 twice.
+
+    With S = diag(orbit sizes), a symmetric G has B_{-k} = S^-1 B_k^T S,
+    so det B_{-k} = det B_k (S is invertible as p > L).  Proof: the terms
+    of B_k[b][a] repeat with period s_a in j, so it equals
+    (s_a / L) sum_{j < L} w^(-jk) G[rep_b][r^j(rep_a)]; by the invariance
+    and the symmetry G[rep_b][r^j(rep_a)] = G[rep_a][r^-j(rep_b)], and
+    j -> -j turns the sum into (L / s_b) B_{-k}[a][b].
+    """
+    if not symmetric:
+        return list(range(order))
+    return [k for k in range(order // 2 + 1) for _ in range(1 if 2 * k % order == 0 else 2)]
+
+
+def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: np.ndarray,
+                   ks=None) -> np.ndarray:
+    """Determinant residues of the blocks of matrices invariant under the
+    permutation whose orbits are given (module docstring), matrix b modulo
+    moduli[b], each moduli[b] a prime = 1 (mod the lcm L of the orbit
+    sizes).
+
+    Matrix b has entry values[b, codes[i, j]] at (i, j): values[b] holds
+    its distinct values reduced mod moduli[b].  Returns dets[t, b], the
+    determinant of block ks[t] of matrix b; ks defaults to every block
+    0..L-1, and only the blocks in ks are formed.  The representative rows
+    are gathered and eliminated in batches of matrices whose rows hold at
+    most _ELIMINATION_CELLS cells.  No elimination stack is larger: only
+    blocks over the same orbits are stacked together, and they hold at
+    most (orbits) x N cells per matrix.
     """
     assert (moduli < 2 ** 31).all(), "residue products must stay within int64"
     sizes = np.array([len(orbit) for orbit in orbits])
     order = lcm(*sizes.tolist())
     ks = np.arange(order) if ks is None else np.asarray(ks)
     width = int(sizes.max())
-    # orbit b's members along the last axis, padded with its first member
+    # orbit c's members along the last axis, padded with its first member
     members = np.array([orbit + orbit[:1] * (width - len(orbit)) for orbit in orbits])
+    # member_codes[a, c, j] names G[rep_a][r^j(rep_c)]
+    member_codes = codes[[orbit[0] for orbit in orbits]][:, members]
     distinct, which = np.unique(moduli, return_inverse=True)
     # inverse_powers[b, t] = w^(-t) mod moduli[b]
-    roots = {p: _root_of_unity(p, order) for p in distinct.tolist()}
-    inverse_powers = np.array([[pow(w, -t, p) for t in range(order)] for p, w in roots.items()],
-                              dtype=np.int64)[which]
-    m = moduli[:, None, None, None]
-    columns = residues[:, :, members]
-    blocks = np.zeros(columns.shape[:3] + (len(ks),), dtype=np.int64)
-    for j in range(width):
-        # weight[b, c, t] = w^(-j ks[t]), or 0 past the end of orbit c
-        weight = inverse_powers[:, ks * j % order][:, None, :] * (j < sizes)[:, None]
-        blocks = (blocks + columns[:, :, :, j, None] * weight[:, None]) % m
+    inverse_powers = np.array([[pow(_root_of_unity(p, order), -t, p) for t in range(order)]
+                               for p in distinct.tolist()], dtype=np.int64)[which]
     # blocks over the same orbits are eliminated together, in one stack
     same_orbits: dict = {}
     in_block = block_orbits(orbits)
     for t, k in enumerate(ks.tolist()):
         same_orbits.setdefault(in_block[k], []).append(t)
     dets = np.empty((len(ks), len(moduli)), dtype=np.int64)
-    for block, ts in same_orbits.items():
-        index = np.array(block, dtype=np.intp)
-        stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ts], 3, 0)
-        dets[ts] = dets_mod(stack.reshape(-1, len(block), len(block)),
-                            np.tile(moduli, len(ts))).reshape(len(ts), -1)
+    step = max(1, _ELIMINATION_CELLS // (len(orbits) * len(codes)))
+    for start in range(0, len(moduli), step):
+        batch = slice(start, start + step)
+        m = moduli[batch, None, None, None]
+        columns = values[batch][:, member_codes]
+        blocks = np.zeros(columns.shape[:3] + (len(ks),), dtype=np.int64)
+        for j in range(width):
+            # weight[b, c, t] = w^(-j ks[t]), or 0 past the end of orbit c
+            weight = inverse_powers[batch][:, ks * j % order][:, None, :] * (j < sizes)[:, None]
+            blocks = (blocks + columns[:, :, :, j, None] * weight[:, None]) % m
+        for block, ts in same_orbits.items():
+            index = np.array(block, dtype=np.intp)
+            stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ts], 3, 0)
+            dets[ts, batch] = dets_mod(stack.reshape(-1, len(block), len(block)),
+                                       np.tile(moduli[batch], len(ts))).reshape(len(ts), -1)
     return dets
 
 
@@ -351,9 +385,13 @@ def crt_det(rows: list, orbits: list | None = None) -> int:
     """Exact determinant via residues modulo 31-bit primes.
 
     orbits: those of a permutation that leaves the matrix invariant, as
-    for block_dets_mod; singletons when None.
+    for block_dets_mod; singletons when None.  Each distinct entry is
+    reduced mod each prime as a Python int, and block_dets_mod eliminates
+    the primes in batches.
     """
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
     if n == 0:
         return 1
     bound = hadamard_bound(rows)
@@ -361,23 +399,21 @@ def crt_det(rows: list, orbits: list | None = None) -> int:
         return 0
     if orbits is None:
         orbits = [(i,) for i in range(n)]
-    primes = primes_for(bound, lcm(*(len(orbit) for orbit in orbits)))
+    order = lcm(*(len(orbit) for orbit in orbits))
+    primes = primes_for(bound, order)
+    index: dict = {}  # distinct entry -> its code
+    codes = np.array([[index.setdefault(v, len(index)) for v in row] for row in rows])
+    values = np.array([[v % p for v in index] for p in primes], dtype=np.int64)
     moduli = np.array(primes, dtype=np.int64)
-    reps = [rows[orbit[0]] for orbit in orbits]
-    try:
-        residues = np.array(reps, dtype=np.int64)[None] % moduli[:, None, None]
-    except OverflowError:  # an entry past int64: reduce the Python ints
-        residues = np.array([[[v % p for v in row] for row in reps] for p in primes],
-                            dtype=np.int64)
+    factors = block_factors(is_symmetric(rows), order)
+    ks = sorted(set(factors))
+    block_dets = dict(zip(ks, block_dets_mod(values, codes, orbits, moduli, ks)))
     det = np.ones(len(primes), dtype=np.int64)
-    for block_det in block_dets_mod(residues, orbits, moduli):
-        det = det * block_det % moduli
+    for k in factors:
+        det = det * block_dets[k] % moduli
     return crt(det.tolist(), primes)
 
 
 def int_det(rows: list, orbits: list | None = None) -> int:
-    """Exact integer determinant; backend chosen by size, orbits as for crt_det."""
-    n = len(rows)
-    if n < _CRT_MIN_SIZE:
-        return bareiss_int(rows)
+    """Exact integer determinant (crt_det), orbits as for crt_det."""
     return crt_det(rows, orbits)

@@ -285,8 +285,7 @@ def block_det_polys_mod(gm, p):
     codes, values = gram._evaluate_distinct(rows, grid)
     orbits = rotation_orbits(gm)
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    dets = intdet.block_dets_mod(residues[:, codes[[orbit[0] for orbit in orbits]]], orbits,
-                                 np.full(len(grid), p))
+    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(grid), p))
     polys = []
     for det in dets:
         coeffs = det.reshape(shape)
@@ -342,14 +341,30 @@ class TestBlocks:
         assert calls and all(ks == [0, 1, 2, 3] for ks in calls)
 
 
+    def test_engine_eliminations_stay_within_the_cap(self, monkeypatch):
+        gm = assemble_gram(3, GramVariant.MBN1_TILDE)
+        cap = 2 * len(rotation_orbits(gm)) * gm.size  # two points' representative rows
+        monkeypatch.setattr(intdet, "_ELIMINATION_CELLS", cap)
+        sizes = []
+        original = intdet.dets_mod
+
+        def spy(stack, moduli):
+            sizes.append(stack.size)
+            return original(stack, moduli)
+
+        monkeypatch.setattr(intdet, "dets_mod", spy)
+        assert det_by_evaluation(gm) == det_exact(gm)
+        assert sizes and max(sizes) <= cap
+
+
 def spy_on_blocks(monkeypatch) -> list:
     """Record the blocks that every call of intdet.block_dets_mod forms."""
     calls = []
     original = intdet.block_dets_mod
 
-    def spy(residues, orbits, moduli, ks=None):
+    def spy(values, codes, orbits, moduli, ks=None):
         calls.append([int(k) for k in ks])
-        return original(residues, orbits, moduli, ks)
+        return original(values, codes, orbits, moduli, ks)
 
     monkeypatch.setattr(intdet, "block_dets_mod", spy)
     return calls

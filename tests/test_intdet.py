@@ -225,6 +225,28 @@ class TestCrt:
         m = random_matrix(rng, 26, -10 ** 6, 10 ** 6)
         assert int_det(m) == bareiss_int(m)
 
+    def test_small_matrix_stays_modular(self, monkeypatch):
+        # int_det is the modular algorithm at every size, 10x10 included
+        m = random_matrix(random.Random(22), 10, -10 ** 6, 10 ** 6)
+        expected = bareiss_int(m)
+
+        def refuse(rows):
+            raise AssertionError("int_det left the modular algorithm")
+
+        monkeypatch.setattr(intdet, "bareiss_int", refuse)
+        assert int_det(m) == expected
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 2], [3, 4], [5, 6]],
+        [[1, 2], [3]],
+        random_matrix(random.Random(23), 25)[:24],
+    ], ids=["2x3", "3x2", "ragged", "24x25"])
+    def test_non_square_raises(self, rows):
+        for det in (crt_det, int_det):
+            with pytest.raises(ValueError, match="square"):
+                det(rows)
+
 
 def invariant_matrix(cycle_sizes, labels, cell):
     """A matrix with G[r(i)][r(j)] == G[i][j] for the permutation r whose
@@ -263,6 +285,48 @@ class TestRotationBlocks:
         assert expected != 0
         assert crt_det(rows, orbits) == expected
         assert int_det(rows, orbits) == expected
+
+
+def spy_on_intdet(monkeypatch, name: str, record) -> list:
+    """Replace intdet.<name> by a wrapper that appends record(*args) to the
+    returned list before each call."""
+    calls = []
+    original = getattr(intdet, name)
+
+    def spy(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(intdet, name, spy)
+    return calls
+
+
+class TestBlockSelection:
+    def test_eliminations_stay_within_the_cap(self, monkeypatch):
+        rng = random.Random(20)
+        rows, orbits = invariant_matrix((1, 2, 3, 6, 6, 6), list(range(24)),
+                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        expected = bareiss_int(rows)
+        cap = 2 * len(orbits) * len(rows)  # two primes' representative rows
+        monkeypatch.setattr(intdet, "_ELIMINATION_CELLS", cap)
+        sizes = spy_on_intdet(monkeypatch, "dets_mod", lambda stack, moduli: stack.size)
+        assert crt_det(rows, orbits) == expected != 0
+        primes = primes_for(hadamard_bound(rows), 6)
+        assert len(primes) > 2 and len(sizes) >= len(primes) / 2
+        assert max(sizes) <= cap
+
+    def test_symmetric_matrix_gets_half_the_blocks(self, monkeypatch):
+        # G + G^T is invariant when G is; L = 8
+        rng = random.Random(21)
+        rows, orbits = invariant_matrix((2, 4, 8), list(range(14)),
+                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        symmetric = [[a + b for a, b in zip(row, column)] for row, column in zip(rows, zip(*rows))]
+        assert is_symmetric(symmetric) and not is_symmetric(rows)
+        expected = [bareiss_int(symmetric), bareiss_int(rows)]
+        calls = spy_on_intdet(monkeypatch, "block_dets_mod",
+                              lambda values, codes, orbits, moduli, ks: [int(k) for k in ks])
+        assert [crt_det(symmetric, orbits), crt_det(rows, orbits)] == expected
+        assert calls == [[0, 1, 2, 3, 4], list(range(8))]
 
 
 class TestRationalCross:
@@ -420,11 +484,13 @@ def test_block_dets_multiply_to_the_determinant(case):
     rows, orbits = case
     order = lcm(*map(len, orbits))
     p = primes_for(1, order)[0]
-    residues = np.array([rows[orbit[0]] for orbit in orbits], dtype=np.int64)[None] % p
-    dets = block_dets_mod(residues, orbits, np.array([p]))
+    # every entry its own code
+    values = np.array([sum(rows, [])], dtype=np.int64) % p
+    codes = np.arange(len(rows) ** 2).reshape(len(rows), -1)
+    dets = block_dets_mod(values, codes, orbits, np.array([p]))
     assert dets.shape == (order, 1)
     assert prod(dets[:, 0].tolist()) % p == bareiss_int(rows) % p
     # a subset of the blocks, in any order, gives the same block determinants
     ks = [order - 1, 0]
-    assert block_dets_mod(residues, orbits, np.array([p]), ks)[:, 0].tolist() == [
+    assert block_dets_mod(values, codes, orbits, np.array([p]), ks)[:, 0].tolist() == [
         dets[k, 0] for k in ks]
