@@ -27,10 +27,17 @@ from mbgram.storage import resolve_cache_dir
 PROFILES = ("quick", "full", "stretch")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _COMMON_FLAGS = {
     "cache-dir": dict(default=None,
                       help="cache directory (default: $MBGRAM_CACHE_DIR or ./cache)"),
-    "jobs": dict(type=int, default=1,
+    "jobs": dict(type=_positive_int, default=1,
                  help="worker processes for evaluation points and primes"),
     "seed": dict(type=int, default=None,
                  help="seed for randomized checks (default: published constant)"),
@@ -43,13 +50,6 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str,
     parser.add_argument("--format", choices=("json", "table"), default=format_default)
     for flag in flags:
         parser.add_argument(f"--{flag}", **_COMMON_FLAGS[flag])
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,6 +193,8 @@ def _cmd_det(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n is None:
         raise ValueError("verify: need --n")
+    if args.theorem is not None and args.method == "randomized":
+        raise ValueError("verify: --method randomized applies to --conjecture only")
     if args.theorem is not None:
         report = timed(lambda: gram.verify_theorem_3_6(args.n, jobs=args.jobs,
                                                        cache_dir=args.cache_dir))

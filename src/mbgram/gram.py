@@ -17,9 +17,16 @@ picks between them from the matrix: fraction free elimination
 (det_by_evaluation) for larger matrices in few variables (the tilde
 family, whose entries are powers of d).  Both routes are asserted equal
 wherever both are feasible.  _pool_map spreads the primes, and the
-randomized check's points, over `jobs` as integer codes and values: each
-distinct entry is evaluated once per point (_evaluate_distinct), not once
-per cell.
+randomized check's points, over `jobs` as integer codes and values.
+
+Every entry is a monomial with one variable per glued curve, so few
+entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
+15 876 of full n=4.  _entry_codes finds them once per matrix
+(GramMatrix.distinct caches them) and numbers every cell by its
+distinct entry.  Every matrix-wide fact is read from that code matrix
+and the few distinct entries: the rotation invariance, the symmetry,
+the active variables, the degree and norm bounds, the values at grid
+and sample points, and the cached JSON.
 
 Both modular routes (the engine and the randomized check's integer
 determinants) split G into blocks under the boundary rotation
@@ -69,7 +76,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from math import comb, lcm
 from typing import Mapping, Sequence
 
@@ -77,7 +84,7 @@ import numpy as np
 
 from mbgram import intdet
 from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
-from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, rotate
+from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, parse_diagram, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import VARIABLES, Polynomial
@@ -132,21 +139,22 @@ class GramMatrix:
     def size(self) -> int:
         return len(self.basis)
 
-    def rows(self) -> list:
-        return [list(row) for row in self.entries]
+    @cached_property
+    def distinct(self) -> tuple:
+        """(codes, entries), built by _entry_codes on first use."""
+        return _entry_codes(self.entries)
 
     def to_json_obj(self) -> dict:
+        cells = [e.to_terms_obj() for e in self.distinct[1]]
         return {
             "n": self.n,
             "variant": self.variant.value,
             "basis": [m.serialize() for m in self.basis],
-            "entries": [[e.to_terms_obj() for e in row] for row in self.entries],
+            "entries": [[cells[c] for c in row] for row in self.distinct[0].tolist()],
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "GramMatrix":
-        from mbgram.diagrams import parse_diagram
-
         basis = tuple(parse_diagram(text) for text in obj["basis"])
         entries = tuple(
             tuple(Polynomial.from_terms_obj(cell) for cell in row)
@@ -201,12 +209,27 @@ def _matrix_rows(matrix) -> list:
             for row in matrix]
 
 
-def _active_variables(rows: list) -> list:
+def _entry_codes(rows) -> tuple:
+    """(codes, entries) of a square matrix: its distinct entries, keyed by
+    value (a matrix read from the cache shares no entry objects), in order
+    of first occurrence, and the array of each cell's index among them."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
+    index: dict = {}  # entry value -> (its code, the entry)
+    codes = np.array([[index.setdefault(frozenset(e.terms.items()), (len(index), e))[0]
+                       for e in row] for row in rows], dtype=np.int64)
+    return codes.reshape(len(rows), len(rows)), [e for _, e in index.values()]
+
+
+def _distinct(matrix) -> tuple:
+    """(codes, entries) of a GramMatrix (cached) or of a nested sequence."""
+    return (matrix.distinct if isinstance(matrix, GramMatrix)
+            else _entry_codes(_matrix_rows(matrix)))
+
+
+def _active_variables(entries: list) -> list:
     """Variables occurring in some entry, in the order d, w, x, y, z."""
-    used = set()
-    for row in rows:
-        for entry in row:
-            used.update(entry.variables_used())
+    used = set().union(*(e.variables_used() for e in entries))
     return [v for v in VARIABLES if v in used]
 
 
@@ -216,20 +239,17 @@ def rotation_orbits(matrix) -> list:
 
     Only a GramMatrix whose rotated basis is its basis and whose entries
     satisfy G[r(i)][r(j)] == G[i][j] for all i, j gets them; raw row lists
-    and any other matrix get singleton orbits.
+    and any other matrix get singleton orbits, the identity's.
     """
-    size = len(matrix.entries if isinstance(matrix, GramMatrix) else matrix)
-    singletons = [(i,) for i in range(size)]
     if not isinstance(matrix, GramMatrix):
-        return singletons
+        return [(i,) for i in range(len(matrix))]
     index = {m: i for i, m in enumerate(matrix.basis)}
     perm = [index.get(rotate(m)) for m in matrix.basis]
-    g = matrix.entries
-    if None in perm or any(g[perm[i]][perm[j]] != g[i][j]
-                           for i in range(size) for j in range(size)):
-        return singletons
+    codes = matrix.distinct[0]
+    if None in perm or not (codes[np.ix_(perm, perm)] == codes).all():
+        perm = list(range(matrix.size))
     orbits, seen = [], set()
-    for i in range(size):
+    for i in range(matrix.size):
         if i not in seen:
             orbit = [i]
             while perm[orbit[-1]] != i:
@@ -243,7 +263,7 @@ def _pool_map(fn, args: list, jobs: int) -> list:
     """map(fn, args) over `jobs` processes; the results do not depend on jobs."""
     if jobs <= 1 or len(args) < 2:
         return list(map(fn, args))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
         return list(pool.map(fn, args))
 
 
@@ -253,9 +273,11 @@ def det_exact(matrix) -> Polynomial:
     return Polynomial.integer(det) if isinstance(det, int) else det
 
 
-def block_degree_bounds(rows: list, orbits: list, variables: Sequence[str]) -> list:
+def block_degree_bounds(codes: np.ndarray, entries: list, orbits: list,
+                        variables: Sequence[str]) -> list:
     """Per block k of the orbits (intdet.block_orbits), a bound on the
-    degree of det B_k in each variable, in the order given.
+    degree of det B_k in each variable, in the order given; codes and
+    entries as from _entry_codes.
 
     Entry B_k[a][b] is a combination of G[rep_a][j] over the members j of
     orbit b, so its degree is at most their largest, D[a][b].  A
@@ -263,28 +285,18 @@ def block_degree_bounds(rows: list, orbits: list, variables: Sequence[str]) -> l
     entry degree, and likewise over its columns; the bound is the smaller
     sum.  Zero entries count as degree 0.
     """
-    reps = [orbit[0] for orbit in orbits]
+    # per variable, the degree of every cell of the representatives' rows
+    degrees = np.array([[max(e.degree_in(var), 0) for var in variables] for e in entries]).T
+    cells = degrees[:, codes[[orbit[0] for orbit in orbits]]]
     # per variable, D[a][b]
-    orbit_degrees = [[[max(max(rows[i][j].degree_in(var), 0) for j in orbit) for orbit in orbits]
-                      for i in reps] for var in variables]
+    orbit_degrees = np.stack([cells[:, :, list(orbit)].max(axis=2) for orbit in orbits], axis=2)
 
-    def bound(block: tuple, degrees: list) -> int:
-        sub = [[degrees[a][b] for b in block] for a in block]
-        return min(sum(map(max, sub)), sum(map(max, zip(*sub))))
+    def bound(block: tuple, degrees: np.ndarray) -> int:
+        sub = degrees[np.ix_(block, block)]
+        return int(min(sub.max(axis=1, initial=0).sum(), sub.max(axis=0, initial=0).sum()))
 
     return [tuple(bound(block, degrees) for degrees in orbit_degrees)
             for block in intdet.block_orbits(orbits)]
-
-
-def _evaluate_distinct(rows, points: list) -> tuple:
-    """(codes, values): codes[i][j] numbers G_ij among the distinct entries
-    of rows, and values[g][e] is distinct entry e at points[g]."""
-    # keyed by value: a matrix read from the cache shares no entry objects
-    keys = [[frozenset(entry.terms.items()) for entry in row] for row in rows]
-    distinct = dict(zip(itertools.chain(*keys), itertools.chain(*rows)))
-    index = {key: e for e, key in enumerate(distinct)}
-    codes = np.array([[index[key] for key in row] for row in keys])
-    return codes, [[entry.evaluate(point) for entry in distinct.values()] for point in points]
 
 
 def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape: tuple,
@@ -320,19 +332,21 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
 
     G splits into the blocks B_k of its rotation_orbits, k = 0..L-1, with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
-    docstring).  Each distinct entry value is evaluated once per point of
-    one grid, 0..max_k bound_k per active variable, the bounds from
-    block_degree_bounds.  Each prime is one task: eliminate the needed
-    blocks at every grid point, interpolate each det B_k from the corner
-    0..bound_k of the grid, multiply the block polynomials (Kronecker
-    substitution, each embedded in the box of the sums of the block
-    bounds, so one code path serves any number of variables), and CRT
-    each coefficient of the product.
+    docstring).  The matrix is read through its code matrix and distinct
+    entries (_entry_codes): the variables, the norms, the degree bounds
+    and the symmetry come from them, and each distinct entry is
+    evaluated once per point of one grid, 0..max_k bound_k per active
+    variable, the bounds from block_degree_bounds.  Each prime is one
+    task: eliminate the needed blocks at every grid point, interpolate
+    each det B_k from the corner 0..bound_k of the grid, multiply the
+    block polynomials (Kronecker substitution, each embedded in the box
+    of the sums of the block bounds, so one code path serves any number
+    of variables), and CRT each coefficient of the product.
 
-    intdet.block_factors picks the blocks: when G equals its transpose,
-    det B_(L-k) = det B_k (proof there), so only blocks 0..L/2 are
-    eliminated and each 0 < k < L/2 is counted twice; a matrix that is not
-    symmetric gets every block.
+    intdet.block_factors picks the blocks: when G equals its transpose
+    (its code matrix does), det B_(L-k) = det B_k (proof there), so only
+    blocks 0..L/2 are eliminated and each 0 < k < L/2 is counted twice;
+    a matrix that is not symmetric gets every block.
 
     The primes exceed twice intdet.hadamard_bound of the entry norms
     N_ij = ||G_ij||_1, the sums of absolute coefficients.  Proof: on the
@@ -341,28 +355,25 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     det G is the torus mean of det G(zeta) zeta^(-alpha), so the same
     bound covers every coefficient.
     """
-    rows = _matrix_rows(matrix)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    if not rows:
+    codes, entries = _distinct(matrix)
+    if not codes.size:
         return Polynomial.one()
     # every coefficient's bound (docstring); 0 means a zero row
-    bound = intdet.hadamard_bound([[sum(map(abs, e.terms.values())) for e in row]
-                                   for row in rows])
+    norms = np.array([sum(map(abs, e.terms.values())) for e in entries], dtype=object)
+    bound = intdet.hadamard_bound(norms[codes].tolist())
     if bound == 0:
         return Polynomial.zero()
-    variables = _active_variables(rows)
+    variables = _active_variables(entries)
     orbits = rotation_orbits(matrix)
     order = lcm(*(len(orbit) for orbit in orbits))
-    block_bounds = block_degree_bounds(rows, orbits, variables)
-    factors = intdet.block_factors(intdet.is_symmetric(rows), order)
+    block_bounds = block_degree_bounds(codes, entries, orbits, variables)
+    factors = intdet.block_factors(bool((codes == codes.T).all()), order)
     # per variable: the largest bound of a needed block, and their sum
     per_variable = list(zip(*(block_bounds[k] for k in factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
     box = tuple(sum(bounds) + 1 for bounds in per_variable)
-    grid = [dict(zip(variables, point))
-            for point in itertools.product(*map(range, grid_shape))]
-    codes, values = _evaluate_distinct(rows, grid)
+    grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, grid_shape))]
+    values = [[e.evaluate(point) for e in entries] for point in grid]
     primes = intdet.primes_for(bound, order)
     per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, orbits, grid_shape,
                                   block_bounds, factors, box), primes, jobs)
@@ -377,8 +388,9 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
 
 def choose_backend(matrix) -> str:
     """Crossover rule between the two determinant backends."""
-    rows = _matrix_rows(matrix)
-    if len(rows) <= BAREISS_MAX_SIZE or len(_active_variables(rows)) >= BAREISS_MIN_VARS:
+    size = len(matrix.entries if isinstance(matrix, GramMatrix) else matrix)
+    if (size <= BAREISS_MAX_SIZE
+            or len(_active_variables(_distinct(matrix)[1])) >= BAREISS_MIN_VARS):
         return "bareiss"
     return "interp"
 
@@ -552,8 +564,8 @@ def _conjecture_variant(conjecture: ConjectureId) -> GramVariant:
 
 def total_degree_bound(gm: GramMatrix) -> int:
     """Upper bound on the total degree of det(G): rowwise max entry degrees."""
-    return sum(max((entry.total_degree() for entry in row if not entry.is_zero()),
-                   default=0) for row in gm.entries)
+    degrees = np.array([max(e.total_degree(), 0) for e in gm.distinct[1]])
+    return int(degrees[gm.distinct[0]].max(axis=1, initial=0).sum())
 
 
 def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
@@ -597,6 +609,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
         raise ValueError(f"unknown method {method!r}")
 
     gm = get_gram(n, variant, cache_dir=cache_dir)
+    codes, entries = gm.distinct
     formula_degree = sum(f.total_degree() * e for f, e in conjecture_factors(conjecture, n))
     degree_bound = max(total_degree_bound(gm), formula_degree)
     seed = DEFAULT_SEED if seed is None else seed
@@ -605,8 +618,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     # enough that evaluated entries stay within about 2^60 (each bit of the
     # entries costs the integer determinant primes, through its Hadamard
     # bound) while the sample space still beats 2^-40.
-    entry_degree = max((e.total_degree() for row in gm.entries for e in row
-                        if not e.is_zero()), default=1)
+    entry_degree = max((e.total_degree() for e in entries if not e.is_zero()), default=1)
     int64_cap = int(2 ** (60 / max(entry_degree, 1))) - degree_bound - 2
     # the lower clamp keeps the sample space large, even where it forces
     # entries past 2^60
@@ -619,7 +631,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
         return mag if rng.random() < 0.5 else -mag
 
     sample = [{var: coordinate() for var in VARIABLES} for _ in range(points)]
-    codes, values = _evaluate_distinct(gm.entries, sample)
+    values = [[e.evaluate(point) for e in entries] for point in sample]
     det_values = _pool_map(partial(_det_of_codes, codes, rotation_orbits(gm)), values, jobs)
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)

@@ -171,14 +171,14 @@ def check_tilde_block_fixture(cache_dir=None) -> Report:
     """The 4x4 tilde matrix matches the four-element class pattern with u=1."""
     gm = gram_mod.get_gram(2, gram_mod.GramVariant.MBN1_TILDE, cache_dir=cache_dir)
     reference = gram_mod.class_matrix_4x4(1)
-    if gram_mod.equal_up_to_simultaneous_permutation(gm.rows(), reference):
+    if gram_mod.equal_up_to_simultaneous_permutation(gm.entries, reference):
         return Report(
             claim="tilde-block-fixture", tag="gram", status="PASS",
             params={"n": 2, "size": 4})
     return Report(
         claim="tilde-block-fixture", tag="gram", status="FAIL",
         params={"n": 2},
-        witness={"matrix": [[str(e) for e in row] for row in gm.rows()]})
+        witness={"matrix": [[str(e) for e in row] for row in gm.entries]})
 
 
 # the variant/size pairs where both determinant backends are compared.

@@ -3,8 +3,9 @@
 Every check in the package produces a Report rather than raising on a
 mismatch: conjectures are allowed to fail, and a failure is a finding
 that must carry its witness.  Reports serialize to JSON lines.  The
-canonical form (used for determinism comparisons) excludes volatile
-fields such as wall-clock durations; the full form includes them.
+canonical form (used for determinism comparisons) drops the fields that
+VOLATILE_FIELDS names, such as wall-clock durations; the full form
+includes them.
 Checks never time themselves: `timed`, the one runner, stamps duration_s.
 """
 
@@ -66,9 +67,9 @@ class Report:
             obj["seed"] = self.seed
         if self.notes:
             obj["notes"] = list(self.notes)
-        if volatile and self.duration_s is not None:
+        if self.duration_s is not None:
             obj["duration_s"] = round(self.duration_s, 6)
-        return obj
+        return obj if volatile else {k: v for k, v in obj.items() if k not in VOLATILE_FIELDS}
 
     def to_json_line(self, volatile: bool = True) -> str:
         return json.dumps(self.to_json_obj(volatile=volatile), sort_keys=True,

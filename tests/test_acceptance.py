@@ -89,7 +89,7 @@ def test_criterion_03_n1_full_determinant(cache_dir):
 def test_criterion_04_n2_tilde_matrix_and_determinant(cache_dir):
     with criterion(4, "n=2 substituted matrix and determinant", 1):
         gm = get_gram(2, GramVariant.MBN1_TILDE, cache_dir=cache_dir)
-        assert equal_up_to_simultaneous_permutation(gm.rows(), class_matrix_4x4(1))
+        assert equal_up_to_simultaneous_permutation(gm.entries, class_matrix_4x4(1))
         det, _ = get_det(2, GramVariant.MBN1_TILDE, cache_dir=cache_dir)
         expected = Polynomial.univariate("d", {4: 1, 2: -4})
         assert det == expected

@@ -116,6 +116,32 @@ class TestCommands:
         assert "--points: must be at least 1" in captured.err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ("det", "--n", "2", "--variant", "tilde"),
+        ("verify", "--conjecture", "C3_5", "--n", "2"),
+        ("suite", "--profile", "quick"),
+    ])
+    def test_jobs_below_one_are_rejected(self, capsys, tmp_path, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", jobs, "--cache-dir", str(tmp_path), "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = [line for line in captured.err.splitlines() if "error:" in line]
+        assert error == [f"mbgram {command[0]}: error: argument --jobs: "
+                         f"must be at least 1, got {jobs}"]
+        assert not any(tmp_path.iterdir())
+
+    def test_theorem_rejects_the_randomized_method(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",
+                                 "--method", "randomized", "--points", "3",
+                                 "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == "mbgram: error: verify: --method randomized applies to --conjecture only\n"
+        assert not any(tmp_path.iterdir())
+
     def test_randomized_verify_independent_of_jobs(self, capsys, tmp_path):
         # two points at --jobs 2 go through the process pool
         outputs = []

@@ -1,6 +1,7 @@
 """Gram assembly, determinant backends, closed forms, and verification drivers."""
 
 import itertools
+import json
 import random
 from math import lcm
 
@@ -57,11 +58,11 @@ class TestAssemble:
         gm = assemble_gram(1, GramVariant.MB1_FULL)
         assert [m.serialize() for m in gm.basis] == ["(1 2)", "(2 1)", "(1)(2)"]
         expected = [[D, Z, Y], [Z, D, Y], [X, X, W]]
-        assert gm.rows() == expected
+        assert [list(row) for row in gm.entries] == expected
 
     def test_n2_tilde_matches_class_matrix(self):
         gm = assemble_gram(2, GramVariant.MBN1_TILDE)
-        assert equal_up_to_simultaneous_permutation(gm.rows(), class_matrix_4x4(1))
+        assert equal_up_to_simultaneous_permutation(gm.entries, class_matrix_4x4(1))
 
     def test_sizes(self):
         assert assemble_gram(3, GramVariant.MBN1).size == 15
@@ -127,13 +128,13 @@ class TestDetExact:
     def test_n1_full_hand_value(self):
         gm = assemble_gram(1, GramVariant.MB1_FULL)
         assert det_exact(gm) == N1_FULL_DET
-        assert poly_cofactor_det(gm.rows()) == N1_FULL_DET
+        assert poly_cofactor_det(gm.entries) == N1_FULL_DET
 
     def test_against_cofactor_oracle(self):
         for n, variant in ((1, GramVariant.MB1_FULL), (2, GramVariant.MBN1),
                            (2, GramVariant.MBN1_TILDE)):
             gm = assemble_gram(n, variant)
-            assert det_exact(gm) == poly_cofactor_det(gm.rows())
+            assert det_exact(gm) == poly_cofactor_det(gm.entries)
 
     def test_zero_pivot_column_swap(self):
         m = [[Polynomial.zero(), D], [D, Polynomial.zero()]]
@@ -160,7 +161,7 @@ class TestDetExact:
                            (3, GramVariant.MBN1_TILDE)):
             gm = assemble_gram(n, variant)
             base = det_exact(gm)
-            rows = gm.rows()
+            rows = gm.entries
             for _ in range(3):
                 perm = list(range(gm.size))
                 rng.shuffle(perm)
@@ -189,11 +190,11 @@ class TestDetByEvaluation:
 
     def test_block_bounds_rule(self):
         # one block, G itself: four rows of largest degree 1
-        rows = class_matrix_4x4(1)
-        assert block_degree_bounds(rows, [(i,) for i in range(4)], ["d"]) == [(4,)]
+        codes, entries = gram._entry_codes(class_matrix_4x4(1))
+        assert block_degree_bounds(codes, entries, [(i,) for i in range(4)], ["d"]) == [(4,)]
         # one orbit of four: four 1x1 blocks, each a combination of row 0
         gm = assemble_gram(2, GramVariant.MBN1)
-        assert block_degree_bounds(gm.rows(), rotation_orbits(gm), ["d", "w"]) == [(1, 1)] * 4
+        assert block_degree_bounds(*gm.distinct, rotation_orbits(gm), ["d", "w"]) == [(1, 1)] * 4
 
     def test_empty_matrix(self):
         assert det_by_evaluation([]) == 1
@@ -238,6 +239,102 @@ class TestDetByEvaluation:
         assert counts == [5]
 
 
+class TestDistinctEntries:
+    def test_full_n4_has_44_distinct_entries(self):
+        codes, entries = assemble_gram(4, GramVariant.MB1_FULL).distinct
+        assert codes.shape == (126, 126) and len(entries) == 44
+        assert sorted(set(codes.ravel().tolist())) == list(range(44))
+
+    def test_one_code_matrix_per_determinant_miss(self, tmp_path, monkeypatch):
+        # choose_backend, det_by_evaluation and the Gram cache write all
+        # read the one code matrix of the assembled matrix
+        calls = []
+        original = gram._entry_codes
+
+        def spy(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(gram, "_entry_codes", spy)
+        det, provenance = get_det(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        assert (provenance["backend"], provenance["cache"]) == ("interp", "miss")
+        assert det == conjecture_formula(ConjectureId.C3_5, 4)
+        assert calls == [56]
+
+    @pytest.mark.parametrize("variant, n", [
+        (GramVariant.MB1_FULL, 3), (GramVariant.MBN1, 3), (GramVariant.MBN1_TILDE, 4),
+    ])
+    def test_cached_matrix_gets_the_same_codes(self, tmp_path, variant, n):
+        assembled = get_gram(n, variant, cache_dir=tmp_path)
+        cached = get_gram(n, variant, cache_dir=tmp_path)
+        # read back from the cache: new entry objects, equal only in value
+        assert cached.entries[0][0] is not assembled.entries[0][0]
+        assert np.array_equal(cached.distinct[0], assembled.distinct[0])
+        assert cached.distinct[1] == assembled.distinct[1]
+
+    @pytest.mark.parametrize("variant, n", [
+        *((variant, n) for variant in GramVariant for n in (1, 2, 3)),
+        (GramVariant.MBN1_TILDE, 4),
+    ])
+    def test_json_matches_the_cellwise_form(self, variant, n):
+        gm = assemble_gram(n, variant)
+        cells = gm.to_json_obj()["entries"]
+        assert cells == [[e.to_terms_obj() for e in row] for row in gm.entries]
+        assert len({json.dumps(cell) for row in cells for cell in row}) == len(gm.distinct[1])
+
+    @pytest.mark.parametrize("variant, n", [
+        (GramVariant.MB1_FULL, 2), (GramVariant.MBN1, 3), (GramVariant.MBN1_TILDE, 4),
+    ])
+    def test_bounds_match_the_cellwise_loops(self, variant, n):
+        # the per-cell loops that the code matrix replaced, as the reference
+        gm = assemble_gram(n, variant)
+        g, orbits = gm.entries, rotation_orbits(gm)
+        assert total_degree_bound(gm) == sum(
+            max((e.total_degree() for e in row if not e.is_zero()), default=0) for row in g)
+        for var in gram._active_variables(gm.distinct[1]):
+            degrees = [[max(max(g[orbit_a[0]][j].degree_in(var), 0) for j in orbit_b)
+                        for orbit_b in orbits] for orbit_a in orbits]
+            expected = []
+            for block in intdet.block_orbits(orbits):
+                sub = [[degrees[a][b] for b in block] for a in block]
+                expected.append((min(sum(map(max, sub)), sum(map(max, zip(*sub)))),))
+            assert block_degree_bounds(*gm.distinct, orbits, [var]) == expected
+
+    def test_non_square_matrix_raises(self):
+        for rows in ([[D, 1]], [[D, 1], [1]]):
+            with pytest.raises(ValueError, match="square"):
+                det_by_evaluation(rows)
+
+
+class TestPoolMap:
+    def test_workers_never_exceed_the_tasks(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(gram, "ProcessPoolExecutor", InProcessPool)
+        assert gram._pool_map(abs, [-1, -2, 3], 16) == [1, 2, 3]
+        assert gram._pool_map(abs, [-1, -2, 3, -4], 2) == [1, 2, 3, 4]
+        assert gram._pool_map(abs, [-5], 16) == [5]  # one task runs here, no pool
+        # tilde n=4 needs five primes, so sixteen jobs start five workers
+        gm = assemble_gram(4, GramVariant.MBN1_TILDE)
+        assert det_by_evaluation(gm, jobs=16) == conjecture_formula(ConjectureId.C3_5, 4)
+        assert started == [3, 2, 5]
+
+
 class TestRotationOrbits:
     @pytest.mark.parametrize("variant, n, sizes", [
         (GramVariant.MB1_FULL, 4, {8: 15, 4: 1, 2: 1}),
@@ -258,13 +355,13 @@ class TestRotationOrbits:
                 assert rotate(gm.basis[i]) == gm.basis[j]
 
     def test_raw_rows_get_singletons(self):
-        rows = assemble_gram(2, GramVariant.MBN1_TILDE).rows()
+        rows = assemble_gram(2, GramVariant.MBN1_TILDE).entries
         assert rotation_orbits(rows) == [(i,) for i in range(len(rows))]
 
     def test_changed_entry_gets_singletons(self):
         gm = assemble_gram(3, GramVariant.MBN1_TILDE)
         assert len(rotation_orbits(gm)) == 3
-        rows = gm.rows()
+        rows = [list(row) for row in gm.entries]
         rows[0][1] = rows[0][1] + D
         changed = GramMatrix(n=gm.n, variant=gm.variant, basis=gm.basis,
                              entries=tuple(map(tuple, rows)))
@@ -277,12 +374,11 @@ def block_det_polys_mod(gm, p):
     gm's rotation orbits), interpolated on the grid 0..size x max entry
     degree per variable, which bounds the degree of every block's
     determinant."""
-    rows = gm.rows()
-    variables = gram._active_variables(rows)
-    shape = tuple(gm.size * max(e.degree_in(v) for row in rows for e in row) + 1
-                  for v in variables)
+    codes, entries = gm.distinct
+    variables = gram._active_variables(entries)
+    shape = tuple(gm.size * max(e.degree_in(v) for e in entries) + 1 for v in variables)
     grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
-    codes, values = gram._evaluate_distinct(rows, grid)
+    values = [[e.evaluate(point) for e in entries] for point in grid]
     orbits = rotation_orbits(gm)
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
     dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(grid), p))
@@ -305,7 +401,7 @@ class TestBlocks:
         orbits = rotation_orbits(gm)
         for p in intdet.primes_for(2 ** 62, lcm(*map(len, orbits))):
             variables, polys = block_det_polys_mod(gm, p)
-            bounds = block_degree_bounds(gm.rows(), orbits, variables)
+            bounds = block_degree_bounds(*gm.distinct, orbits, variables)
             for coeffs, bound in zip(polys, bounds):
                 for axis, b in enumerate(bound):
                     nonzero = np.flatnonzero(np.moveaxis(coeffs, axis, 0).any(
@@ -314,7 +410,7 @@ class TestBlocks:
 
     def test_tilde_block_bounds_are_tight(self):
         gm = assemble_gram(4, GramVariant.MBN1_TILDE)
-        bounds = block_degree_bounds(gm.rows(), rotation_orbits(gm), ["d"])
+        bounds = block_degree_bounds(*gm.distinct, rotation_orbits(gm), ["d"])
         assert bounds == [(21,)] * 8
         assert sum(b for b, in bounds) == conjecture_formula(ConjectureId.C3_5, 4).degree_in("d")
 
@@ -336,7 +432,7 @@ class TestBlocks:
     def test_non_symmetric_matrix_gets_every_block(self, monkeypatch):
         calls = spy_on_blocks(monkeypatch)
         gm = assemble_gram(2, GramVariant.MB1_FULL)  # orbit sizes 2, 4, 4: L = 4
-        assert gm.rows() != [list(col) for col in zip(*gm.rows())]
+        assert gm.entries != tuple(zip(*gm.entries))
         assert det_by_evaluation(gm) == det_exact(gm) == conjecture_formula(ConjectureId.C3_4, 2)
         assert calls and all(ks == [0, 1, 2, 3] for ks in calls)
 
@@ -449,7 +545,7 @@ class TestCrossover:
         assert gm.size == 56
         assert choose_backend(gm) == "interp"
         # int entries count as constants, not as active variables
-        rows = gm.rows()
+        rows = [list(row) for row in gm.entries]
         rows[0][0] = 1
         assert choose_backend(rows) == "interp"
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mbgram import reporting
 from mbgram.reporting import Report, render_table
 from mbgram.storage import cache_read, cache_write, payload_digest, resolve_cache_dir
 
@@ -25,6 +26,14 @@ class TestReport:
         assert a.to_json_line() != b.to_json_line()
         assert "duration_s" in json.loads(a.to_json_line())
         assert "duration_s" not in json.loads(a.canonical_json())
+
+    def test_canonical_form_drops_every_volatile_field(self, monkeypatch):
+        r = Report(claim="c", tag="t", status="PASS", seed=5, duration_s=1.5)
+        assert set(json.loads(r.to_json_line())) - set(json.loads(r.canonical_json())) == {
+            "duration_s"}
+        monkeypatch.setattr(reporting, "VOLATILE_FIELDS", ("duration_s", "seed"))
+        assert set(json.loads(r.to_json_line())) - set(json.loads(r.canonical_json())) == {
+            "duration_s", "seed"}
 
     def test_json_line_is_sorted_and_compact(self):
         r = Report(claim="c", tag="t", status="PASS", seed=5)
