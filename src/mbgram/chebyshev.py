@@ -29,6 +29,7 @@ which give ProdToSumS each of its sums by one subtraction.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -211,23 +212,24 @@ def _build_t_sq_bridge(n: int):
     return lhs, cheb_S(n) * cheb_S(n - 2) * _d2m4(), (n <= 1)
 
 
-# identity registry rows: (arity, minimum parameters, default maximum, builder).
-# The default maxima keep every polynomial index within the generator bound:
-# Cor2_4a/b and Cor2_6 index T and S at 2^n, so their parameter tops out at
-# the exponent (2^10 resp. 2^12 - 1 = 4095), while the plain-index identities
-# run the full 0..64 square.
+# identity registry rows: (arity, minimum parameters, default maximum, reach,
+# builder).  The reach is the largest polynomial index the builder uses when
+# its largest parameter is m.  The default maxima keep every reach within the
+# generator bound: Cor2_4a/b and Cor2_6 index T and S at 2^n, so their
+# parameter tops out at the exponent (2^10 resp. 2^12 - 1 = 4095), while the
+# plain-index identities run the full 0..64 square.
 _IDENTITY_SPECS = {
-    IdentityId.PROD_TO_SUM_T: (2, (0, 0), 64, _build_prod_to_sum_t),
-    IdentityId.PROD_TO_SUM_S: (2, (0, 0), 64, _build_prod_to_sum_s),
-    IdentityId.S_PROD_RECUR: (2, (0, 0), 64, _build_s_prod_recur),
-    IdentityId.LEMMA_2_3A: (1, (0,), 64, _build_lemma_2_3a),
-    IdentityId.LEMMA_2_3B: (1, (0,), 64, _build_lemma_2_3b),
+    IdentityId.PROD_TO_SUM_T: (2, (0, 0), 64, lambda m: 2 * m, _build_prod_to_sum_t),
+    IdentityId.PROD_TO_SUM_S: (2, (0, 0), 64, lambda m: 2 * m, _build_prod_to_sum_s),
+    IdentityId.S_PROD_RECUR: (2, (0, 0), 64, lambda m: 2 * m, _build_s_prod_recur),
+    IdentityId.LEMMA_2_3A: (1, (0,), 64, lambda m: 4 * m, _build_lemma_2_3a),
+    IdentityId.LEMMA_2_3B: (1, (0,), 64, lambda m: 2 * m, _build_lemma_2_3b),
     # the power-of-two factorizations need a non-empty product side
-    IdentityId.COR_2_4A: (1, (1,), 10, _build_cor_2_4a),
-    IdentityId.COR_2_4B: (1, (1,), 10, _build_cor_2_4b),
-    IdentityId.LEMMA_2_5: (1, (0,), 64, _build_lemma_2_5),
-    IdentityId.COR_2_6: (1, (2,), 12, _build_cor_2_6),
-    IdentityId.T_SQ_BRIDGE: (1, (0,), 64, _build_t_sq_bridge),
+    IdentityId.COR_2_4A: (1, (1,), 10, lambda m: 2 ** m, _build_cor_2_4a),
+    IdentityId.COR_2_4B: (1, (1,), 10, lambda m: 2 ** m, _build_cor_2_4b),
+    IdentityId.LEMMA_2_5: (1, (0,), 64, lambda m: m, _build_lemma_2_5),
+    IdentityId.COR_2_6: (1, (2,), 12, lambda m: 2 ** m - 1, _build_cor_2_6),
+    IdentityId.T_SQ_BRIDGE: (1, (0,), 64, lambda m: m, _build_t_sq_bridge),
 }
 
 
@@ -244,16 +246,18 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     registry maximum) is checked.  Out-of-domain tuples (below the
     identity's minimum indices) are skipped and counted.  Mismatches
     become FAIL entries carrying both differing polynomials; nothing is
-    raised.
+    raised, but a range whose reach at `max_index` passes the generator
+    bound raises BoundExceededError before any polynomial is built.
     """
-    arity, minima, default_max, builder = _IDENTITY_SPECS[identity]
+    arity, minima, default_max, reach, builder = _IDENTITY_SPECS[identity]
     if max_index is None:
         max_index = default_max
     if params is None:
-        if arity == 1:
-            params = [(i,) for i in range(minima[0], max_index + 1)]
-        else:
-            params = [(m, n) for m in range(max_index + 1) for n in range(max_index + 1)]
+        if reach(max_index) > DEFAULT_BOUND:
+            raise BoundExceededError(
+                f"{identity.value} at {max_index} reaches index {reach(max_index)}, "
+                f"beyond Chebyshev index bound {DEFAULT_BOUND}")
+        params = itertools.product(*(range(lo, max_index + 1) for lo in minima))
     checked = 0
     skipped = 0
     used_negative = False

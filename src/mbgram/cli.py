@@ -99,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--conjecture", choices=[c.value for c in ConjectureId])
     group.add_argument("--theorem", choices=("3.6",))
     p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--method", choices=("exact", "randomized"), default="exact")
-    p_verify.add_argument("--points", type=_positive_int, default=20)
+    p_verify.add_argument("--points", type=_positive_int, help="randomized check at N points")
     _add_common(p_verify, "cache-dir", "jobs", "seed")
 
     p_suite = sub.add_parser("suite", help="run a verification profile end to end")
@@ -193,16 +192,16 @@ def _cmd_det(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n is None:
         raise ValueError("verify: need --n")
-    if args.theorem is not None and args.method == "randomized":
-        raise ValueError("verify: --method randomized applies to --conjecture only")
+    if (args.seed is not None and args.points is None) or (args.points and args.theorem):
+        raise ValueError("verify: --seed needs --points, which applies to --conjecture only")
     if args.theorem is not None:
         report = timed(lambda: gram.verify_theorem_3_6(args.n, jobs=args.jobs,
                                                        cache_dir=args.cache_dir))
     else:
         report = timed(lambda: gram.verify_conjecture(
-            ConjectureId(args.conjecture), args.n, method=args.method,
-            seed=args.seed, points=args.points, jobs=args.jobs,
-            cache_dir=args.cache_dir))
+            ConjectureId(args.conjecture), args.n,
+            method="exact" if args.points is None else "randomized",
+            seed=args.seed, points=args.points, jobs=args.jobs, cache_dir=args.cache_dir))
     _emit(args, [report])
     return 0 if report.status != "FAIL" else 1
 
@@ -227,7 +226,7 @@ def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
     add(gram.verify_conjecture, ConjectureId.C3_5, 2, cache_dir=cache_dir)
     add(gram.verify_conjecture, ConjectureId.C3_3, 2, cache_dir=cache_dir)
     add(gram.verify_theorem_3_6, 2, cache_dir=cache_dir)
-    add(gram.verify_formula_identity, 8)
+    add(gram.verify_formula_identity)
 
     if profile in ("full", "stretch"):
         for n in (3, 4):

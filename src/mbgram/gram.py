@@ -84,7 +84,7 @@ import numpy as np
 
 from mbgram import intdet
 from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
-from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, parse_diagram, rotate
+from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import VARIABLES, Polynomial
@@ -98,7 +98,6 @@ TILDE_SUBSTITUTION = {"y": 0, "w": 1}
 
 BAREISS_MAX_SIZE = 40       # crossover: elimination up to here ...
 BAREISS_MIN_VARS = 3        # ... or whenever this many variables are active
-EXPAND_DEGREE_LIMIT = 1200  # refuse runaway closed-form expansions
 
 WITNESS_TERM_LIMIT = 120    # serialize full polynomials only up to this size
 
@@ -110,10 +109,15 @@ class GramVariant(Enum):
     MBN1 = "mbn1"
     MBN1_TILDE = "tilde"
 
-    def size(self, n: int) -> int:
+    @property
+    def strata(self) -> tuple:
+        """The strata its basis spans, in basis order."""
         if self is GramVariant.MB1_FULL:
-            return comb(2 * n, n) + comb(2 * n, n - 1)
-        return comb(2 * n, n - 1)
+            return (Stratum.ZERO_CROSSCAP, Stratum.ONE_CROSSCAP)
+        return (Stratum.ONE_CROSSCAP,)
+
+    def size(self, n: int) -> int:
+        return sum(stratum.expected_count(n) for stratum in self.strata)
 
     def default_bound(self) -> int:
         return 4 if self is GramVariant.MB1_FULL else 5
@@ -164,9 +168,7 @@ class GramMatrix:
 
 
 def gram_basis(n: int, variant: GramVariant) -> list:
-    if variant is GramVariant.MB1_FULL:
-        return basis_mb1(n)
-    return enumerate_stratum(n, Stratum.ONE_CROSSCAP)
+    return [m for stratum in variant.strata for m in enumerate_stratum(n, stratum)]
 
 
 def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
@@ -498,17 +500,18 @@ def _whole_band_factors(n: int) -> list:
     return out
 
 
+# rows: (builder, smallest n, the Gram variant whose determinant it gives)
 _FACTOR_BUILDERS: dict = {
-    ConjectureId.C3_3: (_tilde_factors_via_t, 2),
-    ConjectureId.C3_4: (_full_basis_factors, 1),
-    ConjectureId.C3_5: (_tilde_factors_via_s, 2),
-    ConjectureId.C5_1: (_whole_band_factors, 1),
+    ConjectureId.C3_3: (_tilde_factors_via_t, 2, GramVariant.MBN1_TILDE),
+    ConjectureId.C3_4: (_full_basis_factors, 1, GramVariant.MB1_FULL),
+    ConjectureId.C3_5: (_tilde_factors_via_s, 2, GramVariant.MBN1_TILDE),
+    ConjectureId.C5_1: (_whole_band_factors, 1, None),
 }
 
 
 def conjecture_factors(conjecture: ConjectureId, n: int) -> list:
     """Closed form as a list of (polynomial factor, exponent) pairs."""
-    builder, n_min = _FACTOR_BUILDERS[conjecture]
+    builder, n_min, _ = _FACTOR_BUILDERS[conjecture]
     if n < n_min:
         raise ValueError(f"{conjecture.value} needs n >= {n_min}, got {n}")
     return builder(n)
@@ -517,18 +520,19 @@ def conjecture_factors(conjecture: ConjectureId, n: int) -> list:
 def conjecture_formula(conjecture: ConjectureId, n: int) -> Polynomial:
     """Closed form expanded to a canonical polynomial.
 
-    Guarded by a degree limit: the exponents grow binomially with n and a
-    fully expanded product quickly stops being representable; factorwise
-    comparison (conjecture_factors) covers those ranges.
+    Expanded only up to the bound of its Gram variant, the largest n whose
+    matrix can be assembled to compare against; a conjecture without one
+    (C5_1) is never expanded.  The exponents grow binomially with n, and
+    factorwise comparison (conjecture_factors) covers the larger ranges.
     """
-    factors = conjecture_factors(conjecture, n)
-    degree = sum(f.total_degree() * e for f, e in factors)
-    if degree > EXPAND_DEGREE_LIMIT:
+    variant = _FACTOR_BUILDERS[conjecture][2]
+    limit = 0 if variant is None else variant.default_bound()
+    if n > limit:
         raise BoundExceededError(
-            f"expanded {conjecture.value} at n={n} has degree {degree}; "
-            f"limit {EXPAND_DEGREE_LIMIT} (compare factors instead)")
+            f"expanded {conjecture.value} at n={n} exceeds bound {limit} "
+            "(compare factors instead)")
     result = Polynomial.one()
-    for factor, exponent in factors:
+    for factor, exponent in conjecture_factors(conjecture, n):
         result = result * factor ** exponent
     return result
 
@@ -556,12 +560,6 @@ def _witness_poly(p: Polynomial) -> dict:
     }
 
 
-def _conjecture_variant(conjecture: ConjectureId) -> GramVariant:
-    if conjecture is ConjectureId.C3_4:
-        return GramVariant.MB1_FULL
-    return GramVariant.MBN1_TILDE
-
-
 def total_degree_bound(gm: GramMatrix) -> int:
     """Upper bound on the total degree of det(G): rowwise max entry degrees."""
     degrees = np.array([max(e.total_degree(), 0) for e in gm.distinct[1]])
@@ -584,13 +582,13 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     """
     if method == "randomized" and points < 1:
         raise ValueError(f"randomized check needs points >= 1, got {points}")
-    if conjecture is ConjectureId.C5_1:
+    variant = _FACTOR_BUILDERS[conjecture][2]
+    if variant is None:
         return Report(
             claim=conjecture.value, tag="conjecture", status="SKIPPED",
             params={"n": n},
             notes=["builder only: verifying the whole-band determinant needs "
                    "pairings of diagrams with several crosscap curves"])
-    variant = _conjecture_variant(conjecture)
     if method == "exact":
         det, provenance = get_det(n, variant, cache_dir=cache_dir, jobs=jobs)
         formula = conjecture_formula(conjecture, n)
@@ -672,15 +670,16 @@ def verify_theorem_3_6(n: int, jobs: int = 1, cache_dir=None) -> Report:
         witness=witness, backend=provenance["backend"])
 
 
-def verify_formula_identity(n_max: int = 8) -> Report:
-    """Structural equality of the two tilde closed forms, factor by factor.
+def verify_formula_identity() -> Report:
+    """Structural equality of the two tilde closed forms, factor by factor,
+    for n = 2..8.
 
     For each n the two factor lists pair up per index k; equality of the
     paired factors (as expanded small polynomials) with equal exponents
     implies equality of the full products, which themselves would have
     degree tens of thousands at n = 8.
     """
-    for n in range(2, n_max + 1):
+    for n in range(2, 9):
         via_t = conjecture_factors(ConjectureId.C3_3, n)
         via_s = conjecture_factors(ConjectureId.C3_5, n)
         for idx, (t_factor, t_exp) in enumerate(via_t):
@@ -696,7 +695,7 @@ def verify_formula_identity(n_max: int = 8) -> Report:
                              "exponents": [t_exp, e1, e2]})
     return Report(
         claim="C3_3==C3_5", tag="formula-identity", status="PASS",
-        params={"n_range": [2, n_max], "comparison": "factorwise"})
+        params={"n_range": [2, 8], "comparison": "factorwise"})
 
 
 # -- small fixtures ---------------------------------------------------------------

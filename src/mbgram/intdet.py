@@ -171,8 +171,6 @@ def bareiss_int(rows: list):
         return 1
     if any(len(r) != n for r in m):
         raise ValueError("matrix must be square")
-    if n == 1:
-        return m[0][0]
     symmetric = is_symmetric(m)
     sign = 1
     prev = 1
@@ -268,7 +266,7 @@ def block_factors(symmetric: bool, order: int) -> list:
 
 
 def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: np.ndarray,
-                   ks=None) -> np.ndarray:
+                   ks: list) -> np.ndarray:
     """Determinant residues of the blocks of matrices invariant under the
     permutation whose orbits are given (module docstring), matrix b modulo
     moduli[b], each moduli[b] a prime = 1 (mod the lcm L of the orbit
@@ -276,17 +274,17 @@ def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: 
 
     Matrix b has entry values[b, codes[i, j]] at (i, j): values[b] holds
     its distinct values reduced mod moduli[b].  Returns dets[t, b], the
-    determinant of block ks[t] of matrix b; ks defaults to every block
-    0..L-1, and only the blocks in ks are formed.  The representative rows
-    are gathered and eliminated in batches of matrices whose rows hold at
-    most _ELIMINATION_CELLS cells.  No elimination stack is larger: only
-    blocks over the same orbits are stacked together, and they hold at
-    most (orbits) x N cells per matrix.
+    determinant of block ks[t] of matrix b, each k in 0..L-1; only the
+    blocks in ks are formed.  The representative rows are gathered and
+    eliminated in batches of matrices whose rows hold at most
+    _ELIMINATION_CELLS cells.  No elimination stack is larger: only blocks
+    over the same orbits are stacked together, and they hold at most
+    (orbits) x N cells per matrix.
     """
     assert (moduli < 2 ** 31).all(), "residue products must stay within int64"
     sizes = np.array([len(orbit) for orbit in orbits])
     order = lcm(*sizes.tolist())
-    ks = np.arange(order) if ks is None else np.asarray(ks)
+    ks = np.asarray(ks)
     width = int(sizes.max())
     # orbit c's members along the last axis, padded with its first member
     members = np.array([orbit + orbit[:1] * (width - len(orbit)) for orbit in orbits])
@@ -405,7 +403,7 @@ def crt_det(rows: list, orbits: list | None = None) -> int:
     codes = np.array([[index.setdefault(v, len(index)) for v in row] for row in rows])
     values = np.array([[v % p for v in index] for p in primes], dtype=np.int64)
     moduli = np.array(primes, dtype=np.int64)
-    factors = block_factors(is_symmetric(rows), order)
+    factors = block_factors(bool((codes == codes.T).all()), order)
     ks = sorted(set(factors))
     block_dets = dict(zip(ks, block_dets_mod(values, codes, orbits, moduli, ks)))
     det = np.ones(len(primes), dtype=np.int64)

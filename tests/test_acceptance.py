@@ -106,7 +106,7 @@ def test_criterion_05_tilde_formula_n2_to_n4(cache_dir):
 
 def test_criterion_06_formula_identity():
     with criterion(6, "the two closed forms agree structurally for n <= 8", 5):
-        report = verify_formula_identity(8)
+        report = verify_formula_identity()
         assert report.status == "PASS", report.to_json_line()
         # spot expansion at the smallest size as well
         assert conjecture_formula(ConjectureId.C3_3, 2) == \

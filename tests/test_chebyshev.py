@@ -199,6 +199,23 @@ class TestIdentities:
         assert Polynomial.from_json_obj(report.witness["lhs"]) == cheb_S(15)
         assert Polynomial.from_json_obj(report.witness["rhs"]) == cheb_S(15) + 1
 
+    @pytest.mark.parametrize("identity, max_index, top", [
+        (IdentityId.LEMMA_2_3A, 1025, 4100), (IdentityId.COR_2_4A, 13, 8192),
+        (IdentityId.COR_2_6, 13, 8191), (IdentityId.PROD_TO_SUM_T, 2049, 4098),
+    ])
+    def test_range_past_the_bound_fails_before_any_builder(self, monkeypatch, identity,
+                                                            max_index, top):
+        arity, minima, default_max, reach, builder = chebyshev._IDENTITY_SPECS[identity]
+        built = []
+        monkeypatch.setitem(chebyshev._IDENTITY_SPECS, identity,
+                            (arity, minima, default_max, reach,
+                             lambda *tup: built.append(tup) or builder(*tup)))
+        with pytest.raises(BoundExceededError, match=f"reaches index {top},"):
+            verify_identity(identity, max_index=max_index)
+        assert built == []
+        # one below, the range stays within the bound
+        assert reach(max_index - 1) <= chebyshev.DEFAULT_BOUND
+
     def test_empty_range_passes_vacuously(self):
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[])
         assert report.status == "PASS"

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from mbgram import cli
+from mbgram import cli, gram
 from mbgram.cli import main, run_suite
+from mbgram.gram import ConjectureId
 from mbgram.reporting import Report
 
 
@@ -108,8 +109,8 @@ class TestCommands:
 
     def test_verify_rejects_zero_points(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--conjecture", "C3_4", "--n", "2", "--method", "randomized",
-                  "--points", "0", "--cache-dir", str(tmp_path), "--format", "json"])
+            main(["verify", "--conjecture", "C3_4", "--n", "2", "--points", "0",
+                  "--cache-dir", str(tmp_path), "--format", "json"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -134,20 +135,42 @@ class TestCommands:
         assert not any(tmp_path.iterdir())
 
     def test_theorem_rejects_the_randomized_method(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",
-                                 "--method", "randomized", "--points", "3",
-                                 "--cache-dir", str(tmp_path), "--format", "json")
+        for flags in (("--points", "3"), ("--seed", "5"), ("--points", "3", "--seed", "5")):
+            code, out, err = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2", *flags,
+                                     "--cache-dir", str(tmp_path), "--format", "json")
+            assert code == 2
+            assert out == ""
+            assert err == ("mbgram: error: verify: --seed needs --points, "
+                           "which applies to --conjecture only\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_seed_needs_points(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "C3_5", "--n", "2",
+                                 "--seed", "5", "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 2
         assert out == ""
-        assert err == "mbgram: error: verify: --method randomized applies to --conjecture only\n"
+        assert err == ("mbgram: error: verify: --seed needs --points, "
+                       "which applies to --conjecture only\n")
         assert not any(tmp_path.iterdir())
+
+    def test_points_select_the_randomized_check(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_4", "--n", "2",
+                               "--points", "4", "--seed", "7",
+                               "--cache-dir", str(tmp_path / "cli"), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("duration_s") >= 0
+        library = gram.verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=4,
+                                         seed=7, cache_dir=tmp_path / "library")
+        assert report == json.loads(library.canonical_json())
+        assert report["params"]["method"] == "randomized"
 
     def test_randomized_verify_independent_of_jobs(self, capsys, tmp_path):
         # two points at --jobs 2 go through the process pool
         outputs = []
         for jobs in ("1", "2"):
             code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_4", "--n", "3",
-                                   "--method", "randomized", "--points", "2",
+                                   "--points", "2",
                                    "--jobs", jobs, "--cache-dir", str(tmp_path / jobs),
                                    "--format", "json")
             assert code == 0

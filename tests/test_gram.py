@@ -68,6 +68,9 @@ class TestAssemble:
         assert assemble_gram(3, GramVariant.MBN1).size == 15
         assert assemble_gram(2, GramVariant.MB1_FULL).size == 10
         assert GramVariant.MBN1_TILDE.size(4) == 56
+        for variant in GramVariant:
+            for n in range(1, 5):
+                assert variant.size(n) == len(gram.gram_basis(n, variant)), (variant, n)
 
     def test_tilde_entries_carry_only_d(self):
         for n in (1, 2, 3):
@@ -381,7 +384,9 @@ def block_det_polys_mod(gm, p):
     values = [[e.evaluate(point) for e in entries] for point in grid]
     orbits = rotation_orbits(gm)
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(grid), p))
+    order = lcm(*map(len, orbits))
+    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(grid), p),
+                                 list(range(order)))
     polys = []
     for det in dets:
         coeffs = det.reshape(shape)
@@ -458,7 +463,7 @@ def spy_on_blocks(monkeypatch) -> list:
     calls = []
     original = intdet.block_dets_mod
 
-    def spy(values, codes, orbits, moduli, ks=None):
+    def spy(values, codes, orbits, moduli, ks):
         calls.append([int(k) for k in ks])
         return original(values, codes, orbits, moduli, ks)
 
@@ -568,11 +573,14 @@ class TestFormulas:
             conjecture_factors(ConjectureId.C3_3, 0)
 
     def test_expansion_guard(self):
-        with pytest.raises(BoundExceededError):
-            conjecture_formula(ConjectureId.C3_3, 8)
+        # expanded only up to the bound of the Gram variant it is compared with
+        for conjecture, n in ((ConjectureId.C3_3, 8), (ConjectureId.C3_5, 6),
+                              (ConjectureId.C3_4, 5), (ConjectureId.C5_1, 2)):
+            with pytest.raises(BoundExceededError):
+                conjecture_formula(conjecture, n)
 
     def test_formula_identity_factorwise(self):
-        report = verify_formula_identity(8)
+        report = verify_formula_identity()
         assert report.status == "PASS"
         assert report.params["comparison"] == "factorwise"
 
@@ -635,9 +643,9 @@ class TestVerification:
     def test_randomized_degree_bound_covers_the_formula(self, tmp_path, monkeypatch):
         # a wrong closed form of higher degree than det(G): the stated degree
         # bound and the sample coordinates must cover det - formula
-        builder, n_min = gram._FACTOR_BUILDERS[ConjectureId.C3_4]
+        builder, n_min, variant = gram._FACTOR_BUILDERS[ConjectureId.C3_4]
         monkeypatch.setitem(gram._FACTOR_BUILDERS, ConjectureId.C3_4,
-                            (lambda n: builder(n) + [(D, 50)], n_min))
+                            (lambda n: builder(n) + [(D, 50)], n_min, variant))
         degree = total_degree_bound(get_gram(2, GramVariant.MB1_FULL, cache_dir=tmp_path)) + 50
         found = verify_conjecture(ConjectureId.C3_4, 2, method="randomized", points=4,
                                   cache_dir=tmp_path)

@@ -487,7 +487,7 @@ def test_block_dets_multiply_to_the_determinant(case):
     # every entry its own code
     values = np.array([sum(rows, [])], dtype=np.int64) % p
     codes = np.arange(len(rows) ** 2).reshape(len(rows), -1)
-    dets = block_dets_mod(values, codes, orbits, np.array([p]))
+    dets = block_dets_mod(values, codes, orbits, np.array([p]), list(range(order)))
     assert dets.shape == (order, 1)
     assert prod(dets[:, 0].tolist()) % p == bareiss_int(rows) % p
     # a subset of the blocks, in any order, gives the same block determinants
