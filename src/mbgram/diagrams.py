@@ -350,8 +350,3 @@ def enumerate_stratum(n: int, stratum: Stratum) -> list:
     out.sort(key=lambda m: m.serialize())
     return out
 
-
-def basis_mb1(n: int) -> list:
-    """Canonical joint basis: zero-crosscap diagrams first, then one-crosscap."""
-    return (enumerate_stratum(n, Stratum.ZERO_CROSSCAP)
-            + enumerate_stratum(n, Stratum.ONE_CROSSCAP))

@@ -21,12 +21,15 @@ randomized check's points, over `jobs` as integer codes and values.
 
 Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
-15 876 of full n=4.  _entry_codes finds them once per matrix
-(GramMatrix.distinct caches them) and numbers every cell by its
-distinct entry.  Every matrix-wide fact is read from that code matrix
-and the few distinct entries: the rotation invariance, the symmetry,
-the active variables, the degree and norm bounds, the values at grid
-and sample points, and the cached JSON.
+15 876 of full n=4.  A GramMatrix is stored as those distinct entries,
+`values`, and its code matrix, `codes`, the index of every cell's entry
+among them; `entries` builds the rows from the two on demand.  Assembly
+numbers the entries while it pairs and a cached read while it parses,
+each building every distinct entry once (_code_rows).  Every
+matrix-wide fact is read from the code matrix and the few distinct
+entries: the rotation invariance, the symmetry, the active variables,
+the degree and norm bounds, the values at grid and sample points, and
+the cached JSON.
 
 Both modular routes (the engine and the randomized check's integer
 determinants) split G into blocks under the boundary rotation
@@ -76,7 +79,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from math import comb, lcm
 from typing import Mapping, Sequence
 
@@ -130,41 +133,67 @@ class ConjectureId(Enum):
     C5_1 = "C5_1"   # whole-band determinant (builder only, not verified)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Square array of pairing monomials over an ordered diagram basis."""
+    """Square array of pairing monomials over an ordered diagram basis,
+    stored as its code matrix and distinct entries (_code_rows)."""
 
     n: int
     variant: GramVariant
     basis: tuple
-    entries: tuple  # tuple of row tuples of Polynomial
+    codes: np.ndarray  # N x N int64, each cell's index into values (read-only from _code_rows)
+    values: tuple      # distinct entries, in row-major order of first occurrence
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def distinct(self) -> tuple:
-        """(codes, entries), built by _entry_codes on first use."""
-        return _entry_codes(self.entries)
+    @property
+    def entries(self) -> tuple:
+        """The rows of entries, built from codes and values on every call."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.codes.tolist())
 
     def to_json_obj(self) -> dict:
-        cells = [e.to_terms_obj() for e in self.distinct[1]]
+        cells = [e.to_terms_obj() for e in self.values]
         return {
             "n": self.n,
             "variant": self.variant.value,
             "basis": [m.serialize() for m in self.basis],
-            "entries": [[cells[c] for c in row] for row in self.distinct[0].tolist()],
+            "entries": [[cells[c] for c in row] for row in self.codes.tolist()],
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "GramMatrix":
+        """Inverse of to_json_obj; each distinct cell is parsed once.  A
+        payload that does not rebuild into a square matrix over its basis
+        raises ValueError (a malformed basis raises its ParseError)."""
         basis = tuple(parse_diagram(text) for text in obj["basis"])
-        entries = tuple(
-            tuple(Polynomial.from_terms_obj(cell) for cell in row)
-            for row in obj["entries"])
+        cells = [[tuple([tuple(term) for term in cell]) for cell in row] for row in obj["entries"]]
+        codes, values = _code_rows(cells, Polynomial.from_terms_obj, len(basis))
         return cls(n=int(obj["n"]), variant=GramVariant(obj["variant"]),
-                   basis=basis, entries=entries)
+                   basis=basis, codes=codes, values=values)
+
+
+def _code_rows(rows: list, build, size: int) -> tuple:
+    """(codes, values) of a size x size matrix given as one hashable key
+    per cell; rows of any other length raise ValueError.
+
+    build(key) makes a key's entry, once per distinct key.  Keys whose
+    entries are equal share one code (two exponent vectors under the
+    tilde substitution), so values holds the distinct entries, numbered
+    in row-major order of first occurrence.  The codes come read-only.
+    """
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise ValueError(f"matrix must be square, {size}x{size}")
+    index: dict = {}  # entry value -> (its code, the entry)
+    code_of = {}      # key -> its code
+    for key in dict.fromkeys(itertools.chain.from_iterable(rows)):
+        entry = build(key)
+        code_of[key] = index.setdefault(frozenset(entry.terms.items()), (len(index), entry))[0]
+    codes = np.fromiter(map(code_of.__getitem__, itertools.chain.from_iterable(rows)),
+                        dtype=np.int64, count=size * size).reshape(size, size)
+    codes.setflags(write=False)
+    return codes, tuple(e for _, e in index.values())
 
 
 def gram_basis(n: int, variant: GramVariant) -> list:
@@ -181,23 +210,16 @@ def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
         raise BoundExceededError(f"n={n} exceeds bound {limit} for {variant.value}")
     basis = gram_basis(n, variant)
     size = len(basis)
-    substitute = variant is GramVariant.MBN1_TILDE
-    shared: dict = {}  # exponent vector -> its entry, one object per distinct value
-
-    def entry(exps: tuple) -> Polynomial:
-        if exps not in shared:
-            value = Polynomial({exps: 1})
-            shared[exps] = value.substitute(TILDE_SUBSTITUTION) if substitute else value
-        return shared[exps]
-
-    rows = [[None] * size for _ in range(size)]
+    numbers: dict = {}  # exponent vector -> its number, in pairing order
+    rows = [[0] * size for _ in range(size)]
     for i, m_i in enumerate(basis):
         for j in range(i, size):
             (d, w, x, y, z), _ = bilinear_form(m_i, basis[j]).leading_term()
-            rows[j][i] = entry((d, w, y, x, z))
-            rows[i][j] = entry((d, w, x, y, z))
-    return GramMatrix(n=n, variant=variant, basis=tuple(basis),
-                      entries=tuple(tuple(row) for row in rows))
+            rows[j][i] = numbers.setdefault((d, w, y, x, z), len(numbers))
+            rows[i][j] = numbers.setdefault((d, w, x, y, z), len(numbers))
+    substitution = TILDE_SUBSTITUTION if variant is GramVariant.MBN1_TILDE else {}
+    entries = [Polynomial({exps: 1}).substitute(substitution) for exps in numbers]
+    return GramMatrix(n, variant, tuple(basis), *_code_rows(rows, entries.__getitem__, size))
 
 
 # -- determinant backends -----------------------------------------------------
@@ -212,20 +234,15 @@ def _matrix_rows(matrix) -> list:
 
 
 def _entry_codes(rows) -> tuple:
-    """(codes, entries) of a square matrix: its distinct entries, keyed by
-    value (a matrix read from the cache shares no entry objects), in order
-    of first occurrence, and the array of each cell's index among them."""
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix must be square")
-    index: dict = {}  # entry value -> (its code, the entry)
-    codes = np.array([[index.setdefault(frozenset(e.terms.items()), (len(index), e))[0]
-                       for e in row] for row in rows], dtype=np.int64)
-    return codes.reshape(len(rows), len(rows)), [e for _, e in index.values()]
+    """(codes, entries) of a square list of rows of entries, by _code_rows
+    with each cell keyed by its value."""
+    keys = [[frozenset(e.terms.items()) for e in row] for row in rows]
+    return _code_rows(keys, lambda terms: Polynomial(dict(terms)), len(rows))
 
 
 def _distinct(matrix) -> tuple:
-    """(codes, entries) of a GramMatrix (cached) or of a nested sequence."""
-    return (matrix.distinct if isinstance(matrix, GramMatrix)
+    """(codes, entries) of a GramMatrix (stored) or of a nested sequence."""
+    return ((matrix.codes, matrix.values) if isinstance(matrix, GramMatrix)
             else _entry_codes(_matrix_rows(matrix)))
 
 
@@ -247,8 +264,7 @@ def rotation_orbits(matrix) -> list:
         return [(i,) for i in range(len(matrix))]
     index = {m: i for i, m in enumerate(matrix.basis)}
     perm = [index.get(rotate(m)) for m in matrix.basis]
-    codes = matrix.distinct[0]
-    if None in perm or not (codes[np.ix_(perm, perm)] == codes).all():
+    if None in perm or not (matrix.codes[np.ix_(perm, perm)] == matrix.codes).all():
         perm = list(range(matrix.size))
     orbits, seen = [], set()
     for i in range(matrix.size):
@@ -279,7 +295,7 @@ def block_degree_bounds(codes: np.ndarray, entries: list, orbits: list,
                         variables: Sequence[str]) -> list:
     """Per block k of the orbits (intdet.block_orbits), a bound on the
     degree of det B_k in each variable, in the order given; codes and
-    entries as from _entry_codes.
+    entries as from _distinct.
 
     Entry B_k[a][b] is a combination of G[rep_a][j] over the members j of
     orbit b, so its degree is at most their largest, D[a][b].  A
@@ -335,7 +351,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     G splits into the blocks B_k of its rotation_orbits, k = 0..L-1, with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
     docstring).  The matrix is read through its code matrix and distinct
-    entries (_entry_codes): the variables, the norms, the degree bounds
+    entries (_distinct): the variables, the norms, the degree bounds
     and the symmetry come from them, and each distinct entry is
     evaluated once per point of one grid, 0..max_k bound_k per active
     variable, the bounds from block_degree_bounds.  Each prime is one
@@ -390,9 +406,8 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
 
 def choose_backend(matrix) -> str:
     """Crossover rule between the two determinant backends."""
-    size = len(matrix.entries if isinstance(matrix, GramMatrix) else matrix)
-    if (size <= BAREISS_MAX_SIZE
-            or len(_active_variables(_distinct(matrix)[1])) >= BAREISS_MIN_VARS):
+    codes, entries = _distinct(matrix)
+    if len(codes) <= BAREISS_MAX_SIZE or len(_active_variables(entries)) >= BAREISS_MIN_VARS:
         return "bareiss"
     return "interp"
 
@@ -405,9 +420,12 @@ def get_gram(n: int, variant: GramVariant, cache_dir=None) -> GramMatrix:
     key = f"gram_{variant.value}_{n}"
     payload = cache_read(cache_dir, key, GRAM_FORMAT)
     if payload is not None:
-        gm = GramMatrix.from_json_obj(payload)
-        if gm.n == n and gm.variant is variant and gm.size == variant.size(n):
-            return gm
+        try:
+            gm = GramMatrix.from_json_obj(payload)
+            if gm.n == n and gm.variant is variant and gm.size == variant.size(n):
+                return gm
+        except (KeyError, TypeError, ValueError):
+            pass  # a malformed payload is a miss, like any mismatch
     gm = assemble_gram(n, variant)
     cache_write(cache_dir, key, GRAM_FORMAT, gm.to_json_obj())
     return gm
@@ -562,8 +580,8 @@ def _witness_poly(p: Polynomial) -> dict:
 
 def total_degree_bound(gm: GramMatrix) -> int:
     """Upper bound on the total degree of det(G): rowwise max entry degrees."""
-    degrees = np.array([max(e.total_degree(), 0) for e in gm.distinct[1]])
-    return int(degrees[gm.distinct[0]].max(axis=1, initial=0).sum())
+    degrees = np.array([max(e.total_degree(), 0) for e in gm.values])
+    return int(degrees[gm.codes].max(axis=1, initial=0).sum())
 
 
 def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
@@ -580,9 +598,11 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     with witness), not an error.  A randomized check needs `points` >= 1;
     fewer raise ValueError before any work is done.
     """
+    variant = _FACTOR_BUILDERS[conjecture][2]
+    if method not in ("exact", "randomized") or (method == "randomized" and variant is None):
+        raise ValueError(f"{conjecture.value} has no {method!r} check")
     if method == "randomized" and points < 1:
         raise ValueError(f"randomized check needs points >= 1, got {points}")
-    variant = _FACTOR_BUILDERS[conjecture][2]
     if variant is None:
         return Report(
             claim=conjecture.value, tag="conjecture", status="SKIPPED",
@@ -603,11 +623,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             params={"n": n, "variant": variant.value, "size": variant.size(n),
                     "method": "exact"},
             witness=witness, backend=provenance["backend"])
-    if method != "randomized":
-        raise ValueError(f"unknown method {method!r}")
 
     gm = get_gram(n, variant, cache_dir=cache_dir)
-    codes, entries = gm.distinct
     formula_degree = sum(f.total_degree() * e for f, e in conjecture_factors(conjecture, n))
     degree_bound = max(total_degree_bound(gm), formula_degree)
     seed = DEFAULT_SEED if seed is None else seed
@@ -616,7 +633,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     # enough that evaluated entries stay within about 2^60 (each bit of the
     # entries costs the integer determinant primes, through its Hadamard
     # bound) while the sample space still beats 2^-40.
-    entry_degree = max((e.total_degree() for e in entries if not e.is_zero()), default=1)
+    entry_degree = max((e.total_degree() for e in gm.values if not e.is_zero()), default=1)
     int64_cap = int(2 ** (60 / max(entry_degree, 1))) - degree_bound - 2
     # the lower clamp keeps the sample space large, even where it forces
     # entries past 2^60
@@ -629,8 +646,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
         return mag if rng.random() < 0.5 else -mag
 
     sample = [{var: coordinate() for var in VARIABLES} for _ in range(points)]
-    values = [[e.evaluate(point) for e in entries] for point in sample]
-    det_values = _pool_map(partial(_det_of_codes, codes, rotation_orbits(gm)), values, jobs)
+    values = [[e.evaluate(point) for e in gm.values] for point in sample]
+    det_values = _pool_map(partial(_det_of_codes, gm.codes, rotation_orbits(gm)), values, jobs)
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)
         if det_value != formula_value:

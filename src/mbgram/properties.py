@@ -10,7 +10,7 @@ certify each other wherever both are feasible.
 from __future__ import annotations
 
 from mbgram import gram as gram_mod
-from mbgram.diagrams import Stratum, basis_mb1, enumerate_stratum, parse_diagram
+from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram
 from mbgram.pairing import (bilinear_form, build_pairing_graph, components,
                             curve_profile, pair_trace)
 from mbgram.polynomial import Polynomial
@@ -81,7 +81,7 @@ def check_transpose_symmetry(n_max: int = 4) -> Report:
     """<m2, m1> equals <m1, m2> with x and y exchanged, exhaustively."""
     pairs = 0
     for n in range(1, n_max + 1):
-        basis = basis_mb1(n)
+        basis = gram_mod.gram_basis(n, gram_mod.GramVariant.MB1_FULL)
         for i, m_i in enumerate(basis):
             for m_j in basis[i:]:
                 forward = curve_profile(m_i, m_j)
@@ -128,7 +128,7 @@ def check_winding_range(n_max: int = 5) -> Report:
     """
     walked = 0
     for n in range(1, n_max + 1):
-        basis = basis_mb1(n)
+        basis = gram_mod.gram_basis(n, gram_mod.GramVariant.MB1_FULL)
         n2 = 2 * n
         for m_i in basis:
             for m_j in basis:

@@ -153,6 +153,19 @@ class TestCommands:
                        "which applies to --conjecture only\n")
         assert not any(tmp_path.iterdir())
 
+    def test_randomized_flags_need_a_gram_matrix(self, capsys, tmp_path):
+        # C5_1 has no Gram variant, so --points and --seed would be ignored
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "C5_1", "--n", "3",
+                                 "--points", "5", "--seed", "1",
+                                 "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == "mbgram: error: C5_1 has no 'randomized' check\n"
+        assert not any(tmp_path.iterdir())
+        code, out, _ = run_cli(capsys, "verify", "--conjecture", "C5_1", "--n", "3",
+                               "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 0 and json.loads(out)["status"] == "SKIPPED"
+
     def test_points_select_the_randomized_check(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_4", "--n", "2",
                                "--points", "4", "--seed", "7",

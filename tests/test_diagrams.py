@@ -5,10 +5,10 @@ from math import comb
 
 import pytest
 
-from mbgram.diagrams import (Arc, Diagram, Stratum, arcs_cross, basis_mb1,
-                             enumerate_stratum, fixed_point_blocked, parse_diagram, rotate,
-                             validate_diagram)
+from mbgram.diagrams import (Arc, Diagram, Stratum, arcs_cross, enumerate_stratum,
+                             fixed_point_blocked, parse_diagram, rotate, validate_diagram)
 from mbgram.errors import BoundExceededError, ParseError, SharedEndpointError
+from mbgram.gram import GramVariant, gram_basis
 
 
 def gap_set(arc, n2):
@@ -158,7 +158,7 @@ class TestEnumerate:
             assert texts == sorted(texts)
 
     def test_joint_basis_order(self):
-        basis = basis_mb1(2)
+        basis = gram_basis(2, GramVariant.MB1_FULL)
         assert [len(m.fixed) for m in basis] == [0] * 6 + [2] * 4
 
     def test_bound_enforced(self):

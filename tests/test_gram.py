@@ -35,6 +35,15 @@ Z = Polynomial.variable("z")
 N1_FULL_DET = (D - Z) * ((D + Z) * W - 2 * X * Y)
 
 
+def cellwise_codes(rows):
+    """Reference numbering, cell by cell: the distinct entries keyed by
+    value in row-major order of first occurrence, and each cell's index."""
+    index = {}  # entry value -> (its code, the entry)
+    codes = np.array([[index.setdefault(frozenset(e.terms.items()), (len(index), e))[0]
+                       for e in row] for row in rows], dtype=np.int64)
+    return codes.reshape(len(rows), len(rows)), tuple(e for _, e in index.values())
+
+
 def poly_cofactor_det(rows):
     """Independent oracle: Laplace expansion over Polynomial entries."""
     n = len(rows)
@@ -197,7 +206,8 @@ class TestDetByEvaluation:
         assert block_degree_bounds(codes, entries, [(i,) for i in range(4)], ["d"]) == [(4,)]
         # one orbit of four: four 1x1 blocks, each a combination of row 0
         gm = assemble_gram(2, GramVariant.MBN1)
-        assert block_degree_bounds(*gm.distinct, rotation_orbits(gm), ["d", "w"]) == [(1, 1)] * 4
+        bounds = block_degree_bounds(gm.codes, gm.values, rotation_orbits(gm), ["d", "w"])
+        assert bounds == [(1, 1)] * 4
 
     def test_empty_matrix(self):
         assert det_by_evaluation([]) == 1
@@ -244,21 +254,26 @@ class TestDetByEvaluation:
 
 class TestDistinctEntries:
     def test_full_n4_has_44_distinct_entries(self):
-        codes, entries = assemble_gram(4, GramVariant.MB1_FULL).distinct
+        gm = assemble_gram(4, GramVariant.MB1_FULL)
+        codes, entries = gm.codes, gm.values
         assert codes.shape == (126, 126) and len(entries) == 44
         assert sorted(set(codes.ravel().tolist())) == list(range(44))
 
     def test_one_code_matrix_per_determinant_miss(self, tmp_path, monkeypatch):
-        # choose_backend, det_by_evaluation and the Gram cache write all
-        # read the one code matrix of the assembled matrix
+        # assembly builds the code matrix; choose_backend, det_by_evaluation
+        # and the Gram cache write all read that one
         calls = []
-        original = gram._entry_codes
 
-        def spy(rows):
-            calls.append(len(rows))
-            return original(rows)
+        def spy(name):
+            original = getattr(gram, name)
 
-        monkeypatch.setattr(gram, "_entry_codes", spy)
+            def counted(rows, *args):
+                calls.append(len(rows))
+                return original(rows, *args)
+            monkeypatch.setattr(gram, name, counted)
+
+        spy("_code_rows")
+        spy("_entry_codes")
         det, provenance = get_det(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert (provenance["backend"], provenance["cache"]) == ("interp", "miss")
         assert det == conjecture_formula(ConjectureId.C3_5, 4)
@@ -272,8 +287,8 @@ class TestDistinctEntries:
         cached = get_gram(n, variant, cache_dir=tmp_path)
         # read back from the cache: new entry objects, equal only in value
         assert cached.entries[0][0] is not assembled.entries[0][0]
-        assert np.array_equal(cached.distinct[0], assembled.distinct[0])
-        assert cached.distinct[1] == assembled.distinct[1]
+        assert np.array_equal(cached.codes, assembled.codes)
+        assert cached.values == assembled.values
 
     @pytest.mark.parametrize("variant, n", [
         *((variant, n) for variant in GramVariant for n in (1, 2, 3)),
@@ -283,7 +298,29 @@ class TestDistinctEntries:
         gm = assemble_gram(n, variant)
         cells = gm.to_json_obj()["entries"]
         assert cells == [[e.to_terms_obj() for e in row] for row in gm.entries]
-        assert len({json.dumps(cell) for row in cells for cell in row}) == len(gm.distinct[1])
+        assert len({json.dumps(cell) for row in cells for cell in row}) == len(gm.values)
+        # the cell-by-cell derivation, as the reference for assembly's numbering
+        for codes, values in (cellwise_codes(gm.entries), gram._entry_codes(gm.entries)):
+            assert np.array_equal(gm.codes, codes) and gm.values == values
+
+    def test_cached_read_parses_each_distinct_cell_once(self, tmp_path, monkeypatch):
+        get_gram(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        calls = []
+        original = Polynomial.from_terms_obj
+
+        def spy(obj):
+            calls.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(Polynomial, "from_terms_obj", spy)
+        gm = get_gram(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        assert gm.size == 56 and len(calls) == len(gm.values)
+
+    def test_codes_are_read_only(self):
+        gm = assemble_gram(2, GramVariant.MBN1_TILDE)
+        with pytest.raises(ValueError, match="read-only"):
+            gm.codes[0, 0] = 1
+        assert GramMatrix.from_json_obj(gm.to_json_obj()).codes.flags.writeable is False
 
     @pytest.mark.parametrize("variant, n", [
         (GramVariant.MB1_FULL, 2), (GramVariant.MBN1, 3), (GramVariant.MBN1_TILDE, 4),
@@ -294,14 +331,14 @@ class TestDistinctEntries:
         g, orbits = gm.entries, rotation_orbits(gm)
         assert total_degree_bound(gm) == sum(
             max((e.total_degree() for e in row if not e.is_zero()), default=0) for row in g)
-        for var in gram._active_variables(gm.distinct[1]):
+        for var in gram._active_variables(gm.values):
             degrees = [[max(max(g[orbit_a[0]][j].degree_in(var), 0) for j in orbit_b)
                         for orbit_b in orbits] for orbit_a in orbits]
             expected = []
             for block in intdet.block_orbits(orbits):
                 sub = [[degrees[a][b] for b in block] for a in block]
                 expected.append((min(sum(map(max, sub)), sum(map(max, zip(*sub)))),))
-            assert block_degree_bounds(*gm.distinct, orbits, [var]) == expected
+            assert block_degree_bounds(gm.codes, gm.values, orbits, [var]) == expected
 
     def test_non_square_matrix_raises(self):
         for rows in ([[D, 1]], [[D, 1], [1]]):
@@ -366,8 +403,7 @@ class TestRotationOrbits:
         assert len(rotation_orbits(gm)) == 3
         rows = [list(row) for row in gm.entries]
         rows[0][1] = rows[0][1] + D
-        changed = GramMatrix(n=gm.n, variant=gm.variant, basis=gm.basis,
-                             entries=tuple(map(tuple, rows)))
+        changed = GramMatrix(gm.n, gm.variant, gm.basis, *gram._entry_codes(rows))
         assert rotation_orbits(changed) == [(i,) for i in range(gm.size)]
         assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
 
@@ -377,7 +413,7 @@ def block_det_polys_mod(gm, p):
     gm's rotation orbits), interpolated on the grid 0..size x max entry
     degree per variable, which bounds the degree of every block's
     determinant."""
-    codes, entries = gm.distinct
+    codes, entries = gm.codes, gm.values
     variables = gram._active_variables(entries)
     shape = tuple(gm.size * max(e.degree_in(v) for e in entries) + 1 for v in variables)
     grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
@@ -406,7 +442,7 @@ class TestBlocks:
         orbits = rotation_orbits(gm)
         for p in intdet.primes_for(2 ** 62, lcm(*map(len, orbits))):
             variables, polys = block_det_polys_mod(gm, p)
-            bounds = block_degree_bounds(*gm.distinct, orbits, variables)
+            bounds = block_degree_bounds(gm.codes, gm.values, orbits, variables)
             for coeffs, bound in zip(polys, bounds):
                 for axis, b in enumerate(bound):
                     nonzero = np.flatnonzero(np.moveaxis(coeffs, axis, 0).any(
@@ -415,7 +451,7 @@ class TestBlocks:
 
     def test_tilde_block_bounds_are_tight(self):
         gm = assemble_gram(4, GramVariant.MBN1_TILDE)
-        bounds = block_degree_bounds(*gm.distinct, rotation_orbits(gm), ["d"])
+        bounds = block_degree_bounds(gm.codes, gm.values, rotation_orbits(gm), ["d"])
         assert bounds == [(21,)] * 8
         assert sum(b for b, in bounds) == conjecture_formula(ConjectureId.C3_5, 4).degree_in("d")
 
@@ -501,8 +537,7 @@ def rotation_invariant_matrices(draw):
                     if symmetric:
                         rows[b][a] = value
                     a, b = perm[a], perm[b]
-    return GramMatrix(n=n, variant=variant, basis=tuple(basis),
-                      entries=tuple(map(tuple, rows)))
+    return GramMatrix(n, variant, tuple(basis), *gram._entry_codes(rows))
 
 
 @settings(deadline=None, max_examples=30)
@@ -663,6 +698,17 @@ class TestVerification:
         report = verify_conjecture(ConjectureId.C5_1, 3, cache_dir=tmp_path)
         assert report.status == "SKIPPED"
 
+    def test_c5_1_rejects_what_it_would_ignore(self, tmp_path):
+        # the method is checked before the SKIPPED report, as for C3_5
+        for conjecture in (ConjectureId.C5_1, ConjectureId.C3_5):
+            with pytest.raises(ValueError, match=f"{conjecture.value} has no 'bogus' check"):
+                verify_conjecture(conjecture, 3, method="bogus", cache_dir=tmp_path)
+        # no Gram matrix to sample: the points and the seed would be ignored
+        with pytest.raises(ValueError, match="C5_1 has no 'randomized' check"):
+            verify_conjecture(ConjectureId.C5_1, 3, method="randomized", points=5, seed=1,
+                              cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
+
     def test_theorem_divisibility_n2(self, tmp_path):
         report = verify_theorem_3_6(2, cache_dir=tmp_path)
         assert report.status == "PASS"
@@ -692,6 +738,24 @@ class TestCaching:
         assert (tmp_path / "gram_tilde_2.json").exists()
         second = get_gram(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert first.entries == second.entries
+
+    @pytest.mark.parametrize("damage", [
+        lambda payload: payload["entries"][1].pop(),
+        lambda payload: payload["entries"].pop(),
+        lambda payload: payload["basis"].__setitem__(0, "(1"),
+        lambda payload: payload.pop("entries"),
+    ], ids=["short-row", "missing-row", "basis-parse-error", "no-entries"])
+    def test_malformed_gram_payload_is_a_miss(self, tmp_path, damage):
+        # digest-valid but malformed: recomputed and rewritten, never passed on
+        gm = assemble_gram(2, GramVariant.MBN1_TILDE)
+        payload = gm.to_json_obj()
+        damage(payload)
+        cache_write(tmp_path, "gram_tilde_2", GRAM_FORMAT, payload)
+        assert get_gram(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path).entries == gm.entries
+        assert cache_read(tmp_path, "gram_tilde_2", GRAM_FORMAT) == gm.to_json_obj()
+        cache_write(tmp_path, "gram_tilde_2", GRAM_FORMAT, payload)
+        det, _ = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
+        assert det == conjecture_formula(ConjectureId.C3_5, 2)
 
     def test_det_cache_roundtrip(self, tmp_path):
         det1, prov1 = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)

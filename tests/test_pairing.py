@@ -6,13 +6,13 @@ from collections import Counter
 import pytest
 
 from mbgram import diagrams
-from mbgram.diagrams import Diagram, basis_mb1, enumerate_stratum, parse_diagram, Stratum
+from mbgram.diagrams import Diagram, enumerate_stratum, parse_diagram, Stratum
 from mbgram.errors import (MalformedComponentError, SizeMismatchError,
                            UnclassifiableComponentError)
 from mbgram.pairing import (antipodal_pairs, bilinear_form, build_pairing_graph,
                             component_walk, components, curve_class,
                             curve_profile, pair_trace)
-from mbgram.gram import GramVariant, assemble_gram
+from mbgram.gram import GramVariant, assemble_gram, gram_basis
 from mbgram.polynomial import VARIABLES, Polynomial
 
 D = Polynomial.variable("d")
@@ -118,7 +118,7 @@ class TestTables:
 
     def test_form_counts_the_profile(self):
         # bilinear_form counts classes itself; curve_profile is the reference
-        basis = basis_mb1(3)
+        basis = gram_basis(3, GramVariant.MB1_FULL)
         for m_i in basis:
             for m_j in basis:
                 (exps, coef), = bilinear_form(m_i, m_j).sorted_terms()
