@@ -6,9 +6,14 @@ Three matrix variants over the canonical diagram bases:
     mbn1   pairings over the one-crosscap stratum only
     tilde  mbn1 with y = 0 and w = 1 substituted entrywise
 
-Assembly pairs only i <= j.  By the transpose law, <m_j, m_i> is
-<m_i, m_j> with x and y exchanged: both orders glue the same curves with
-the two sides swapped.  Equal entries share one immutable Polynomial.
+Assembly pairs one cell per orbit of cells.  By the transpose law,
+<m_j, m_i> is <m_i, m_j> with x and y exchanged: both orders glue the
+same curves with the two sides swapped.  By the rotation lemma (pairing
+module docstring), turning both diagrams one boundary step with
+diagrams.rotate, r, keeps their pairing.  So one pairing fills the orbit
+of (i, j) under (i, j) -> (r(i), r(j)) and the transposed orbit: 2 231
+pairings for the 44 100 cells of tilde n=5, where pairing every i <= j
+takes 22 155.  Equal entries share one immutable Polynomial.
 
 Determinants are always exact.  Two routes, and choose_backend alone
 picks between them from the matrix: fraction free elimination
@@ -32,18 +37,17 @@ the degree and norm bounds, the values at grid and sample points, and
 the cached JSON.
 
 Both modular routes (the engine and the randomized check's integer
-determinants) split G into blocks under the boundary rotation
-diagrams.rotate, r, first.  rotation_orbits uses r only after checking
-on the matrix itself that it maps the basis onto itself and that
-G[r(i)][r(j)] == G[i][j] for all i, j, i.e. P G P^T = G for r's
-permutation matrix P; every Gram variant passes at the sizes checked
-(full n <= 4, mbn1 n <= 3, tilde n <= 5), and a matrix that fails gets
-singleton orbits, one block, G itself.  Over a prime p = 1 (mod L), L the
-lcm of the orbit sizes, a primitive L-th root of unity w exists; each
-orbit's characters under w form a Vandermonde matrix in distinct roots
-of unity, so the change to that basis is invertible mod p, G is similar
-to the direct sum of its blocks B_0 .. B_(L-1) and det G is the product
-of their determinants mod p (intdet module docstring).
+determinants) split G into blocks under r first.  Every assembled Gram
+matrix satisfies G[r(i)][r(j)] == G[i][j], i.e. P G P^T = G for r's
+permutation matrix P (rotation lemma).  rotation_orbits still checks it
+on the matrix itself, since a cached or hand-built matrix need not come
+from assembly, and a matrix that fails gets singleton orbits, one block,
+G itself.  Over a prime p = 1 (mod L), L the lcm of the orbit sizes, a
+primitive L-th root of unity w exists; each orbit's characters under w
+form a Vandermonde matrix in distinct roots of unity, so the change to
+that basis is invertible mod p, G is similar to the direct sum of its
+blocks B_0 .. B_(L-1) and det G is the product of their determinants mod
+p (intdet module docstring).
 
 The engine works block by block.  Each block gets its own degree bound
 per variable, the smaller of its row-wise and column-wise sums of entry
@@ -200,23 +204,44 @@ def gram_basis(n: int, variant: GramVariant) -> list:
     return [m for stratum in variant.strata for m in enumerate_stratum(n, stratum)]
 
 
+def rotation_permutation(basis: Sequence) -> list:
+    """perm[i], the index of rotate(basis[i]) in the basis; the identity
+    when the rotation does not map the basis onto itself."""
+    index = {m: i for i, m in enumerate(basis)}
+    perm = [index.get(rotate(m)) for m in basis]
+    return perm if set(perm) == set(range(len(basis))) else list(range(len(basis)))
+
+
 def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
     """Pairing matrix over the canonical basis; tilde substitutes y=0, w=1.
 
-    Only i <= j is paired; G[j][i] is G[i][j] with x and y exchanged.
+    Cells i <= j are paired in row-major order, each only if no earlier
+    pairing filled it.  A pairing's value fills the cell's orbit under
+    (i, j) -> (r(i), r(j)), r = rotation_permutation(basis), which keeps
+    the pairing (rotation lemma, pairing module docstring), and with x and
+    y exchanged the transposed orbit (transpose law).  Both sets are
+    closed under r, so the walk stops at the first filled cell having
+    filled them all.  With r the identity this is the plain i <= j loop.
     """
     limit = variant.default_bound()
     if n > limit:
         raise BoundExceededError(f"n={n} exceeds bound {limit} for {variant.value}")
     basis = gram_basis(n, variant)
     size = len(basis)
+    perm = rotation_permutation(basis)
     numbers: dict = {}  # exponent vector -> its number, in pairing order
-    rows = [[0] * size for _ in range(size)]
+    rows = [[None] * size for _ in range(size)]
     for i, m_i in enumerate(basis):
         for j in range(i, size):
+            if rows[i][j] is not None:
+                continue
             (d, w, x, y, z), _ = bilinear_form(m_i, basis[j]).leading_term()
-            rows[j][i] = numbers.setdefault((d, w, y, x, z), len(numbers))
-            rows[i][j] = numbers.setdefault((d, w, x, y, z), len(numbers))
+            swapped = numbers.setdefault((d, w, y, x, z), len(numbers))
+            number = numbers.setdefault((d, w, x, y, z), len(numbers))
+            a, b = i, j
+            while rows[a][b] is None:
+                rows[b][a], rows[a][b] = swapped, number
+                a, b = perm[a], perm[b]
     substitution = TILDE_SUBSTITUTION if variant is GramVariant.MBN1_TILDE else {}
     entries = [Polynomial({exps: 1}).substitute(substitution) for exps in numbers]
     return GramMatrix(n, variant, tuple(basis), *_code_rows(rows, entries.__getitem__, size))
@@ -256,15 +281,17 @@ def rotation_orbits(matrix) -> list:
     """Basis orbits under diagrams.rotate, r, each as (i, r(i), r(r(i)), ...)
     from its smallest index, in increasing order of that index.
 
-    Only a GramMatrix whose rotated basis is its basis and whose entries
-    satisfy G[r(i)][r(j)] == G[i][j] for all i, j gets them; raw row lists
-    and any other matrix get singleton orbits, the identity's.
+    Every assembled GramMatrix satisfies G[r(i)][r(j)] == G[i][j] for all
+    i, j (rotation lemma, pairing module docstring).  The check stays, for
+    cached and hand-built matrices: only a GramMatrix whose rotated basis
+    is its basis (rotation_permutation) and whose codes pass it gets the
+    orbits; raw row lists and any other matrix get singleton orbits, the
+    identity's.
     """
     if not isinstance(matrix, GramMatrix):
         return [(i,) for i in range(len(matrix))]
-    index = {m: i for i, m in enumerate(matrix.basis)}
-    perm = [index.get(rotate(m)) for m in matrix.basis]
-    if None in perm or not (matrix.codes[np.ix_(perm, perm)] == matrix.codes).all():
+    perm = rotation_permutation(matrix.basis)
+    if not (matrix.codes[np.ix_(perm, perm)] == matrix.codes).all():
         perm = list(range(matrix.size))
     orbits, seen = [], set()
     for i in range(matrix.size):
@@ -436,13 +463,18 @@ def get_det(n: int, variant: GramVariant, cache_dir=None, jobs: int = 1) -> tupl
 
     The cached payload holds only what the computation determines, so two
     runs write the same bytes; the wall time is reported on a miss only.
+    A payload that does not parse is a miss and is rewritten.
     """
     cache_dir = resolve_cache_dir(cache_dir)
     key = f"det_{variant.value}_{n}"
     payload = cache_read(cache_dir, key, DET_FORMAT)
-    if payload is not None and payload.get("n") == n:
-        poly = Polynomial.from_json_obj(payload["det"])
-        return poly, {"backend": payload["backend"], "cache": "hit"}
+    if payload is not None:
+        try:
+            if payload["n"] == n:
+                return (Polynomial.from_json_obj(payload["det"]),
+                        {"backend": payload["backend"], "cache": "hit"})
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass  # a malformed payload is a miss, like any mismatch
     gm = get_gram(n, variant, cache_dir=cache_dir)
     backend = choose_backend(gm)
     started = time.perf_counter()

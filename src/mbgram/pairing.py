@@ -30,6 +30,20 @@ psi: a multiple of 2n, 0 for a trivial curve and +/-2n for an essential
 one.  Any other value is a hard internal error.  Reversing a walk only
 negates psi, which is why <m2, m1> is <m1, m2> with x and y exchanged.
 
+Rotation lemma: <rotate(m1), rotate(m2)> = <m1, m2>, where
+diagrams.rotate turns a diagram one boundary step.  Proof: rotation
+relabels every vertex v -> s(v) = v mod 2n + 1 on both sides.  A chord
+(t, h) becomes (s(t), s(h)), and the sorted fixed points are shifted
+cyclically (only 2n wraps round to 1), which keeps each antipodal pair
+{i-th, (i + |F|/2)-th}; so each partner table is conjugated by s,
+partner'[s(v)] = s(partner[v]), and each fixed point stays one.  Since
+s(h) - s(t) = h - t (mod 2n), every sweep is kept, sweep'[s(v)] =
+sweep[v].  So s maps each alternating cycle of (m1, m2) onto one of the
+rotated pair that meets the fixed points of the same sides and sums the
+same sweeps; it may start at another vertex and walk the other way, so
+psi is kept up to sign, and |psi| fixes the class.  Each cycle keeps its
+curve class, and the product of the classes is the same monomial.
+
 Two walk-start conventions: `components` walks every cycle once from its
 smallest vertex, out along the m1 edge; `component_walk`, which only
 `pair_trace` uses, starts at the smallest m1 chord tail of a chord-only

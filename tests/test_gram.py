@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbgram import gram, intdet
-from mbgram.diagrams import rotate
+from mbgram.diagrams import Diagram, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix,
                          GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
@@ -42,6 +42,36 @@ def cellwise_codes(rows):
     codes = np.array([[index.setdefault(frozenset(e.terms.items()), (len(index), e))[0]
                        for e in row] for row in rows], dtype=np.int64)
     return codes.reshape(len(rows), len(rows)), tuple(e for _, e in index.values())
+
+
+def direct_entries(basis, variant):
+    """Reference rows, every cell paired directly."""
+    substitution = TILDE_SUBSTITUTION if variant is GramVariant.MBN1_TILDE else {}
+    entries = {}  # pairing value's terms -> its substituted entry
+    rows = []
+    for m_i in basis:
+        row = []
+        for m_j in basis:
+            value = bilinear_form(m_i, m_j)
+            key = frozenset(value.terms.items())
+            if key not in entries:
+                entries[key] = value.substitute(substitution)
+            row.append(entries[key])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def count_pairings(monkeypatch) -> list:
+    """Record the (m1, m2) of every pairing that gram makes."""
+    calls = []
+    original = gram.bilinear_form
+
+    def spy(m1, m2):
+        calls.append((m1, m2))
+        return original(m1, m2)
+
+    monkeypatch.setattr(gram, "bilinear_form", spy)
+    return calls
 
 
 def poly_cofactor_det(rows):
@@ -101,20 +131,29 @@ class TestAssemble:
                 assert gm.entries[j][i] == gm.entries[i][j].substitute(swap)
 
     def test_matches_plain_double_loop(self):
-        # assembly pairs only i <= j; every entry must equal a direct pairing
-        for variant in GramVariant:
-            for n in (1, 2, 3):
-                gm = assemble_gram(n, variant)
-                direct = []
-                for m_i in gm.basis:
-                    row = []
-                    for m_j in gm.basis:
-                        value = bilinear_form(m_i, m_j)
-                        if variant is GramVariant.MBN1_TILDE:
-                            value = value.substitute(TILDE_SUBSTITUTION)
-                        row.append(value)
-                    direct.append(tuple(row))
-                assert gm.entries == tuple(direct), (variant, n)
+        # assembly pairs one cell per orbit; every entry must equal a direct pairing
+        cases = [(v, n) for v in GramVariant for n in (1, 2, 3, 4)] + [(GramVariant.MBN1_TILDE, 5)]
+        for variant, n in cases:
+            gm = assemble_gram(n, variant)
+            assert gm.entries == direct_entries(gm.basis, variant), (variant, n)
+
+    @pytest.mark.parametrize("variant, n, pairings", [(GramVariant.MBN1_TILDE, 5, 2231),
+                                                      (GramVariant.MB1_FULL, 4, 1012)])
+    def test_one_pairing_per_orbit(self, monkeypatch, variant, n, pairings):
+        calls = count_pairings(monkeypatch)
+        assemble_gram(n, variant)
+        assert len(calls) == pairings
+
+    def test_basis_not_closed_under_rotation_pairs_every_upper_cell(self, monkeypatch):
+        # a rotation leaving the basis gives the identity, the plain i <= j loop
+        outside = Diagram.build(3, [(1, 2)], [3, 4, 5, 6])  # in neither stratum
+        monkeypatch.setattr(gram, "rotate", lambda m: outside)
+        calls = count_pairings(monkeypatch)
+        gm = assemble_gram(3, GramVariant.MB1_FULL)
+        index = {m: i for i, m in enumerate(gm.basis)}
+        assert [(index[m1], index[m2]) for m1, m2 in calls] == [
+            (i, j) for i in range(gm.size) for j in range(i, gm.size)]
+        assert gm.entries == direct_entries(gm.basis, GramVariant.MB1_FULL)
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):
@@ -522,8 +561,7 @@ def rotation_invariant_matrices(draw):
     symmetric = draw(st.booleans())
     exps = st.tuples(*[st.integers(0, 2)] * len(names))
     terms = st.dictionaries(exps, st.integers(-4, 4), max_size=3)
-    index = {m: i for i, m in enumerate(basis)}
-    perm = [index[rotate(m)] for m in basis]
+    perm = gram.rotation_permutation(basis)
     size = len(basis)
     rows = [[None] * size for _ in range(size)]
     for i in range(size):
@@ -756,6 +794,22 @@ class TestCaching:
         cache_write(tmp_path, "gram_tilde_2", GRAM_FORMAT, payload)
         det, _ = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert det == conjecture_formula(ConjectureId.C3_5, 2)
+
+    @pytest.mark.parametrize("damage", [
+        lambda payload: payload.pop("det"),
+        lambda payload: payload["det"].__setitem__("format", "mbgram.poly/0"),
+    ], ids=["no-det", "unknown-det-envelope"])
+    def test_malformed_det_payload_is_a_miss(self, tmp_path, damage):
+        # digest-valid but malformed: recomputed and rewritten as a cold run writes it
+        get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path / "cold")
+        cold = (tmp_path / "cold" / "det_tilde_2.json").read_bytes()
+        payload = cache_read(tmp_path / "cold", "det_tilde_2", DET_FORMAT)
+        damage(payload)
+        cache_write(tmp_path / "warm", "det_tilde_2", DET_FORMAT, payload)
+        det, provenance = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path / "warm")
+        assert det == conjecture_formula(ConjectureId.C3_5, 2)
+        assert provenance["cache"] == "miss"
+        assert (tmp_path / "warm" / "det_tilde_2.json").read_bytes() == cold
 
     def test_det_cache_roundtrip(self, tmp_path):
         det1, prov1 = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)

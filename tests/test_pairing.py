@@ -1,11 +1,12 @@
 """Pairing graph construction, component classification, and the form values."""
 
+import itertools
 import pickle
 from collections import Counter
 
 import pytest
 
-from mbgram import diagrams
+from mbgram import diagrams, gram
 from mbgram.diagrams import Diagram, enumerate_stratum, parse_diagram, Stratum
 from mbgram.errors import (MalformedComponentError, SizeMismatchError,
                            UnclassifiableComponentError)
@@ -92,15 +93,24 @@ class TestGraph:
 class TestTables:
     def test_built_once_per_diagram(self, monkeypatch):
         build, built = diagrams.pairing_tables, []
+        pair, paired = gram.bilinear_form, set()
 
         def spy(m):
             built.append(m)
             return build(m)
 
+        def pair_spy(m1, m2):
+            paired.update((m1, m2))
+            return pair(m1, m2)
+
         monkeypatch.setattr(diagrams, "pairing_tables", spy)
+        monkeypatch.setattr(gram, "bilinear_form", pair_spy)
         matrix = assemble_gram(3, GramVariant.MB1_FULL)
         assert len(matrix.basis) == 35
-        assert sorted(built, key=str) == sorted(matrix.basis, key=str)
+        # assembly pairs one cell per rotation orbit, so not every diagram
+        # is paired; every one that is builds its tables exactly once
+        assert paired <= set(matrix.basis)
+        assert sorted(built, key=str) == sorted(paired, key=str)
 
     def test_paired_diagram_is_unchanged_as_a_value(self):
         text = "(2 5)(3 4)(1)(6)"
@@ -232,6 +242,31 @@ class TestBilinearForm:
                     value = bilinear_form(m_i, m_j)
                     assert value.is_monomial()
                     assert value.total_degree() == len(components(g))
+
+    def test_rotation_keeps_the_form(self):
+        # the rotation lemma (pairing module docstring), exhaustively over
+        # the diagrams with 0, 2, 4 or 6 fixed points for n <= 4; a pair
+        # that raises must raise the same error type once rotated
+        def form(m1, m2):
+            try:
+                return "value", bilinear_form(m1, m2)
+            except Exception as error:
+                return "raised", type(error)
+
+        pairs = 0
+        for n in (1, 2, 3, 4):
+            n2 = 2 * n
+            found = [Diagram.build(n, arcs, fixed)
+                     for k in (0, 2, 4, 6) if k <= n2
+                     for fixed in itertools.combinations(range(1, n2 + 1), k)
+                     for arcs in diagrams._arc_systems(
+                         tuple(v for v in range(1, n2 + 1) if v not in fixed), fixed, [], n2)]
+            for m1 in found:
+                for m2 in found:
+                    rotated = form(diagrams.rotate(m1), diagrams.rotate(m2))
+                    assert rotated == form(m1, m2), (str(m1), str(m2))
+            pairs += len(found) ** 2
+        assert pairs == 28_138
 
     def test_one_crosscap_exponent_pattern(self):
         # x appears iff y appears; x, y, w exponents stay 0 or 1
