@@ -52,21 +52,21 @@ p (intdet module docstring).
 The engine works block by block.  Each block gets its own degree bound
 per variable, the smaller of its row-wise and column-wise sums of entry
 degrees (block_degree_bounds); over all blocks these sum to at most G's
-own row-wise and column-wise bounds.  Per prime it eliminates every needed
-block at each point of one grid, 0..max_k bound_k per variable,
+own row-wise and column-wise bounds.  Per prime it eliminates every
+needed block at each point of one grid, 0..max_k bound_k per variable,
 interpolates each det B_k mod p from the corner 0..bound_k of that grid,
-and multiplies the block polynomials mod p by Kronecker substitution
-into one int, each embedded in the box of the determinant's degree bounds
-(the sums of the block bounds) so that one code path serves one variable
-and five.  The primes exceed twice the Hadamard bound of the matrix of
-entry l1 norms, which bounds every coefficient (proof at
-det_by_evaluation), and CRT gives the product's coefficients.  When G
-equals its transpose (every tilde and mbn1 matrix at n <= 5, whose
-entries carry x and y to equal powers; no full matrix at n <= 4, whose
-transpose exchanges x and y), det B_(L-k) = det B_k, so only blocks
-0..L/2 are eliminated (intdet.block_factors, which picks the blocks for
-the randomized check's integer determinants too).  At tilde n=5 the
-grid has 89 points where one grid for det G itself needed 841.
+and multiplies the block polynomials' nonzero coefficients mod p
+(intdet.multiply_mod), each placed at its offsets in the box of the
+determinant's degree bounds (the sums of the block bounds) so that one
+code path serves one variable and five.  The primes exceed twice the
+Hadamard bound of the matrix of entry l1 norms, which bounds every
+coefficient (proof at det_by_evaluation), and CRT gives the product's
+coefficients.  When G equals its transpose (every tilde and mbn1 matrix
+at n <= 5, whose entries carry x and y to equal powers; no full matrix
+at n <= 4, whose transpose exchanges x and y), det B_(L-k) = det B_k, so
+only blocks 0..L/2 are eliminated (intdet.block_factors, which picks the
+blocks for the randomized check's integer determinants too).  At tilde
+n=5 the grid has 89 points where one grid for det G itself needed 841.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -84,7 +84,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -357,14 +357,17 @@ def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape
     dets = dets.reshape((len(ks),) + grid_shape)
     block_polys = {}
     for k, block_dets in zip(ks, dets):
-        # det B_k from the corner of the grid its bounds need, embedded in the box
+        # det B_k from the corner of the grid its bounds need
         corner = tuple(slice(b + 1) for b in block_bounds[k])
         coeffs = block_dets[corner]
         for axis in range(len(corner)):
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
-        block_polys[k] = np.zeros(box, dtype=np.int64)
-        block_polys[k][corner] = coeffs
-    return intdet.multiply_mod([block_polys[k].ravel() for k in factors], p)
+        # its nonzero coefficients at their offsets in the box (np.nonzero
+        # rejects the 0-d corner of an integer matrix, np.indices does not)
+        nonzero = coeffs != 0
+        block_polys[k] = (np.ravel_multi_index(np.indices(nonzero.shape), box)[nonzero],
+                          coeffs[nonzero])
+    return intdet.multiply_mod([block_polys[k] for k in factors], p, prod(box))
 
 
 def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
@@ -384,9 +387,10 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     variable, the bounds from block_degree_bounds.  Each prime is one
     task: eliminate the needed blocks at every grid point, interpolate
     each det B_k from the corner 0..bound_k of the grid, multiply the
-    block polynomials (Kronecker substitution, each embedded in the box
-    of the sums of the block bounds, so one code path serves any number
-    of variables), and CRT each coefficient of the product.
+    block polynomials' nonzero coefficients (intdet.multiply_mod, each
+    placed at its offsets in the box of the sums of the block bounds, so
+    one code path serves any number of variables), and CRT each
+    coefficient of the product.
 
     intdet.block_factors picks the blocks: when G equals its transpose
     (its code matrix does), det B_(L-k) = det B_k (proof there), so only

@@ -24,7 +24,7 @@
     recombines by CRT.  gram's engine reduces the distinct entries at the
     points of a grid under one prime, interpolates each block's
     determinant on its own part of the grid (interpolate_mod) and
-    multiplies the block polynomials (multiply_mod).
+    multiplies the block polynomials' nonzero coefficients (multiply_mod).
 
 The test suite cross-checks bareiss_int and crt_det.
 
@@ -59,11 +59,10 @@ block is G itself; a block over no orbit has determinant 1.  The root is
 tested as primitive by w^(L/q) != 1 for every prime q | L; testing only
 w^(L/2) = -1 would accept w = -1 for L = 6.
 
-multiply_mod multiplies polynomials mod p by Kronecker substitution (von
-zur Gathen & Gerhard, Modern Computer Algebra, 8.4): each coefficient
-vector becomes the base-2^b digits of one Python int, with b large enough
-that a digit of the product never carries, and one int product replaces
-the coefficient pairs.
+multiply_mod multiplies sparse polynomials mod p pair by pair of nonzero
+coefficients (Monagan & Pearce, ISSAC 2009): the pairs are one outer sum
+of offsets and one outer product of residues, and equal offsets are
+summed by polynomial's sort-and-reduce.
 """
 
 from __future__ import annotations
@@ -72,6 +71,8 @@ from functools import cache
 from math import isqrt, lcm
 
 import numpy as np
+
+from mbgram.polynomial import _collect
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -335,38 +336,29 @@ def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis(coeffs, 0, axis)
 
 
-def _pack(coeffs: np.ndarray, words: int) -> int:
-    """The int whose base-2^(32 words) digits are coeffs (residues < 2^31)."""
-    digits = np.zeros((len(coeffs), words), dtype="<u4")
-    digits[:, 0] = coeffs
-    return int.from_bytes(digits.tobytes(), "little")
+def multiply_mod(factors: list, p: int, length: int) -> np.ndarray:
+    """Coefficients mod a prime p < 2^31 of the product of polynomials,
+    flattened in C order over a box of `length` cells that holds the
+    product.  Each factor is (offsets, residues): the C-order offsets in
+    that box of its nonzero coefficients and their residues mod p.
 
-
-def _unpack(x: int, length: int, words: int, p: int) -> np.ndarray:
-    """The first `length` base-2^(32 words) digits of x >= 0, each mod p."""
-    digits = np.frombuffer(x.to_bytes(4 * words * length, "little"), dtype="<u4")
-    digits = digits.reshape(length, words).astype(np.int64)
-    out = np.zeros(length, dtype=np.int64)
-    for word in range(words - 1, -1, -1):
-        # out <= p - 1 < 2^31 - 1, so out * 2^32 + word stays below 2^63
-        out = ((out << 32) + digits[:, word]) % p
-    return out
-
-
-def multiply_mod(factors: list, p: int) -> np.ndarray:
-    """Coefficients mod p of the product of polynomials given by equally
-    long coefficient vectors (residues mod p < 2^31), whose product fits the
-    same length: Kronecker substitution, one int product per factor.
-
-    A multivariate polynomial is flattened in C order over a box large
-    enough for the whole product, so no digit wraps into the next row.
+    Only nonzero coefficients are multiplied (module docstring): the
+    offsets of a pair add, as no axis of the box overflows.  Each pair's
+    product is below p^2 < 2^62 and is reduced mod p before
+    polynomial._collect sums the pairs of equal offset, so every sum
+    stays in int64 while it adds fewer than 2^32 residues; a box of fewer
+    than 2^32 cells guarantees that.  A factor with no nonzero
+    coefficient makes the product zero.
     """
-    length = len(factors[0])
-    # a product digit is a sum of at most `length` products below p^2 < 2^62
-    words = (62 + length.bit_length()) // 32 + 1
-    product = factors[0] % p
-    for factor in factors[1:]:
-        product = _unpack(_pack(product, words) * _pack(factor, words), length, words, p)
+    product = np.zeros(length, dtype=np.int64)
+    offsets, residues = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for factor_offsets, factor_residues in factors:
+        if not len(factor_offsets):
+            return product  # _collect needs at least one pair
+        offsets, residues = _collect((offsets[:, None] + factor_offsets).ravel(),
+                                     (residues[:, None] * factor_residues % p).ravel())
+        residues %= p
+    product[offsets] = residues
     return product
 
 

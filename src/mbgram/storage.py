@@ -66,7 +66,7 @@ def cache_read(cache_dir: Path, key: str, fmt: str):
     try:
         with open(path) as handle:
             envelope = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: not UTF-8 (UnicodeDecodeError) or not JSON
         return None
     if not isinstance(envelope, dict) or envelope.get("format") != fmt:
         return None

@@ -255,6 +255,11 @@ class TestDetByEvaluation:
         m = [[D, W + 1, 2], [0, 0, 0], [X, 1, D * D]]
         assert det_by_evaluation(m) == 0
 
+    def test_singular_without_zero_row(self):
+        # every block polynomial is zero mod p, so its product is too
+        m = [[D, W + 1, X], [D, W + 1, X], [1, D, 2]]
+        assert det_by_evaluation(m) == 0
+
     def test_integer_matrix(self):
         # a plain int entry is coerced the same way on both routes
         m = [[Polynomial.integer(3), 1],

@@ -6,7 +6,7 @@ from math import lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbgram import intdet
@@ -455,27 +455,34 @@ def test_interpolate_mod_one_point_short_never_returns_f(coeffs, p):
     assert got != [c % p for c in coeffs]
 
 
+# coefficient grids of polynomials in two variables, up to 5 x 3
+coefficient_grids = st.integers(1, 5).flatmap(lambda rows: st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, 2 ** 31)),
+                                   min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=4),
-       st.sampled_from(primes_for(2 ** 62)), st.integers(0, 2 ** 32))
-def test_multiply_mod_matches_direct_product(shapes, p, seed):
-    # polynomials in two variables with coefficient boxes of the given
-    # shapes, each flattened in C order over the box of their product
-    rng = random.Random(seed)
-    box = tuple(sum(shape[v] - 1 for shape in shapes) + 1 for v in range(2))
+@given(st.lists(coefficient_grids, min_size=1, max_size=4), st.sampled_from(primes_for(2 ** 62)))
+# an all-zero factor between two others: the product is zero
+@example(grids=[[[1, 2], [3, 4]], [[0, 0, 0]], [[5], [6]]], p=primes_for(2 ** 62)[0])
+# coefficients p - 1 only: every cell of the product's box is nonzero, and
+# equal offsets sum pair products near p^2 that overflow int64 unreduced
+@example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0])
+def test_multiply_mod_matches_direct_product(grids, p):
+    # each factor as (offsets, residues) of its nonzero coefficients in
+    # the box of the product, flattened in C order
+    grids = [np.array(grid, dtype=object) % p for grid in grids]
+    box = tuple(sum(grid.shape[v] - 1 for grid in grids) + 1 for v in range(2))
     factors, expected = [], np.zeros(box, dtype=object)
     expected[0, 0] = 1
-    for rows, cols in shapes:
-        coeffs = np.zeros(box, dtype=object)
-        coeffs[:rows, :cols] = [[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(cols)]
-                                for _ in range(rows)]
-        factors.append(coeffs.astype(np.int64).ravel())
+    for grid in grids:
+        cells = np.nonzero(grid)
+        factors.append((np.ravel_multi_index(cells, box), grid[cells].astype(np.int64)))
         product = np.zeros(box, dtype=object)
-        for i in range(rows):
-            for j in range(cols):
-                product[i:, j:] += coeffs[i, j] * expected[:box[0] - i, :box[1] - j]
+        for (i, j), c in np.ndenumerate(grid):
+            product[i:, j:] += c * expected[:box[0] - i, :box[1] - j]
         expected = product % p
-    assert multiply_mod(factors, p).tolist() == expected.ravel().tolist()
+    assert multiply_mod(factors, p, prod(box)).tolist() == expected.ravel().tolist()
 
 
 @settings(deadline=None, max_examples=40)

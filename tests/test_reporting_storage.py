@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mbgram import reporting
+from mbgram.gram import GramVariant, get_det, get_gram
 from mbgram.reporting import Report, render_table
 from mbgram.storage import cache_read, cache_write, payload_digest, resolve_cache_dir
 
@@ -78,6 +79,18 @@ class TestCache:
         path = tmp_path / "k.json"
         path.write_text(path.read_text()[:20])
         assert cache_read(tmp_path, "k", "fmt/1") is None
+
+    @pytest.mark.parametrize("kind, get", [("det", get_det), ("gram", get_gram)])
+    def test_file_not_utf8_is_recomputed(self, tmp_path, kind, get):
+        # a miss for cache_read; get_det and get_gram rewrite it as a cold run does
+        key = f"{kind}_tilde_2"
+        get(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path / "cold")
+        warm = tmp_path / "warm"
+        warm.mkdir()
+        (warm / f"{key}.json").write_bytes(b"\xff\xfe{garbage")
+        assert cache_read(warm, key, "fmt/1") is None
+        get(2, GramVariant.MBN1_TILDE, cache_dir=warm)
+        assert (warm / f"{key}.json").read_bytes() == (tmp_path / "cold" / f"{key}.json").read_bytes()
 
     def test_digest_is_order_insensitive(self):
         assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
