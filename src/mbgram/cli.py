@@ -235,6 +235,8 @@ def suite_claims(profile: str, jobs: int, seed: int | None, cache_dir) -> list:
             add(gram.verify_conjecture, ConjectureId.C3_3, n, jobs=jobs,
                 cache_dir=cache_dir)
             add(gram.verify_theorem_3_6, n, jobs=jobs, cache_dir=cache_dir)
+        # exact at n=3, with the randomized comparison kept as a cross-check
+        add(gram.verify_conjecture, ConjectureId.C3_4, 3, jobs=jobs, cache_dir=cache_dir)
         add(gram.verify_conjecture, ConjectureId.C3_4, 3, method="randomized",
             seed=seed, points=20, jobs=jobs, cache_dir=cache_dir)
         add(gram.verify_conjecture, ConjectureId.C5_1, 3, cache_dir=cache_dir)

@@ -16,13 +16,14 @@ pairings for the 44 100 cells of tilde n=5, where pairing every i <= j
 takes 22 155.  Equal entries share one immutable Polynomial.
 
 Determinants are always exact.  Two routes, and choose_backend alone
-picks between them from the matrix: fraction free elimination
+picks between them from the matrix size: fraction free elimination
 (intdet.bareiss_int) directly over the polynomial ring for matrices up to
-40x40 or with three or more active variables, and the modular route
-(det_by_evaluation) for larger matrices in few variables (the tilde
-family, whose entries are powers of d).  Both routes are asserted equal
-wherever both are feasible.  _pool_map spreads the primes, and the
-randomized check's points, over `jobs` as integer codes and values.
+15x15, and the modular route (det_by_evaluation) for larger ones, in any
+number of variables.  The modular route refuses a matrix whose box of
+degree bounds has 2^32 cells or more (full n=4, mbn1 n=5) before it
+evaluates anything.  Both routes are asserted equal wherever both are
+feasible.  _pool_map spreads the primes, and the randomized check's
+points, over `jobs` as integer codes and values.
 
 Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
@@ -32,9 +33,8 @@ among them; `entries` builds the rows from the two on demand.  Assembly
 numbers the entries while it pairs and a cached read while it parses,
 each building every distinct entry once (_code_rows).  Every
 matrix-wide fact is read from the code matrix and the few distinct
-entries: the rotation invariance, the symmetry, the active variables,
-the degree and norm bounds, the values at grid and sample points, and
-the cached JSON.
+entries: the rotation invariance, the symmetry, the degree and norm
+bounds, the values at grid and sample points, and the cached JSON.
 
 Both modular routes (the engine and the randomized check's integer
 determinants) split G into blocks under r first.  Every assembled Gram
@@ -58,15 +58,18 @@ interpolates each det B_k mod p from the corner 0..bound_k of that grid,
 and multiplies the block polynomials' nonzero coefficients mod p
 (intdet.multiply_mod), each placed at its offsets in the box of the
 determinant's degree bounds (the sums of the block bounds) so that one
-code path serves one variable and five.  The primes exceed twice the
-Hadamard bound of the matrix of entry l1 norms, which bounds every
-coefficient (proof at det_by_evaluation), and CRT gives the product's
-coefficients.  When G equals its transpose (every tilde and mbn1 matrix
-at n <= 5, whose entries carry x and y to equal powers; no full matrix
-at n <= 4, whose transpose exchanges x and y), det B_(L-k) = det B_k, so
-only blocks 0..L/2 are eliminated (intdet.block_factors, which picks the
-blocks for the randomized check's integer determinants too).  At tilde
-n=5 the grid has 89 points where one grid for det G itself needed 841.
+code path serves one variable and five.  The product stays sparse: each
+prime returns the offsets of its nonzero coefficients only, and CRT runs
+over the union of those offsets, never over the box.  The primes exceed
+twice the Hadamard bound of the matrix of entry l1 norms, which bounds
+every coefficient (proof at det_by_evaluation).  When G equals its
+transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
+and y to equal powers; no full matrix at n <= 4, whose transpose
+exchanges x and y), det B_(L-k) = det B_k, so only blocks 0..L/2 are
+eliminated (intdet.block_factors, which picks the blocks for the
+randomized check's integer determinants too).  At tilde n=5 the grid has
+89 points where one grid for det G itself needed 841; full n=3 (35x35,
+five variables, 12 309 terms) takes about 2.5 s on a 2-vCPU Xeon VM.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -103,8 +106,7 @@ DET_FORMAT = "mbgram.det/1"
 
 TILDE_SUBSTITUTION = {"y": 0, "w": 1}
 
-BAREISS_MAX_SIZE = 40       # crossover: elimination up to here ...
-BAREISS_MIN_VARS = 3        # ... or whenever this many variables are active
+BAREISS_MAX_SIZE = 15       # crossover: elimination up to this size
 
 WITNESS_TERM_LIMIT = 120    # serialize full polynomials only up to this size
 
@@ -271,12 +273,6 @@ def _distinct(matrix) -> tuple:
             else _entry_codes(_matrix_rows(matrix)))
 
 
-def _active_variables(entries: list) -> list:
-    """Variables occurring in some entry, in the order d, w, x, y, z."""
-    used = set().union(*(e.variables_used() for e in entries))
-    return [v for v in VARIABLES if v in used]
-
-
 def rotation_orbits(matrix) -> list:
     """Basis orbits under diagrams.rotate, r, each as (i, r(i), r(r(i)), ...)
     from its smallest index, in increasing order of that index.
@@ -345,11 +341,12 @@ def block_degree_bounds(codes: np.ndarray, entries: list, orbits: list,
 
 
 def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape: tuple,
-                          block_bounds: list, factors: list, box: tuple, p: int) -> np.ndarray:
-    """Coefficients mod p of det, flattened in C order over the box of its
-    degree bounds; values[g][e] is distinct entry e at grid point g (C order
-    over grid_shape), codes[i][j] names G_ij, orbits are rotation_orbits of
-    the matrix, block_bounds[k] bounds det B_k's degrees, and factors lists
+                          block_bounds: list, factors: list, box: tuple, p: int) -> tuple:
+    """det's nonzero coefficients mod p as (offsets, residues), the C-order
+    offsets in the box of its degree bounds ascending (intdet.multiply_mod);
+    values[g][e] is distinct entry e at grid point g (C order over
+    grid_shape), codes[i][j] names G_ij, orbits are rotation_orbits of the
+    matrix, block_bounds[k] bounds det B_k's degrees, and factors lists
     each k once per time det B_k divides det."""
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
     ks = sorted(set(factors))
@@ -360,14 +357,11 @@ def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape
         # det B_k from the corner of the grid its bounds need
         corner = tuple(slice(b + 1) for b in block_bounds[k])
         coeffs = block_dets[corner]
-        for axis in range(len(corner)):
+        for axis in np.flatnonzero(block_bounds[k]):  # a bound-0 axis holds its constant
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
-        # its nonzero coefficients at their offsets in the box (np.nonzero
-        # rejects the 0-d corner of an integer matrix, np.indices does not)
-        nonzero = coeffs != 0
-        block_polys[k] = (np.ravel_multi_index(np.indices(nonzero.shape), box)[nonzero],
-                          coeffs[nonzero])
-    return intdet.multiply_mod([block_polys[k] for k in factors], p, prod(box))
+        cells = np.nonzero(coeffs)
+        block_polys[k] = (np.ravel_multi_index(cells, box), coeffs[cells])
+    return intdet.multiply_mod([block_polys[k] for k in factors], p)
 
 
 def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
@@ -381,16 +375,26 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     G splits into the blocks B_k of its rotation_orbits, k = 0..L-1, with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
     docstring).  The matrix is read through its code matrix and distinct
-    entries (_distinct): the variables, the norms, the degree bounds
-    and the symmetry come from them, and each distinct entry is
-    evaluated once per point of one grid, 0..max_k bound_k per active
-    variable, the bounds from block_degree_bounds.  Each prime is one
+    entries (_distinct): the norms, the degree bounds and the symmetry
+    come from them, and each distinct entry is evaluated once per point
+    of one grid, 0..max_k bound_k in each of d, w, x, y, z, the bounds
+    from block_degree_bounds; a variable no entry holds has bound 0, one
+    grid point and one cell of the box.  Each prime is one
     task: eliminate the needed blocks at every grid point, interpolate
     each det B_k from the corner 0..bound_k of the grid, multiply the
     block polynomials' nonzero coefficients (intdet.multiply_mod, each
     placed at its offsets in the box of the sums of the block bounds, so
-    one code path serves any number of variables), and CRT each
-    coefficient of the product.
+    one code path serves every matrix), and return the
+    product's nonzero coefficients with their offsets.  The calling
+    process gathers the union of the primes' offsets, reads residue 0 for
+    a prime whose product lacks one (its coefficient vanishes mod that
+    prime), and CRTs each; the cells of the box that no prime holds are
+    never visited.
+
+    A box of 2^32 cells or more raises BoundExceededError before any
+    entry is evaluated: multiply_mod's offsets assume fewer cells, and a
+    box that large (full n=4 has 2.4 * 10^10 cells) is far past what the
+    grid and the primes can afford.
 
     intdet.block_factors picks the blocks: when G equals its transpose
     (its code matrix does), det B_(L-k) = det B_k (proof there), so only
@@ -412,35 +416,39 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     bound = intdet.hadamard_bound(norms[codes].tolist())
     if bound == 0:
         return Polynomial.zero()
-    variables = _active_variables(entries)
     orbits = rotation_orbits(matrix)
     order = lcm(*(len(orbit) for orbit in orbits))
-    block_bounds = block_degree_bounds(codes, entries, orbits, variables)
+    block_bounds = block_degree_bounds(codes, entries, orbits, VARIABLES)
     factors = intdet.block_factors(bool((codes == codes.T).all()), order)
     # per variable: the largest bound of a needed block, and their sum
     per_variable = list(zip(*(block_bounds[k] for k in factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
     box = tuple(sum(bounds) + 1 for bounds in per_variable)
-    grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, grid_shape))]
+    if prod(box) >= 2 ** 32:
+        raise BoundExceededError(f"box of degree bounds has {prod(box)} cells, 2^32 or more: "
+                                 "too large for the exact route (randomized checks cover it)")
+    grid = [dict(zip(VARIABLES, point)) for point in itertools.product(*map(range, grid_shape))]
     values = [[e.evaluate(point) for e in entries] for point in grid]
     primes = intdet.primes_for(bound, order)
     per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, orbits, grid_shape,
                                   block_bounds, factors, box), primes, jobs)
-    terms = {}
-    cells = itertools.product(*map(range, box))  # C order, as the coefficients
-    for cell, residues in zip(cells, np.array(per_prime).T.tolist()):
-        if any(residues):
-            degrees = dict(zip(variables, cell))
-            terms[tuple(degrees.get(var, 0) for var in VARIABLES)] = intdet.crt(residues, primes)
-    return Polynomial(terms)
+    # every offset some prime's product holds; a prime without it has residue 0 there
+    residues_at: dict = {}
+    for t, (offsets, residues) in enumerate(per_prime):
+        for offset, residue in zip(offsets.tolist(), residues.tolist()):
+            residues_at.setdefault(offset, [0] * len(primes))[t] = residue
+    offsets = sorted(residues_at)
+    exponents = np.array(np.unravel_index(np.array(offsets, dtype=np.int64), box)).T.tolist()
+    return Polynomial({tuple(exps): intdet.crt(residues_at[offset], primes)
+                       for offset, exps in zip(offsets, exponents)})
 
 
 def choose_backend(matrix) -> str:
-    """Crossover rule between the two determinant backends."""
-    codes, entries = _distinct(matrix)
-    if len(codes) <= BAREISS_MAX_SIZE or len(_active_variables(entries)) >= BAREISS_MIN_VARS:
-        return "bareiss"
-    return "interp"
+    """Crossover rule between the two determinant backends: elimination
+    ("bareiss", det_exact) up to BAREISS_MAX_SIZE rows, the modular engine
+    ("interp", det_by_evaluation) above, in any number of variables."""
+    size = matrix.size if isinstance(matrix, GramMatrix) else len(matrix)
+    return "bareiss" if size <= BAREISS_MAX_SIZE else "interp"
 
 
 # -- cached assembly and determinants ------------------------------------------

@@ -60,9 +60,11 @@ tested as primitive by w^(L/q) != 1 for every prime q | L; testing only
 w^(L/2) = -1 would accept w = -1 for L = 6.
 
 multiply_mod multiplies sparse polynomials mod p pair by pair of nonzero
-coefficients (Monagan & Pearce, ISSAC 2009): the pairs are one outer sum
-of offsets and one outer product of residues, and equal offsets are
-summed by polynomial's sort-and-reduce.
+coefficients (Monagan & Pearce, ISSAC 2009): the pairs are outer sums of
+offsets and outer products of residues, formed in slices of bounded size,
+and equal offsets are summed by polynomial's sort-and-reduce.  The
+product stays sparse, as the offsets of its nonzero coefficients, so no
+array the size of the product's box is ever built.
 """
 
 from __future__ import annotations
@@ -243,8 +245,8 @@ def block_orbits(orbits: list) -> list:
             for k in range(order)]
 
 
-# Cells of representative rows per elimination batch: about 1 MB of int64
-# per array the block kernel holds (representative rows x N per matrix).
+# Cells of representative rows per elimination batch, and pairs per slice
+# of multiply_mod: about 1 MB of int64 per array either holds.
 _ELIMINATION_CELLS = 1 << 17
 
 
@@ -336,30 +338,34 @@ def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis(coeffs, 0, axis)
 
 
-def multiply_mod(factors: list, p: int, length: int) -> np.ndarray:
-    """Coefficients mod a prime p < 2^31 of the product of polynomials,
-    flattened in C order over a box of `length` cells that holds the
-    product.  Each factor is (offsets, residues): the C-order offsets in
-    that box of its nonzero coefficients and their residues mod p.
+def multiply_mod(factors: list, p: int) -> tuple:
+    """The product mod a prime p < 2^31 of polynomials, as (offsets,
+    residues) of its nonzero coefficients, offsets ascending.  Each factor
+    is given the same way, its offsets in any order: the C-order offsets
+    of its nonzero coefficients in a box of fewer than 2^32 cells that
+    holds the product, and their residues mod p.
 
     Only nonzero coefficients are multiplied (module docstring): the
-    offsets of a pair add, as no axis of the box overflows.  Each pair's
-    product is below p^2 < 2^62 and is reduced mod p before
-    polynomial._collect sums the pairs of equal offset, so every sum
-    stays in int64 while it adds fewer than 2^32 residues; a box of fewer
-    than 2^32 cells guarantees that.  A factor with no nonzero
-    coefficient makes the product zero.
+    offsets of a pair add, as no axis of the box overflows.  The pairs are
+    formed in slices of at most _ELIMINATION_CELLS, and polynomial._collect
+    merges each slice into the product so far, summing equal offsets.  A
+    pair's product is below p^2 < 2^62 and is reduced mod p first, so each
+    sum adds at most _ELIMINATION_CELLS + 1 residues below 2^31 and stays
+    in int64.  A factor with no nonzero coefficient makes the product zero.
     """
-    product = np.zeros(length, dtype=np.int64)
     offsets, residues = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for factor_offsets, factor_residues in factors:
-        if not len(factor_offsets):
-            return product  # _collect needs at least one pair
-        offsets, residues = _collect((offsets[:, None] + factor_offsets).ravel(),
-                                     (residues[:, None] * factor_residues % p).ravel())
-        residues %= p
-    product[offsets] = residues
-    return product
+        keys, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pairs = len(offsets) * len(factor_offsets)
+        for start in range(0, pairs, _ELIMINATION_CELLS):
+            # pair t: term t // len(factor) of the product so far, term t % len(factor)
+            i, j = np.divmod(np.arange(start, min(pairs, start + _ELIMINATION_CELLS)),
+                             len(factor_offsets))
+            keys, sums = _collect(np.concatenate((keys, offsets[i] + factor_offsets[j])),
+                                  np.concatenate((sums, residues[i] * factor_residues[j] % p)))
+            sums %= p
+        offsets, residues = keys[sums != 0], sums[sums != 0]
+    return offsets, residues
 
 
 def crt(residues: list, primes: list) -> int:

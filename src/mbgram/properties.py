@@ -181,16 +181,13 @@ def check_tilde_block_fixture(cache_dir=None) -> Report:
         witness={"matrix": [[str(e) for e in row] for row in gm.entries]})
 
 
-# the variant/size pairs where both determinant backends are compared.
-# Evaluation's CRT step reads every cell of the box of the determinant's
-# per-variable degree bounds, so the many-variable matrices grow fast:
-# the box has ~2.5 * 10^7 cells for the full basis at n=3, about 20 s on
-# a 2-vCPU VM, so that case stays with elimination only.  The full basis
-# at n=2 (~3 * 10^4 cells) and the unsubstituted one-crosscap matrix at
-# n=3 (~9 * 10^5) take under half a second, but the case list is part of
-# the det-backends-agree report, which the benchmark's goldens pin.  The
-# substituted family (evaluation's actual target) is covered through n=3
-# and the multi-variable path through five variables at n=1.
+# the variant/size pairs where both determinant backends are compared:
+# the substituted family through n=3, and the multi-variable path through
+# five variables at n=1.  The engine takes the five-variable full n=2 and
+# mbn1 n=3 in well under a second too, but the case list is part of the
+# det-backends-agree report, which the benchmark's goldens pin, so it
+# stays; tier-1 compares the two routes on those matrices instead, and
+# the engine with the closed form C3_4 on full n=3.
 BACKEND_CROSSCHECK_CASES = (
     (gram_mod.GramVariant.MBN1_TILDE, (1, 2, 3)),
     (gram_mod.GramVariant.MBN1, (1, 2)),

@@ -224,6 +224,18 @@ class TestCommands:
         assert err.startswith("mbgram: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("det", "--n", "4", "--variant", "full"),
+        ("verify", "--conjecture", "C3_4", "--n", "4"),
+    ])
+    def test_determinant_past_the_engine_box_exits_2(self, capsys, tmp_path, argv):
+        # full n=4's box of degree bounds has about 2.4 * 10^10 cells
+        code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mbgram: error: ") and err.count("\n") == 1
+        assert "2^32 or more" in err
+
     def test_verify_theorem(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",
                                "--cache-dir", str(tmp_path), "--format", "json")

@@ -22,7 +22,7 @@ from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, Conjecture
                          verify_theorem_3_6)
 from mbgram.intdet import bareiss_int
 from mbgram.pairing import bilinear_form
-from mbgram.polynomial import Polynomial
+from mbgram.polynomial import VARIABLES, Polynomial
 from mbgram.storage import cache_read, cache_write, payload_digest
 
 D = Polynomial.variable("d")
@@ -239,6 +239,11 @@ class TestDetByEvaluation:
             gm = assemble_gram(n, GramVariant.MBN1_TILDE)
             assert det_by_evaluation(gm) == det_exact(gm)
 
+    def test_matches_exact_on_mbn1_n3(self):
+        # symmetric, five variables, L = 6: the engine where elimination also runs
+        gm = assemble_gram(3, GramVariant.MBN1)
+        assert det_by_evaluation(gm) == det_exact(gm)
+
     def test_block_bounds_rule(self):
         # one block, G itself: four rows of largest degree 1
         codes, entries = gram._entry_codes(class_matrix_4x4(1))
@@ -279,6 +284,40 @@ class TestDetByEvaluation:
         graded = [[h[i][j] * D ** (a[i] + b[j]) for j in range(n)] for i in range(n)]
         assert det_by_evaluation(h) == det
         assert det_by_evaluation(graded) == det * D ** (sum(a) + sum(b))
+
+    def test_coefficient_that_vanishes_mod_one_prime(self, monkeypatch):
+        # p0 d, p0 the first prime: twice the bound p0 + 1 needs two primes,
+        # and mod p0 the product has no nonzero coefficient, so CRT takes the
+        # offset of d from the other prime's product and reads 0 for p0
+        p0 = intdet.primes_for(1)[0]
+        assert p0 == 2 ** 31 - 1
+        lengths = []
+        original = intdet.multiply_mod
+
+        def spy(factors, p):
+            offsets, residues = original(factors, p)
+            lengths.append(len(offsets))
+            return offsets, residues
+
+        monkeypatch.setattr(intdet, "multiply_mod", spy)
+        assert det_by_evaluation([[p0 * D]]) == p0 * D
+        assert lengths == [0, 1]
+
+    def test_box_of_2_32_cells_is_refused_before_evaluation(self, monkeypatch):
+        # d^2048 w^2048 x^2048: a box of 2049^3 > 2^33 cells of degree bounds
+        entry = Polynomial.monomial(1, {"d": 2 ** 11, "w": 2 ** 11, "x": 2 ** 11})
+        points = []
+        monkeypatch.setattr(Polynomial, "evaluate", lambda self, point: points.append(point))
+        with pytest.raises(BoundExceededError, match=r"2\^32"):
+            det_by_evaluation([[entry]])
+        assert points == []
+
+    def test_full_n3_equals_the_closed_form(self):
+        # 35x35 in five variables, L = 6, not symmetric: 12 309 terms
+        gm = assemble_gram(3, GramVariant.MB1_FULL)
+        det = det_by_evaluation(gm)
+        assert det.num_terms() == 12309
+        assert det == conjecture_formula(ConjectureId.C3_4, 3)
 
     def test_tilde_n4_needs_five_primes(self, monkeypatch):
         # twice the Hadamard bound of the entry norms needs five 31-bit primes
@@ -375,7 +414,7 @@ class TestDistinctEntries:
         g, orbits = gm.entries, rotation_orbits(gm)
         assert total_degree_bound(gm) == sum(
             max((e.total_degree() for e in row if not e.is_zero()), default=0) for row in g)
-        for var in gram._active_variables(gm.values):
+        for var in VARIABLES:
             degrees = [[max(max(g[orbit_a[0]][j].degree_in(var), 0) for j in orbit_b)
                         for orbit_b in orbits] for orbit_a in orbits]
             expected = []
@@ -458,7 +497,7 @@ def block_det_polys_mod(gm, p):
     degree per variable, which bounds the degree of every block's
     determinant."""
     codes, entries = gm.codes, gm.values
-    variables = gram._active_variables(entries)
+    variables = [v for v in VARIABLES if any(e.degree_in(v) > 0 for e in entries)]
     shape = tuple(gm.size * max(e.degree_in(v) for e in entries) + 1 for v in variables)
     grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
     values = [[e.evaluate(point) for e in entries] for point in grid]
@@ -619,15 +658,19 @@ class TestCrossover:
         assert choose_backend(class_matrix_4x4(1)) == "bareiss"
         assert choose_backend([[D, 1], [1, D]]) == "bareiss"
 
-    def test_many_variables_go_to_elimination(self):
-        gm = assemble_gram(3, GramVariant.MB1_FULL)  # 35x35, five variables
-        assert choose_backend(gm) == "bareiss"
+    def test_size_alone_picks_the_route(self):
+        # five variables each: only the size decides
+        full = assemble_gram(3, GramVariant.MB1_FULL)
+        mbn1 = assemble_gram(3, GramVariant.MBN1)
+        assert (full.size, mbn1.size) == (35, 15)
+        assert choose_backend(full) == "interp"
+        assert choose_backend(mbn1) == "bareiss"
 
     def test_large_univariate_goes_to_interpolation(self, tmp_path):
         gm = get_gram(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert gm.size == 56
         assert choose_backend(gm) == "interp"
-        # int entries count as constants, not as active variables
+        # raw rows, with an int entry, route by their size too
         rows = [list(row) for row in gm.entries]
         rows[0][0] = 1
         assert choose_backend(rows) == "interp"

@@ -461,14 +461,7 @@ coefficient_grids = st.integers(1, 5).flatmap(lambda rows: st.integers(1, 3).fla
                                    min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.lists(coefficient_grids, min_size=1, max_size=4), st.sampled_from(primes_for(2 ** 62)))
-# an all-zero factor between two others: the product is zero
-@example(grids=[[[1, 2], [3, 4]], [[0, 0, 0]], [[5], [6]]], p=primes_for(2 ** 62)[0])
-# coefficients p - 1 only: every cell of the product's box is nonzero, and
-# equal offsets sum pair products near p^2 that overflow int64 unreduced
-@example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0])
-def test_multiply_mod_matches_direct_product(grids, p):
+def check_multiply_mod(grids, p):
     # each factor as (offsets, residues) of its nonzero coefficients in
     # the box of the product, flattened in C order
     grids = [np.array(grid, dtype=object) % p for grid in grids]
@@ -482,7 +475,35 @@ def test_multiply_mod_matches_direct_product(grids, p):
         for (i, j), c in np.ndenumerate(grid):
             product[i:, j:] += c * expected[:box[0] - i, :box[1] - j]
         expected = product % p
-    assert multiply_mod(factors, p, prod(box)).tolist() == expected.ravel().tolist()
+    offsets, residues = multiply_mod(factors, p)
+    # the nonzero coefficients only, offsets ascending
+    assert offsets.tolist() == np.flatnonzero(expected).tolist()
+    assert residues.tolist() == expected.ravel()[np.flatnonzero(expected)].tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(coefficient_grids, min_size=1, max_size=4), st.sampled_from(primes_for(2 ** 62)))
+# an all-zero factor between two others: the product is zero
+@example(grids=[[[1, 2], [3, 4]], [[0, 0, 0]], [[5], [6]]], p=primes_for(2 ** 62)[0])
+# coefficients p - 1 only: every cell of the product's box is nonzero, and
+# equal offsets sum pair products near p^2 that overflow int64 unreduced
+@example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0])
+# (1 + x)(1 - x): the two pairs at x sum to p, a zero residue the product drops
+@example(grids=[[[1], [1]], [[1], [-1]]], p=primes_for(2 ** 62)[0])
+def test_multiply_mod_matches_direct_product(grids, p):
+    check_multiply_mod(grids, p)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(coefficient_grids, min_size=1, max_size=4), st.sampled_from(primes_for(2 ** 62)),
+       st.integers(1, 5))
+@example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0],
+         cells=2)
+def test_multiply_mod_in_slices_matches_direct_product(grids, p, cells):
+    # slices of a few pairs: each product spans several, merged one by one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intdet, "_ELIMINATION_CELLS", cells)
+        check_multiply_mod(grids, p)
 
 
 @settings(deadline=None, max_examples=40)
