@@ -233,10 +233,6 @@ _IDENTITY_SPECS = {
 }
 
 
-def identity_default_max(identity: IdentityId) -> int:
-    return _IDENTITY_SPECS[identity][2]
-
-
 def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None = None,
                     max_index: int | None = None) -> Report:
     """Check one identity over a parameter range, structurally.

@@ -21,9 +21,10 @@ disjoint; anything else crosses.
 
 The two strata enumerated here are the diagrams with no curve through
 the crosscap (no fixed points, count C(2n, n)) and with exactly one
-(two fixed points, count C(2n, n-1)).  Diagrams with more fixed points
-can still be represented, parsed and paired; they are just never
-enumerated.
+(two fixed points, count C(2n, n-1)), each built from its diagrams'
+chord tail sets (enumerate_stratum proves the bijection).  Diagrams with
+more fixed points can still be represented, parsed and paired; they are
+just never enumerated.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from mbgram.errors import (BoundExceededError, MalformedComponentError, ParseError,
                            SharedEndpointError)
@@ -299,54 +300,50 @@ def validate_diagram(m: Diagram, stratum: Stratum | None = None) -> list:
     return violations
 
 
-def _arc_systems(free: tuple, fixed: tuple, placed: list, n2: int) -> Iterator[tuple]:
-    """Yield all non-crossing oriented arc systems covering `free`.
-
-    Backtracking on the smallest uncovered vertex; every tentative arc is
-    filtered against the placed arcs and the fixed points immediately, so
-    the search only ever walks valid prefixes.
+def _tail_matching(n2: int, tails: tuple) -> tuple:
+    """(arcs, fixed) of the valid diagram with chord tails `tails`: on two
+    counterclockwise laps each non-tail closes the latest tail opened on
+    the first lap, and the non-tails that close none are the fixed points.
     """
-    if not free:
-        yield tuple(placed)
-        return
-    v = free[0]
-    rest = free[1:]
-    for i, u in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for arc in (Arc(v, u), Arc(u, v)):
-            if any(fixed_point_blocked(arc, f, n2) for f in fixed):
-                continue
-            if any(arcs_cross(arc, other, n2) for other in placed):
-                continue
-            placed.append(arc)
-            yield from _arc_systems(remaining, fixed, placed, n2)
-            placed.pop()
+    tail_set = set(tails)
+    open_tails, arcs, heads = [], [], set()
+    for lap in (0, 1):
+        for v in range(1, n2 + 1):
+            if v in tail_set:
+                if lap == 0:
+                    open_tails.append(v)
+            elif open_tails and v not in heads:
+                arcs.append(Arc(open_tails.pop(), v))
+                heads.add(v)
+    fixed = tuple(v for v in range(1, n2 + 1) if v not in tail_set and v not in heads)
+    return tuple(sorted(arcs)), fixed
 
 
 def enumerate_stratum(n: int, stratum: Stratum) -> list:
-    """All diagrams of one stratum, in canonical order.
+    """All diagrams of one stratum, in canonical order (by serialized text).
 
-    Canonical order is lexicographic on the serialized text.  The result
-    size must equal C(2n, n) (zero-crosscap) or C(2n, n-1) (one-crosscap);
-    the enumeration is exhaustive generation filtered by the crossing and
-    blocking predicates, and the test suite certifies the counts.
+    A valid diagram with k fixed points is fixed by its n - k/2 chord
+    tails, and every (n - k/2)-subset of 1..2n is the tail set of exactly
+    one, built by _tail_matching; so the counts are C(2n, n - k/2).
+
+    Proof.  The vertices strictly inside the counterclockwise interval of
+    a chord (t h) are cut off from the crosscap: none is a fixed point,
+    and a chord with an end there lies wholly there, tail first.  So h is
+    the first vertex after t where the non-tails seen since t outnumber
+    the tails, the vertex where the walk closes t: the tails fix the
+    diagram.  Conversely, from c <= n tails the first lap leaves open
+    t_1 < ... < t_m and at least m unused non-tails before t_1, which close
+    t_m, ..., t_1 on the second lap.  The intervals nest or are disjoint,
+    and a leftover vertex met no open tail, so it lies inside none.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > ENUMERATION_BOUND:
         raise BoundExceededError(f"n={n} exceeds enumeration bound {ENUMERATION_BOUND}")
     n2 = 2 * n
-    vertices = tuple(range(1, n2 + 1))
     out = []
-    if stratum is Stratum.ZERO_CROSSCAP:
-        fixed_choices: Iterable[tuple] = [()]
-    else:
-        fixed_choices = itertools.combinations(vertices, 2)
-    for fixed in fixed_choices:
-        free = tuple(v for v in vertices if v not in fixed)
-        for arcs in _arc_systems(free, fixed, [], n2):
-            out.append(Diagram(n=n, chords=tuple(sorted(arcs, key=lambda a: a.tail)),
-                               fixed=fixed))
+    for tails in itertools.combinations(range(1, n2 + 1), n - stratum.fixed_count() // 2):
+        arcs, fixed = _tail_matching(n2, tails)
+        out.append(Diagram(n=n, chords=arcs, fixed=fixed))
     out.sort(key=lambda m: m.serialize())
     return out
-

@@ -245,9 +245,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def num_terms(self) -> int:
         return len(self._terms)
 
@@ -263,14 +260,6 @@ class Polynomial:
         if not self._terms:
             return -1
         return max(e[i] for e in self._terms)
-
-    def variables_used(self) -> tuple:
-        used = [False] * NVARS
-        for exps in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(VARIABLES[i] for i in range(NVARS) if used[i])
 
     def leading_term(self) -> tuple:
         """(exps, coef) of the canonically largest monomial; p must be nonzero."""

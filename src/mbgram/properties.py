@@ -1,16 +1,17 @@
 """Cross-module invariant checks, packaged as reportable claims.
 
 These are the structural facts the determinant work leans on: the
-enumeration counts certify the crossing predicate, the transpose and
-diagonal laws certify the pairing conventions, the winding-sum range
-certifies the sweep bookkeeping, and the two determinant backends
-certify each other wherever both are feasible.
+crossing and blocking predicates check every enumerated diagram, the
+counts check the tail-set construction, the transpose and diagonal laws
+certify the pairing conventions, the winding-sum range certifies the
+sweep bookkeeping, and the two determinant backends certify each other
+wherever both are feasible.
 """
 
 from __future__ import annotations
 
 from mbgram import gram as gram_mod
-from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram
+from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, validate_diagram
 from mbgram.pairing import (bilinear_form, build_pairing_graph, components,
                             curve_profile, pair_trace)
 from mbgram.polynomial import Polynomial
@@ -18,7 +19,11 @@ from mbgram.reporting import Report
 
 
 def check_enumeration_counts(n_max: int = 6) -> Report:
-    """Counts equal C(2n, n) and C(2n, n-1), the primary predicate check."""
+    """Counts equal C(2n, n) and C(2n, n-1), and every diagram validates.
+
+    enumerate_stratum never consults the crossing and blocking predicates,
+    so they check each diagram here; a violation is the FAIL's witness.
+    """
     counts = {}
     for n in range(1, n_max + 1):
         for stratum in Stratum:
@@ -35,6 +40,13 @@ def check_enumeration_counts(n_max: int = 6) -> Report:
                     claim="enumeration-counts", tag="diagrams", status="FAIL",
                     params={"at": [n, stratum.value]},
                     witness={"expected": expected, "actual": "duplicates"})
+            for m in diagrams:
+                violations = validate_diagram(m, stratum)
+                if violations:
+                    return Report(
+                        claim="enumeration-counts", tag="diagrams", status="FAIL",
+                        params={"at": [n, stratum.value]},
+                        witness={"diagram": m.serialize(), "violations": violations})
     return Report(
         claim="enumeration-counts", tag="diagrams", status="PASS",
         params={"n_max": n_max, "counts": counts})

@@ -6,7 +6,7 @@ import pytest
 
 from mbgram import chebyshev
 from mbgram.chebyshev import (IdentityId, _sum_of_S, _t_power_product, cheb_S, cheb_T,
-                              identity_default_max, verify_identity)
+                              verify_identity)
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
 
@@ -146,7 +146,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("identity", list(IdentityId))
     def test_identity_passes_reduced_range(self, identity):
-        max_index = min(identity_default_max(identity), 16)
+        max_index = min(chebyshev._IDENTITY_SPECS[identity][2], 16)
         report = verify_identity(identity, max_index=max_index)
         assert report.status == "PASS", report.to_json_line()
         assert report.params["checked"] > 0

@@ -2,11 +2,13 @@
 
 import itertools
 from math import comb
+from typing import Iterator
 
 import pytest
 
-from mbgram.diagrams import (Arc, Diagram, Stratum, arcs_cross, enumerate_stratum,
-                             fixed_point_blocked, parse_diagram, rotate, validate_diagram)
+from mbgram.diagrams import (ENUMERATION_BOUND, Arc, Diagram, Stratum, arcs_cross,
+                             enumerate_stratum, fixed_point_blocked, parse_diagram, rotate,
+                             validate_diagram)
 from mbgram.errors import BoundExceededError, ParseError, SharedEndpointError
 from mbgram.gram import GramVariant, gram_basis
 
@@ -26,6 +28,41 @@ def crossing_oracle(a, b, n2):
     different depths iff their gap sets are nested or disjoint."""
     ga, gb = gap_set(a, n2), gap_set(b, n2)
     return not (ga <= gb or gb <= ga or not (ga & gb))
+
+
+def _arc_systems(free: tuple, fixed: tuple, placed: list, n2: int) -> Iterator[tuple]:
+    """Yield all non-crossing oriented arc systems covering `free`.
+
+    Backtracking on the smallest uncovered vertex; every tentative arc is
+    filtered against the placed arcs and the fixed points immediately, so
+    the search only ever walks valid prefixes.
+    """
+    if not free:
+        yield tuple(placed)
+        return
+    v = free[0]
+    rest = free[1:]
+    for i, u in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1:]
+        for arc in (Arc(v, u), Arc(u, v)):
+            if any(fixed_point_blocked(arc, f, n2) for f in fixed):
+                continue
+            if any(arcs_cross(arc, other, n2) for other in placed):
+                continue
+            placed.append(arc)
+            yield from _arc_systems(remaining, fixed, placed, n2)
+            placed.pop()
+
+
+def searched_diagrams(n, fixed_counts):
+    """Every valid diagram on 2n points with one of the given numbers of
+    fixed points, found by the predicate-driven search, in no set order."""
+    n2 = 2 * n
+    return [Diagram.build(n, arcs, fixed)
+            for k in fixed_counts if k <= n2
+            for fixed in itertools.combinations(range(1, n2 + 1), k)
+            for arcs in _arc_systems(
+                tuple(v for v in range(1, n2 + 1) if v not in fixed), fixed, [], n2)]
 
 
 def interior_oracle(arc, n2):
@@ -136,13 +173,21 @@ class TestEnumerate:
         assert {(m.chords, m.fixed) for m in diagrams} == expected
         assert len(diagrams) == comb(4, 1)
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, ENUMERATION_BOUND + 1))
     def test_counts_match_binomials(self, n):
         assert len(enumerate_stratum(n, Stratum.ZERO_CROSSCAP)) == comb(2 * n, n)
         assert len(enumerate_stratum(n, Stratum.ONE_CROSSCAP)) == comb(2 * n, n - 1)
 
+    @pytest.mark.parametrize("n", range(1, ENUMERATION_BOUND + 1))
+    def test_tail_sets_equal_the_search(self, n):
+        # the tail-set construction against the search it replaced, order included
+        for stratum in Stratum:
+            searched = sorted(searched_diagrams(n, (stratum.fixed_count(),)),
+                              key=lambda m: m.serialize())
+            assert enumerate_stratum(n, stratum) == searched, (n, stratum)
+
     def test_every_enumerated_diagram_validates(self):
-        for n in range(1, 4):
+        for n in range(1, ENUMERATION_BOUND + 1):
             for stratum in Stratum:
                 for m in enumerate_stratum(n, stratum):
                     assert validate_diagram(m, stratum) == []

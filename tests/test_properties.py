@@ -1,6 +1,7 @@
 """Cross-module invariant claims at reduced ranges (acceptance runs them full)."""
 
 from mbgram import pairing, properties
+from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram
 from mbgram.properties import (check_crosscap_pair_fixture, check_det_backends_agree,
                                check_diagonal_law, check_entry_profiles,
                                check_enumeration_counts, check_tilde_block_fixture,
@@ -12,6 +13,24 @@ def test_enumeration_counts_small():
     assert report.status == "PASS"
     assert report.params["counts"]["zero/3"] == 20
     assert report.params["counts"]["one/3"] == 15
+
+
+def test_enumeration_counts_reports_a_crossing_diagram(monkeypatch):
+    # one n=2 chord diagram swapped for a crossing one keeps the count and
+    # the distinctness, so only the predicates can catch it
+    def planted(n, stratum):
+        found = enumerate_stratum(n, stratum)
+        if (n, stratum) == (2, Stratum.ZERO_CROSSCAP):
+            found[0] = parse_diagram("(1 3)(2 4)")
+        return found
+
+    monkeypatch.setattr(properties, "enumerate_stratum", planted)
+    report = check_enumeration_counts(3)
+    assert report.status == "FAIL"
+    assert report.params == {"at": [2, "zero"]}
+    assert report.witness == {
+        "diagram": "(1 3)(2 4)",
+        "violations": ["chords Arc(tail=1, head=3) and Arc(tail=2, head=4) cross"]}
 
 
 def test_pair_fixture():
