@@ -22,8 +22,9 @@ picks between them from the matrix size: fraction free elimination
 number of variables.  The modular route refuses a matrix whose box of
 degree bounds has 2^32 cells or more (full n=4, mbn1 n=5) before it
 evaluates anything.  Both routes are asserted equal wherever both are
-feasible.  _pool_map spreads the primes, and the randomized check's
-points, over `jobs` as integer codes and values.
+feasible.  _pool_map spreads the engine's primes, and the randomized
+check's points in at most `jobs` contiguous shares, one intdet.int_det
+call each, over `jobs` as integer codes and values.
 
 Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
@@ -364,11 +365,6 @@ def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape
     return intdet.multiply_mod([block_polys[k] for k in factors], p)
 
 
-def _det_of_codes(codes: np.ndarray, orbits: list, values: list) -> int:
-    """Exact determinant of the integer matrix values[codes[i][j]]."""
-    return intdet.int_det(np.array(values, dtype=object)[codes].tolist(), orbits)
-
-
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     """Determinant by the modular algorithm (von zur Gathen & Gerhard, ch. 5).
 
@@ -412,8 +408,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     if not codes.size:
         return Polynomial.one()
     # every coefficient's bound (docstring); 0 means a zero row
-    norms = np.array([sum(map(abs, e.terms.values())) for e in entries], dtype=object)
-    bound = intdet.hadamard_bound(norms[codes].tolist())
+    bound = intdet.hadamard_bound(codes, [sum(map(abs, e.terms.values())) for e in entries])
     if bound == 0:
         return Polynomial.zero()
     orbits = rotation_orbits(matrix)
@@ -427,7 +422,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     if prod(box) >= 2 ** 32:
         raise BoundExceededError(f"box of degree bounds has {prod(box)} cells, 2^32 or more: "
                                  "too large for the exact route (randomized checks cover it)")
-    grid = [dict(zip(VARIABLES, point)) for point in itertools.product(*map(range, grid_shape))]
+    grid = (dict(zip(VARIABLES, point)) for point in itertools.product(*map(range, grid_shape)))
     values = [[e.evaluate(point) for e in entries] for point in grid]
     primes = intdet.primes_for(bound, order)
     per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, orbits, grid_shape,
@@ -691,7 +686,10 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
 
     sample = [{var: coordinate() for var in VARIABLES} for _ in range(points)]
     values = [[e.evaluate(point) for e in gm.values] for point in sample]
-    det_values = _pool_map(partial(_det_of_codes, gm.codes, rotation_orbits(gm)), values, jobs)
+    size = -(-points // jobs)  # at most `jobs` contiguous shares
+    shares = [values[start:start + size] for start in range(0, points, size)]
+    det_of_shares = partial(intdet.int_det, gm.codes, orbits=rotation_orbits(gm))
+    det_values = list(itertools.chain.from_iterable(_pool_map(det_of_shares, shares, jobs)))
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)
         if det_value != formula_value:

@@ -18,13 +18,14 @@
     cells, and returns every requested block's determinant, not their
     product.  block_factors picks the blocks for both of its callers, half
     of them for a matrix equal to its transpose.  crt_det (and int_det,
-    which calls it at every size) reduces an integer matrix's distinct
-    entries mod enough primes to exceed twice the Hadamard bound, as
-    Python ints, multiplies the blocks' determinants per prime and
-    recombines by CRT.  gram's engine reduces the distinct entries at the
-    points of a grid under one prime, interpolates each block's
-    determinant on its own part of the grid (interpolate_mod) and
-    multiplies the block polynomials' nonzero coefficients (multiply_mod).
+    which calls it at every size) takes one code matrix and the distinct
+    values of its points, reduces them mod primes whose product exceeds
+    twice their Hadamard bound, eliminates every (prime, point) matrix in
+    one block_dets_mod call and recombines each point by CRT.  gram's
+    engine reduces the distinct entries at the points of a grid under
+    one prime, interpolates each block's determinant on its own part of
+    the grid (interpolate_mod) and multiplies the block polynomials'
+    nonzero coefficients (multiply_mod).
 
 The test suite cross-checks bareiss_int and crt_det.
 
@@ -33,9 +34,9 @@ primes p = 1 (mod s) below 2^31, descending.  primes_for(bound, order)
 returns its shortest prefix whose product exceeds 2 bound, finding
 primes only past the end of what earlier calls found (_PRIMES), so the
 primes are the same in any call order.  The randomized checks call
-crt_det once per sample point, and each call would otherwise repeat the
-scan: about 660 primality tests for the 62-69 primes of one C3_4 point
-at n=3.  _root_of_unity is cached for the same reason.
+crt_det once per share of sample points, and each call would otherwise
+repeat the scan: about 660 primality tests for the 62-69 primes of one
+C3_4 point at n=3.  _root_of_unity is cached for the same reason.
 
 The blocks.  Let r permute the indices with G[r(i)][r(j)] == G[i][j] for
 all i, j, i.e. P G P^T = G for its permutation matrix P, and split the
@@ -137,11 +138,12 @@ def _root_of_unity(p: int, order: int) -> int:
     raise ValueError(f"no primitive {order}-th root of unity mod {p}")
 
 
-def hadamard_bound(rows: list) -> int:
-    """Integer upper bound on |det| (product of row Euclidean norms)."""
+def hadamard_bound(codes: np.ndarray, magnitudes: list) -> int:
+    """Integer upper bound on |det| of every matrix with |entry (i, j)| <=
+    magnitudes[codes[i][j]] (product of row Euclidean norms)."""
     prod_sq = 1
-    for row in rows:
-        s = sum(v * v for v in row)
+    for row in codes.tolist():
+        s = sum(magnitudes[c] ** 2 for c in row)
         if s == 0:
             return 0
         prod_sq *= s
@@ -377,39 +379,38 @@ def crt(residues: list, primes: list) -> int:
     return x - modulus if x > modulus // 2 else x
 
 
-def crt_det(rows: list, orbits: list | None = None) -> int:
-    """Exact determinant via residues modulo 31-bit primes.
+def crt_det(codes: np.ndarray, points: list, orbits: list | None = None) -> list:
+    """Exact determinant of each integer matrix points[b][codes[i][j]].
 
-    orbits: those of a permutation that leaves the matrix invariant, as
-    for block_dets_mod; singletons when None.  Each distinct entry is
-    reduced mod each prime as a Python int, and block_dets_mod eliminates
-    the primes in batches.
+    orbits: those of a permutation that leaves codes invariant, as for
+    block_dets_mod; singletons when None.  One list of primes, from the
+    Hadamard bound of each value's largest magnitude over the points,
+    serves every point (module docstring).
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    n = len(codes)
+    if codes.shape != (n, n):
         raise ValueError("matrix must be square")
     if n == 0:
-        return 1
-    bound = hadamard_bound(rows)
+        return [1] * len(points)
+    bound = hadamard_bound(codes, [max(abs(v) for v in column) for column in zip(*points)])
     if bound == 0:
-        return 0
+        return [0] * len(points)
     if orbits is None:
         orbits = [(i,) for i in range(n)]
     order = lcm(*(len(orbit) for orbit in orbits))
     primes = primes_for(bound, order)
-    index: dict = {}  # distinct entry -> its code
-    codes = np.array([[index.setdefault(v, len(index)) for v in row] for row in rows])
-    values = np.array([[v % p for v in index] for p in primes], dtype=np.int64)
-    moduli = np.array(primes, dtype=np.int64)
+    # matrix t * len(points) + b is point b mod primes[t]
+    values = np.array([[v % p for v in point] for p in primes for point in points], dtype=np.int64)
+    moduli = np.repeat(np.array(primes, dtype=np.int64), len(points))
     factors = block_factors(bool((codes == codes.T).all()), order)
     ks = sorted(set(factors))
     block_dets = dict(zip(ks, block_dets_mod(values, codes, orbits, moduli, ks)))
-    det = np.ones(len(primes), dtype=np.int64)
+    det = np.ones(len(moduli), dtype=np.int64)
     for k in factors:
         det = det * block_dets[k] % moduli
-    return crt(det.tolist(), primes)
+    return [crt(residues, primes) for residues in det.reshape(len(primes), -1).T.tolist()]
 
 
-def int_det(rows: list, orbits: list | None = None) -> int:
-    """Exact integer determinant (crt_det), orbits as for crt_det."""
-    return crt_det(rows, orbits)
+def int_det(codes: np.ndarray, points: list, orbits: list | None = None) -> list:
+    """Exact integer determinants (crt_det), arguments as for crt_det."""
+    return crt_det(codes, points, orbits)

@@ -753,13 +753,15 @@ class TestVerification:
         assert 0 < report.params["failure_bound"] < 2 ** -40
 
     def test_randomized_independent_of_jobs(self, tmp_path):
-        # jobs=2 spreads the three points over a worker pool
-        serial = verify_conjecture(ConjectureId.C3_4, 3, method="randomized",
-                                   seed=11, points=3, jobs=1, cache_dir=tmp_path)
-        pooled = verify_conjecture(ConjectureId.C3_4, 3, method="randomized",
-                                   seed=11, points=3, jobs=2, cache_dir=tmp_path)
-        assert serial.canonical_json() == pooled.canonical_json()
-        assert serial.status == "PASS"
+        # the points go to at most `jobs` workers in contiguous shares: even
+        # and uneven (3 = 2 + 1, 5 = 3 + 2 = 2 + 2 + 1) and a single share
+        for points, jobs in ((3, (1, 2)), (5, (1, 2, 3)), (1, (1, 2))):
+            reports = [verify_conjecture(ConjectureId.C3_4, 3, method="randomized", seed=11,
+                                         points=points, jobs=j, cache_dir=tmp_path)
+                       for j in jobs]
+            assert {report.canonical_json() for report in reports} == {
+                reports[0].canonical_json()}, points
+            assert reports[0].status == "PASS"
 
     def test_randomized_degree_bound_covers_the_formula(self, tmp_path, monkeypatch):
         # a wrong closed form of higher degree than det(G): the stated degree

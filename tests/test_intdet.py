@@ -36,6 +36,34 @@ def random_matrix(rng, n, lo=-99, hi=99):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+def coded(rows):
+    """An integer matrix given as rows, as crt_det takes it: its code matrix
+    and distinct values.  Ragged rows give a one-dimensional array of code
+    lists, which is not square."""
+    index: dict = {}  # distinct entry -> its code
+    codes = [[index.setdefault(v, len(index)) for v in row] for row in rows]
+    ragged = len({len(row) for row in codes}) > 1
+    return np.array(codes, dtype=object if ragged else np.int64), list(index)
+
+
+def det_of(rows, orbits=None, det=crt_det):
+    """det (crt_det or int_det) of the one matrix given as rows."""
+    codes, values = coded(rows)
+    [value] = det(codes, [values], orbits)
+    return value
+
+
+def bound_of(rows):
+    """hadamard_bound of the matrix given as rows."""
+    codes, values = coded(rows)
+    return hadamard_bound(codes, [abs(v) for v in values])
+
+
+def rows_of(codes, point):
+    """The rows of the matrix point[codes[i][j]]."""
+    return [[point[c] for c in row] for row in codes.tolist()]
+
+
 class TestBareiss:
     def test_tiny_cases(self):
         assert bareiss_int([]) == 1
@@ -142,24 +170,24 @@ class TestCrt:
         for n in range(1, 6):
             for _ in range(20):
                 m = random_matrix(rng, n)
-                assert abs(bareiss_int(m)) <= hadamard_bound(m)
+                assert abs(bareiss_int(m)) <= bound_of(m)
 
     def test_matches_bareiss_small(self):
         rng = random.Random(12)
         for n in (1, 2, 5, 9):
             for _ in range(10):
                 m = random_matrix(rng, n, -10 ** 6, 10 ** 6)
-                assert crt_det(m) == bareiss_int(m)
+                assert det_of(m) == bareiss_int(m)
 
     def test_matches_bareiss_medium(self):
         rng = random.Random(13)
         for _ in range(3):
             m = random_matrix(rng, 30, -10 ** 9, 10 ** 9)
-            assert crt_det(m) == bareiss_int(m)
+            assert det_of(m) == bareiss_int(m)
 
     def test_zero_row(self):
         m = [[0] * 8 for _ in range(8)]
-        assert crt_det(m) == 0
+        assert det_of(m) == 0
 
     def test_diagonal(self):
         diag = [[0] * 25 for _ in range(25)]
@@ -167,7 +195,7 @@ class TestCrt:
         for i in range(25):
             diag[i][i] = i + 2
             expected *= i + 2
-        assert crt_det(diag) == expected
+        assert det_of(diag) == expected
 
     def test_huge_entries_stay_modular(self, monkeypatch):
         # entries past int64 are reduced as Python ints; bareiss_int only checks
@@ -184,7 +212,7 @@ class TestCrt:
             raise AssertionError("crt_det left the modular algorithm")
 
         monkeypatch.setattr(intdet, "bareiss_int", refuse)
-        assert [crt_det(rows, orbits) for rows, orbits in cases] == expected
+        assert [det_of(rows, orbits) for rows, orbits in cases] == expected
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_hadamard_matrix_meets_the_bound(self, n):
@@ -192,14 +220,14 @@ class TestCrt:
         # so any lower bound would not cover its determinant
         rows = [[2 ** 40 * (-1) ** bin(i & j).count("1") for j in range(n)] for i in range(n)]
         det = bareiss_int(rows)
-        assert abs(det) == 2 ** (40 * n) * n ** (n // 2) == hadamard_bound(rows) - 1
-        assert crt_det(rows) == det
+        assert abs(det) == 2 ** (40 * n) * n ** (n // 2) == bound_of(rows) - 1
+        assert det_of(rows) == det
 
     def test_structured_singular_mod_prime(self):
         # determinant divisible by several of the CRT primes still comes out right
         p1, p2 = primes_for(2 ** 40)
         m = [[p1 * p2, 0], [0, 1]]
-        assert crt_det(m) == p1 * p2
+        assert det_of(m) == p1 * p2
 
     def test_zero_leading_pivot_batched(self):
         # the shared elimination meets a zero pivot for every prime at step 0
@@ -207,7 +235,7 @@ class TestCrt:
         for n in (24, 31):
             m = random_matrix(rng, n, -10 ** 6, 10 ** 6)
             m[0][0] = 0
-            det = crt_det(m)
+            det = det_of(m)
             assert det == bareiss_int(m) and det != 0
 
     def test_rank_deficient_batched(self):
@@ -218,12 +246,12 @@ class TestCrt:
         for row in m:
             row[3] = row[0] - 2 * row[1]
         assert bareiss_int(m) == 0
-        assert crt_det(m) == 0
+        assert det_of(m) == 0
 
     def test_dispatch(self):
         rng = random.Random(14)
         m = random_matrix(rng, 26, -10 ** 6, 10 ** 6)
-        assert int_det(m) == bareiss_int(m)
+        assert det_of(m, det=int_det) == bareiss_int(m)
 
     def test_small_matrix_stays_modular(self, monkeypatch):
         # int_det is the modular algorithm at every size, 10x10 included
@@ -234,7 +262,7 @@ class TestCrt:
             raise AssertionError("int_det left the modular algorithm")
 
         monkeypatch.setattr(intdet, "bareiss_int", refuse)
-        assert int_det(m) == expected
+        assert det_of(m, det=int_det) == expected
 
     @pytest.mark.parametrize("rows", [
         [[1, 2, 3], [4, 5, 6]],
@@ -245,7 +273,7 @@ class TestCrt:
     def test_non_square_raises(self, rows):
         for det in (crt_det, int_det):
             with pytest.raises(ValueError, match="square"):
-                det(rows)
+                det_of(rows, det=det)
 
 
 def invariant_matrix(cycle_sizes, labels, cell):
@@ -283,8 +311,8 @@ class TestRotationBlocks:
                                         lambda: rng.randint(-10 ** 6, 10 ** 6))
         expected = bareiss_int(rows)
         assert expected != 0
-        assert crt_det(rows, orbits) == expected
-        assert int_det(rows, orbits) == expected
+        assert det_of(rows, orbits) == expected
+        assert det_of(rows, orbits, det=int_det) == expected
 
 
 def spy_on_intdet(monkeypatch, name: str, record) -> list:
@@ -310,8 +338,8 @@ class TestBlockSelection:
         cap = 2 * len(orbits) * len(rows)  # two primes' representative rows
         monkeypatch.setattr(intdet, "_ELIMINATION_CELLS", cap)
         sizes = spy_on_intdet(monkeypatch, "dets_mod", lambda stack, moduli: stack.size)
-        assert crt_det(rows, orbits) == expected != 0
-        primes = primes_for(hadamard_bound(rows), 6)
+        assert det_of(rows, orbits) == expected != 0
+        primes = primes_for(bound_of(rows), 6)
         assert len(primes) > 2 and len(sizes) >= len(primes) / 2
         assert max(sizes) <= cap
 
@@ -325,8 +353,24 @@ class TestBlockSelection:
         expected = [bareiss_int(symmetric), bareiss_int(rows)]
         calls = spy_on_intdet(monkeypatch, "block_dets_mod",
                               lambda values, codes, orbits, moduli, ks: [int(k) for k in ks])
-        assert [crt_det(symmetric, orbits), crt_det(rows, orbits)] == expected
+        assert [det_of(symmetric, orbits), det_of(rows, orbits)] == expected
         assert calls == [[0, 1, 2, 3, 4], list(range(8))]
+
+    def test_points_share_the_primes_and_one_kernel_call(self, monkeypatch):
+        # every (prime, point) matrix goes through one block_dets_mod call,
+        # under the primes of the largest magnitude of each value
+        rng = random.Random(24)
+        rows, orbits = invariant_matrix((1, 2, 3, 6), list(range(12)),
+                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        codes, values = coded(rows)
+        points = [values, [3 * v for v in values], [rng.randint(-2 ** 70, 2 ** 70) for _ in values]]
+        expected = [bareiss_int(rows_of(codes, point)) for point in points]
+        calls = spy_on_intdet(monkeypatch, "block_dets_mod",
+                              lambda values, codes, orbits, moduli, ks: moduli.tolist())
+        assert crt_det(codes, points, orbits) == expected
+        magnitudes = [max(map(abs, column)) for column in zip(*points)]
+        primes = primes_for(hadamard_bound(codes, magnitudes), 6)
+        assert calls == [[p for p in primes for _ in points]]
 
 
 class TestRationalCross:
@@ -355,7 +399,7 @@ class TestRationalCross:
                         frac[i][j] -= factor * frac[k][j]
             expected = int(det) * sign if det else 0
             assert bareiss_int(m) == expected
-            assert int_det(m) == expected
+            assert det_of(m, det=int_det) == expected
 
 
 # -- property tests -------------------------------------------------------------
@@ -384,8 +428,8 @@ def integer_matrices(draw, max_size=8):
 @given(integer_matrices())
 def test_int_and_crt_det_match_bareiss(rows):
     expected = bareiss_int(rows)
-    assert crt_det(rows) == expected
-    assert int_det(rows) == expected
+    assert det_of(rows) == expected
+    assert det_of(rows, det=int_det) == expected
 
 
 @st.composite
@@ -423,7 +467,42 @@ def invariant_matrices(draw):
 @given(invariant_matrices())
 def test_block_crt_det_matches_bareiss(case):
     rows, orbits = case
-    assert crt_det(rows, orbits) == bareiss_int(rows)
+    assert det_of(rows, orbits) == bareiss_int(rows)
+
+
+@st.composite
+def code_matrices_with_points(draw):
+    """(codes, points, orbits): a code matrix, plain (orbits None) or
+    invariant under a permutation with those orbits, half of them equal to
+    their transpose, and two to four points on it whose magnitudes include
+    1 and 2^70; one point has a zero row."""
+    if draw(st.booleans()):
+        rows, orbits = draw(integer_matrices(6)), None
+    else:
+        rows, orbits = draw(invariant_matrices())
+    codes, _ = coded(rows)
+    if draw(st.booleans()):
+        # code pairs (G_ij, G_ji) are invariant too, and symmetric
+        pairs = np.minimum(codes, codes.T) * codes.size + np.maximum(codes, codes.T)
+        codes = np.unique(pairs, return_inverse=True)[1].reshape(codes.shape)
+    count = int(codes.max()) + 1
+    extra = draw(st.lists(st.sampled_from([9, 10 ** 6, 2 ** 62]), max_size=2))
+    magnitudes = draw(st.permutations([1, 2 ** 70] + extra))
+    points = [draw(st.lists(st.integers(-m, m), min_size=count, max_size=count))
+              for m in magnitudes]
+    zero_point = points[draw(st.integers(0, len(points) - 1))]
+    for c in codes[draw(st.integers(0, len(codes) - 1))].tolist():
+        zero_point[c] = 0
+    return codes, points, orbits
+
+
+@settings(deadline=None, max_examples=60)
+@given(code_matrices_with_points())
+def test_crt_det_of_several_points_matches_bareiss(case):
+    codes, points, orbits = case
+    expected = [bareiss_int(rows_of(codes, point)) for point in points]
+    assert crt_det(codes, points, orbits) == expected
+    assert int_det(codes, points, orbits) == expected
 
 
 @settings(deadline=None, max_examples=60)
