@@ -22,9 +22,8 @@ picks between them from the matrix size: fraction free elimination
 number of variables.  The modular route refuses a matrix whose box of
 degree bounds has 2^32 cells or more (full n=4, mbn1 n=5) before it
 evaluates anything.  Both routes are asserted equal wherever both are
-feasible.  _pool_map spreads the engine's primes, and the randomized
-check's points in at most `jobs` contiguous shares, one intdet.int_det
-call each, over `jobs` as integer codes and values.
+feasible.  _pool_map spreads the engine's primes, and shares of the
+randomized check's points, over `jobs` as integer codes and values.
 
 Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the

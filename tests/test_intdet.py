@@ -356,21 +356,23 @@ class TestBlockSelection:
         assert [det_of(symmetric, orbits), det_of(rows, orbits)] == expected
         assert calls == [[0, 1, 2, 3, 4], list(range(8))]
 
-    def test_points_share_the_primes_and_one_kernel_call(self, monkeypatch):
+    def test_points_get_their_own_primes_in_one_kernel_call(self, monkeypatch):
         # every (prime, point) matrix goes through one block_dets_mod call,
-        # under the primes of the largest magnitude of each value
+        # each point under the primes of its own Hadamard bound; a point
+        # with a zero row needs none
         rng = random.Random(24)
         rows, orbits = invariant_matrix((1, 2, 3, 6), list(range(12)),
                                         lambda: rng.randint(-10 ** 6, 10 ** 6))
         codes, values = coded(rows)
-        points = [values, [3 * v for v in values], [rng.randint(-2 ** 70, 2 ** 70) for _ in values]]
+        points = [values, [0] * len(values), [10 ** 6 * v for v in values],
+                  [rng.randint(-2 ** 70, 2 ** 70) for _ in values]]
         expected = [bareiss_int(rows_of(codes, point)) for point in points]
         calls = spy_on_intdet(monkeypatch, "block_dets_mod",
                               lambda values, codes, orbits, moduli, ks: moduli.tolist())
         assert crt_det(codes, points, orbits) == expected
-        magnitudes = [max(map(abs, column)) for column in zip(*points)]
-        primes = primes_for(hadamard_bound(codes, magnitudes), 6)
-        assert calls == [[p for p in primes for _ in points]]
+        primes = [primes_for(hadamard_bound(codes, list(map(abs, point))), 6) for point in points]
+        assert primes[1] == [] and len(primes[0]) < len(primes[2]) < len(primes[3])
+        assert calls == [[p for point_primes in primes for p in point_primes]]
 
 
 class TestRationalCross:
