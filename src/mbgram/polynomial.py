@@ -16,37 +16,59 @@ lists terms in descending canonical order (leading term first), as
 inside a versioned JSON envelope.  All coefficients are Python ints, so
 nothing ever overflows.
 
-Products of two d-only polynomials whose shorter factor has at least
-DENSE_MIN_TERMS terms are dense, by Kronecker substitution (von zur
-Gathen & Gerhard, Modern Computer Algebra, 8.4).  Each factor is written
-d^lo F(d^g), g the common exponent step (2 for every Chebyshev
-polynomial); F's coefficients become the base-10^w digits of one
-decimal.Decimal, one exact multiplication replaces the term pairs, and
-the product's digits are read back in balanced form, carrying across
-slots.  The number is a Decimal, not an int, because libmpdec multiplies
-large operands by a number-theoretic transform while int multiplication
-is Karatsuba only.  On a 2-vCPU Xeon VM, for the last factor of
-S_4095 = T_1 T_2 ... T_2048, the packed operands' int product took
-0.58 s and their Decimal product 0.08 s.  The crossover is a
-measurement, not a setting: on the same VM the dense path's fixed cost
-(~50 us) made it 0.6x the tuple-keyed loop that preceded _sparse_product
-at 8 terms, even at 12, 1.3x faster at 16 and 3x at 64.  Against
-_sparse_product it breaks even near 22 terms of Chebyshev-like factors,
-but a crossover there made no difference the identity catalogue could
-show, so it stayed at 16.
+Products of two d-only polynomials with at least two terms each go by
+size, through _d_product, on one of three routes.
+
+  * A shorter factor below DENSE_MIN_TERMS terms: term pair by term pair,
+    keyed on the d-exponent itself, with no packing layout.
+
+  * Otherwise Kronecker substitution (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 8.4).  Each factor is written d^lo F(d^g), g the
+    common exponent step (2 for every Chebyshev polynomial); F's dense
+    coefficients become the digits of one number in a base B, one exact
+    multiplication replaces the term pairs, and the product's digits are
+    read back in balanced form, carrying across slots.  The slot bound:
+    a product coefficient sums at most s term pairs, s the shorter
+    factor's term count, so |c_k| <= bound = max|a| max|b| s, and B >
+    2 bound.  Then |c_k| < B/2, the packed product P = sum c_k B^k has
+    |P| < B^n / 2 over its n slots, and its balanced digits are unique:
+    the ordinary digits of |P|, each one above B/2 lowered by B and a
+    carry of one passed up, are the c_k times P's sign.
+
+  * Below DECIMAL_MIN_BITS packed bits (n slots times the bits of 2 bound)
+    the number is a Python int in slots of nb whole bytes, B = 2^(8 nb) >=
+    2^bits > 2 bound, built and read by int.to_bytes and int.from_bytes:
+    no strings, so the interpreter's limit on integer string digits never
+    applies.  From there on it is a decimal.Decimal in base 10^w, because
+    libmpdec multiplies large operands by a number-theoretic transform
+    while int multiplication is Karatsuba only.  The crossover is a
+    measurement, not a setting.  On a 2-vCPU Xeon VM (best of 7, int
+    against Decimal): T_256^2 (9.2e4 bits) 1.7 against 2.3 ms, T_384^2
+    (2.1e5 bits) 4.8 against 4.9 ms, T_448^2 (2.8e5 bits) 8.1 against
+    8.6 ms, T_512^2 (3.7e5 bits) 11.9 against 9.6 ms, and the last factor
+    of S_4095 = T_1 T_2 ... T_2048 (5.8e6 bits) 509 against 135 ms.  No
+    product of the identity catalogue falls between 1e5 and 3.6e5 bits.
 
 The transform allocates about four times the product's size, so the rest
-is kept lean.  Digits are packed and unpacked in slices of _SLICE
-coefficients, so no product-sized string is ever built.  int <-> str
-conversion is used only while w is within the interpreter's limit on
-integer string digits (4300 by default, never changed here); past it each
-coefficient goes through Decimal alone, which is slower.  All d-only
-products and quotients, and univariate("d", ...), share one key tuple per
-degree up to 256 from the immutable table _D_KEYS, which saves 80 bytes
-per term of the Chebyshev memos; most of their terms have such degrees,
-and a longer table would cost more than it shares.
+of the Decimal route is kept lean.  Digits are packed and unpacked in
+slices of _SLICE coefficients, so no product-sized string is ever built.
+int <-> str conversion is used only while w is within the interpreter's
+limit on integer string digits (4300 by default, never changed here);
+past it each coefficient goes through Decimal alone, which is slower.
+All d-only products and quotients, and univariate("d", ...), share one
+key tuple per degree up to 256 from the immutable table _D_KEYS, which
+saves 80 bytes per term of the Chebyshev memos; most of their terms have
+such degrees, and a longer table would cost more than it shares.
 
-Every other product (a multivariate factor, a short factor) is
+DENSE_MIN_TERMS is a measurement too.  Against the int route, on the
+same VM, the short loop took 35 against 39 us at 16 x 16 terms of
+Chebyshev factors, 45 against 43 us at 18 x 18 and 85 against 68 us at
+24 x 24; against a 64-term factor it broke even near 10 terms.
+Replaying the catalogue's 6605 d-only products with a factor below 64
+terms took 0.27-0.29 s for every crossover from 12 to 20 terms, 0.35 s at
+8 and 0.33 s at 24, so it stays at 16.
+
+A product with a multivariate factor of two or more terms is
 _sparse_product, term pair by term pair on packed monomial keys (Monagan
 & Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
 46 (2011)).  A monomial becomes one int, its exponents in bit fields, z
@@ -54,9 +76,10 @@ lowest and d highest.  Variable i's field is wide enough for 2 m_i, m_i
 its largest exponent in either factor, so the sum of two exponents never
 carries into the next field; a variable neither factor uses gets no
 field.  Multiplying two monomials is then one int addition, and each
-product term is unpacked once.  When both factors are d-only no field
-lies below d's, so the key is the d-exponent itself, and unpacking goes
-through _d_key.  A monomial factor scales and shifts the other's terms.
+product term is unpacked once.  When both operands are d-only (a d-only
+division; d-only products go to _d_product) no field lies below d's, so
+the key is the d-exponent itself, and unpacking goes through _d_key.  A
+monomial factor scales and shifts the other's terms.
 
 divide_exact uses the same layout with one width for every field in
 use: the bit length of the largest total degree of either operand, plus
@@ -78,13 +101,14 @@ overflow; otherwise the loops above run unchanged.
     ||a||_1 ||b||_1 < 2^63.  Every coefficient product, and every partial
     sum of any set of them, is at most sum |c_a| |c_b| = ||a||_1 ||b||_1
     in absolute value, so no order of summation leaves int64.  Two d-only
-    factors stay in the loop (or go dense from DENSE_MIN_TERMS).  The
-    Chebyshev identities make about 900 such products of 256 to 500 pairs
-    with small coefficients.  Replayed alone (best of five), the kernel
-    took 0.065 s of them against 0.086 s; but whole runs of the catalogue
-    were 1.5% slower with it, and its first call maps about 0.75 MB of
-    numpy code (sorts, ufunc loops) into a process that runs no other
-    numpy.
+    factors never use it (_d_product multiplies them).  The Chebyshev
+    identities make about 900 products of 256 to 500 pairs with small
+    coefficients and a factor below DENSE_MIN_TERMS terms.  Replayed
+    alone (best of five), the kernel took 0.065 s of them against 0.086 s
+    for the packed loop that preceded _d_product's short route; but whole
+    runs of the catalogue were 1.5% slower with it, and its first call
+    maps about 0.75 MB of numpy code (sorts, ufunc loops) into a process
+    that runs no other numpy.
 
   * Exact division goes by layers of the d-exponent, when the divisor
     has a single term c m of its top d-degree D.  The remainder R starts
@@ -141,6 +165,9 @@ POLY_FORMAT = "mbgram.poly/1"
 
 # the shorter factor's term count from which a d-only product is dense
 DENSE_MIN_TERMS = 16
+# packed product size, slots times bits per slot, from which a dense
+# product is one Decimal instead of one int (module docstring)
+DECIMAL_MIN_BITS = 300_000
 # coefficients per base-10^w string when packing and unpacking
 _SLICE = 128
 # term pairs per numpy pass from which products and exact divisions run
@@ -315,8 +342,8 @@ class Polynomial:
                 (ea[0] + e[0], ea[1] + e[1], ea[2] + e[2], ea[3] + e[3], ea[4] + e[4]): ca * c
                 for e, c in b.items()
             })
-        if len(a) >= DENSE_MIN_TERMS and _d_only(a) and _d_only(b):
-            return Polynomial(_raw=_dense_d_product(a, b))
+        if _d_only(a) and _d_only(b):
+            return Polynomial(_raw=_d_product(a, b))
         return Polynomial(_raw=_sparse_product(a, b))
 
     __rmul__ = __mul__
@@ -706,15 +733,19 @@ def _d_only(terms: dict) -> bool:
     return not any(e[1] or e[2] or e[3] or e[4] for e in terms)
 
 
-def _dense_d_product(a: dict, b: dict) -> dict:
-    """Terms of a * b for d-only term maps, by Kronecker substitution.
+def _d_product(a: dict, b: dict) -> dict:
+    """Terms of a * b for d-only term maps of at least two terms each, a
+    the shorter, by the route their sizes pick (module docstring).
 
-    Each factor is d^lo * F(d^g), with g the gcd of the exponent steps of
-    both factors; F's coefficients are packed as the base-10^w digits of
-    one Decimal, where 10^w exceeds twice the largest possible product
-    coefficient, the two numbers are multiplied exactly, and the product's
-    digits are read back in balanced form (|digit| < 10^w / 2).
+    A short a multiplies term pair by term pair on d-exponents.  Otherwise
+    each factor is d^lo * F(d^g), with g the gcd of the exponent steps of
+    both factors; F's coefficients are packed as the digits of one number
+    in a base above twice the largest possible product coefficient, the
+    two numbers are multiplied exactly, and the product's digits are read
+    back in balanced form (|digit| < base / 2).
     """
+    if len(a) < DENSE_MIN_TERMS:
+        return _short_d_product(a, b)
     lo_a, lo_b = min(e[0] for e in a), min(e[0] for e in b)
     g = gcd(*(e[0] - lo_a for e in a), *(e[0] - lo_b for e in b)) or 1
     dense = []
@@ -723,17 +754,12 @@ def _dense_d_product(a: dict, b: dict) -> dict:
         for e, c in terms.items():
             cs[(e[0] - lo) // g] = c
         dense.append(cs)
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    w = (2 * bound).bit_length() * 30103 // 100000 + 1  # 10^w > 2 * bound
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
-    leaf = _SLICE if limit == 0 or w <= limit else 1  # int <-> str fails past the limit
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
+    bits = (2 * bound).bit_length()  # 2^bits > 2 * bound
     n = len(dense[0]) + len(dense[1]) - 1
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        product = _pack(dense[0], w, leaf) * _pack(dense[1], w, leaf)
-        digits: list = []
-        _unpack(product, n, w, leaf, digits)
-    sign = -1 if product < 0 else 1
-    base = 10 ** w
+    route = _binary_digits if n * bits < DECIMAL_MIN_BITS else _decimal_digits
+    negative, digits, base = route(*dense, bits, n)
+    sign = -1 if negative else 1
     half = base // 2
     out = {}
     carry = 0
@@ -745,6 +771,54 @@ def _dense_d_product(a: dict, b: dict) -> dict:
         if v:
             out[_d_key(lo_a + lo_b + g * k)] = sign * v
     return out
+
+
+def _short_d_product(a: dict, b: dict) -> dict:
+    """Terms of a * b for d-only term maps, term pair by term pair keyed
+    on the d-exponent itself."""
+    out: dict = {}
+    get = out.get
+    pb = [(e[0], c) for e, c in b.items()]
+    for ea, ca in a.items():
+        da = ea[0]
+        for db, cb in pb:
+            k = da + db
+            v = get(k)
+            out[k] = ca * cb if v is None else v + ca * cb
+    return {_d_key(k): c for k, c in out.items() if c}
+
+
+def _binary_digits(x: list, y: list, bits: int, n: int) -> tuple:
+    """(negative, digits, base) of the product of the dense coefficient
+    lists x and y, packed into slots of nb whole bytes, base 2^(8 nb) >=
+    2^bits: whether the packed product is negative, and the n digits of
+    its absolute value, low first."""
+    nb = (bits + 7) // 8
+    product = _to_int(x, nb) * _to_int(y, nb)
+    buf = abs(product).to_bytes(n * nb, "little")
+    from_bytes = int.from_bytes
+    digits = [from_bytes(buf[i:i + nb], "little") for i in range(0, n * nb, nb)]
+    return product < 0, digits, 1 << 8 * nb
+
+
+def _to_int(cs: list, nb: int) -> int:
+    """sum cs[i] * 2^(8 nb i), every |cs[i]| below 2^(8 nb)."""
+    zero = bytes(nb)
+    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in cs)
+    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _decimal_digits(x: list, y: list, bits: int, n: int) -> tuple:
+    """_binary_digits in base 10^w > 2^bits, by one Decimal product."""
+    w = bits * 30103 // 100000 + 1  # 10^w > 2^bits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    leaf = _SLICE if limit == 0 or w <= limit else 1  # int <-> str fails past the limit
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        product = _pack(x, w, leaf) * _pack(y, w, leaf)
+        digits: list = []
+        _unpack(product, n, w, leaf, digits)
+    return product < 0, digits, 10 ** w
 
 
 def _pack(cs: list, w: int, leaf: int) -> Decimal:

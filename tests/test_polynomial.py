@@ -1,19 +1,20 @@
 """Exact polynomial ring: frozen examples, ring axioms, division, interpolation."""
 
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbgram import polynomial
 from mbgram.errors import NonIntegralResultError
-from mbgram.polynomial import (DENSE_MIN_TERMS, Polynomial, VARIABLES, _ON_HEAP,
-                               _sparse_product, interpolate, monomial_key)
+from mbgram.polynomial import (DECIMAL_MIN_BITS, DENSE_MIN_TERMS, Polynomial, VARIABLES,
+                               _ON_HEAP, _sparse_product, interpolate, monomial_key)
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -78,13 +79,40 @@ class TestArithmetic:
 
 @st.composite
 def d_only_polys(draw):
-    """d-only polynomials on both sides of the dense crossover, with gaps."""
+    """d-only polynomials with gaps, on both sides of DENSE_MIN_TERMS and,
+    with 2000-bit coefficients in both factors, of DECIMAL_MIN_BITS."""
     lo, step = draw(st.integers(0, 4)), draw(st.integers(1, 3))
     size = draw(st.integers(0, 2 * DENSE_MIN_TERMS + 4))
     degrees = draw(st.lists(st.integers(0, 3 * DENSE_MIN_TERMS), min_size=size,
                             max_size=size, unique=True))
-    coeffs = st.integers(-3, 3).filter(bool) | st.integers(-10 ** 40, 10 ** 40).filter(bool)
+    big = draw(st.sampled_from([10 ** 40, 2 ** 2000]))
+    coeffs = st.integers(-3, 3).filter(bool) | st.integers(-big, big).filter(bool)
     return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
+
+
+def packed_bits(a, b):
+    """The size DECIMAL_MIN_BITS is compared with: the dense product's
+    slots times the bits of twice its coefficient bound."""
+    da, db = [e[0] for e in a], [e[0] for e in b]
+    g = math.gcd(*(x - min(da) for x in da), *(x - min(db) for x in db)) or 1
+    slots = (max(da) - min(da)) // g + (max(db) - min(db)) // g + 1
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    return slots * (2 * bound).bit_length()
+
+
+# the constants that force each route of a d-only product of two or more
+# terms per factor (Polynomial.__mul__): the short loop, and Kronecker
+# substitution on one int or on one Decimal
+D_ROUTES = {
+    "short": {"DENSE_MIN_TERMS": 10 ** 9},
+    "int": {"DENSE_MIN_TERMS": 0, "DECIMAL_MIN_BITS": 10 ** 18},
+    "decimal": {"DENSE_MIN_TERMS": 0, "DECIMAL_MIN_BITS": 0},
+}
+
+
+def forced_route(route):
+    """The patches that send every d-only product down one route."""
+    return mock.patch.multiple(polynomial, **D_ROUTES[route])
 
 
 # exponents at powers of two and one below: the sum of two of them fills a
@@ -302,16 +330,52 @@ class TestDenseProduct:
             a = a + extra
         elif mixed == "b":
             b = b + extra
-        dense = polynomial._dense_d_product
         calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polynomial, "_dense_d_product",
-                       lambda x, y: calls.append(1) or dense(x, y))
+
+        def spy(name):
+            real = getattr(polynomial, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        routes = ("_sparse_product", "_short_d_product", "_binary_digits", "_decimal_digits")
+        with mock.patch.multiple(polynomial, **{name: spy(name) for name in routes}):
             got = a * b
         assert got.terms == _sparse_product(a.terms, b.terms)
-        # a multivariate, monomial or short factor keeps the dict loop
         shorter = min(a.num_terms(), b.num_terms())
-        assert len(calls) == (mixed is None and shorter >= DENSE_MIN_TERMS)
+        if shorter < 2:  # a monomial factor scales and shifts the other
+            assert calls == []
+        elif mixed:
+            assert calls == ["_sparse_product"]
+        elif shorter < DENSE_MIN_TERMS:
+            assert calls == ["_short_d_product"]
+        elif packed_bits(a.terms, b.terms) < DECIMAL_MIN_BITS:
+            assert calls == ["_binary_digits"]
+        else:
+            assert calls == ["_decimal_digits"]
+
+    # 7 * 31 * 151 = 2^15 - 1: the middle coefficient is +-bound, one below
+    # half the int route's base 2^16; with -31 every coefficient is
+    # negative, and so is the packed product
+    @example(a=Polynomial.univariate("d", {k: 31 for k in range(7)}),
+             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
+    @example(a=Polynomial.univariate("d", {k: -31 for k in range(7)}),
+             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
+    # lo > 0 in both factors, exponent steps 4 and 6: g = 2
+    @example(a=Polynomial.univariate("d", {3 + 4 * k: k - 9 for k in range(20)}),
+             b=Polynomial.univariate("d", {5 + 6 * k: 2 ** 70 - k for k in range(17)}))
+    # the shorter factor at exactly DENSE_MIN_TERMS terms
+    @example(a=Polynomial.univariate("d", {k: (-1) ** k * (k + 1)
+                                           for k in range(DENSE_MIN_TERMS)}),
+             b=Polynomial.univariate("d", {2 * k: 10 ** 40 - k
+                                           for k in range(DENSE_MIN_TERMS + 3)}))
+    @settings(deadline=None, max_examples=100)
+    @given(a=d_only_polys(), b=d_only_polys())
+    def test_every_route_matches_tuple_keyed(self, a, b):
+        expected = tuple_keyed_product(a.terms, b.terms)
+        assert (a * b).terms == expected
+        for route in D_ROUTES:
+            with forced_route(route):
+                assert (a * b).terms == expected, route
+                assert (b * a).terms == expected, route
 
     def test_coefficients_past_int_string_limit(self):
         # str(int) and int(str) refuse more than 4300 digits by default
@@ -321,7 +385,11 @@ class TestDenseProduct:
         b = Polynomial.univariate("d", {2 * k + 1: (-1) ** k * (7 * big - k)
                                         for k in range(DENSE_MIN_TERMS)})
         limit = sys.get_int_max_str_digits()
-        assert (a * b).terms == _sparse_product(a.terms, b.terms)
+        expected = _sparse_product(a.terms, b.terms)
+        assert (a * b).terms == expected
+        for route in ("int", "decimal"):
+            with forced_route(route):
+                assert (a * b).terms == expected, route
         assert sys.get_int_max_str_digits() == limit
 
 
