@@ -37,17 +37,11 @@ entries: the rotation invariance, the symmetry, the degree and norm
 bounds, the values at grid and sample points, and the cached JSON.
 
 Both modular routes (the engine and the randomized check's integer
-determinants) split G into blocks under r first.  Every assembled Gram
-matrix satisfies G[r(i)][r(j)] == G[i][j], i.e. P G P^T = G for r's
-permutation matrix P (rotation lemma).  rotation_orbits still checks it
-on the matrix itself, since a cached or hand-built matrix need not come
-from assembly, and a matrix that fails gets singleton orbits, one block,
-G itself.  Over a prime p = 1 (mod L), L the lcm of the orbit sizes, a
-primitive L-th root of unity w exists; each orbit's characters under w
-form a Vandermonde matrix in distinct roots of unity, so the change to
-that basis is invertible mod p, G is similar to the direct sum of its
-blocks B_0 .. B_(L-1) and det G is the product of their determinants mod
-p (intdet module docstring).
+determinants) split G into Fourier blocks under r first: every assembled
+Gram matrix satisfies G[r(i)][r(j)] == G[i][j] (rotation lemma), and
+intdet.block_plan, given the code matrix and rotation_permutation,
+checks it, since a cached or hand-built matrix need not come from
+assembly, and picks the blocks (intdet module docstring).
 
 The engine works block by block.  Each block gets its own degree bound
 per variable, the smaller of its row-wise and column-wise sums of entry
@@ -65,11 +59,10 @@ twice the Hadamard bound of the matrix of entry l1 norms, which bounds
 every coefficient (proof at det_by_evaluation).  When G equals its
 transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
 and y to equal powers; no full matrix at n <= 4, whose transpose
-exchanges x and y), det B_(L-k) = det B_k, so only blocks 0..L/2 are
-eliminated (intdet.block_factors, which picks the blocks for the
-randomized check's integer determinants too).  At tilde n=5 the grid has
-89 points where one grid for det G itself needed 841; full n=3 (35x35,
-five variables, 12 309 terms) takes about 2.5 s on a 2-vCPU Xeon VM.
+exchanges x and y), det B_(L-k) = det B_k, so the plan eliminates only
+blocks 0..L/2.  At tilde n=5 the grid has 89 points where one grid for
+det G itself needed 841; full n=3 (35x35, five variables, 12 309 terms)
+takes about 2.5 s on a 2-vCPU Xeon VM.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -87,7 +80,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -273,33 +266,6 @@ def _distinct(matrix) -> tuple:
             else _entry_codes(_matrix_rows(matrix)))
 
 
-def rotation_orbits(matrix) -> list:
-    """Basis orbits under diagrams.rotate, r, each as (i, r(i), r(r(i)), ...)
-    from its smallest index, in increasing order of that index.
-
-    Every assembled GramMatrix satisfies G[r(i)][r(j)] == G[i][j] for all
-    i, j (rotation lemma, pairing module docstring).  The check stays, for
-    cached and hand-built matrices: only a GramMatrix whose rotated basis
-    is its basis (rotation_permutation) and whose codes pass it gets the
-    orbits; raw row lists and any other matrix get singleton orbits, the
-    identity's.
-    """
-    if not isinstance(matrix, GramMatrix):
-        return [(i,) for i in range(len(matrix))]
-    perm = rotation_permutation(matrix.basis)
-    if not (matrix.codes[np.ix_(perm, perm)] == matrix.codes).all():
-        perm = list(range(matrix.size))
-    orbits, seen = [], set()
-    for i in range(matrix.size):
-        if i not in seen:
-            orbit = [i]
-            while perm[orbit[-1]] != i:
-                orbit.append(perm[orbit[-1]])
-            seen.update(orbit)
-            orbits.append(tuple(orbit))
-    return orbits
-
-
 def _pool_map(fn, args: list, jobs: int) -> list:
     """map(fn, args) over `jobs` processes; the results do not depend on jobs."""
     if jobs <= 1 or len(args) < 2:
@@ -314,11 +280,11 @@ def det_exact(matrix) -> Polynomial:
     return Polynomial.integer(det) if isinstance(det, int) else det
 
 
-def block_degree_bounds(codes: np.ndarray, entries: list, orbits: list,
+def block_degree_bounds(codes: np.ndarray, entries: list, plan: intdet.BlockPlan,
                         variables: Sequence[str]) -> list:
-    """Per block k of the orbits (intdet.block_orbits), a bound on the
-    degree of det B_k in each variable, in the order given; codes and
-    entries as from _distinct.
+    """Per block k of the plan (intdet.block_plan), a bound on the degree
+    of det B_k in each variable, in the order given; codes and entries as
+    from _distinct.
 
     Entry B_k[a][b] is a combination of G[rep_a][j] over the members j of
     orbit b, so its degree is at most their largest, D[a][b].  A
@@ -328,54 +294,52 @@ def block_degree_bounds(codes: np.ndarray, entries: list, orbits: list,
     """
     # per variable, the degree of every cell of the representatives' rows
     degrees = np.array([[max(e.degree_in(var), 0) for var in variables] for e in entries]).T
-    cells = degrees[:, codes[[orbit[0] for orbit in orbits]]]
+    cells = degrees[:, codes[[orbit[0] for orbit in plan.orbits]]]
     # per variable, D[a][b]
-    orbit_degrees = np.stack([cells[:, :, list(orbit)].max(axis=2) for orbit in orbits], axis=2)
+    orbit_degrees = np.stack([cells[:, :, list(orbit)].max(axis=2) for orbit in plan.orbits],
+                             axis=2)
 
     def bound(block: tuple, degrees: np.ndarray) -> int:
         sub = degrees[np.ix_(block, block)]
         return int(min(sub.max(axis=1, initial=0).sum(), sub.max(axis=0, initial=0).sum()))
 
-    return [tuple(bound(block, degrees) for degrees in orbit_degrees)
-            for block in intdet.block_orbits(orbits)]
+    return [tuple(bound(block, degrees) for degrees in orbit_degrees) for block in plan.blocks]
 
 
-def _det_by_blocks_mod(values: list, codes: np.ndarray, orbits: list, grid_shape: tuple,
-                          block_bounds: list, factors: list, box: tuple, p: int) -> tuple:
+def _det_by_blocks_mod(values: list, codes: np.ndarray, plan: intdet.BlockPlan,
+                       grid_shape: tuple, block_bounds: list, box: tuple, p: int) -> tuple:
     """det's nonzero coefficients mod p as (offsets, residues), the C-order
     offsets in the box of its degree bounds ascending (intdet.multiply_mod);
     values[g][e] is distinct entry e at grid point g (C order over
-    grid_shape), codes[i][j] names G_ij, orbits are rotation_orbits of the
-    matrix, block_bounds[k] bounds det B_k's degrees, and factors lists
-    each k once per time det B_k divides det."""
+    grid_shape), codes[i][j] names G_ij, plan is the code matrix's
+    intdet.block_plan and block_bounds[k] bounds det B_k's degrees."""
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    ks = sorted(set(factors))
-    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(residues), p), ks)
-    dets = dets.reshape((len(ks),) + grid_shape)
     block_polys = {}
-    for k, block_dets in zip(ks, dets):
+    for k, block_dets in intdet.block_dets_mod(residues, codes, plan,
+                                               np.full(len(residues), p)).items():
         # det B_k from the corner of the grid its bounds need
         corner = tuple(slice(b + 1) for b in block_bounds[k])
-        coeffs = block_dets[corner]
+        coeffs = block_dets.reshape(grid_shape)[corner]
         for axis in np.flatnonzero(block_bounds[k]):  # a bound-0 axis holds its constant
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
         cells = np.nonzero(coeffs)
         block_polys[k] = (np.ravel_multi_index(cells, box), coeffs[cells])
-    return intdet.multiply_mod([block_polys[k] for k in factors], p)
+    return intdet.multiply_mod([block_polys[k] for k in plan.factors], p)
 
 
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     """Determinant by the modular algorithm (von zur Gathen & Gerhard, ch. 5).
 
-    G splits into the blocks B_k of its rotation_orbits, k = 0..L-1, with
+    G splits into the blocks B_k, k = 0..L-1, of its intdet.block_plan
+    under the rotation (the identity's for raw rows), with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
     docstring).  The matrix is read through its code matrix and distinct
-    entries (_distinct): the norms, the degree bounds and the symmetry
-    come from them, and each distinct entry is evaluated once per point
+    entries (_distinct): the norms, the degree bounds and the plan come
+    from them, and each distinct entry is evaluated once per point
     of one grid, 0..max_k bound_k in each of d, w, x, y, z, the bounds
     from block_degree_bounds; a variable no entry holds has bound 0, one
     grid point and one cell of the box.  Each prime is one
-    task: eliminate the needed blocks at every grid point, interpolate
+    task: eliminate the plan's blocks at every grid point, interpolate
     each det B_k from the corner 0..bound_k of the grid, multiply the
     block polynomials' nonzero coefficients (intdet.multiply_mod, each
     placed at its offsets in the box of the sums of the block bounds, so
@@ -391,10 +355,11 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     box that large (full n=4 has 2.4 * 10^10 cells) is far past what the
     grid and the primes can afford.
 
-    intdet.block_factors picks the blocks: when G equals its transpose
-    (its code matrix does), det B_(L-k) = det B_k (proof there), so only
-    blocks 0..L/2 are eliminated and each 0 < k < L/2 is counted twice;
-    a matrix that is not symmetric gets every block.
+    The plan's factors list the blocks: when G equals its transpose (its
+    code matrix does), det B_(L-k) = det B_k (proof at
+    intdet.block_plan), so only blocks 0..L/2 are eliminated and each
+    0 < k < L/2 is counted twice; a matrix that is not symmetric gets
+    every block.
 
     The primes exceed twice intdet.hadamard_bound of the entry norms
     N_ij = ||G_ij||_1, the sums of absolute coefficients.  Proof: on the
@@ -410,12 +375,11 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     bound = intdet.hadamard_bound(codes, [sum(map(abs, e.terms.values())) for e in entries])
     if bound == 0:
         return Polynomial.zero()
-    orbits = rotation_orbits(matrix)
-    order = lcm(*(len(orbit) for orbit in orbits))
-    block_bounds = block_degree_bounds(codes, entries, orbits, VARIABLES)
-    factors = intdet.block_factors(bool((codes == codes.T).all()), order)
+    perm = rotation_permutation(matrix.basis) if isinstance(matrix, GramMatrix) else None
+    plan = intdet.block_plan(codes, perm)
+    block_bounds = block_degree_bounds(codes, entries, plan, VARIABLES)
     # per variable: the largest bound of a needed block, and their sum
-    per_variable = list(zip(*(block_bounds[k] for k in factors)))
+    per_variable = list(zip(*(block_bounds[k] for k in plan.factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
     box = tuple(sum(bounds) + 1 for bounds in per_variable)
     if prod(box) >= 2 ** 32:
@@ -423,9 +387,9 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
                                  "too large for the exact route (randomized checks cover it)")
     grid = (dict(zip(VARIABLES, point)) for point in itertools.product(*map(range, grid_shape)))
     values = [[e.evaluate(point) for e in entries] for point in grid]
-    primes = intdet.primes_for(bound, order)
-    per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, orbits, grid_shape,
-                                  block_bounds, factors, box), primes, jobs)
+    primes = intdet.primes_for(bound, plan.order)
+    per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, plan, grid_shape,
+                                  block_bounds, box), primes, jobs)
     # every offset some prime's product holds; a prime without it has residue 0 there
     residues_at: dict = {}
     for t, (offsets, residues) in enumerate(per_prime):
@@ -565,12 +529,18 @@ _FACTOR_BUILDERS: dict = {
 }
 
 
-def conjecture_factors(conjecture: ConjectureId, n: int) -> list:
-    """Closed form as a list of (polynomial factor, exponent) pairs."""
-    builder, n_min, _ = _FACTOR_BUILDERS[conjecture]
+def _builder(conjecture: ConjectureId, n: int) -> tuple:
+    """(builder, Gram variant) of the conjecture; an n below its smallest
+    raises ValueError."""
+    builder, n_min, variant = _FACTOR_BUILDERS[conjecture]
     if n < n_min:
         raise ValueError(f"{conjecture.value} needs n >= {n_min}, got {n}")
-    return builder(n)
+    return builder, variant
+
+
+def conjecture_factors(conjecture: ConjectureId, n: int) -> list:
+    """Closed form as a list of (polynomial factor, exponent) pairs."""
+    return _builder(conjecture, n)[0](n)
 
 
 def conjecture_formula(conjecture: ConjectureId, n: int) -> Polynomial:
@@ -634,9 +604,10 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     and the closed form's degree); the report states that bound and the
     resulting failure bound.  A mismatch is a first-class finding (FAIL
     with witness), not an error.  A randomized check needs `points` >= 1;
-    fewer raise ValueError before any work is done.
+    fewer, and an n below the closed form's smallest, raise ValueError
+    before any work is done.
     """
-    variant = _FACTOR_BUILDERS[conjecture][2]
+    variant = _builder(conjecture, n)[1]
     if method not in ("exact", "randomized") or (method == "randomized" and variant is None):
         raise ValueError(f"{conjecture.value} has no {method!r} check")
     if method == "randomized" and points < 1:
@@ -687,7 +658,8 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     values = [[e.evaluate(point) for e in gm.values] for point in sample]
     size = -(-points // jobs)  # at most `jobs` contiguous shares
     shares = [values[start:start + size] for start in range(0, points, size)]
-    det_of_shares = partial(intdet.int_det, gm.codes, orbits=rotation_orbits(gm))
+    plan = intdet.block_plan(gm.codes, rotation_permutation(gm.basis))
+    det_of_shares = partial(intdet.int_det, gm.codes, plan=plan)
     det_values = list(itertools.chain.from_iterable(_pool_map(det_of_shares, shares, jobs)))
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)

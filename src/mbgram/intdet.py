@@ -10,22 +10,25 @@
     eliminated, about half the products and divisions (proof at
     bareiss_int).
 
-  * block_dets_mod: the determinants of the blocks of matrices under a
-    permutation symmetry, one modulus per matrix, each given by the
-    residues of its distinct values and one matrix of entry codes.  It
-    gathers the representative rows and eliminates them by numpy int64
-    elimination (dets_mod) in batches of at most _ELIMINATION_CELLS
-    cells, and returns every requested block's determinant, not their
-    product.  block_factors picks the blocks for both of its callers, half
-    of them for a matrix equal to its transpose.  crt_det (and int_det,
-    which calls it at every size) takes one code matrix and the distinct
-    values at several points, reduces each point's values mod primes whose
-    product exceeds twice its own Hadamard bound, eliminates every (prime,
-    point) matrix in one block_dets_mod call and recombines each point by
-    CRT.  gram's engine reduces the distinct entries at the points of a
-    grid under one prime, interpolates each block's determinant on its own
-    part of the grid (interpolate_mod) and multiplies the block
-    polynomials' nonzero coefficients (multiply_mod).
+  * block_plan decides the blocks, once, for both modular routes: it
+    checks that a permutation leaves a code matrix invariant (the
+    identity otherwise), walks its orbits and lists the blocks whose
+    determinants multiply to det G, half of them for a matrix equal to
+    its transpose.  block_dets_mod forms a plan's blocks of matrices,
+    one modulus per matrix, each given by the residues of its distinct
+    values and one code matrix: it gathers the representative rows and
+    eliminates them by numpy int64 elimination (dets_mod) in batches of
+    at most _ELIMINATION_CELLS cells, and returns each needed block's
+    determinant, not their product.  crt_det (and int_det, which calls
+    it at every size) takes one code matrix and the distinct values at
+    several points, reduces each point's values mod primes whose
+    product exceeds twice its own Hadamard bound, eliminates every
+    (prime, point) matrix in one block_dets_mod call and recombines each
+    point by CRT.  gram's engine reduces the distinct entries at the
+    points of a grid under one prime, interpolates each block's
+    determinant on its own part of the grid (interpolate_mod) and
+    multiplies the block polynomials' nonzero coefficients
+    (multiply_mod).
 
 The test suite cross-checks bareiss_int and crt_det.
 
@@ -49,16 +52,16 @@ k run over s distinct multiples of L/s, so an orbit's vectors form an
 s x s Vandermonde matrix in distinct s-th roots of unity: invertible mod
 p, and all of them together are a basis.  G commutes with P, so it maps
 each eigenspace of P into itself and is block diagonal in that basis:
-block k, over the orbits with k s = 0 (mod L) (block_orbits), has entries
+block k, over the orbits with k s = 0 (mod L) (block_plan), has entries
 
     B_k[a][b] = sum_j w^(-jk) G[rep_a][r^j(rep_b)],
 
 read off at the representative rep_a, and det G = prod_k det B_k (mod p)
-by similarity.  Only the representatives' rows are ever needed, and only
-the requested blocks are formed.  With singleton orbits L = 1 and the one
-block is G itself; a block over no orbit has determinant 1.  The root is
-tested as primitive by w^(L/q) != 1 for every prime q | L; testing only
-w^(L/2) = -1 would accept w = -1 for L = 6.
+by similarity.  Only the representatives' rows are ever needed, and
+only the blocks a plan needs are formed.  With singleton orbits L = 1
+and the one block is G itself; a block over no orbit has determinant 1.
+The root is tested as primitive by w^(L/q) != 1 for every prime q | L;
+testing only w^(L/2) = -1 would accept w = -1 for L = 6.
 
 multiply_mod multiplies sparse polynomials mod p pair by pair of nonzero
 coefficients (Monagan & Pearce, ISSAC 2009): the pairs are outer sums of
@@ -70,8 +73,10 @@ array the size of the product's box is ever built.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -140,14 +145,13 @@ def _root_of_unity(p: int, order: int) -> int:
 
 def hadamard_bound(codes: np.ndarray, magnitudes: list) -> int:
     """Integer upper bound on |det| of every matrix with |entry (i, j)| <=
-    magnitudes[codes[i][j]] (product of row Euclidean norms)."""
-    prod_sq = 1
-    for row in codes.tolist():
-        s = sum(magnitudes[c] ** 2 for c in row)
-        if s == 0:
-            return 0
-        prod_sq *= s
-    return isqrt(prod_sq) + 1
+    magnitudes[codes[i][j]] (product of row Euclidean norms), from the
+    count of each code in each row; 0 for a zero row."""
+    n, width = len(codes), len(magnitudes)
+    counts = np.bincount((np.arange(n)[:, None] * width + codes).ravel(), minlength=n * width)
+    squares = [m * m for m in magnitudes]
+    sums = [sum(map(mul, row, squares)) for row in counts.reshape(n, width).tolist()]
+    return 0 if 0 in sums else isqrt(prod(sums)) + 1
 
 
 def is_symmetric(rows: list) -> bool:
@@ -238,25 +242,28 @@ def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return det
 
 
-def block_orbits(orbits: list) -> list:
-    """For each block k = 0..L-1 of the permutation whose orbits are given
-    (module docstring), the indices a of the orbits in it: k s_a = 0 (mod L)."""
-    sizes = [len(orbit) for orbit in orbits]
-    order = lcm(*sizes)
-    return [tuple(a for a, s in enumerate(sizes) if k * s % order == 0)
-            for k in range(order)]
-
-
 # Cells of representative rows per elimination batch, and pairs per slice
 # of multiply_mod: about 1 MB of int64 per array either holds.
 _ELIMINATION_CELLS = 1 << 17
 
 
-def block_factors(symmetric: bool, order: int) -> list:
-    """The blocks k whose determinants multiply to det G mod p, each listed
-    once per time det B_k divides it, for an invariant matrix G with
-    blocks k = 0..L-1, L = order (module docstring): every block, or, when
-    G equals its transpose, blocks 0..L/2 with each 0 < k < L/2 twice.
+# orbits: each (i, r(i), r(r(i)), ...) from its smallest index, ascending;
+# order: L, the lcm of the orbit sizes; blocks[k], k = 0..L-1: the indices a
+# of the orbits with k s_a = 0 (mod L); factors: each k once per time
+# det B_k divides det G
+BlockPlan = namedtuple("BlockPlan", "orbits order blocks factors")
+
+
+def block_plan(codes: np.ndarray, perm: list | None = None) -> BlockPlan:
+    """The blocks of the square code matrix under the permutation perm,
+    perm[i] = r(i) (module docstring), and the ones to eliminate.
+
+    The only check that r leaves the codes invariant, codes[r(i)][r(j)]
+    == codes[i][j]: a perm that is None, is not a permutation of the
+    indices or fails it gets the identity's singleton orbits, one block,
+    G itself.  The factors are every block, or, when the codes equal
+    their transpose, each block k = 0..L-1 replaced by block min(k, L-k):
+    blocks 0..L/2 with each 0 < k < L/2 twice.
 
     With S = diag(orbit sizes), a symmetric G has B_{-k} = S^-1 B_k^T S,
     so det B_{-k} = det B_k (S is invertible as p > L).  Proof: the terms
@@ -265,31 +272,46 @@ def block_factors(symmetric: bool, order: int) -> list:
     and the symmetry G[rep_b][r^j(rep_a)] = G[rep_a][r^-j(rep_b)], and
     j -> -j turns the sum into (L / s_b) B_{-k}[a][b].
     """
-    if not symmetric:
-        return list(range(order))
-    return [k for k in range(order // 2 + 1) for _ in range(1 if 2 * k % order == 0 else 2)]
+    n = len(codes)
+    if (perm is None or sorted(perm) != list(range(n))
+            or not (codes[np.ix_(perm, perm)] == codes).all()):
+        perm = range(n)
+    orbits, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            orbit = [i]
+            while perm[orbit[-1]] != i:
+                orbit.append(perm[orbit[-1]])
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
+    sizes = [len(orbit) for orbit in orbits]
+    order = lcm(*sizes)
+    blocks = tuple(tuple(a for a, s in enumerate(sizes) if k * s % order == 0)
+                   for k in range(order))
+    symmetric = (codes == codes.T).all()
+    factors = tuple(sorted(min(k, order - k) if symmetric else k for k in range(order)))
+    return BlockPlan(tuple(orbits), order, blocks, factors)
 
 
-def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: np.ndarray,
-                   ks: list) -> np.ndarray:
-    """Determinant residues of the blocks of matrices invariant under the
-    permutation whose orbits are given (module docstring), matrix b modulo
-    moduli[b], each moduli[b] a prime = 1 (mod the lcm L of the orbit
-    sizes).
+def block_dets_mod(values: np.ndarray, codes: np.ndarray, plan: BlockPlan,
+                   moduli: np.ndarray) -> dict:
+    """Determinant residues of the blocks of matrices with the code matrix
+    and block plan given (block_plan), matrix b modulo moduli[b], each
+    moduli[b] a prime = 1 (mod plan.order).
 
     Matrix b has entry values[b, codes[i, j]] at (i, j): values[b] holds
-    its distinct values reduced mod moduli[b].  Returns dets[t, b], the
-    determinant of block ks[t] of matrix b, each k in 0..L-1; only the
-    blocks in ks are formed.  The representative rows are gathered and
-    eliminated in batches of matrices whose rows hold at most
-    _ELIMINATION_CELLS cells.  No elimination stack is larger: only blocks
-    over the same orbits are stacked together, and they hold at most
-    (orbits) x N cells per matrix.
+    its distinct values reduced mod moduli[b].  Returns {k: dets}, dets[b]
+    the determinant of block k of matrix b, for each distinct k of the
+    plan's factors in increasing order; no other block is formed.  The
+    representative rows are gathered and eliminated in batches of matrices
+    whose rows hold at most _ELIMINATION_CELLS cells.  No elimination
+    stack is larger: only blocks over the same orbits are stacked
+    together, and they hold at most (orbits) x N cells per matrix.
     """
     assert (moduli < 2 ** 31).all(), "residue products must stay within int64"
+    orbits, order = plan.orbits, plan.order
     sizes = np.array([len(orbit) for orbit in orbits])
-    order = lcm(*sizes.tolist())
-    ks = np.asarray(ks)
+    ks = np.array(sorted(set(plan.factors)))
     width = int(sizes.max())
     # orbit c's members along the last axis, padded with its first member
     members = np.array([orbit + orbit[:1] * (width - len(orbit)) for orbit in orbits])
@@ -301,9 +323,8 @@ def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: 
                                for p in distinct.tolist()], dtype=np.int64)[which]
     # blocks over the same orbits are eliminated together, in one stack
     same_orbits: dict = {}
-    in_block = block_orbits(orbits)
     for t, k in enumerate(ks.tolist()):
-        same_orbits.setdefault(in_block[k], []).append(t)
+        same_orbits.setdefault(plan.blocks[k], []).append(t)
     dets = np.empty((len(ks), len(moduli)), dtype=np.int64)
     step = max(1, _ELIMINATION_CELLS // (len(orbits) * len(codes)))
     for start in range(0, len(moduli), step):
@@ -320,7 +341,7 @@ def block_dets_mod(values: np.ndarray, codes: np.ndarray, orbits: list, moduli: 
             stack = np.moveaxis(blocks[:, index[:, None], index[None, :]][..., ts], 3, 0)
             dets[ts, batch] = dets_mod(stack.reshape(-1, len(block), len(block)),
                                        np.tile(moduli[batch], len(ts))).reshape(len(ts), -1)
-    return dets
+    return dict(zip(ks.tolist(), dets))
 
 
 def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
@@ -379,39 +400,37 @@ def crt(residues: list, primes: list) -> int:
     return x - modulus if x > modulus // 2 else x
 
 
-def crt_det(codes: np.ndarray, points: list, orbits: list | None = None) -> list:
+def crt_det(codes: np.ndarray, points: list, plan: BlockPlan | None = None) -> list:
     """Exact determinant of each integer matrix points[b][codes[i][j]].
 
-    orbits: those of a permutation that leaves codes invariant, as for
-    block_dets_mod; singletons when None.  Each point has the primes of
-    its own Hadamard bound (module docstring): one list for all points,
-    from each value's largest magnitude, would take 9 744 (prime, point)
-    matrices instead of 8 792 for the 24 points of C3_5 at n=5.
+    plan: the code matrix's block_plan, the identity's when None.  Each
+    point has the primes of its own Hadamard bound (module docstring):
+    one list for all points, from each value's largest magnitude, would
+    take 9 744 (prime, point) matrices instead of 8 792 for the 24 points
+    of C3_5 at n=5.
     """
     n = len(codes)
     if codes.shape != (n, n):
         raise ValueError("matrix must be square")
     if n == 0:
         return [1] * len(points)
-    if orbits is None:
-        orbits = [(i,) for i in range(n)]
-    order = lcm(*(len(orbit) for orbit in orbits))
+    if plan is None:
+        plan = block_plan(codes)
     # a zero row bounds |det| by 0: no primes, and the CRT of no residues is 0
-    primes = [primes_for(hadamard_bound(codes, list(map(abs, point))), order) for point in points]
+    primes = [primes_for(hadamard_bound(codes, list(map(abs, point))), plan.order)
+              for point in points]
     # matrix t is point b mod p, (b, p) = pairs[t]
     pairs = [(b, p) for b, point_primes in enumerate(primes) for p in point_primes]
     moduli = np.array([p for _, p in pairs], dtype=np.int64)
     values = np.array([[v % p for v in points[b]] for b, p in pairs], dtype=np.int64)
-    factors = block_factors(bool((codes == codes.T).all()), order)
-    ks = sorted(set(factors))
-    block_dets = dict(zip(ks, block_dets_mod(values, codes, orbits, moduli, ks)))
+    block_dets = block_dets_mod(values, codes, plan, moduli)
     det = np.ones(len(moduli), dtype=np.int64)
-    for k in factors:
+    for k in plan.factors:
         det = det * block_dets[k] % moduli
     residues = iter(det.tolist())
     return [crt([next(residues) for _ in point_primes], point_primes) for point_primes in primes]
 
 
-def int_det(codes: np.ndarray, points: list, orbits: list | None = None) -> list:
+def int_det(codes: np.ndarray, points: list, plan: BlockPlan | None = None) -> list:
     """Exact integer determinants (crt_det), arguments as for crt_det."""
-    return crt_det(codes, points, orbits)
+    return crt_det(codes, points, plan)

@@ -166,6 +166,20 @@ class TestCommands:
                                "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 0 and json.loads(out)["status"] == "SKIPPED"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--conjecture", "C3_5", "--n", "1"), "C3_5 needs n >= 2, got 1"),
+        (("--conjecture", "C3_5", "--n", "1", "--points", "3"), "C3_5 needs n >= 2, got 1"),
+        (("--conjecture", "C5_1", "--n", "0"), "C5_1 needs n >= 1, got 0"),
+    ], ids=["exact", "randomized", "C5_1"])
+    def test_n_below_the_closed_form_fails_before_any_matrix(self, capsys, tmp_path, argv,
+                                                             message):
+        code, out, err = run_cli(capsys, "verify", *argv, "--cache-dir", str(tmp_path),
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == f"mbgram: error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_points_select_the_randomized_check(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--conjecture", "C3_4", "--n", "2",
                                "--points", "4", "--seed", "7",

@@ -3,8 +3,6 @@
 import itertools
 import json
 import random
-from math import lcm
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +15,8 @@ from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, Conjecture
                          GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
                          block_degree_bounds, conjecture_factors, conjecture_formula,
                          det_by_evaluation, det_exact, equal_up_to_simultaneous_permutation,
-                         formula_value_at, get_det, get_gram, rotation_orbits,
-                         total_degree_bound, verify_conjecture, verify_formula_identity,
-                         verify_theorem_3_6)
+                         formula_value_at, get_det, get_gram, total_degree_bound,
+                         verify_conjecture, verify_formula_identity, verify_theorem_3_6)
 from mbgram.intdet import bareiss_int
 from mbgram.pairing import bilinear_form
 from mbgram.polynomial import VARIABLES, Polynomial
@@ -247,10 +244,10 @@ class TestDetByEvaluation:
     def test_block_bounds_rule(self):
         # one block, G itself: four rows of largest degree 1
         codes, entries = gram._entry_codes(class_matrix_4x4(1))
-        assert block_degree_bounds(codes, entries, [(i,) for i in range(4)], ["d"]) == [(4,)]
+        assert block_degree_bounds(codes, entries, intdet.block_plan(codes), ["d"]) == [(4,)]
         # one orbit of four: four 1x1 blocks, each a combination of row 0
         gm = assemble_gram(2, GramVariant.MBN1)
-        bounds = block_degree_bounds(gm.codes, gm.values, rotation_orbits(gm), ["d", "w"])
+        bounds = block_degree_bounds(gm.codes, gm.values, plan_of(gm), ["d", "w"])
         assert bounds == [(1, 1)] * 4
 
     def test_empty_matrix(self):
@@ -411,17 +408,17 @@ class TestDistinctEntries:
     def test_bounds_match_the_cellwise_loops(self, variant, n):
         # the per-cell loops that the code matrix replaced, as the reference
         gm = assemble_gram(n, variant)
-        g, orbits = gm.entries, rotation_orbits(gm)
+        g, plan = gm.entries, plan_of(gm)
         assert total_degree_bound(gm) == sum(
             max((e.total_degree() for e in row if not e.is_zero()), default=0) for row in g)
         for var in VARIABLES:
             degrees = [[max(max(g[orbit_a[0]][j].degree_in(var), 0) for j in orbit_b)
-                        for orbit_b in orbits] for orbit_a in orbits]
+                        for orbit_b in plan.orbits] for orbit_a in plan.orbits]
             expected = []
-            for block in intdet.block_orbits(orbits):
+            for block in plan.blocks:
                 sub = [[degrees[a][b] for b in block] for a in block]
                 expected.append((min(sum(map(max, sub)), sum(map(max, zip(*sub)))),))
-            assert block_degree_bounds(gm.codes, gm.values, orbits, [var]) == expected
+            assert block_degree_bounds(gm.codes, gm.values, plan, [var]) == expected
 
     def test_non_square_matrix_raises(self):
         for rows in ([[D, 1]], [[D, 1], [1]]):
@@ -458,6 +455,24 @@ class TestPoolMap:
         assert started == [3, 2, 5]
 
 
+def plan_of(gm):
+    """The block plan of a GramMatrix under the rotation, as the engine takes it."""
+    return intdet.block_plan(gm.codes, gram.rotation_permutation(gm.basis))
+
+
+def spy_on_plans(monkeypatch) -> list:
+    """Record the plan that every call of intdet.block_plan returns."""
+    plans = []
+    original = intdet.block_plan
+
+    def spy(*args):
+        plans.append(original(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(intdet, "block_plan", spy)
+    return plans
+
+
 class TestRotationOrbits:
     @pytest.mark.parametrize("variant, n, sizes", [
         (GramVariant.MB1_FULL, 4, {8: 15, 4: 1, 2: 1}),
@@ -466,34 +481,59 @@ class TestRotationOrbits:
     ])
     def test_orbit_sizes_are_pinned(self, variant, n, sizes):
         gm = assemble_gram(n, variant)
-        orbits = rotation_orbits(gm)
+        orbits = plan_of(gm).orbits
         assert {s: [len(o) for o in orbits].count(s) for s in sizes} == sizes
         assert sorted(i for orbit in orbits for i in orbit) == list(range(gm.size))
 
+    @pytest.mark.parametrize("variant, n, order, factors", [
+        # equal to its transpose: blocks 0..L/2, each 0 < k < L/2 twice
+        (GramVariant.MBN1_TILDE, 4, 8, (0, 1, 1, 2, 2, 3, 3, 4)),
+        (GramVariant.MBN1, 3, 6, (0, 1, 1, 2, 2, 3)),
+        # not symmetric: every block
+        (GramVariant.MB1_FULL, 2, 4, (0, 1, 2, 3)),
+    ])
+    def test_plans_are_pinned(self, variant, n, order, factors):
+        plan = plan_of(assemble_gram(n, variant))
+        assert (plan.order, plan.factors) == (order, factors)
+        assert len(plan.blocks) == order
+
     def test_orbits_follow_the_rotation(self):
         gm = assemble_gram(3, GramVariant.MB1_FULL)
-        for orbit in rotation_orbits(gm):
+        for orbit in plan_of(gm).orbits:
             assert orbit[0] == min(orbit)
             for i, j in zip(orbit, orbit[1:] + orbit[:1]):
                 assert rotate(gm.basis[i]) == gm.basis[j]
 
-    def test_raw_rows_get_singletons(self):
+    def test_raw_rows_get_singletons(self, monkeypatch):
         rows = assemble_gram(2, GramVariant.MBN1_TILDE).entries
-        assert rotation_orbits(rows) == [(i,) for i in range(len(rows))]
+        plans = spy_on_plans(monkeypatch)
+        assert det_by_evaluation(rows) == det_exact(rows)
+        assert [plan.orbits for plan in plans] == [tuple((i,) for i in range(len(rows)))]
 
-    def test_changed_entry_gets_singletons(self):
+    def test_changed_entry_gets_singletons(self, monkeypatch):
         gm = assemble_gram(3, GramVariant.MBN1_TILDE)
-        assert len(rotation_orbits(gm)) == 3
+        assert len(plan_of(gm).orbits) == 3
         rows = [list(row) for row in gm.entries]
         rows[0][1] = rows[0][1] + D
         changed = GramMatrix(gm.n, gm.variant, gm.basis, *gram._entry_codes(rows))
-        assert rotation_orbits(changed) == [(i,) for i in range(gm.size)]
+        plans = spy_on_plans(monkeypatch)
         assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
+        assert [plan.orbits for plan in plans] == [tuple((i,) for i in range(gm.size))]
+
+    def test_parsed_matrix_gets_the_rotation(self, monkeypatch):
+        # a cached matrix is parsed back into new codes; they pass the check
+        gm = assemble_gram(3, GramVariant.MBN1_TILDE)
+        parsed = GramMatrix.from_json_obj(json.loads(json.dumps(gm.to_json_obj())))
+        expected = plan_of(gm)
+        assert expected.order == 6
+        plans = spy_on_plans(monkeypatch)
+        assert det_by_evaluation(parsed) == det_exact(gm)
+        assert plans == [expected]
 
 
 def block_det_polys_mod(gm, p):
     """(variables, coefficient arrays mod p of det B_k for every block k of
-    gm's rotation orbits), interpolated on the grid 0..size x max entry
+    gm's rotation plan), interpolated on the grid 0..size x max entry
     degree per variable, which bounds the degree of every block's
     determinant."""
     codes, entries = gm.codes, gm.values
@@ -501,13 +541,12 @@ def block_det_polys_mod(gm, p):
     shape = tuple(gm.size * max(e.degree_in(v) for e in entries) + 1 for v in variables)
     grid = [dict(zip(variables, point)) for point in itertools.product(*map(range, shape))]
     values = [[e.evaluate(point) for e in entries] for point in grid]
-    orbits = rotation_orbits(gm)
+    plan = plan_of(gm)
+    plan = plan._replace(factors=list(range(plan.order)))  # also the blocks the rule skips
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    order = lcm(*map(len, orbits))
-    dets = intdet.block_dets_mod(residues, codes, orbits, np.full(len(grid), p),
-                                 list(range(order)))
+    dets = intdet.block_dets_mod(residues, codes, plan, np.full(len(grid), p))
     polys = []
-    for det in dets:
+    for det in dets.values():
         coeffs = det.reshape(shape)
         for axis in range(len(shape)):
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
@@ -522,10 +561,10 @@ class TestBlocks:
     ])
     def test_block_bounds_cover_block_degrees(self, variant, n):
         gm = assemble_gram(n, variant)
-        orbits = rotation_orbits(gm)
-        for p in intdet.primes_for(2 ** 62, lcm(*map(len, orbits))):
+        plan = plan_of(gm)
+        for p in intdet.primes_for(2 ** 62, plan.order):
             variables, polys = block_det_polys_mod(gm, p)
-            bounds = block_degree_bounds(gm.codes, gm.values, orbits, variables)
+            bounds = block_degree_bounds(gm.codes, gm.values, plan, variables)
             for coeffs, bound in zip(polys, bounds):
                 for axis, b in enumerate(bound):
                     nonzero = np.flatnonzero(np.moveaxis(coeffs, axis, 0).any(
@@ -534,7 +573,7 @@ class TestBlocks:
 
     def test_tilde_block_bounds_are_tight(self):
         gm = assemble_gram(4, GramVariant.MBN1_TILDE)
-        bounds = block_degree_bounds(gm.codes, gm.values, rotation_orbits(gm), ["d"])
+        bounds = block_degree_bounds(gm.codes, gm.values, plan_of(gm), ["d"])
         assert bounds == [(21,)] * 8
         assert sum(b for b, in bounds) == conjecture_formula(ConjectureId.C3_5, 4).degree_in("d")
 
@@ -563,7 +602,7 @@ class TestBlocks:
 
     def test_engine_eliminations_stay_within_the_cap(self, monkeypatch):
         gm = assemble_gram(3, GramVariant.MBN1_TILDE)
-        cap = 2 * len(rotation_orbits(gm)) * gm.size  # two points' representative rows
+        cap = 2 * len(plan_of(gm).orbits) * gm.size  # two points' representative rows
         monkeypatch.setattr(intdet, "_ELIMINATION_CELLS", cap)
         sizes = []
         original = intdet.dets_mod
@@ -582,9 +621,10 @@ def spy_on_blocks(monkeypatch) -> list:
     calls = []
     original = intdet.block_dets_mod
 
-    def spy(values, codes, orbits, moduli, ks):
-        calls.append([int(k) for k in ks])
-        return original(values, codes, orbits, moduli, ks)
+    def spy(values, codes, plan, moduli):
+        dets = original(values, codes, plan, moduli)
+        calls.append(list(dets))
+        return dets
 
     monkeypatch.setattr(intdet, "block_dets_mod", spy)
     return calls
@@ -592,7 +632,7 @@ def spy_on_blocks(monkeypatch) -> list:
 
 @st.composite
 def rotation_invariant_matrices(draw):
-    """Matrices on a real diagram basis, so that rotation_orbits finds the
+    """Matrices on a real diagram basis, so that block_plan finds the
     rotation, with random entries in one or two variables that repeat along
     each orbit of index pairs, as in test_intdet.invariant_matrix; when
     symmetric, G[j][i] repeats G[i][j] as well."""
@@ -625,7 +665,7 @@ def rotation_invariant_matrices(draw):
 @settings(deadline=None, max_examples=30)
 @given(rotation_invariant_matrices())
 def test_blockwise_evaluation_matches_elimination(gm):
-    assert len(rotation_orbits(gm)) < gm.size
+    assert len(plan_of(gm).orbits) < gm.size
     assert det_by_evaluation(gm) == det_exact(gm)
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbgram import intdet
-from mbgram.intdet import (_is_prime, bareiss_int, block_dets_mod, crt_det, hadamard_bound,
-                           int_det, interpolate_mod, is_symmetric, multiply_mod, primes_for)
+from mbgram.intdet import (_is_prime, bareiss_int, block_dets_mod, block_plan, crt_det,
+                           hadamard_bound, int_det, interpolate_mod, is_symmetric, multiply_mod,
+                           primes_for)
 from mbgram.polynomial import Polynomial, interpolate
 
 
@@ -46,10 +47,19 @@ def coded(rows):
     return np.array(codes, dtype=object if ragged else np.int64), list(index)
 
 
-def det_of(rows, orbits=None, det=crt_det):
-    """det (crt_det or int_det) of the one matrix given as rows."""
+def follows(plan, perm) -> bool:
+    """True when each of the plan's orbits is (i, perm[i], ...)."""
+    return all(perm[i] == j for orbit in plan.orbits for i, j in zip(orbit, orbit[1:] + orbit[:1]))
+
+
+def det_of(rows, perm=None, det=crt_det):
+    """det (crt_det or int_det) of the one matrix given as rows, under the
+    block_plan of perm, which must leave the rows invariant; under
+    crt_det's default plan when perm is None."""
     codes, values = coded(rows)
-    [value] = det(codes, [values], orbits)
+    plan = None if perm is None else block_plan(codes, perm)
+    assert plan is None or follows(plan, perm)
+    [value] = det(codes, [values], plan)
     return value
 
 
@@ -172,6 +182,16 @@ class TestCrt:
                 m = random_matrix(rng, n)
                 assert abs(bareiss_int(m)) <= bound_of(m)
 
+    def test_hadamard_bound_matches_the_cellwise_sum(self):
+        # per-row code counts give the integer of the cell-by-cell loop
+        rng = random.Random(26)
+        for n, count in ((1, 1), (5, 3), (12, 40), (30, 6)):
+            codes = np.array([[rng.randrange(count) for _ in range(n)] for _ in range(n)])
+            magnitudes = [rng.choice([0, 1, 2 ** 70, rng.randrange(10 ** 9)]) for _ in range(count)]
+            prod_sq = prod(sum(magnitudes[c] ** 2 for c in row) for row in codes.tolist())
+            expected = isqrt(prod_sq) + 1 if prod_sq else 0
+            assert hadamard_bound(codes, magnitudes) == expected
+
     def test_matches_bareiss_small(self):
         rng = random.Random(12)
         for n in (1, 2, 5, 9):
@@ -212,7 +232,7 @@ class TestCrt:
             raise AssertionError("crt_det left the modular algorithm")
 
         monkeypatch.setattr(intdet, "bareiss_int", refuse)
-        assert [det_of(rows, orbits) for rows, orbits in cases] == expected
+        assert [det_of(rows, perm) for rows, perm in cases] == expected
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_hadamard_matrix_meets_the_bound(self, n):
@@ -278,17 +298,15 @@ class TestCrt:
 
 def invariant_matrix(cycle_sizes, labels, cell):
     """A matrix with G[r(i)][r(j)] == G[i][j] for the permutation r whose
-    cycles are cut from `labels` in the given sizes, and r's orbits, each
-    as (i, r(i), ...); cell() supplies one value per orbit of index pairs."""
-    orbits, start = [], 0
-    for size in cycle_sizes:
-        orbits.append(tuple(labels[start:start + size]))
-        start += size
-    perm = {}
-    for orbit in orbits:
-        for t, i in enumerate(orbit):
-            perm[i] = orbit[(t + 1) % len(orbit)]
+    cycles are cut from `labels` in the given sizes, and r as the list
+    perm[i] = r(i); cell() supplies one value per orbit of index pairs."""
     n = len(labels)
+    perm, start = [None] * n, 0
+    for size in cycle_sizes:
+        cycle = labels[start:start + size]
+        for t, i in enumerate(cycle):
+            perm[i] = cycle[(t + 1) % size]
+        start += size
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -297,7 +315,7 @@ def invariant_matrix(cycle_sizes, labels, cell):
                 while rows[a][b] is None:
                     rows[a][b] = value
                     a, b = perm[a], perm[b]
-    return rows, orbits
+    return rows, perm
 
 
 class TestRotationBlocks:
@@ -307,12 +325,12 @@ class TestRotationBlocks:
         rng = random.Random(18)
         labels = list(range(24))
         rng.shuffle(labels)
-        rows, orbits = invariant_matrix((1, 2, 3, 6, 6, 6), labels,
-                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        rows, perm = invariant_matrix((1, 2, 3, 6, 6, 6), labels,
+                                      lambda: rng.randint(-10 ** 6, 10 ** 6))
         expected = bareiss_int(rows)
         assert expected != 0
-        assert det_of(rows, orbits) == expected
-        assert det_of(rows, orbits, det=int_det) == expected
+        assert det_of(rows, perm) == expected
+        assert det_of(rows, perm, det=int_det) == expected
 
 
 def spy_on_intdet(monkeypatch, name: str, record) -> list:
@@ -332,13 +350,13 @@ def spy_on_intdet(monkeypatch, name: str, record) -> list:
 class TestBlockSelection:
     def test_eliminations_stay_within_the_cap(self, monkeypatch):
         rng = random.Random(20)
-        rows, orbits = invariant_matrix((1, 2, 3, 6, 6, 6), list(range(24)),
-                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        rows, perm = invariant_matrix((1, 2, 3, 6, 6, 6), list(range(24)),
+                                      lambda: rng.randint(-10 ** 6, 10 ** 6))
         expected = bareiss_int(rows)
-        cap = 2 * len(orbits) * len(rows)  # two primes' representative rows
+        cap = 2 * len(block_plan(coded(rows)[0], perm).orbits) * len(rows)  # two primes' rows
         monkeypatch.setattr(intdet, "_ELIMINATION_CELLS", cap)
         sizes = spy_on_intdet(monkeypatch, "dets_mod", lambda stack, moduli: stack.size)
-        assert det_of(rows, orbits) == expected != 0
+        assert det_of(rows, perm) == expected != 0
         primes = primes_for(bound_of(rows), 6)
         assert len(primes) > 2 and len(sizes) >= len(primes) / 2
         assert max(sizes) <= cap
@@ -346,30 +364,43 @@ class TestBlockSelection:
     def test_symmetric_matrix_gets_half_the_blocks(self, monkeypatch):
         # G + G^T is invariant when G is; L = 8
         rng = random.Random(21)
-        rows, orbits = invariant_matrix((2, 4, 8), list(range(14)),
-                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        rows, perm = invariant_matrix((2, 4, 8), list(range(14)),
+                                      lambda: rng.randint(-10 ** 6, 10 ** 6))
         symmetric = [[a + b for a, b in zip(row, column)] for row, column in zip(rows, zip(*rows))]
         assert is_symmetric(symmetric) and not is_symmetric(rows)
         expected = [bareiss_int(symmetric), bareiss_int(rows)]
         calls = spy_on_intdet(monkeypatch, "block_dets_mod",
-                              lambda values, codes, orbits, moduli, ks: [int(k) for k in ks])
-        assert [det_of(symmetric, orbits), det_of(rows, orbits)] == expected
-        assert calls == [[0, 1, 2, 3, 4], list(range(8))]
+                              lambda values, codes, plan, moduli: plan.factors)
+        assert [det_of(symmetric, perm), det_of(rows, perm)] == expected
+        assert calls == [(0, 1, 1, 2, 2, 3, 3, 4), tuple(range(8))]
+
+    def test_broken_invariance_gets_singleton_orbits(self):
+        rng = random.Random(25)
+        rows, perm = invariant_matrix((2, 4, 8), list(range(14)),
+                                      lambda: rng.randint(-10 ** 6, 10 ** 6))
+        rows[0][1] += 1  # no longer the value of the cells in its orbit
+        codes, values = coded(rows)
+        # the second is no permutation of the indices
+        for broken in (perm, [0] * 14):
+            plan = block_plan(codes, broken)
+            assert plan.orbits == tuple((i,) for i in range(14))
+            assert plan.order == 1 and plan.blocks == (tuple(range(14)),) and plan.factors == (0,)
+        assert crt_det(codes, [values], block_plan(codes, perm)) == [bareiss_int(rows)]
 
     def test_points_get_their_own_primes_in_one_kernel_call(self, monkeypatch):
         # every (prime, point) matrix goes through one block_dets_mod call,
         # each point under the primes of its own Hadamard bound; a point
         # with a zero row needs none
         rng = random.Random(24)
-        rows, orbits = invariant_matrix((1, 2, 3, 6), list(range(12)),
-                                        lambda: rng.randint(-10 ** 6, 10 ** 6))
+        rows, perm = invariant_matrix((1, 2, 3, 6), list(range(12)),
+                                      lambda: rng.randint(-10 ** 6, 10 ** 6))
         codes, values = coded(rows)
         points = [values, [0] * len(values), [10 ** 6 * v for v in values],
                   [rng.randint(-2 ** 70, 2 ** 70) for _ in values]]
         expected = [bareiss_int(rows_of(codes, point)) for point in points]
         calls = spy_on_intdet(monkeypatch, "block_dets_mod",
-                              lambda values, codes, orbits, moduli, ks: moduli.tolist())
-        assert crt_det(codes, points, orbits) == expected
+                              lambda values, codes, plan, moduli: moduli.tolist())
+        assert crt_det(codes, points, block_plan(codes, perm)) == expected
         primes = [primes_for(hadamard_bound(codes, list(map(abs, point))), 6) for point in points]
         assert primes[1] == [] and len(primes[0]) < len(primes[2]) < len(primes[3])
         assert calls == [[p for point_primes in primes for p in point_primes]]
@@ -468,20 +499,20 @@ def invariant_matrices(draw):
 @settings(deadline=None, max_examples=60)
 @given(invariant_matrices())
 def test_block_crt_det_matches_bareiss(case):
-    rows, orbits = case
-    assert det_of(rows, orbits) == bareiss_int(rows)
+    rows, perm = case
+    assert det_of(rows, perm) == bareiss_int(rows)
 
 
 @st.composite
 def code_matrices_with_points(draw):
-    """(codes, points, orbits): a code matrix, plain (orbits None) or
-    invariant under a permutation with those orbits, half of them equal to
+    """(codes, points, perm): a code matrix, plain (perm None) or
+    invariant under the permutation perm, half of them equal to
     their transpose, and two to four points on it whose magnitudes include
     1 and 2^70; one point has a zero row."""
     if draw(st.booleans()):
-        rows, orbits = draw(integer_matrices(6)), None
+        rows, perm = draw(integer_matrices(6)), None
     else:
-        rows, orbits = draw(invariant_matrices())
+        rows, perm = draw(invariant_matrices())
     codes, _ = coded(rows)
     if draw(st.booleans()):
         # code pairs (G_ij, G_ji) are invariant too, and symmetric
@@ -495,16 +526,18 @@ def code_matrices_with_points(draw):
     zero_point = points[draw(st.integers(0, len(points) - 1))]
     for c in codes[draw(st.integers(0, len(codes) - 1))].tolist():
         zero_point[c] = 0
-    return codes, points, orbits
+    return codes, points, perm
 
 
 @settings(deadline=None, max_examples=60)
 @given(code_matrices_with_points())
 def test_crt_det_of_several_points_matches_bareiss(case):
-    codes, points, orbits = case
+    codes, points, perm = case
+    plan = None if perm is None else block_plan(codes, perm)
+    assert plan is None or follows(plan, perm)
     expected = [bareiss_int(rows_of(codes, point)) for point in points]
-    assert crt_det(codes, points, orbits) == expected
-    assert int_det(codes, points, orbits) == expected
+    assert crt_det(codes, points, plan) == expected
+    assert int_det(codes, points, plan) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -590,16 +623,14 @@ def test_multiply_mod_in_slices_matches_direct_product(grids, p, cells):
 @settings(deadline=None, max_examples=40)
 @given(invariant_matrices())
 def test_block_dets_multiply_to_the_determinant(case):
-    rows, orbits = case
-    order = lcm(*map(len, orbits))
-    p = primes_for(1, order)[0]
+    rows, perm = case
+    # every block, also those a symmetric matrix's plan would skip
+    plan = block_plan(coded(rows)[0], perm)
+    plan = plan._replace(factors=list(range(plan.order)))
+    p = primes_for(1, plan.order)[0]
     # every entry its own code
     values = np.array([sum(rows, [])], dtype=np.int64) % p
     codes = np.arange(len(rows) ** 2).reshape(len(rows), -1)
-    dets = block_dets_mod(values, codes, orbits, np.array([p]), list(range(order)))
-    assert dets.shape == (order, 1)
-    assert prod(dets[:, 0].tolist()) % p == bareiss_int(rows) % p
-    # a subset of the blocks, in any order, gives the same block determinants
-    ks = [order - 1, 0]
-    assert block_dets_mod(values, codes, orbits, np.array([p]), ks)[:, 0].tolist() == [
-        dets[k, 0] for k in ks]
+    dets = block_dets_mod(values, codes, plan, np.array([p]))
+    assert list(dets) == plan.factors and all(det.shape == (1,) for det in dets.values())
+    assert prod(int(det[0]) for det in dets.values()) % p == bareiss_int(rows) % p
