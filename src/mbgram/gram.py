@@ -29,18 +29,20 @@ Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
 15 876 of full n=4.  A GramMatrix is stored as those distinct entries,
 `values`, and its code matrix, `codes`, the index of every cell's entry
-among them; `entries` builds the rows from the two on demand.  Assembly
-numbers the entries while it pairs and a cached read while it parses,
-each building every distinct entry once (_code_rows).  Every
-matrix-wide fact is read from the code matrix and the few distinct
+among them; `entries` builds the rows from the two on demand, for
+display.  Assembly numbers the entries while it pairs and a cached read
+while it parses, each building every distinct entry once (_code_rows).
+Every matrix-wide fact is read from the code matrix and the few distinct
 entries: the rotation invariance, the symmetry, the degree and norm
 bounds, the values at grid and sample points, and the cached JSON.
+Every determinant route reads them through _coded, the one place that
+tells a GramMatrix from raw rows, which it codes by value.
 
 Both modular routes (the engine and the randomized check's integer
 determinants) split G into Fourier blocks under r first: every assembled
 Gram matrix satisfies G[r(i)][r(j)] == G[i][j] (rotation lemma), and
-intdet.block_plan, given the code matrix and rotation_permutation,
-checks it, since a cached or hand-built matrix need not come from
+intdet.block_plan, given the code matrix and the permutation from
+_coded, checks it, since a cached or hand-built matrix need not come from
 assembly, and picks the blocks (intdet module docstring).
 
 The engine works block by block.  Each block gets its own degree bound
@@ -61,8 +63,10 @@ transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
 and y to equal powers; no full matrix at n <= 4, whose transpose
 exchanges x and y), det B_(L-k) = det B_k, so the plan eliminates only
 blocks 0..L/2.  At tilde n=5 the grid has 89 points where one grid for
-det G itself needed 841; full n=3 (35x35, five variables, 12 309 terms)
-takes about 2.5 s on a 2-vCPU Xeon VM.
+det G itself needed 841.  Full n=3 (35x35, five variables, 12 309 terms,
+3 primes) takes 4.3-5.0 s in-process at jobs 1 on a 2-vCPU Xeon VM:
+evaluation 1.0-1.2 s, residues 0.2 s, elimination 2.6-2.9 s,
+interpolation 0.13 s, multiply_mod 0.28-0.33 s.
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -245,25 +249,16 @@ def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
 # -- determinant backends -----------------------------------------------------
 
 
-def _matrix_rows(matrix) -> list:
-    """Rows of a GramMatrix or a nested sequence, int entries as Polynomials."""
+def _coded(matrix) -> tuple:
+    """(codes, entries, perm) of a GramMatrix (its own codes, values and
+    rotation_permutation) or of raw rows (_code_rows keyed by value, ints
+    as constants, perm None); rows that are not square raise ValueError.
+    The one place a determinant route tells the two apart."""
     if isinstance(matrix, GramMatrix):
-        matrix = matrix.entries
-    return [[Polynomial.integer(e) if isinstance(e, int) else e for e in row]
-            for row in matrix]
-
-
-def _entry_codes(rows) -> tuple:
-    """(codes, entries) of a square list of rows of entries, by _code_rows
-    with each cell keyed by its value."""
-    keys = [[frozenset(e.terms.items()) for e in row] for row in rows]
-    return _code_rows(keys, lambda terms: Polynomial(dict(terms)), len(rows))
-
-
-def _distinct(matrix) -> tuple:
-    """(codes, entries) of a GramMatrix (stored) or of a nested sequence."""
-    return ((matrix.codes, matrix.values) if isinstance(matrix, GramMatrix)
-            else _entry_codes(_matrix_rows(matrix)))
+        return matrix.codes, matrix.values, rotation_permutation(matrix.basis)
+    keys = [[frozenset((Polynomial.integer(e) if isinstance(e, int) else e).terms.items())
+             for e in row] for row in matrix]
+    return (*_code_rows(keys, lambda terms: Polynomial(dict(terms)), len(keys)), None)
 
 
 def _pool_map(fn, args: list, jobs: int) -> list:
@@ -276,7 +271,8 @@ def _pool_map(fn, args: list, jobs: int) -> list:
 
 def det_exact(matrix) -> Polynomial:
     """Fraction-free elimination over the polynomial ring (intdet.bareiss_int)."""
-    det = intdet.bareiss_int(_matrix_rows(matrix))
+    codes, entries, _ = _coded(matrix)
+    det = intdet.bareiss_int([[entries[c] for c in row] for row in codes.tolist()])
     return Polynomial.integer(det) if isinstance(det, int) else det
 
 
@@ -284,7 +280,7 @@ def block_degree_bounds(codes: np.ndarray, entries: list, plan: intdet.BlockPlan
                         variables: Sequence[str]) -> list:
     """Per block k of the plan (intdet.block_plan), a bound on the degree
     of det B_k in each variable, in the order given; codes and entries as
-    from _distinct.
+    from _coded.
 
     Entry B_k[a][b] is a combination of G[rep_a][j] over the members j of
     orbit b, so its degree is at most their largest, D[a][b].  A
@@ -333,9 +329,9 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     G splits into the blocks B_k, k = 0..L-1, of its intdet.block_plan
     under the rotation (the identity's for raw rows), with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
-    docstring).  The matrix is read through its code matrix and distinct
-    entries (_distinct): the norms, the degree bounds and the plan come
-    from them, and each distinct entry is evaluated once per point
+    docstring).  The matrix is read through its code matrix, distinct
+    entries and rotation (_coded): the norms, the degree bounds and the
+    plan come from them, and each distinct entry is evaluated once per point
     of one grid, 0..max_k bound_k in each of d, w, x, y, z, the bounds
     from block_degree_bounds; a variable no entry holds has bound 0, one
     grid point and one cell of the box.  Each prime is one
@@ -368,14 +364,13 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     det G is the torus mean of det G(zeta) zeta^(-alpha), so the same
     bound covers every coefficient.
     """
-    codes, entries = _distinct(matrix)
+    codes, entries, perm = _coded(matrix)
     if not codes.size:
         return Polynomial.one()
     # every coefficient's bound (docstring); 0 means a zero row
     bound = intdet.hadamard_bound(codes, [sum(map(abs, e.terms.values())) for e in entries])
     if bound == 0:
         return Polynomial.zero()
-    perm = rotation_permutation(matrix.basis) if isinstance(matrix, GramMatrix) else None
     plan = intdet.block_plan(codes, perm)
     block_bounds = block_degree_bounds(codes, entries, plan, VARIABLES)
     # per variable: the largest bound of a needed block, and their sum
@@ -634,6 +629,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
             witness=witness, backend=provenance["backend"])
 
     gm = get_gram(n, variant, cache_dir=cache_dir)
+    codes, entries, perm = _coded(gm)
     formula_degree = sum(f.total_degree() * e for f, e in conjecture_factors(conjecture, n))
     degree_bound = max(total_degree_bound(gm), formula_degree)
     seed = DEFAULT_SEED if seed is None else seed
@@ -642,7 +638,7 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
     # enough that evaluated entries stay within about 2^60 (each bit of the
     # entries costs the integer determinant primes, through its Hadamard
     # bound) while the sample space still beats 2^-40.
-    entry_degree = max((e.total_degree() for e in gm.values if not e.is_zero()), default=1)
+    entry_degree = max((e.total_degree() for e in entries if not e.is_zero()), default=1)
     int64_cap = int(2 ** (60 / max(entry_degree, 1))) - degree_bound - 2
     # the lower clamp keeps the sample space large, even where it forces
     # entries past 2^60
@@ -655,11 +651,10 @@ def verify_conjecture(conjecture: ConjectureId, n: int, method: str = "exact",
         return mag if rng.random() < 0.5 else -mag
 
     sample = [{var: coordinate() for var in VARIABLES} for _ in range(points)]
-    values = [[e.evaluate(point) for e in gm.values] for point in sample]
+    values = [[e.evaluate(point) for e in entries] for point in sample]
     size = -(-points // jobs)  # at most `jobs` contiguous shares
     shares = [values[start:start + size] for start in range(0, points, size)]
-    plan = intdet.block_plan(gm.codes, rotation_permutation(gm.basis))
-    det_of_shares = partial(intdet.int_det, gm.codes, plan=plan)
+    det_of_shares = partial(intdet.int_det, codes, plan=intdet.block_plan(codes, perm))
     det_values = list(itertools.chain.from_iterable(_pool_map(det_of_shares, shares, jobs)))
     for point, det_value in zip(sample, det_values):
         formula_value = formula_value_at(conjecture, n, point)

@@ -502,14 +502,18 @@ class Polynomial:
 
     @classmethod
     def from_terms_obj(cls, obj: Iterable[Sequence[int]]) -> "Polynomial":
+        """Inverse of to_terms_obj, dropping zero coefficients; a row not of
+        NVARS + 1 ints, a negative exponent or a repeated monomial raises
+        ValueError (a cache digest proves a payload intact, not valid)."""
         raw = {}
         for row in obj:
-            coef, *exps = row
-            if len(exps) != NVARS:
-                raise ValueError(f"term row must have {NVARS + 1} entries: {row!r}")
-            if coef:
-                raw[tuple(int(e) for e in exps)] = int(coef)
-        return cls(_raw=raw)
+            exps = tuple(row[1:])
+            if (len(row) != NVARS + 1 or any(type(v) is not int for v in row)
+                    or min(exps) < 0 or exps in raw):
+                raise ValueError(f"term row must be {NVARS + 1} ints, exponents "
+                                 f"nonnegative and not repeated: {row!r}")
+            raw[exps] = row[0]
+        return cls(_raw={exps: coef for exps, coef in raw.items() if coef})
 
     def to_json_obj(self) -> dict:
         return {"format": POLY_FORMAT, "terms": self.to_terms_obj()}

@@ -243,7 +243,7 @@ class TestDetByEvaluation:
 
     def test_block_bounds_rule(self):
         # one block, G itself: four rows of largest degree 1
-        codes, entries = gram._entry_codes(class_matrix_4x4(1))
+        codes, entries, _ = gram._coded(class_matrix_4x4(1))
         assert block_degree_bounds(codes, entries, intdet.block_plan(codes), ["d"]) == [(4,)]
         # one orbit of four: four 1x1 blocks, each a combination of row 0
         gm = assemble_gram(2, GramVariant.MBN1)
@@ -353,11 +353,36 @@ class TestDistinctEntries:
             monkeypatch.setattr(gram, name, counted)
 
         spy("_code_rows")
-        spy("_entry_codes")
         det, provenance = get_det(4, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert (provenance["backend"], provenance["cache"]) == ("interp", "miss")
         assert det == conjecture_formula(ConjectureId.C3_5, 4)
         assert calls == [56]
+
+    def test_matrix_and_its_rows_code_alike(self):
+        # _coded reads a GramMatrix's own code matrix and raw rows by value:
+        # one numbering either way, and one determinant on each route
+        gm = assemble_gram(2, GramVariant.MBN1_TILDE)
+        codes, entries, perm = gram._coded(gm)
+        row_codes, row_entries, row_perm = gram._coded(gm.entries)
+        assert np.array_equal(codes, row_codes) and entries == row_entries
+        assert perm == gram.rotation_permutation(gm.basis) and row_perm is None
+        for matrix in (gm, gm.entries):
+            assert det_exact(matrix) == det_by_evaluation(matrix)
+
+    def test_int_cells_code_as_constants(self):
+        rows = [[2, D, 0], [Polynomial.integer(2), 1, D], [0, D, Polynomial.one()]]
+        codes, entries, _ = gram._coded(rows)
+        assert codes.tolist() == [[0, 1, 2], [0, 3, 1], [2, 1, 3]]
+        assert entries == (2, D, 0, 1)
+        assert det_exact(rows) == det_by_evaluation(rows) == 2 - 2 * D - 2 * D * D
+
+    def test_ragged_rows_raise_the_same_error_on_both_routes(self):
+        messages = []
+        for route in (det_exact, det_by_evaluation):
+            with pytest.raises(ValueError, match="square") as raised:
+                route([[D, 1], [1]])
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("variant, n", [
         (GramVariant.MB1_FULL, 3), (GramVariant.MBN1, 3), (GramVariant.MBN1_TILDE, 4),
@@ -380,7 +405,7 @@ class TestDistinctEntries:
         assert cells == [[e.to_terms_obj() for e in row] for row in gm.entries]
         assert len({json.dumps(cell) for row in cells for cell in row}) == len(gm.values)
         # the cell-by-cell derivation, as the reference for assembly's numbering
-        for codes, values in (cellwise_codes(gm.entries), gram._entry_codes(gm.entries)):
+        for codes, values in (cellwise_codes(gm.entries), gram._coded(gm.entries)[:2]):
             assert np.array_equal(gm.codes, codes) and gm.values == values
 
     def test_cached_read_parses_each_distinct_cell_once(self, tmp_path, monkeypatch):
@@ -515,7 +540,7 @@ class TestRotationOrbits:
         assert len(plan_of(gm).orbits) == 3
         rows = [list(row) for row in gm.entries]
         rows[0][1] = rows[0][1] + D
-        changed = GramMatrix(gm.n, gm.variant, gm.basis, *gram._entry_codes(rows))
+        changed = GramMatrix(gm.n, gm.variant, gm.basis, *gram._coded(rows)[:2])
         plans = spy_on_plans(monkeypatch)
         assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
         assert [plan.orbits for plan in plans] == [tuple((i,) for i in range(gm.size))]
@@ -659,7 +684,7 @@ def rotation_invariant_matrices(draw):
                     if symmetric:
                         rows[b][a] = value
                     a, b = perm[a], perm[b]
-    return GramMatrix(n, variant, tuple(basis), *gram._entry_codes(rows))
+    return GramMatrix(n, variant, tuple(basis), *gram._coded(rows)[:2])
 
 
 @settings(deadline=None, max_examples=30)
@@ -872,15 +897,20 @@ class TestCaching:
         lambda payload: payload["entries"].pop(),
         lambda payload: payload["basis"].__setitem__(0, "(1"),
         lambda payload: payload.pop("entries"),
-    ], ids=["short-row", "missing-row", "basis-parse-error", "no-entries"])
+        lambda payload: payload["entries"][0][0][0].__setitem__(1, -1),
+    ], ids=["short-row", "missing-row", "basis-parse-error", "no-entries", "negative-exponent"])
     def test_malformed_gram_payload_is_a_miss(self, tmp_path, damage):
-        # digest-valid but malformed: recomputed and rewritten, never passed on
+        # digest-valid but malformed: recomputed and rewritten as a fresh run
+        # writes it, never passed on
+        get_gram(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path / "fresh")
+        fresh = (tmp_path / "fresh" / "gram_tilde_2.json").read_bytes()
         gm = assemble_gram(2, GramVariant.MBN1_TILDE)
         payload = gm.to_json_obj()
         damage(payload)
         cache_write(tmp_path, "gram_tilde_2", GRAM_FORMAT, payload)
         assert get_gram(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path).entries == gm.entries
         assert cache_read(tmp_path, "gram_tilde_2", GRAM_FORMAT) == gm.to_json_obj()
+        assert (tmp_path / "gram_tilde_2.json").read_bytes() == fresh
         cache_write(tmp_path, "gram_tilde_2", GRAM_FORMAT, payload)
         det, _ = get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path)
         assert det == conjecture_formula(ConjectureId.C3_5, 2)
@@ -888,7 +918,11 @@ class TestCaching:
     @pytest.mark.parametrize("damage", [
         lambda payload: payload.pop("det"),
         lambda payload: payload["det"].__setitem__("format", "mbgram.poly/0"),
-    ], ids=["no-det", "unknown-det-envelope"])
+        lambda payload: payload["det"]["terms"][0].__setitem__(1, -1),
+        lambda payload: payload["det"]["terms"][0].__setitem__(0, 1.5),
+        lambda payload: payload["det"]["terms"].append(payload["det"]["terms"][0]),
+    ], ids=["no-det", "unknown-det-envelope", "negative-exponent", "float-coefficient",
+            "repeated-monomial"])
     def test_malformed_det_payload_is_a_miss(self, tmp_path, damage):
         # digest-valid but malformed: recomputed and rewritten as a cold run writes it
         get_det(2, GramVariant.MBN1_TILDE, cache_dir=tmp_path / "cold")

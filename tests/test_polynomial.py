@@ -609,6 +609,22 @@ class TestCanonicalForm:
             blob = json.dumps(p.to_json_obj())
             assert Polynomial.from_json_obj(json.loads(blob)) == p
 
+    @pytest.mark.parametrize("terms", [
+        [[1, -1, 0, 0, 0, 0]],                      # negative exponent
+        [[1.5, 1, 0, 0, 0, 0]],                     # coefficient not an int
+        [["7", 1, 0, 0, 0, 0]],
+        [[1, 1, 0, 0.0, 0, 0]],                     # exponent not an int
+        [[2, 1, 0, 0, 0, 0], [3, 1, 0, 0, 0, 0]],   # repeated monomial
+        [[0, 1, 0, 0, 0, 0], [3, 1, 0, 0, 0, 0]],
+        [[1, 1, 0, 0, 0]],                          # short row
+    ])
+    def test_malformed_terms_raise(self, terms):
+        with pytest.raises(ValueError):
+            Polynomial.from_json_obj({"format": "mbgram.poly/1", "terms": terms})
+
+    def test_zero_coefficients_are_dropped(self):
+        assert Polynomial.from_terms_obj([[0, 2, 0, 0, 0, 0], [3, 1, 0, 0, 0, 0]]) == 3 * D
+
     def test_terms_sorted_leading_first(self):
         p = D ** 2 + W * X * Y + Z + 3
         rows = p.to_terms_obj()
