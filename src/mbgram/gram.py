@@ -11,9 +11,11 @@ Assembly pairs one cell per orbit of cells.  By the transpose law,
 same curves with the two sides swapped.  By the rotation lemma (pairing
 module docstring), turning both diagrams one boundary step with
 diagrams.rotate, r, keeps their pairing.  So one pairing fills the orbit
-of (i, j) under (i, j) -> (r(i), r(j)) and the transposed orbit: 2 231
-pairings for the 44 100 cells of tilde n=5, where pairing every i <= j
-takes 22 155.  Equal entries share one immutable Polynomial.
+of (i, j) under (i, j) -> (r(i), r(j)) and the transposed orbit.  The
+orbits follow from the indices alone, and one pairing.pair_exponents
+call pairs their representatives: 2 231 pairings for the 44 100 cells
+of tilde n=5, where pairing every i <= j takes 22 155.  Equal entries
+share one immutable Polynomial.
 
 Determinants are always exact.  Two routes, and choose_backend alone
 picks between them from the matrix size: fraction free elimination
@@ -93,7 +95,7 @@ from mbgram import intdet
 from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, rotate
 from mbgram.errors import BoundExceededError
-from mbgram.pairing import bilinear_form
+from mbgram.pairing import bilinear_form, pair_exponents
 from mbgram.polynomial import VARIABLES, Polynomial
 from mbgram.reporting import Report
 from mbgram.storage import cache_read, cache_write, resolve_cache_dir
@@ -214,13 +216,16 @@ def rotation_permutation(basis: Sequence) -> list:
 def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
     """Pairing matrix over the canonical basis; tilde substitutes y=0, w=1.
 
-    Cells i <= j are paired in row-major order, each only if no earlier
-    pairing filled it.  A pairing's value fills the cell's orbit under
-    (i, j) -> (r(i), r(j)), r = rotation_permutation(basis), which keeps
-    the pairing (rotation lemma, pairing module docstring), and with x and
-    y exchanged the transposed orbit (transpose law).  Both sets are
-    closed under r, so the walk stops at the first filled cell having
-    filled them all.  With r the identity this is the plain i <= j loop.
+    The first unfilled cell i <= j in row-major order represents its
+    orbit under (i, j) -> (r(i), r(j)), r = rotation_permutation(basis),
+    which keeps the pairing (rotation lemma, pairing module docstring), and
+    with x and y exchanged the transposed orbit (transpose law).  Both
+    sets are closed under r, so the walk that marks them stops at the
+    first marked cell having marked them all.  The orbits come from the
+    indices alone; one pairing.pair_exponents call then pairs every
+    representative, and each cell takes its representative's value or
+    the swapped one.  With r the identity the representatives are every
+    cell i <= j.
     """
     limit = variant.default_bound()
     if n > limit:
@@ -228,21 +233,31 @@ def assemble_gram(n: int, variant: GramVariant) -> GramMatrix:
     basis = gram_basis(n, variant)
     size = len(basis)
     perm = rotation_permutation(basis)
-    numbers: dict = {}  # exponent vector -> its number, in pairing order
+    reps = []  # (i, j) of the k-th orbit's first cell; its cells hold 2k, transposed 2k + 1
     rows = [[None] * size for _ in range(size)]
-    for i, m_i in enumerate(basis):
+    for i in range(size):
         for j in range(i, size):
             if rows[i][j] is not None:
                 continue
-            (d, w, x, y, z), _ = bilinear_form(m_i, basis[j]).leading_term()
-            swapped = numbers.setdefault((d, w, y, x, z), len(numbers))
-            number = numbers.setdefault((d, w, x, y, z), len(numbers))
+            slot, swapped = 2 * len(reps), 2 * len(reps) + 1
+            reps.append((i, j))
             a, b = i, j
             while rows[a][b] is None:
-                rows[b][a], rows[a][b] = swapped, number
+                rows[b][a], rows[a][b] = swapped, slot
                 a, b = perm[a], perm[b]
+    exps, unclassified = pair_exponents(basis, basis, reps)
+    if unclassified.any():
+        i, j = reps[int(np.argmax(unclassified))]
+        bilinear_form(basis[i], basis[j])  # raises, naming the cycle's sweep
+    numbers: dict = {}  # exponent vector -> its number, in pairing order
+    slots = []          # slot -> the number of its exponent vector
+    for d, w, x, y, z in exps.tolist():
+        swapped = numbers.setdefault((d, w, y, x, z), len(numbers))
+        slots += (numbers.setdefault((d, w, x, y, z), len(numbers)), swapped)
+    for row in rows:
+        row[:] = map(slots.__getitem__, row)
     substitution = TILDE_SUBSTITUTION if variant is GramVariant.MBN1_TILDE else {}
-    entries = [Polynomial({exps: 1}).substitute(substitution) for exps in numbers]
+    entries = [Polynomial({vector: 1}).substitute(substitution) for vector in numbers]
     return GramMatrix(n, variant, tuple(basis), *_code_rows(rows, entries.__getitem__, size))
 
 

@@ -10,11 +10,13 @@ wherever both are feasible.
 
 from __future__ import annotations
 
+import numpy as np
+
 from mbgram import gram as gram_mod
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, validate_diagram
 from mbgram.pairing import (bilinear_form, build_pairing_graph, components,
-                            curve_profile, pair_trace)
-from mbgram.polynomial import Polynomial
+                            curve_profile, pair_exponents, pair_trace)
+from mbgram.polynomial import NVARS, VAR_INDEX, VARIABLES, Polynomial
 from mbgram.reporting import Report
 
 
@@ -89,21 +91,50 @@ def _swap_xy(profile: tuple) -> tuple:
     return tuple(sorted(swap.get(c, c) for c in profile))
 
 
+def _first_report(check, flagged: np.ndarray) -> Report | None:
+    """The first Report that check(k) makes over the flagged indices k.
+
+    The claims below screen every pair with pairing.pair_exponents, flag
+    the pairs that break the claim or hold an unclassified cycle, and
+    walk only those with the scalar pairing, in the order the claim
+    visits its pairs: the walk raises or builds the FAIL's witness, and
+    returns None for a pair it clears.
+    """
+    for k in np.flatnonzero(flagged).tolist():
+        report = check(k)
+        if report is not None:
+            return report
+    return None
+
+
 def check_transpose_symmetry(n_max: int = 4) -> Report:
     """<m2, m1> equals <m1, m2> with x and y exchanged, exhaustively."""
     pairs = 0
+    swap = [VAR_INDEX[v] for v in ("d", "w", "y", "x", "z")]
     for n in range(1, n_max + 1):
         basis = gram_mod.gram_basis(n, gram_mod.GramVariant.MB1_FULL)
-        for i, m_i in enumerate(basis):
-            for m_j in basis[i:]:
-                forward = curve_profile(m_i, m_j)
-                backward = curve_profile(m_j, m_i)
-                if backward != _swap_xy(forward):
-                    return Report(
-                        claim="transpose-symmetry", tag="pairing", status="FAIL",
-                        params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                        witness={"forward": list(forward), "backward": list(backward)})
-                pairs += 1
+        size = len(basis)
+        exps, unclassified = pair_exponents(basis, basis)
+        exps = exps.reshape(size, size, NVARS)
+        unclassified = unclassified.reshape(size, size)
+        flagged = ((exps.transpose(1, 0, 2)[:, :, swap] != exps).any(2)
+                   | unclassified | unclassified.T)
+
+        def check(k):
+            i, j = divmod(k, size)
+            forward = curve_profile(basis[i], basis[j])
+            backward = curve_profile(basis[j], basis[i])
+            if backward != _swap_xy(forward):
+                return Report(
+                    claim="transpose-symmetry", tag="pairing", status="FAIL",
+                    params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                    witness={"forward": list(forward), "backward": list(backward)})
+            return None
+
+        report = _first_report(check, np.triu(flagged))
+        if report is not None:
+            return report
+        pairs += size * (size + 1) // 2
     return Report(
         claim="transpose-symmetry", tag="pairing", status="PASS",
         params={"n_max": n_max, "pairs": pairs})
@@ -118,14 +149,24 @@ def check_diagonal_law(n_max: int = 5) -> Report:
                 expected = ("d",) * n
             else:
                 expected = tuple(sorted(("d",) * (n - 1) + ("w",)))
-            for m in enumerate_stratum(n, stratum):
-                profile = curve_profile(m, m)
+            diagrams = enumerate_stratum(n, stratum)
+            exps, unclassified = pair_exponents(
+                diagrams, diagrams, [(k, k) for k in range(len(diagrams))])
+            flagged = (exps != [expected.count(v) for v in VARIABLES]).any(1) | unclassified
+
+            def check(k):
+                profile = curve_profile(diagrams[k], diagrams[k])
                 if profile != expected:
                     return Report(
                         claim="diagonal-law", tag="pairing", status="FAIL",
-                        params={"at": [n, m.serialize()]},
+                        params={"at": [n, diagrams[k].serialize()]},
                         witness={"expected": list(expected), "actual": list(profile)})
-                checked += 1
+                return None
+
+            report = _first_report(check, flagged)
+            if report is not None:
+                return report
+            checked += len(diagrams)
     return Report(
         claim="diagonal-law", tag="pairing", status="PASS",
         params={"n_max": n_max, "diagrams": checked})
@@ -134,25 +175,32 @@ def check_diagonal_law(n_max: int = 5) -> Report:
 def check_winding_range(n_max: int = 5) -> Report:
     """Every fixed-point-free component sweeps exactly 0 or +/-2n.
 
-    One pairing graph per ordered pair of the joint basis.  The monomial's
-    degree equals the component count by construction (bilinear_form adds
-    one variable per component).
+    One pairing.pair_exponents call per n pairs every ordered pair of the
+    joint basis and flags each pair with a cycle outside {0, +/-2n}; the
+    scalar walk visits a flagged pair only, for the witness.  With no
+    flag, the fixed-point-free cycles are the d and z ones, which
+    components_walked counts.
     """
     walked = 0
     for n in range(1, n_max + 1):
         basis = gram_mod.gram_basis(n, gram_mod.GramVariant.MB1_FULL)
         n2 = 2 * n
-        for m_i in basis:
-            for m_j in basis:
-                for vertices, on1, on2, psi in components(build_pairing_graph(m_i, m_j)):
-                    if on1 or on2:
-                        continue
-                    if psi not in (0, n2, -n2):
-                        return Report(
-                            claim="winding-range", tag="pairing", status="FAIL",
-                            params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                            witness={"component": sorted(vertices), "psi": psi})
-                    walked += 1
+        exps, unclassified = pair_exponents(basis, basis)
+
+        def check(k):
+            i, j = divmod(k, len(basis))
+            for vertices, on1, on2, psi in components(build_pairing_graph(basis[i], basis[j])):
+                if not (on1 or on2) and psi not in (0, n2, -n2):
+                    return Report(
+                        claim="winding-range", tag="pairing", status="FAIL",
+                        params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                        witness={"component": sorted(vertices), "psi": psi})
+            return None
+
+        report = _first_report(check, unclassified)
+        if report is not None:
+            return report
+        walked += int(exps[:, VAR_INDEX["d"]].sum() + exps[:, VAR_INDEX["z"]].sum())
     return Report(
         claim="winding-range", tag="pairing", status="PASS",
         params={"n_max": n_max, "components_walked": walked})
@@ -162,18 +210,28 @@ def check_entry_profiles(n_max: int = 4) -> Report:
     """One-crosscap pairings carry exactly {w} or {x, y} plus d/z factors;
     the stratum is enumerated once per n."""
     checked = 0
+    crosscap = [VAR_INDEX[v] for v in ("w", "x", "y")]
     for n in range(1, n_max + 1):
         basis = enumerate_stratum(n, Stratum.ONE_CROSSCAP)
-        for m_i in basis:
-            for m_j in basis:
-                profile = curve_profile(m_i, m_j)
-                crosscap_part = tuple(c for c in profile if c in ("x", "y", "w"))
-                if crosscap_part not in (("w",), ("x", "y")):
-                    return Report(
-                        claim="entry-profiles", tag="pairing", status="FAIL",
-                        params={"at": [n, m_i.serialize(), m_j.serialize()]},
-                        witness={"profile": list(profile)})
-                checked += 1
+        exps, unclassified = pair_exponents(basis, basis)
+        part = exps[:, crosscap]
+        allowed = (part == (1, 0, 0)).all(1) | (part == (0, 1, 1)).all(1)
+
+        def check(k):
+            i, j = divmod(k, len(basis))
+            profile = curve_profile(basis[i], basis[j])
+            crosscap_part = tuple(c for c in profile if c in ("x", "y", "w"))
+            if crosscap_part not in (("w",), ("x", "y")):
+                return Report(
+                    claim="entry-profiles", tag="pairing", status="FAIL",
+                    params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                    witness={"profile": list(profile)})
+            return None
+
+        report = _first_report(check, ~allowed | unclassified)
+        if report is not None:
+            return report
+        checked += len(basis) ** 2
     return Report(
         claim="entry-profiles", tag="pairing", status="PASS",
         params={"n_max": n_max, "pairs": checked})

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbgram import gram, intdet
-from mbgram.diagrams import Diagram, rotate
-from mbgram.errors import BoundExceededError
+from mbgram import diagrams, gram, intdet
+from mbgram.diagrams import Diagram, parse_diagram, rotate
+from mbgram.errors import BoundExceededError, UnclassifiableComponentError
 from mbgram.gram import (DET_FORMAT, GRAM_FORMAT, TILDE_SUBSTITUTION, ConjectureId, GramMatrix,
                          GramVariant, assemble_gram, choose_backend, class_matrix_4x4,
                          block_degree_bounds, conjecture_factors, conjecture_formula,
@@ -59,15 +59,15 @@ def direct_entries(basis, variant):
 
 
 def count_pairings(monkeypatch) -> list:
-    """Record the (m1, m2) of every pairing that gram makes."""
+    """Record the (m1, m2) of every pairing that gram hands the kernel."""
     calls = []
-    original = gram.bilinear_form
+    original = gram.pair_exponents
 
-    def spy(m1, m2):
-        calls.append((m1, m2))
-        return original(m1, m2)
+    def spy(left, right, pairs):
+        calls.extend((left[i], right[j]) for i, j in pairs)
+        return original(left, right, pairs)
 
-    monkeypatch.setattr(gram, "bilinear_form", spy)
+    monkeypatch.setattr(gram, "pair_exponents", spy)
     return calls
 
 
@@ -151,6 +151,27 @@ class TestAssemble:
         assert [(index[m1], index[m2]) for m1, m2 in calls] == [
             (i, j) for i in range(gm.size) for j in range(i, gm.size)]
         assert gm.entries == direct_entries(gm.basis, GramVariant.MB1_FULL)
+
+    def test_skewed_sweep_raises_as_the_pairing_does(self, monkeypatch):
+        # a tail sweep of 2 on (1 2)(3)(4) makes its diagonal cycle {1, 2}
+        # sweep 1; assembly pairs that cell in its one kernel call, then
+        # raises the scalar pairing's error for it
+        build = diagrams.pairing_tables
+
+        def skewed(m):
+            partner, sweep = build(m)
+            if m.serialize() == "(1 2)(3)(4)":
+                sweep = (None, 2, *sweep[2:])
+            return partner, sweep
+
+        monkeypatch.setattr(diagrams, "pairing_tables", skewed)
+        m = parse_diagram("(1 2)(3)(4)")
+        with pytest.raises(UnclassifiableComponentError) as scalar_error:
+            bilinear_form(m, m)
+        with pytest.raises(UnclassifiableComponentError) as assembly_error:
+            assemble_gram(2, GramVariant.MBN1)
+        assert str(assembly_error.value) == str(scalar_error.value) == (
+            "cycle swept 1, expected 0 or +/-4")
 
     def test_bound_enforced(self):
         with pytest.raises(BoundExceededError):

@@ -1,17 +1,21 @@
 """Pairing graph construction, component classification, and the form values."""
 
+import os
 import pickle
 from collections import Counter
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbgram import diagrams, gram
+from mbgram import diagrams, gram, pairing
 from mbgram.diagrams import Diagram, enumerate_stratum, parse_diagram, Stratum
 from mbgram.errors import (MalformedComponentError, SizeMismatchError,
                            UnclassifiableComponentError)
 from mbgram.pairing import (antipodal_pairs, bilinear_form, build_pairing_graph,
                             component_walk, components, curve_class,
-                            curve_profile, pair_trace)
+                            curve_profile, pair_exponents, pair_trace)
 from mbgram.gram import GramVariant, assemble_gram, gram_basis
 from mbgram.polynomial import VARIABLES, Polynomial
 from test_diagrams import searched_diagrams
@@ -93,22 +97,22 @@ class TestGraph:
 class TestTables:
     def test_built_once_per_diagram(self, monkeypatch):
         build, built = diagrams.pairing_tables, []
-        pair, paired = gram.bilinear_form, set()
+        pair, paired = gram.pair_exponents, set()
 
         def spy(m):
             built.append(m)
             return build(m)
 
-        def pair_spy(m1, m2):
-            paired.update((m1, m2))
-            return pair(m1, m2)
+        def pair_spy(left, right, pairs=None):
+            paired.update(left, right)
+            return pair(left, right, pairs)
 
         monkeypatch.setattr(diagrams, "pairing_tables", spy)
-        monkeypatch.setattr(gram, "bilinear_form", pair_spy)
+        monkeypatch.setattr(gram, "pair_exponents", pair_spy)
         matrix = assemble_gram(3, GramVariant.MB1_FULL)
         assert len(matrix.basis) == 35
-        # assembly pairs one cell per rotation orbit, so not every diagram
-        # is paired; every one that is builds its tables exactly once
+        # assembly hands the basis to the kernel, which stacks the tables
+        # of every diagram it is given; each builds them exactly once
         assert paired <= set(matrix.basis)
         assert sorted(built, key=str) == sorted(paired, key=str)
 
@@ -289,3 +293,128 @@ class TestTrace:
         trace = pair_trace(m, m)
         assert trace["components"][0]["psi"] == 0
         assert trace["components"][0]["sweeps"] == [["m1", 1, 2, 1], ["m2", 2, 1, -1]]
+
+
+def scalar_exponents(left, right, pairs) -> list:
+    """Reference rows for pair_exponents: bilinear_form's exponent vector
+    and False, or, where the scalar walk raises, the classes of its other
+    cycles and True."""
+    out = []
+    for i, j in pairs:
+        try:
+            exps, _ = bilinear_form(left[i], right[j]).leading_term()
+        except UnclassifiableComponentError:
+            g = build_pairing_graph(left[i], right[j])
+            classes = [(on1, on2, psi) for _, on1, on2, psi in components(g)
+                       if on1 or on2 or psi in (0, g.n2, -g.n2)]
+            counts = Counter(curve_class(g.n2, *c) for c in classes)
+            out.append((tuple(counts[v] for v in VARIABLES), True))
+        else:
+            out.append((exps, False))
+    return out
+
+
+def kernel_rows(left, right, pairs=None) -> list:
+    exps, unclassified = pair_exponents(left, right, pairs)
+    return [(tuple(e), u) for e, u in zip(exps.tolist(), unclassified.tolist())]
+
+
+def every_pair(left, right) -> list:
+    return [(i, j) for i in range(len(left)) for j in range(len(right))]
+
+
+class TestKernel:
+    def test_every_ordered_pair_of_the_full_basis(self):
+        for n in (1, 2, 3, 4):
+            basis = gram_basis(n, GramVariant.MB1_FULL)
+            assert kernel_rows(basis, basis) == scalar_exponents(
+                basis, basis, every_pair(basis, basis)), n
+
+    def test_tilde_n5_representatives(self, monkeypatch):
+        seen = []
+        original = gram.pair_exponents
+
+        def spy(left, right, pairs):
+            seen.append((left, right, pairs))
+            return original(left, right, pairs)
+
+        monkeypatch.setattr(gram, "pair_exponents", spy)
+        assemble_gram(5, GramVariant.MBN1_TILDE)
+        (basis, _, reps), = seen
+        assert len(reps) == 2231
+        assert kernel_rows(basis, basis, reps) == scalar_exponents(basis, basis, reps)
+
+    def test_more_fixed_points_and_two_lists(self):
+        # 4 and 6 fixed points put several on one cycle; a pair that the
+        # scalar walk cannot classify comes out flagged
+        for n in (1, 2, 3):
+            found = searched_diagrams(n, (0, 2, 4, 6))
+            chords = enumerate_stratum(n, Stratum.ZERO_CROSSCAP)
+            for left, right in ((found, found), (chords, found), (found, chords)):
+                assert kernel_rows(left, right) == scalar_exponents(
+                    left, right, every_pair(left, right)), n
+
+    @pytest.mark.parametrize("text, sweep, flagged", [
+        ("(1 4)(2 3)", (None, 4, 1, -1, -3), 7),    # a skewed tail: cycles sweep 1
+        ("(1 4)(2 3)", (None, 3, 1, None, -3), 0),  # vertex 3 reads as a fixed point
+        ("(2 3)(1)(4)", (None, None, 1, -1, 0), 7),  # vertex 4 reads as a chord end
+    ])
+    def test_planted_tables_read_as_the_scalar_walk_reads_them(self, monkeypatch, text, sweep,
+                                                              flagged):
+        # the kernel classifies each cycle from the walk's own start, so it
+        # agrees with the walk even on tables no diagram has
+        build = diagrams.pairing_tables
+        monkeypatch.setattr(diagrams, "pairing_tables", lambda m: (
+            (build(m)[0], sweep) if m.serialize() == text else build(m)))
+        basis = gram_basis(2, GramVariant.MB1_FULL)
+        expected = scalar_exponents(basis, basis, every_pair(basis, basis))
+        assert kernel_rows(basis, basis) == expected
+        assert sum(u for _, u in expected) == flagged
+
+    def test_slices_do_not_change_the_result(self, monkeypatch):
+        basis = gram_basis(3, GramVariant.MB1_FULL)
+        whole = kernel_rows(basis, basis)
+        for cells in (1, 6, 7, 64):
+            monkeypatch.setattr(pairing, "SLICE_CELLS", cells)
+            assert kernel_rows(basis, basis) == whole, cells
+
+    def test_explicit_pairs_follow_their_order(self):
+        basis = gram_basis(2, GramVariant.MB1_FULL)
+        pairs = [(9, 0), (0, 9), (3, 3), (9, 0)]
+        assert kernel_rows(basis, basis, pairs) == scalar_exponents(basis, basis, pairs)
+
+    def test_empty_and_mismatched_inputs(self):
+        basis = gram_basis(2, GramVariant.MB1_FULL)
+        exps, unclassified = pair_exponents(basis, basis, [])
+        assert exps.shape == (0, len(VARIABLES)) and unclassified.shape == (0,)
+        assert pair_exponents([], basis)[0].shape == (0, len(VARIABLES))
+        with pytest.raises(SizeMismatchError):
+            pair_exponents(basis, gram_basis(1, GramVariant.MB1_FULL))
+
+    def test_malformed_diagram_raises(self):
+        full = Diagram.build(2, [(1, 2), (3, 4)], [])
+        missing = Diagram.build(2, [(1, 2)], [])
+        with pytest.raises(MalformedComponentError):
+            pair_exponents([full], [missing])
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.tuples(st.integers(0, 1715), st.integers(0, 1715)),
+                    min_size=1, max_size=40))
+    def test_sampled_n6_pairs(self, pairs):
+        basis = _full_basis_6()
+        assert kernel_rows(basis, basis, pairs) == scalar_exponents(basis, basis, pairs)
+
+    @pytest.mark.skipif(os.environ.get("MBGRAM_STRETCH") != "1",
+                        reason="213 444 scalar pairings; set MBGRAM_STRETCH=1 to run")
+    def test_every_ordered_pair_of_the_full_n5_basis(self):
+        basis = gram_basis(5, GramVariant.MB1_FULL)
+        pairs = every_pair(basis, basis)
+        assert len(pairs) == 213_444
+        assert kernel_rows(basis, basis) == scalar_exponents(basis, basis, pairs)
+
+
+@cache
+def _full_basis_6() -> tuple:
+    """The 1716 diagrams of the joint n=6 basis, enumerated once."""
+    return tuple(enumerate_stratum(6, Stratum.ZERO_CROSSCAP)
+                 + enumerate_stratum(6, Stratum.ONE_CROSSCAP))

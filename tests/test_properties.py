@@ -1,7 +1,11 @@
 """Cross-module invariant claims at reduced ranges (acceptance runs them full)."""
 
-from mbgram import pairing, properties
+import pytest
+
+from mbgram import diagrams, gram, properties
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram
+from mbgram.errors import UnclassifiableComponentError
+from mbgram.pairing import curve_profile
 from mbgram.properties import (check_crosscap_pair_fixture, check_det_backends_agree,
                                check_diagonal_law, check_entry_profiles,
                                check_enumeration_counts, check_tilde_block_fixture,
@@ -54,13 +58,19 @@ def test_winding_range_small():
 
 
 def test_winding_range_reports_a_bad_sweep(monkeypatch):
-    # a chord-only cycle sweeping 1 is no curve on the band; the first one
-    # met is the single cycle of <(1 2), (1 2)> at n=1
-    def skewed(g):
-        return [(vertices, on1, on2, psi if on1 or on2 else 1)
-                for vertices, on1, on2, psi in pairing.components(g)]
+    # a chord-only cycle sweeping 1 is no curve on the band.  The tables
+    # give (1 2) a tail sweep of 2, so the single cycle of <(1 2), (1 2)>
+    # at n=1, the first one met, sweeps 2 - 1 = 1; the kernel screens the
+    # pairs and the scalar walk names the cycle, both from these tables
+    build = diagrams.pairing_tables
 
-    monkeypatch.setattr(properties, "components", skewed)
+    def skewed(m):
+        partner, sweep = build(m)
+        if m.serialize() == "(1 2)":
+            sweep = (None, sweep[1] + 1, sweep[2])
+        return partner, sweep
+
+    monkeypatch.setattr(diagrams, "pairing_tables", skewed)
     report = check_winding_range(2)
     assert report.status == "FAIL"
     assert report.params == {"at": [1, "(1 2)", "(1 2)"]}
@@ -80,3 +90,87 @@ def test_det_backends_agree(tmp_path):
     assert report.status == "PASS"
     assert "tilde/3" in report.params["cases"]
     assert "full/1" in report.params["cases"]
+
+
+# -- the claims against their scalar form ---------------------------------------
+#
+# The pairing claims screen every pair with pairing.pair_exponents.  Each
+# reference below is the claim as one scalar pairing per pair; with planted
+# tables, which both read, the two must report the same FAIL.
+
+
+def scalar_transpose_symmetry(n_max):
+    for n in range(1, n_max + 1):
+        basis = gram.gram_basis(n, gram.GramVariant.MB1_FULL)
+        for i, m_i in enumerate(basis):
+            for m_j in basis[i:]:
+                forward, backward = curve_profile(m_i, m_j), curve_profile(m_j, m_i)
+                flipped = tuple(sorted({"x": "y", "y": "x"}.get(c, c) for c in forward))
+                if backward != flipped:
+                    return {"at": [n, m_i.serialize(), m_j.serialize()]}, {
+                        "forward": list(forward), "backward": list(backward)}
+    return None
+
+
+def scalar_diagonal_law(n_max):
+    for n in range(1, n_max + 1):
+        for stratum in Stratum:
+            expected = tuple(sorted(("d",) * (n - 1) + (
+                ("d",) if stratum is Stratum.ZERO_CROSSCAP else ("w",))))
+            for m in enumerate_stratum(n, stratum):
+                profile = curve_profile(m, m)
+                if profile != expected:
+                    return {"at": [n, m.serialize()]}, {
+                        "expected": list(expected), "actual": list(profile)}
+    return None
+
+
+def scalar_entry_profiles(n_max):
+    for n in range(1, n_max + 1):
+        basis = enumerate_stratum(n, Stratum.ONE_CROSSCAP)
+        for m_i in basis:
+            for m_j in basis:
+                profile = curve_profile(m_i, m_j)
+                if tuple(c for c in profile if c in "xyw") not in (("w",), ("x", "y")):
+                    return {"at": [n, m_i.serialize(), m_j.serialize()]}, {
+                        "profile": list(profile)}
+    return None
+
+
+def plant(monkeypatch, text, sweep):
+    """Give the diagram `text` the sweep table `sweep` wherever it is built."""
+    build = diagrams.pairing_tables
+
+    def planted(m):
+        partner, found = build(m)
+        return partner, (sweep if m.serialize() == text else found)
+
+    monkeypatch.setattr(diagrams, "pairing_tables", planted)
+
+
+@pytest.mark.parametrize("check, scalar, text, sweep", [
+    # vertex 1 of (1 2) reads as a fixed point: <(1 2), (1 2)> is x both ways
+    (check_transpose_symmetry, scalar_transpose_symmetry, "(1 2)", (None, None, -1)),
+    # vertex 1 of (1)(2) reads as a chord end: <(1)(2), (1)(2)> is y
+    (check_diagonal_law, scalar_diagonal_law, "(1)(2)", (None, 0, None)),
+    (check_entry_profiles, scalar_entry_profiles, "(1)(2)", (None, 0, None)),
+    # later pairs at n=2: vertex 3 of (1 4)(2 3) reads as a fixed point,
+    # and vertex 4 of (2 3)(1)(4) as a chord end
+    (check_transpose_symmetry, scalar_transpose_symmetry, "(1 4)(2 3)",
+     (None, 3, 1, None, -3)),
+    (check_entry_profiles, scalar_entry_profiles, "(2 3)(1)(4)", (None, None, 1, -1, 0)),
+])
+def test_planted_mismatch_fails_as_the_scalar_claim(monkeypatch, check, scalar, text, sweep):
+    plant(monkeypatch, text, sweep)
+    report = check(3)
+    assert report.status == "FAIL"
+    assert (report.params, report.witness) == scalar(3)
+
+
+def test_planted_skew_raises_as_the_scalar_claim(monkeypatch):
+    plant(monkeypatch, "(1 2)", (None, 2, -1))
+    with pytest.raises(UnclassifiableComponentError) as scalar_error:
+        scalar_transpose_symmetry(2)
+    with pytest.raises(UnclassifiableComponentError) as kernel_error:
+        check_transpose_symmetry(2)
+    assert str(kernel_error.value) == str(scalar_error.value)
