@@ -19,13 +19,18 @@ share one immutable Polynomial.
 
 Determinants are always exact.  Two routes, and choose_backend alone
 picks between them from the matrix size: fraction free elimination
-(intdet.bareiss_int) directly over the polynomial ring for matrices up to
-15x15, and the modular route (det_by_evaluation) for larger ones, in any
-number of variables.  The modular route refuses a matrix whose box of
-degree bounds has 2^32 cells or more (full n=4, mbn1 n=5) before it
-evaluates anything.  Both routes are asserted equal wherever both are
-feasible.  _pool_map spreads the engine's primes, and shares of the
-randomized check's points, over `jobs` as integer codes and values.
+(intdet.bareiss_int) of the plain integer matrix that one Kronecker
+substitution makes of G, for matrices up to 15x15 (det_exact), and the
+modular route (det_by_evaluation) for larger ones, in any number of
+variables.  The two share only intdet.hadamard_bound.  Every Gram
+matrix has gradings, row and column potentials that fix the exponents of
+w and y by that of x, so det_exact works in d, x and z alone.  The
+elimination refuses a packed determinant past PACKED_BITS_LIMIT bits,
+and the modular route a box of degree bounds of 2^32 cells or more (full
+n=4, mbn1 n=5), before either eliminates or evaluates anything.  Both
+routes are asserted equal wherever both are feasible.  _pool_map spreads
+the engine's primes, and shares of the randomized check's points, over
+`jobs` as integer codes and values.
 
 Every entry is a monomial with one variable per glued curve, so few
 entries are distinct: 6 of the 44 100 cells of tilde n=5, 44 of the
@@ -96,7 +101,7 @@ from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form, pair_exponents
-from mbgram.polynomial import VARIABLES, Polynomial
+from mbgram.polynomial import VARIABLES, Polynomial, _balanced_digits, _slot_digits, _to_int
 from mbgram.reporting import Report
 from mbgram.storage import cache_read, cache_write, resolve_cache_dir
 
@@ -106,6 +111,10 @@ DET_FORMAT = "mbgram.det/1"
 TILDE_SUBSTITUTION = {"y": 0, "w": 1}
 
 BAREISS_MAX_SIZE = 15       # crossover: elimination up to this size
+
+# det_exact refuses a packed determinant past this many bits: mbn1 n=3,
+# the largest Gram matrix it gets, has 1.1 * 10^5
+PACKED_BITS_LIMIT = 1 << 22
 
 WITNESS_TERM_LIMIT = 120    # serialize full polynomials only up to this size
 
@@ -284,11 +293,120 @@ def _pool_map(fn, args: list, jobs: int) -> list:
         return list(pool.map(fn, args))
 
 
+def gradings(codes: np.ndarray, entries: Sequence) -> tuple | None:
+    """(a, b), a[i] the one value of deg_x + deg_w over the terms of the
+    nonzero entries of row i and b[j] the one value of deg_y + deg_w over
+    those of column j, or None when some row or column has two; codes and
+    entries as from _coded.  A row or column with no nonzero entry gets 0.
+
+    Every Gram matrix assemble_gram builds has them (full n <= 4, mbn1
+    and tilde n <= 5).  When they exist, every term of
+    det G = sum_s sign(s) prod_i G[i][s(i)] has deg_x + deg_w = A = sum(a)
+    and deg_y + deg_w = B = sum(b), as each product takes one entry from
+    every row and one from every column; so do the terms of every minor,
+    with the sums over its rows and columns.  A term is then fixed by its
+    exponents of d, x and z, with w = A - x and y = B - A + x, and
+    substituting w = y = 1, a ring homomorphism, maps det G one to one
+    onto det G(w = y = 1).  Within one entry G[i][j] w = a[i] - x and
+    y = b[j] - a[i] + x are fixed by x, so no two terms of an entry merge
+    and the substitution keeps every entry's l1 norm.
+    """
+    x_w, y_w = [], []  # per distinct entry, its one grade, or -1 for zero
+    for entry in entries:
+        rows = {e[1] + e[2] for e in entry.terms}
+        columns = {e[1] + e[3] for e in entry.terms}
+        if len(rows) > 1 or len(columns) > 1:
+            return None
+        x_w.append(rows.pop() if rows else -1)
+        y_w.append(columns.pop() if columns else -1)
+
+    def grades(cells: np.ndarray):
+        """Each row's one grade over its nonzero cells, or None."""
+        top = cells.max(axis=1, initial=-1)
+        if not ((cells == top[:, None]) | (cells < 0)).all():
+            return None
+        return tuple(np.maximum(top, 0).tolist())
+
+    a, b = grades(np.array(x_w)[codes]), grades(np.array(y_w)[codes].T)
+    return None if a is None or b is None else (a, b)
+
+
 def det_exact(matrix) -> Polynomial:
-    """Fraction-free elimination over the polynomial ring (intdet.bareiss_int)."""
+    """Fraction-free elimination (intdet.bareiss_int) of one integer
+    matrix, the image phi(G) of G under a Kronecker substitution (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 8.4), read back as balanced
+    digits.
+
+    phi works in d, x and z when G has gradings (w = y = 1, lifted back
+    term by term afterwards), in all five variables otherwise.  Each
+    variable gets its bound from block_degree_bounds under the one-block
+    plan intdet.block_plan(codes), and the box of those bounds is laid out
+    in C order with the largest bound varying fastest, so that the
+    entries' images stay short: on a 2-vCPU Xeon VM mbn1 n=3 took 0.15 s
+    this way against 1.5-1.8 s with d or x varying slowest, and full n=2
+    0.011 s against up to 0.076 s.  phi sends c m to c B^offset(m),
+    B = 2^(8 nb), nb the fewest whole bytes that hold the bits of 2 bound,
+    bound the intdet.hadamard_bound of the entry l1 norms; it is a ring
+    homomorphism to Z.
+
+    Proof.  Let M be G or a minor of it.  Its terms lie in the box: a
+    determinant's degree in a variable is at most both its row-wise and
+    its column-wise sums of largest entry degrees, and as entry degrees
+    are >= 0 a minor's sums are at most G's.  Its coefficients are below
+    bound: the Hadamard bound covers every coefficient (proof at
+    det_by_evaluation), and dropping rows and columns does not raise it,
+    as a nonzero integer row has l1 norm >= 1.  So they are below B / 2,
+    the balanced digits of phi(M), one per cell, are M's coefficients
+    (polynomial._balanced_digits), and phi(M) = 0 only when M = 0.
+    bareiss_int is exact on every integer matrix and returns det phi(G) =
+    phi(det G); by Sylvester's identity each of its pivots and interior
+    entries is +-phi of a minor, so none outgrows the packed determinant,
+    8 nb (cells of the box) bits.  A matrix whose packed determinant would
+    exceed PACKED_BITS_LIMIT raises BoundExceededError before anything is
+    eliminated, and one with a zero row (bound 0) gives 0 at once.  With
+    gradings the substitution w = y = 1 loses nothing (proof at gradings),
+    and a lifted exponent below 0 would raise ValueError.
+    """
     codes, entries, _ = _coded(matrix)
-    det = intdet.bareiss_int([[entries[c] for c in row] for row in codes.tolist()])
-    return Polynomial.integer(det) if isinstance(det, int) else det
+    if not codes.size:
+        return Polynomial.one()
+    bound = intdet.hadamard_bound(codes, [sum(map(abs, e.terms.values())) for e in entries])
+    if bound == 0:
+        return Polynomial.zero()
+    graded = gradings(codes, entries)
+    variables = [v for v in VARIABLES if graded is None or v not in ("w", "y")]
+    bounds = dict(zip(variables, block_degree_bounds(codes, entries, intdet.block_plan(codes),
+                                                     variables)[0]))
+    axes = sorted(variables, key=bounds.__getitem__)  # C order: the largest bound fastest
+    box = tuple(bounds[v] + 1 for v in axes)
+    cells, nb = prod(box), ((2 * bound).bit_length() + 7) // 8
+    bits = 8 * nb * cells
+    if bits > PACKED_BITS_LIMIT:
+        raise BoundExceededError(f"packed determinant has {bits} bits, more than "
+                                 f"{PACKED_BITS_LIMIT}: too large for elimination")
+    index = [VARIABLES.index(v) for v in axes]
+    strides = [prod(box[t + 1:]) for t in range(len(box))]
+
+    def packed(entry: Polynomial) -> int:
+        slots = {sum(e[i] * s for i, s in zip(index, strides)): c for e, c in entry.terms.items()}
+        digits = [0] * (max(slots, default=0) + 1)
+        for offset, c in slots.items():
+            digits[offset] = c
+        return _to_int(digits, nb)
+
+    images = [packed(e) for e in entries]
+    det = intdet.bareiss_int([[images[c] for c in row] for row in codes.tolist()])
+    coefficients = _balanced_digits(*_slot_digits(det, cells, nb))
+    offsets = [k for k, c in enumerate(coefficients) if c]
+    exponents = np.zeros((len(offsets), len(VARIABLES)), dtype=np.int64)
+    exponents[:, index] = np.array(np.unravel_index(np.array(offsets, dtype=np.int64), box)).T
+    if graded is not None:
+        a, b = map(sum, graded)
+        x = exponents[:, VARIABLES.index("x")]
+        exponents[:, VARIABLES.index("w")] = a - x
+        exponents[:, VARIABLES.index("y")] = b - a + x
+    return Polynomial(dict(zip(map(tuple, exponents.tolist()), map(coefficients.__getitem__,
+                                                                  offsets))))
 
 
 def block_degree_bounds(codes: np.ndarray, entries: list, plan: intdet.BlockPlan,
@@ -412,9 +530,10 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
 
 
 def choose_backend(matrix) -> str:
-    """Crossover rule between the two determinant backends: elimination
-    ("bareiss", det_exact) up to BAREISS_MAX_SIZE rows, the modular engine
-    ("interp", det_by_evaluation) above, in any number of variables."""
+    """Crossover rule between the two determinant backends: integer
+    elimination at one Kronecker point ("bareiss", det_exact) up to
+    BAREISS_MAX_SIZE rows, the modular engine ("interp",
+    det_by_evaluation) above, in any number of variables."""
     size = matrix.size if isinstance(matrix, GramMatrix) else len(matrix)
     return "bareiss" if size <= BAREISS_MAX_SIZE else "interp"
 

@@ -2,9 +2,10 @@
 
   * bareiss_int: fraction-free elimination with row pivoting.  Every
     interior division is exact (Sylvester's identity), so it is exact
-    for any size and over any ring whose // is exact division; gram
-    uses it over Z[d, w, x, y, z] as well.  Intermediate growth makes it
-    slow on integer matrices past roughly 40x40.  A matrix equal to its
+    for any size and over any ring whose // is exact division; gram's
+    det_exact runs it on the integers that one Kronecker substitution
+    makes of a Gram matrix's entries.  Intermediate growth makes it slow
+    on integer matrices past roughly 40x40.  A matrix equal to its
     transpose (is_symmetric) keeps a symmetric trailing block until its
     first row swap, so only the entries on and above the diagonal are
     eliminated, about half the products and divisions (proof at

@@ -33,7 +33,8 @@ size, through _d_product, on one of three routes.
     2 bound.  Then |c_k| < B/2, the packed product P = sum c_k B^k has
     |P| < B^n / 2 over its n slots, and its balanced digits are unique:
     the ordinary digits of |P|, each one above B/2 lowered by B and a
-    carry of one passed up, are the c_k times P's sign.
+    carry of one passed up, are the c_k times P's sign (_balanced_digits;
+    gram.det_exact reads its packed determinant the same way).
 
   * Below DECIMAL_MIN_BITS packed bits (n slots times the bits of 2 bound)
     the number is a Python int in slots of nb whole bytes, B = 2^(8 nb) >=
@@ -90,55 +91,6 @@ holds negated ints.  A quotient exponent is one subtraction of keys.  If
 a field of it is negative, the lowest such field gets no borrow from
 below and wraps to a value with its guard bit set, and the division
 returns None.  A one-term divisor divides term by term.
-
-From VECTOR_MIN_PAIRS term pairs on, both kernels run on numpy int64
-arrays of the same keys, but only where a bound proves that int64 cannot
-overflow; otherwise the loops above run unchanged.
-
-  * The product takes the outer sum of the keys and the outer product of
-    the coefficients, sorts the pairs by key and sums equal keys with
-    np.add.reduceat.  The keys must fit in _KEY_BITS = 62 bits, and
-    ||a||_1 ||b||_1 < 2^63.  Every coefficient product, and every partial
-    sum of any set of them, is at most sum |c_a| |c_b| = ||a||_1 ||b||_1
-    in absolute value, so no order of summation leaves int64.  Two d-only
-    factors never use it (_d_product multiplies them).  The Chebyshev
-    identities make about 900 products of 256 to 500 pairs with small
-    coefficients and a factor below DENSE_MIN_TERMS terms.  Replayed
-    alone (best of five), the kernel took 0.065 s of them against 0.086 s
-    for the packed loop that preceded _d_product's short route; but whole
-    runs of the catalogue were 1.5% slower with it, and its first call
-    maps about 0.75 MB of numpy code (sorts, ufunc loops) into a process
-    that runs no other numpy.
-
-  * Exact division goes by layers of the d-exponent, when the divisor
-    has a single term c m of its top d-degree D.  The remainder R starts
-    as the dividend.  Its top layer, divided term by term by c m, is the
-    next layer q of the quotient; then R -= q * tail, tail the divisor
-    without c m, lands wholly below that layer, as every tail term has
-    d-degree below D.  The quotient of a divisible dividend is unique, so
-    every q is a layer of it and every monomial of q * tail is one of
-    quotient times divisor, whose exponent of each variable is at most
-    the dividend's.  So a guard bit set in q (a negative exponent, or a
-    layer below D) or in q plus the tail's largest exponents proves that
-    the divisor does not divide, as does a coefficient that c does not
-    divide; the division returns None.  The bound, checked before each
-    subtraction: max|R| + ||q||_1 max|tail| < 2^62, with every dividend
-    and divisor coefficient below 2^62 to begin with.  For one term of q
-    the keys q + t are distinct, so a remainder coefficient, and every
-    partial sum towards it, moves by at most ||q||_1 max|tail|.  When the
-    check fails (max|R| is read afresh first), the division starts again
-    on the heap.  A divisor with several terms of top d-degree stays on
-    the heap, and so does a d-only one: each of its layers is one term,
-    and numpy's fixed cost would be paid once per quotient term.
-
-The crossover is a measurement.  Replaying det_exact's products and
-divisions on the mbn1 n=3 and full n=2 matrices (best of three per
-operation, 2-vCPU Xeon VM), the int64 product broke even with the loop
-near 128 term pairs, and the division near 128-256 pairs per layer: the
-dividend's terms times the divisor's, over the dividend's d-exponents.
-With both at 256 the replay took 0.25 s of products against 0.67 s, and
-0.22 s of divisions against 0.49 s; crossovers from 128 to 512 differed
-by under 2%, and in-process det_exact could not tell them apart.
 """
 
 from __future__ import annotations
@@ -170,15 +122,6 @@ DENSE_MIN_TERMS = 16
 DECIMAL_MIN_BITS = 300_000
 # coefficients per base-10^w string when packing and unpacking
 _SLICE = 128
-# term pairs per numpy pass from which products and exact divisions run
-# on int64 arrays (module docstring)
-VECTOR_MIN_PAIRS = 256
-# packed keys of the int64 kernels stay below 2^_KEY_BITS
-_KEY_BITS = 62
-# a remainder coefficient of the int64 division stays below this
-_LAYER_LIMIT = 1 << 62
-# what _layered_quotient returns when the heap must divide instead
-_ON_HEAP = object()
 # one shared key per d-only degree up to 256: the Chebyshev memos hold
 # ~10^5 d-only terms of such degrees, at 80 bytes per key tuple
 _D_KEYS = tuple((i, 0, 0, 0, 0) for i in range(257))
@@ -443,10 +386,6 @@ class Polynomial:
         width = max(map(sum, both)).bit_length() + 1
         shifts, masks, top, guards = _layout(tuple(width if m else 0
                                                    for m in map(max, zip(*both))))
-        if top <= _KEY_BITS and len(self._terms) * len(divisor._terms) >= VECTOR_MIN_PAIRS:
-            quotient = _layered_quotient(self._terms, divisor._terms, shifts, masks, guards)
-            if quotient is not _ON_HEAP:
-                return None if quotient is None else Polynomial(_raw=quotient)
         packed = dict(zip(_graded_keys(divisor._terms, shifts, top), divisor._terms.values()))
         lead = max(packed)
         lead_coef = packed.pop(lead)
@@ -570,17 +509,11 @@ def _sparse_product(a: dict, b: dict) -> dict:
 
     Field i holds 2 m_i, m_i the largest exponent of variable i in either
     factor, so no sum of two exponents carries into the next field and one
-    int addition multiplies two monomials.  From VECTOR_MIN_PAIRS pairs on,
-    if a factor is multivariate (a field lies below d's), the keys fit in
-    _KEY_BITS bits and ||a||_1 ||b||_1 < 2^63, the pairs are formed and
-    summed on int64 arrays instead (module docstring).
+    int addition multiplies two monomials.
     """
     if not a or not b:
         return {}
-    shifts, masks, top, _ = _layout(tuple((2 * m).bit_length() for m in map(max, zip(*a, *b))))
-    if (shifts[0] and len(a) * len(b) >= VECTOR_MIN_PAIRS and top <= _KEY_BITS
-            and _norm(a) * _norm(b) < 1 << 63):
-        return _unpacked_arrays(*_int64_product(a, b, shifts), shifts, masks)
+    shifts, masks, _, _ = _layout(tuple((2 * m).bit_length() for m in map(max, zip(*a, *b))))
     out: dict = {}
     get = out.get
     pb = list(zip(_packed_keys(b, shifts), b.values()))
@@ -590,28 +523,6 @@ def _sparse_product(a: dict, b: dict) -> dict:
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
     return _unpacked_terms(out, shifts, masks)
-
-
-def _norm(terms: dict) -> int:
-    """The sum of the absolute values of the coefficients."""
-    return sum(map(abs, terms.values()))
-
-
-def _int64_product(a: dict, b: dict, shifts: tuple) -> tuple:
-    """(keys, coefficients) of a * b as int64 arrays, keys ascending, zero
-    coefficients dropped; the caller has checked the bounds of _sparse_product."""
-    keys, coefs = _key_array(b, shifts), _coef_array(b)
-    order = np.argsort(keys)  # each term of a then makes one sorted run of pairs
-    return _collect((_key_array(a, shifts)[:, None] + keys[order]).ravel(),
-                    (_coef_array(a)[:, None] * coefs[order]).ravel())
-
-
-def _key_array(terms: dict, shifts: tuple) -> np.ndarray:
-    return np.array(_packed_keys(terms, shifts), dtype=np.int64)
-
-
-def _coef_array(terms: dict) -> np.ndarray:
-    return np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
 
 
 def _collect(keys: np.ndarray, coefs: np.ndarray) -> tuple:
@@ -626,64 +537,6 @@ def _collect(keys: np.ndarray, coefs: np.ndarray) -> tuple:
     sums = np.add.reduceat(coefs[order], starts)
     nonzero = sums != 0
     return keys[starts][nonzero], sums[nonzero]
-
-
-def _layered_quotient(dividend: dict, divisor: dict, shifts: tuple, masks: tuple,
-                      guards: int):
-    """divide_exact on int64 arrays, one d-layer of the quotient at a time
-    (module docstring).  Returns the quotient's terms, None when the divisor
-    does not divide, or _ON_HEAP when the heap must divide: the divisor is
-    d-only or has several terms of its top d-degree, a coefficient reaches
-    _LAYER_LIMIT, the layers are too thin for VECTOR_MIN_PAIRS, or a layer's
-    bound trips.
-    """
-    top_d = max(e[0] for e in divisor)
-    bound = max(map(abs, dividend.values()))  # >= every remainder coefficient
-    if (_d_only(divisor) or sum(e[0] == top_d for e in divisor) > 1
-            or len(dividend) * len(divisor) < VECTOR_MIN_PAIRS * len({e[0] for e in dividend})
-            or bound >= _LAYER_LIMIT or max(map(abs, divisor.values())) >= _LAYER_LIMIT):
-        return _ON_HEAP
-    sd = shifts[0]
-    keys, coefs = _key_array(divisor, shifts), _coef_array(divisor)
-    lead = int(keys.argmax())  # d's field is the highest: the top-d term
-    lead_key, lead_coef = int(keys[lead]), int(coefs[lead])
-    tail_keys, tail_coefs = np.delete(keys, lead), -np.delete(coefs, lead)
-    order = np.argsort(tail_keys)
-    tail_keys, tail_coefs = tail_keys[order], tail_coefs[order]
-    tail_max = int(np.abs(tail_coefs).max())
-    # each variable's largest tail exponent in its field
-    reach = sum(int((tail_keys >> s & m).max()) << s for s, m in zip(shifts, masks) if m)
-    r_keys = _key_array(dividend, shifts)
-    order = np.argsort(r_keys)
-    r_keys, r_coefs = r_keys[order], _coef_array(dividend)[order]
-    q_keys: list = []
-    q_coefs: list = []
-    while len(r_keys):
-        start = int(np.searchsorted(r_keys, int(r_keys[-1]) >> sd << sd))
-        layer = r_keys[start:] - lead_key
-        # a set guard bit: a negative quotient exponent (also a d-degree
-        # below the lead's), or an exponent no quotient of the dividend has
-        if ((layer | (layer + reach)) & guards).any():
-            return None
-        layer_coefs, rem = np.divmod(r_coefs[start:], lead_coef)
-        if rem.any():
-            return None
-        step = sum(map(abs, layer_coefs.tolist())) * tail_max
-        if bound + step >= _LAYER_LIMIT:
-            bound = int(np.abs(r_coefs[:start]).max(initial=0))
-            if bound + step >= _LAYER_LIMIT:
-                return _ON_HEAP
-        bound += step
-        q_keys.append(layer)
-        q_coefs.append(layer_coefs)
-        # the layer's products fall below it, from its lowest key + the tail's
-        lo = int(np.searchsorted(r_keys, int(layer[0]) + int(tail_keys[0])))
-        merged = _collect(np.concatenate((r_keys[lo:start], (layer[:, None] + tail_keys).ravel())),
-                          np.concatenate((r_coefs[lo:start],
-                                          (layer_coefs[:, None] * tail_coefs).ravel())))
-        r_keys = np.concatenate((r_keys[:lo], merged[0]))
-        r_coefs = np.concatenate((r_coefs[:lo], merged[1]))
-    return _unpacked_arrays(np.concatenate(q_keys), np.concatenate(q_coefs), shifts, masks)
 
 
 @lru_cache(maxsize=256)  # a few dozen layouts occur in a run
@@ -722,13 +575,6 @@ def _unpacked_terms(packed: dict, shifts: tuple, masks: tuple) -> dict:
             for k, c in packed.items() if c}
 
 
-def _unpacked_arrays(keys: np.ndarray, coefs: np.ndarray, shifts: tuple, masks: tuple) -> dict:
-    """_unpacked_terms for int64 arrays of keys and nonzero coefficients,
-    in a layout with a field below d's."""
-    fields = [(keys >> s & m).tolist() for s, m in zip(shifts, masks)]
-    return dict(zip(zip(*fields), coefs.tolist()))
-
-
 def _d_key(deg: int) -> Exponents:
     return _D_KEYS[deg] if deg < len(_D_KEYS) else (deg, 0, 0, 0, 0)
 
@@ -762,19 +608,28 @@ def _d_product(a: dict, b: dict) -> dict:
     bits = (2 * bound).bit_length()  # 2^bits > 2 * bound
     n = len(dense[0]) + len(dense[1]) - 1
     route = _binary_digits if n * bits < DECIMAL_MIN_BITS else _decimal_digits
-    negative, digits, base = route(*dense, bits, n)
-    sign = -1 if negative else 1
+    lo = lo_a + lo_b
+    return {_d_key(lo + g * k): c
+            for k, c in enumerate(_balanced_digits(*route(*dense, bits, n))) if c}
+
+
+def _balanced_digits(negative: bool, digits: list, base: int) -> list:
+    """The balanced digits (|digit| <= base / 2), low first, of the number
+    with the given sign whose absolute value has the given ordinary digits,
+    low first: each digit above base / 2, carry included, is lowered by
+    base and passes a carry of one up.  They are unique when they exist,
+    so a number packed from digits below base / 2 in absolute value reads
+    back as those digits."""
     half = base // 2
-    out = {}
+    out = []
     carry = 0
-    for k, v in enumerate(digits):
+    for v in digits:
         v += carry
         carry = v > half
         if carry:
             v -= base
-        if v:
-            out[_d_key(lo_a + lo_b + g * k)] = sign * v
-    return out
+        out.append(v)
+    return [-v for v in out] if negative else out
 
 
 def _short_d_product(a: dict, b: dict) -> dict:
@@ -798,11 +653,17 @@ def _binary_digits(x: list, y: list, bits: int, n: int) -> tuple:
     2^bits: whether the packed product is negative, and the n digits of
     its absolute value, low first."""
     nb = (bits + 7) // 8
-    product = _to_int(x, nb) * _to_int(y, nb)
-    buf = abs(product).to_bytes(n * nb, "little")
+    return _slot_digits(_to_int(x, nb) * _to_int(y, nb), n, nb)
+
+
+def _slot_digits(value: int, n: int, nb: int) -> tuple:
+    """(negative, digits, base) of an int below 2^(8 nb n) in absolute
+    value: whether it is negative, and the n digits of its absolute value
+    in base 2^(8 nb), low first, read by int.to_bytes."""
+    buf = abs(value).to_bytes(n * nb, "little")
     from_bytes = int.from_bytes
     digits = [from_bytes(buf[i:i + nb], "little") for i in range(0, n * nb, nb)]
-    return product < 0, digits, 1 << 8 * nb
+    return value < 0, digits, 1 << 8 * nb
 
 
 def _to_int(cs: list, nb: int) -> int:

@@ -184,6 +184,37 @@ class TestAssemble:
         assert again.entries == gm.entries
 
 
+@st.composite
+def graded_matrices(draw, min_size=1, max_size=5):
+    """(rows, a, b): a square matrix whose nonzero entries are sums of one
+    or two monomials c d^e w^(a_i - x) x^x y^(b_j - a_i + x) z^f with
+    signed c, so deg_x + deg_w is a_i on row i and deg_y + deg_w is b_j on
+    column j."""
+    n = draw(st.integers(min_size, max_size))
+    a = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = {}
+            for _ in range(draw(st.integers(0, 2))):
+                x = draw(st.integers(max(0, a[i] - b[j]), a[i]))
+                exps = (draw(st.integers(0, 3)), a[i] - x, x, b[j] - a[i] + x, draw(st.integers(0, 2)))
+                terms[exps] = draw(st.integers(-9, 9))
+            row.append(Polynomial(terms))
+        rows.append(row)
+    return rows, a, b
+
+
+def sylvester_hadamard(k: int) -> list:
+    """The 2^k x 2^k Sylvester-Hadamard matrix of +-1s."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
 class TestDetExact:
     def test_one_by_one(self):
         assert det_exact([[D ** 3]]) == D ** 3
@@ -237,6 +268,89 @@ class TestDetExact:
                 permuted = [[rows[perm[i]][perm[j]] for j in range(gm.size)]
                             for i in range(gm.size)]
                 assert det_exact(permuted) == base
+
+    @settings(deadline=None, max_examples=60)
+    @given(graded_matrices())
+    def test_graded_family_against_cofactors(self, case):
+        rows, a, b = case
+        graded = gram.gradings(*gram._coded(rows)[:2])
+        assert graded is not None
+        for i, grade in enumerate(graded[0]):
+            assert grade == (a[i] if any(rows[i]) else 0)
+        assert det_exact(rows) == poly_cofactor_det(rows)
+
+    @settings(deadline=None, max_examples=60)
+    @given(graded_matrices(min_size=2, max_size=3), st.data())
+    def test_broken_grading_gets_no_reduction(self, case, data):
+        # one nonzero entry, next to nonzero ones in its row and column,
+        # gets a second term times x or y (an entry with two grades), or is
+        # multiplied by x (its row has two grades) or y (its column has).
+        # At most 3x3: without the reduction every variable has its own
+        # bound, and a 4x4 of this family can pack to 6.6 * 10^6 bits, past
+        # PACKED_BITS_LIMIT, which det_exact refuses (3x3: 1.2 * 10^6)
+        rows, a, b = case
+        n = len(rows)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for r, c in ((i, j), (i, (j + 1) % n), ((i + 1) % n, j)):
+            if not rows[r][c]:
+                rows[r][c] = Polynomial({(0, 0, a[r], b[c], 0): 1})
+        breaker = data.draw(st.sampled_from([X, Y]))
+        if data.draw(st.booleans()):
+            rows[i][j] = rows[i][j] + breaker * Polynomial({rows[i][j].leading_term()[0]: 1})
+        else:
+            rows[i][j] = breaker * rows[i][j]
+        assert gram.gradings(*gram._coded(rows)[:2]) is None
+        assert det_exact(rows) == poly_cofactor_det(rows)
+
+    def test_zero_pivot_forces_a_row_swap(self):
+        # the leading 2x2 minor x y - y x is 0, so the second pivot is 0
+        rows = [[X, Y, Polynomial.one()], [X, Y, D], [Polynomial.one(), D, Z]]
+        assert det_exact(rows) == poly_cofactor_det(rows) == -(D - 1) * (X * D - Y)
+
+    def test_zero_row(self, monkeypatch):
+        rows = [[D, X * Y, Z], [Polynomial.zero()] * 3, [W, D, D * Z]]
+        monkeypatch.setattr(intdet, "bareiss_int", None)  # a zero row is answered at once
+        assert det_exact(rows).is_zero()
+
+    def test_coefficient_at_the_hadamard_bound(self):
+        # 11 H_8 scaled by d^(a_i + b_j): |det| = 11^8 8^4 meets Hadamard's
+        # inequality, and its 40 bits fill whole bytes, so the slot must
+        # hold 2 |det| (one byte more than |det| alone needs)
+        a, b = [0, 1, 2, 3, 0, 1, 2, 3], [2, 0, 1, 0, 3, 1, 0, 2]
+        h = sylvester_hadamard(3)
+        rows = [[Polynomial.monomial(11 * h[i][j], {"d": a[i] + b[j]}) for j in range(8)]
+                for i in range(8)]
+        codes, entries, _ = gram._coded(rows)
+        coefficient = 11 ** 8 * bareiss_int(h)
+        norms = [sum(map(abs, e.terms.values())) for e in entries]
+        assert abs(coefficient) == 11 ** 8 * 8 ** 4 == intdet.hadamard_bound(codes, norms) - 1
+        assert abs(coefficient).bit_length() == 40
+        assert det_exact(rows) == Polynomial.monomial(coefficient, {"d": sum(a) + sum(b)})
+
+    def test_packed_determinant_above_the_cap(self, monkeypatch):
+        # one cell per degree of d, one byte per cell (hadamard bound 2)
+        slots = gram.PACKED_BITS_LIMIT // 8
+        assert det_exact([[D ** (slots - 1)]]) == D ** (slots - 1)
+        calls = []
+        monkeypatch.setattr(intdet, "bareiss_int", calls.append)
+        with pytest.raises(BoundExceededError, match="packed determinant"):
+            det_exact([[D ** slots]])
+        assert not calls
+
+    @pytest.mark.parametrize("n, variant", [
+        (1, GramVariant.MB1_FULL), (2, GramVariant.MB1_FULL), (2, GramVariant.MBN1),
+        (3, GramVariant.MBN1), (2, GramVariant.MBN1_TILDE), (3, GramVariant.MBN1_TILDE),
+    ])
+    def test_matches_the_engine(self, n, variant):
+        gm = assemble_gram(n, variant)
+        assert det_exact(gm) == det_by_evaluation(gm)
+
+    def test_every_gram_matrix_is_graded(self):
+        for variant in GramVariant:
+            for n in range(1, variant.default_bound() + 1):
+                gm = assemble_gram(n, variant)
+                a, b = gram.gradings(gm.codes, gm.values)
+                assert len(a) == len(b) == gm.size
 
 
 class TestDetByEvaluation:
@@ -552,8 +666,9 @@ class TestRotationOrbits:
 
     def test_raw_rows_get_singletons(self, monkeypatch):
         rows = assemble_gram(2, GramVariant.MBN1_TILDE).entries
+        exact = det_exact(rows)  # before the spy: det_exact asks for a one-block plan
         plans = spy_on_plans(monkeypatch)
-        assert det_by_evaluation(rows) == det_exact(rows)
+        assert det_by_evaluation(rows) == exact
         assert [plan.orbits for plan in plans] == [tuple((i,) for i in range(len(rows)))]
 
     def test_changed_entry_gets_singletons(self, monkeypatch):
@@ -562,8 +677,10 @@ class TestRotationOrbits:
         rows = [list(row) for row in gm.entries]
         rows[0][1] = rows[0][1] + D
         changed = GramMatrix(gm.n, gm.variant, gm.basis, *gram._coded(rows)[:2])
+        exact = det_exact(changed)  # before the spy: det_exact asks for a one-block plan
+        assert exact != det_exact(gm)
         plans = spy_on_plans(monkeypatch)
-        assert det_by_evaluation(changed) == det_exact(changed) != det_exact(gm)
+        assert det_by_evaluation(changed) == exact
         assert [plan.orbits for plan in plans] == [tuple((i,) for i in range(gm.size))]
 
     def test_parsed_matrix_gets_the_rotation(self, monkeypatch):
@@ -572,8 +689,9 @@ class TestRotationOrbits:
         parsed = GramMatrix.from_json_obj(json.loads(json.dumps(gm.to_json_obj())))
         expected = plan_of(gm)
         assert expected.order == 6
+        exact = det_exact(gm)  # before the spy: det_exact asks for a one-block plan
         plans = spy_on_plans(monkeypatch)
-        assert det_by_evaluation(parsed) == det_exact(gm)
+        assert det_by_evaluation(parsed) == exact
         assert plans == [expected]
 
 

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import sys
-from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from mbgram import polynomial
 from mbgram.errors import NonIntegralResultError
 from mbgram.polynomial import (DECIMAL_MIN_BITS, DENSE_MIN_TERMS, Polynomial, VARIABLES,
-                               _ON_HEAP, _sparse_product, interpolate, monomial_key)
+                               _sparse_product, interpolate, monomial_key)
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -151,172 +150,6 @@ class TestPackedProduct:
         b = Polynomial.univariate("d", {1: 4, 2: 1})
         for exps in (a * b).terms:
             assert exps is Polynomial.univariate("d", {exps[0]: 1}).leading_term()[0]
-
-
-@contextmanager
-def int64_kernels(enabled):
-    """Products and divisions on int64 arrays wherever their bounds hold
-    (enabled), or never; yields the kernels' calls and their results."""
-    calls = {"product": [], "division": []}
-    product, division = polynomial._int64_product, polynomial._layered_quotient
-
-    def spy_product(*args):
-        calls["product"].append(args)
-        return product(*args)
-
-    def spy_division(*args):
-        calls["division"].append(division(*args))
-        return calls["division"][-1]
-
-    with mock.patch.object(polynomial, "VECTOR_MIN_PAIRS", 0 if enabled else 10 ** 18), \
-            mock.patch.object(polynomial, "_int64_product", spy_product), \
-            mock.patch.object(polynomial, "_layered_quotient", spy_division):
-        yield calls
-
-
-@st.composite
-def polys_in(draw, variables, max_terms=8, coefficients=st.integers(-5, 5)):
-    """Polynomials in the given variables, small exponents."""
-    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3) if v in variables else st.just(0)
-                                             for v in VARIABLES]),
-                                 coefficients, max_size=max_terms))
-    return Polynomial(terms)
-
-
-# small and large coefficients, so the int64 bounds hold in some examples only
-KERNEL_COEFFICIENTS = st.integers(-5, 5) | st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 70, 2 ** 70)
-
-
-class TestInt64Kernels:
-    @settings(deadline=None, max_examples=150)
-    @given(data=st.data(), nvars=st.integers(1, 5))
-    def test_product_matches_loop(self, data, nvars):
-        variables = data.draw(st.permutations(VARIABLES))[:nvars]
-        a = data.draw(polys_in(variables, coefficients=KERNEL_COEFFICIENTS))
-        b = data.draw(polys_in(variables, coefficients=KERNEL_COEFFICIENTS))
-        with int64_kernels(True):
-            vector = _sparse_product(a.terms, b.terms)
-        with int64_kernels(False) as calls:
-            loop = _sparse_product(a.terms, b.terms)
-        assert not calls["product"]
-        assert vector == loop == tuple_keyed_product(a.terms, b.terms)
-
-    @settings(deadline=None, max_examples=150)
-    @given(data=st.data(), nvars=st.integers(1, 5))
-    def test_division_matches_heap(self, data, nvars):
-        # d is always one of the variables, so the layered kernel can apply
-        variables = ("d", *data.draw(st.permutations(VARIABLES[1:]))[:nvars - 1])
-        q = data.draw(polys_in(variables, coefficients=KERNEL_COEFFICIENTS))
-        b = data.draw(polys_in(variables, max_terms=5, coefficients=KERNEL_COEFFICIENTS))
-        extra = data.draw(polys_in(variables, max_terms=2))
-        assume(not b.is_zero())
-        for dividend in (q * b, q * b + extra):
-            with int64_kernels(True):
-                vector = dividend.divide_exact(b)
-            with int64_kernels(False) as calls:
-                heap = dividend.divide_exact(b)
-            assert not calls["division"]
-            assert vector == heap
-        assert (q * b).divide_exact(b) == q
-
-    def test_kernels_run(self):
-        a = (D + X + 2 * Y - Z + W) ** 3
-        b = (D ** 2 - 3 * X * Y + Z) ** 2
-        with int64_kernels(True) as calls:
-            product = a * b
-            assert product.divide_exact(b) == a
-        assert len(calls["product"]) >= 1
-        assert calls["division"] and _ON_HEAP not in calls["division"]
-        with int64_kernels(False):
-            assert product == a * b
-
-    def test_d_only_products_stay_in_the_loop(self):
-        a = Polynomial.univariate("d", {0: 1, 3: -2, 5: 7})
-        b = Polynomial.univariate("d", {1: 4, 2: 1})
-        with int64_kernels(True) as calls:
-            terms = _sparse_product(a.terms, b.terms)
-            _sparse_product((a + X).terms, b.terms)
-        assert len(calls["product"]) == 1
-        assert terms == tuple_keyed_product(a.terms, b.terms)
-
-    @pytest.mark.parametrize("norm, vector", [(2 ** 63 - 1, True), (2 ** 63, False)])
-    def test_product_norm_bound(self, norm, vector):
-        # ||a||_1 ||b||_1 = norm: a two-term a of norm 7 or 8 against b
-        if vector:
-            a, b = 3 * D + 4 * X, Polynomial.monomial(norm // 7, {"y": 1})
-        else:
-            a, b = 4 * D + 4 * X, Polynomial.monomial(norm // 8, {"y": 1})
-        with int64_kernels(True) as calls:
-            terms = _sparse_product(a.terms, b.terms)
-        assert bool(calls["product"]) == vector
-        assert terms == tuple_keyed_product(a.terms, b.terms)
-
-    def test_product_at_the_norm_bound_of_one_key(self):
-        # every pair on one key: the sum is ||a||_1 ||b||_1 itself
-        for sign in (1, -1):
-            a = {(1, 0, 0, 0, 0): sign * 2 ** 31}
-            b = {(0, 0, 1, 0, 0): 2 ** 32}
-            with int64_kernels(True) as calls:
-                assert _sparse_product(a, b) == {(1, 0, 1, 0, 0): sign * 2 ** 63}
-            assert not calls["product"]
-            a[(1, 0, 0, 0, 0)] -= sign  # one below the bound
-            with int64_kernels(True) as calls:
-                assert _sparse_product(a, b) == tuple_keyed_product(a, b)
-            assert calls["product"]
-
-    @pytest.mark.parametrize("bits, vector", [(62, True), (63, False)])
-    def test_product_key_bits(self, bits, vector):
-        # x's field is (2 m).bit_length() bits wide, m the largest x-exponent
-        m = 2 ** (bits - 2)
-        a = Polynomial.univariate("x", {m: 1, 0: 1})
-        b = Polynomial.univariate("x", {m: 1, 0: -1})
-        with int64_kernels(True) as calls:
-            terms = _sparse_product(a.terms, b.terms)
-        assert bool(calls["product"]) == vector
-        assert terms == {(0, 0, 2 * m, 0, 0): 1, (0, 0, 0, 0, 0): -1}
-
-    def test_two_top_d_terms_go_to_the_heap(self):
-        b = D * X + D * Y + Z
-        a = D ** 2 + X * Z - 3
-        with int64_kernels(True) as calls:
-            assert (a * b).divide_exact(b) == a
-        assert calls["division"] == [_ON_HEAP]
-
-    def test_not_divisible_in_the_kernel(self):
-        b = 2 * D * X + Y + 1
-        cases = [
-            D * Y,               # d y / (2 d x): x^-1 sets x's guard bit
-            D ** 2 * Y,          # the same one layer down
-            3 * D * X + Y,       # 3 d x / (2 d x): 3 is not a multiple of 2
-            (D * X + 1) * b + Z,  # a remainder left in the last layer
-        ]
-        for a in cases:
-            with int64_kernels(True) as calls:
-                assert a.divide_exact(b) is None
-            assert calls["division"] == [None]
-            with int64_kernels(False):
-                assert a.divide_exact(b) is None
-
-    def test_layer_bound_trips_partway(self):
-        # (d + s x)(d^2 - s d x + s^2 x^2) = d^3 + s^3 x^3 with
-        # s^3 < 2^62 <= 2 s^3: the d^2 and d layers pass their bound, the
-        # d^0 layer's remainder s^3 plus its step s^2 * s does not
-        s = 1664510
-        assert s ** 3 + s ** 2 < 2 ** 62 <= 2 * s ** 3
-        a, b = D ** 3 + s ** 3 * X ** 3, D + s * X
-        with int64_kernels(True) as calls:
-            quotient = a.divide_exact(b)
-        assert calls["division"] == [_ON_HEAP]
-        assert quotient == D ** 2 - s * D * X + s ** 2 * X ** 2
-        with int64_kernels(False):
-            assert a.divide_exact(b) == quotient
-
-    def test_layer_bound_keeps_int64_exact(self):
-        # d^3 / (d + 2^32 x): the second layer's step is 2^64, which int64
-        # would wrap to 0 and take for an exact quotient d^2 - 2^32 d x
-        with int64_kernels(True) as calls:
-            assert (D ** 3).divide_exact(D + 2 ** 32 * X) is None
-        assert calls["division"] == [_ON_HEAP]
 
 
 class TestDenseProduct:
