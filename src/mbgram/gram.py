@@ -22,13 +22,15 @@ picks between them from the matrix size: fraction free elimination
 (intdet.bareiss_int) of the plain integer matrix that one Kronecker
 substitution makes of G, for matrices up to 15x15 (det_exact), and the
 modular route (det_by_evaluation) for larger ones, in any number of
-variables.  The two share only intdet.hadamard_bound.  Every Gram
-matrix has gradings, row and column potentials that fix the exponents of
-w and y by that of x, so det_exact works in d, x and z alone.  The
-elimination refuses a packed determinant past PACKED_BITS_LIMIT bits,
-and the modular route a box of degree bounds of 2^32 cells or more (full
-n=4, mbn1 n=5), before either eliminates or evaluates anything.  Both
-routes are asserted equal wherever both are feasible.  _pool_map spreads
+variables.  The two share intdet.hadamard_bound, the degree bounds and
+the graded reduction.  Every Gram matrix has gradings, row and column
+potentials that fix the exponents of w and y by that of x, so both
+routes work in d, x and z alone (_variables) and lift w and y back with
+one helper (_lifted).  The elimination refuses a packed determinant past
+PACKED_BITS_LIMIT bits, and the modular route a box of degree bounds of
+more than DENSE_CELLS_LIMIT cells (full n=4, mbn1 n=5), before either
+eliminates or evaluates anything.  Both routes are asserted equal
+wherever both are feasible.  _pool_map spreads
 the engine's primes, and shares of the randomized check's points, over
 `jobs` as integer codes and values.
 
@@ -58,22 +60,22 @@ degrees (block_degree_bounds); over all blocks these sum to at most G's
 own row-wise and column-wise bounds.  Per prime it eliminates every
 needed block at each point of one grid, 0..max_k bound_k per variable,
 interpolates each det B_k mod p from the corner 0..bound_k of that grid,
-and multiplies the block polynomials' nonzero coefficients mod p
-(intdet.multiply_mod), each placed at its offsets in the box of the
-determinant's degree bounds (the sums of the block bounds) so that one
-code path serves one variable and five.  The product stays sparse: each
-prime returns the offsets of its nonzero coefficients only, and CRT runs
-over the union of those offsets, never over the box.  The primes exceed
+and multiplies the block polynomials mod p in one dense array over the
+box of the determinant's degree bounds (the sums of the block bounds;
+intdet.multiply_mod), so that one code path serves three variables and
+five.  Each prime returns the offsets of its product's nonzero
+coefficients only, and CRT runs over the union of those offsets, never
+over the box.  The primes exceed
 twice the Hadamard bound of the matrix of entry l1 norms, which bounds
 every coefficient (proof at det_by_evaluation).  When G equals its
 transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
 and y to equal powers; no full matrix at n <= 4, whose transpose
 exchanges x and y), det B_(L-k) = det B_k, so the plan eliminates only
 blocks 0..L/2.  At tilde n=5 the grid has 89 points where one grid for
-det G itself needed 841.  Full n=3 (35x35, five variables, 12 309 terms,
-3 primes) takes 4.3-5.0 s in-process at jobs 1 on a 2-vCPU Xeon VM:
-evaluation 1.0-1.2 s, residues 0.2 s, elimination 2.6-2.9 s,
-interpolation 0.13 s, multiply_mod 0.28-0.33 s.
+det G itself needed 841.  Full n=3 (35x35, 12 309 terms, 3 primes) has
+a grid of 988 points over d, x and z, where five variables needed
+15 808, and takes 0.28-0.32 s in-process at jobs 1 on a 2-vCPU Xeon VM
+(2.7 s over five variables with the sliced sparse product).
 
 The conjectured closed forms for the determinants are built from the
 Chebyshev generators, either fully expanded or as (factor, exponent)
@@ -115,6 +117,11 @@ BAREISS_MAX_SIZE = 15       # crossover: elimination up to this size
 # det_exact refuses a packed determinant past this many bits: mbn1 n=3,
 # the largest Gram matrix it gets, has 1.1 * 10^5
 PACKED_BITS_LIMIT = 1 << 22
+
+# det_by_evaluation refuses a box of degree bounds past this many cells,
+# 32 MB of int64 per dense product: mbn1 n=4, the largest Gram matrix it
+# accepts, has 4.72 * 10^5
+DENSE_CELLS_LIMIT = 1 << 22
 
 WITNESS_TERM_LIMIT = 120    # serialize full polynomials only up to this size
 
@@ -331,6 +338,13 @@ def gradings(codes: np.ndarray, entries: Sequence) -> tuple | None:
     return None if a is None or b is None else (a, b)
 
 
+def _variables(graded: tuple | None) -> list:
+    """The variables both determinant routes work in: d, x and z when the
+    matrix has gradings (w = y = 1, lifted back by _lifted), all five
+    otherwise."""
+    return [v for v in VARIABLES if graded is None or v not in ("w", "y")]
+
+
 def det_exact(matrix) -> Polynomial:
     """Fraction-free elimination (intdet.bareiss_int) of one integer
     matrix, the image phi(G) of G under a Kronecker substitution (von zur
@@ -374,7 +388,7 @@ def det_exact(matrix) -> Polynomial:
     if bound == 0:
         return Polynomial.zero()
     graded = gradings(codes, entries)
-    variables = [v for v in VARIABLES if graded is None or v not in ("w", "y")]
+    variables = _variables(graded)
     bounds = dict(zip(variables, block_degree_bounds(codes, entries, intdet.block_plan(codes),
                                                      variables)[0]))
     axes = sorted(variables, key=bounds.__getitem__)  # C order: the largest bound fastest
@@ -398,15 +412,25 @@ def det_exact(matrix) -> Polynomial:
     det = intdet.bareiss_int([[images[c] for c in row] for row in codes.tolist()])
     coefficients = _balanced_digits(*_slot_digits(det, cells, nb))
     offsets = [k for k, c in enumerate(coefficients) if c]
+    return _lifted(offsets, [coefficients[k] for k in offsets], axes, box, graded)
+
+
+def _lifted(offsets: list, coefficients: list, axes: Sequence[str], box: tuple,
+            graded: tuple | None) -> Polynomial:
+    """The polynomial with the given coefficients at the C-order offsets
+    in a box whose axes are the named variables; with gradings (a, b)
+    (gradings), the box holds d, x and z, and each term gets w = sum(a) - x
+    and y = sum(b) - sum(a) + x.  Both determinant routes read their
+    result back through it."""
     exponents = np.zeros((len(offsets), len(VARIABLES)), dtype=np.int64)
-    exponents[:, index] = np.array(np.unravel_index(np.array(offsets, dtype=np.int64), box)).T
+    exponents[:, [VARIABLES.index(v) for v in axes]] = np.array(
+        np.unravel_index(np.array(offsets, dtype=np.int64), box)).T
     if graded is not None:
         a, b = map(sum, graded)
         x = exponents[:, VARIABLES.index("x")]
         exponents[:, VARIABLES.index("w")] = a - x
         exponents[:, VARIABLES.index("y")] = b - a + x
-    return Polynomial(dict(zip(map(tuple, exponents.tolist()), map(coefficients.__getitem__,
-                                                                  offsets))))
+    return Polynomial(dict(zip(map(tuple, exponents.tolist()), coefficients)))
 
 
 def block_degree_bounds(codes: np.ndarray, entries: list, plan: intdet.BlockPlan,
@@ -453,7 +477,7 @@ def _det_by_blocks_mod(values: list, codes: np.ndarray, plan: intdet.BlockPlan,
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
         cells = np.nonzero(coeffs)
         block_polys[k] = (np.ravel_multi_index(cells, box), coeffs[cells])
-    return intdet.multiply_mod([block_polys[k] for k in plan.factors], p)
+    return intdet.multiply_mod([block_polys[k] for k in plan.factors], p, prod(box))
 
 
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
@@ -463,26 +487,29 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     under the rotation (the identity's for raw rows), with
     det G = prod_k det B_k mod every prime p = 1 (mod L) (intdet module
     docstring).  The matrix is read through its code matrix, distinct
-    entries and rotation (_coded): the norms, the degree bounds and the
-    plan come from them, and each distinct entry is evaluated once per point
-    of one grid, 0..max_k bound_k in each of d, w, x, y, z, the bounds
-    from block_degree_bounds; a variable no entry holds has bound 0, one
-    grid point and one cell of the box.  Each prime is one
-    task: eliminate the plan's blocks at every grid point, interpolate
-    each det B_k from the corner 0..bound_k of the grid, multiply the
-    block polynomials' nonzero coefficients (intdet.multiply_mod, each
-    placed at its offsets in the box of the sums of the block bounds, so
-    one code path serves every matrix), and return the
-    product's nonzero coefficients with their offsets.  The calling
-    process gathers the union of the primes' offsets, reads residue 0 for
-    a prime whose product lacks one (its coefficient vanishes mod that
-    prime), and CRTs each; the cells of the box that no prime holds are
-    never visited.
+    entries and rotation (_coded): the norms, the gradings, the degree
+    bounds and the plan come from them.  The engine works in det_exact's
+    variables (_variables): d, x and z with w = y = 1 when G has
+    gradings, which loses nothing and keeps every entry's l1 norm (proof
+    at gradings), all five otherwise.  Each distinct entry is evaluated
+    once per point of one grid, 0..max_k bound_k in each of those
+    variables, the bounds from block_degree_bounds; a variable no entry
+    holds has bound 0, one grid point and one cell of the box.  Each
+    prime is one task: eliminate the plan's blocks at every grid point,
+    interpolate each det B_k from the corner 0..bound_k of the grid,
+    multiply the block polynomials (intdet.multiply_mod, each placed at
+    its offsets in the box of the sums of the block bounds, so one code
+    path serves every matrix), and return the product's nonzero
+    coefficients with their offsets.  The calling process gathers the
+    union of the primes' offsets, reads residue 0 for a prime whose
+    product lacks one (its coefficient vanishes mod that prime), CRTs
+    each and lifts w and y back (_lifted).
 
-    A box of 2^32 cells or more raises BoundExceededError before any
-    entry is evaluated: multiply_mod's offsets assume fewer cells, and a
-    box that large (full n=4 has 2.4 * 10^10 cells) is far past what the
-    grid and the primes can afford.
+    A box of more than DENSE_CELLS_LIMIT cells raises BoundExceededError
+    before any entry is evaluated: multiply_mod holds the product as one
+    int64 array over the box, and a box that large (graded full n=4 has
+    7.45 * 10^6 cells, mbn1 n=5 4.72 * 10^7) is past what the grid and the
+    primes can afford too.
 
     The plan's factors list the blocks: when G equals its transpose (its
     code matrix does), det B_(L-k) = det B_k (proof at
@@ -505,15 +532,19 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     if bound == 0:
         return Polynomial.zero()
     plan = intdet.block_plan(codes, perm)
-    block_bounds = block_degree_bounds(codes, entries, plan, VARIABLES)
+    graded = gradings(codes, entries)
+    variables = _variables(graded)
+    block_bounds = block_degree_bounds(codes, entries, plan, variables)
     # per variable: the largest bound of a needed block, and their sum
     per_variable = list(zip(*(block_bounds[k] for k in plan.factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)
     box = tuple(sum(bounds) + 1 for bounds in per_variable)
-    if prod(box) >= 2 ** 32:
-        raise BoundExceededError(f"box of degree bounds has {prod(box)} cells, 2^32 or more: "
-                                 "too large for the exact route (randomized checks cover it)")
-    grid = (dict(zip(VARIABLES, point)) for point in itertools.product(*map(range, grid_shape)))
+    if prod(box) > DENSE_CELLS_LIMIT:
+        raise BoundExceededError(f"box of degree bounds has {prod(box)} cells, more than "
+                                 f"{DENSE_CELLS_LIMIT}: too large for the exact route "
+                                 "(randomized checks cover it)")
+    grid = ({"w": 1, "y": 1, **dict(zip(variables, point))}
+            for point in itertools.product(*map(range, grid_shape)))
     values = [[e.evaluate(point) for e in entries] for point in grid]
     primes = intdet.primes_for(bound, plan.order)
     per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, plan, grid_shape,
@@ -524,9 +555,8 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
         for offset, residue in zip(offsets.tolist(), residues.tolist()):
             residues_at.setdefault(offset, [0] * len(primes))[t] = residue
     offsets = sorted(residues_at)
-    exponents = np.array(np.unravel_index(np.array(offsets, dtype=np.int64), box)).T.tolist()
-    return Polynomial({tuple(exps): intdet.crt(residues_at[offset], primes)
-                       for offset, exps in zip(offsets, exponents)})
+    return _lifted(offsets, [intdet.crt(residues_at[offset], primes) for offset in offsets],
+                   variables, box, graded)
 
 
 def choose_backend(matrix) -> str:

@@ -28,8 +28,8 @@
     point by CRT.  gram's engine reduces the distinct entries at the
     points of a grid under one prime, interpolates each block's
     determinant on its own part of the grid (interpolate_mod) and
-    multiplies the block polynomials' nonzero coefficients
-    (multiply_mod).
+    multiplies the block polynomials in one dense array over the box of
+    the product (multiply_mod).
 
 The test suite cross-checks bareiss_int and crt_det.
 
@@ -64,12 +64,13 @@ and the one block is G itself; a block over no orbit has determinant 1.
 The root is tested as primitive by w^(L/q) != 1 for every prime q | L;
 testing only w^(L/2) = -1 would accept w = -1 for L = 6.
 
-multiply_mod multiplies sparse polynomials mod p pair by pair of nonzero
-coefficients (Monagan & Pearce, ISSAC 2009): the pairs are outer sums of
-offsets and outer products of residues, formed in slices of bounded size,
-and equal offsets are summed by polynomial's sort-and-reduce.  The
-product stays sparse, as the offsets of its nonzero coefficients, so no
-array the size of the product's box is ever built.
+multiply_mod multiplies polynomials mod p in a sparse accumulator
+(Gilbert, Moler & Schreiber, SIAM J. Matrix Anal. Appl. 13 (1992)): the
+running product is one int64 array over the box of the product, and each
+factor is added into a fresh one term by term of the shorter side, the
+other side scaled and shifted by that term's offset, so that equal
+offsets sum where they land and nothing is sorted.  The caller bounds the
+box (gram.DENSE_CELLS_LIMIT).
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ from math import isqrt, lcm, prod
 from operator import mul
 
 import numpy as np
-
-from mbgram.polynomial import _collect
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -243,8 +242,7 @@ def dets_mod(stack: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     return det
 
 
-# Cells of representative rows per elimination batch, and pairs per slice
-# of multiply_mod: about 1 MB of int64 per array either holds.
+# Cells of representative rows per elimination batch: about 1 MB of int64.
 _ELIMINATION_CELLS = 1 << 17
 
 
@@ -362,34 +360,33 @@ def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis(coeffs, 0, axis)
 
 
-def multiply_mod(factors: list, p: int) -> tuple:
+def multiply_mod(factors: list, p: int, cells: int) -> tuple:
     """The product mod a prime p < 2^31 of polynomials, as (offsets,
     residues) of its nonzero coefficients, offsets ascending.  Each factor
     is given the same way, its offsets in any order: the C-order offsets
-    of its nonzero coefficients in a box of fewer than 2^32 cells that
-    holds the product, and their residues mod p.
+    of its nonzero coefficients in a box of `cells` cells that holds the
+    product, and their residues mod p.
 
-    Only nonzero coefficients are multiplied (module docstring): the
-    offsets of a pair add, as no axis of the box overflows.  The pairs are
-    formed in slices of at most _ELIMINATION_CELLS, and polynomial._collect
-    merges each slice into the product so far, summing equal offsets.  A
-    pair's product is below p^2 < 2^62 and is reduced mod p first, so each
-    sum adds at most _ELIMINATION_CELLS + 1 residues below 2^31 and stays
-    in int64.  A factor with no nonzero coefficient makes the product zero.
+    Per factor (module docstring), each term of the shorter side, the
+    factor or the product so far, adds the other side times its residue,
+    mod p, at the other side's offsets plus its own: no axis of the box
+    overflows, and one side's offsets are distinct.  So a cell gains at
+    most one residue below 2^31 per term of the shorter side, and int64
+    holds while that side has fewer than 2^32 terms.  A factor with no
+    nonzero coefficient makes the product zero.
     """
-    offsets, residues = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    for factor_offsets, factor_residues in factors:
-        keys, sums = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        pairs = len(offsets) * len(factor_offsets)
-        for start in range(0, pairs, _ELIMINATION_CELLS):
-            # pair t: term t // len(factor) of the product so far, term t % len(factor)
-            i, j = np.divmod(np.arange(start, min(pairs, start + _ELIMINATION_CELLS)),
-                             len(factor_offsets))
-            keys, sums = _collect(np.concatenate((keys, offsets[i] + factor_offsets[j])),
-                                  np.concatenate((sums, residues[i] * factor_residues[j] % p)))
-            sums %= p
-        offsets, residues = keys[sums != 0], sums[sums != 0]
-    return offsets, residues
+    product = np.zeros(cells, dtype=np.int64)
+    product[0] = 1
+    for factor in factors:
+        offsets = np.flatnonzero(product)
+        (short_offsets, short_residues), (long_offsets, long_residues) = sorted(
+            (factor, (offsets, product[offsets])), key=lambda side: len(side[0]))
+        product = np.zeros(cells, dtype=np.int64)
+        for offset, residue in zip(short_offsets.tolist(), short_residues.tolist()):
+            product[long_offsets + offset] += long_residues * residue % p
+        product %= p
+    offsets = np.flatnonzero(product)
+    return offsets, product[offsets]
 
 
 def crt(residues: list, primes: list) -> int:

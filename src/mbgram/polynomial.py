@@ -104,8 +104,6 @@ from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 from mbgram.errors import NonIntegralResultError
 
 VARIABLES = ("d", "w", "x", "y", "z")
@@ -523,20 +521,6 @@ def _sparse_product(a: dict, b: dict) -> dict:
             v = get(k)
             out[k] = ca * cb if v is None else v + ca * cb
     return _unpacked_terms(out, shifts, masks)
-
-
-def _collect(keys: np.ndarray, coefs: np.ndarray) -> tuple:
-    """Equal keys merged, their coefficients summed, zero sums dropped, keys
-    ascending.  The stable sort (a merge sort) gains from sorted runs."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(coefs[order], starts)
-    nonzero = sums != 0
-    return keys[starts][nonzero], sums[nonzero]
 
 
 @lru_cache(maxsize=256)  # a few dozen layouts occur in a run

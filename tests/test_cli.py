@@ -243,12 +243,13 @@ class TestCommands:
         ("verify", "--conjecture", "C3_4", "--n", "4"),
     ])
     def test_determinant_past_the_engine_box_exits_2(self, capsys, tmp_path, argv):
-        # full n=4's box of degree bounds has about 2.4 * 10^10 cells
+        # full n=4's box of degree bounds over d, x and z has 449 * 57 * 291
+        # cells, past the dense product's cap
         code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "json")
         assert code == 2
         assert out == ""
         assert err.startswith("mbgram: error: ") and err.count("\n") == 1
-        assert "2^32 or more" in err
+        assert f"box of degree bounds has {449 * 57 * 291} cells, more than 4194304:" in err
 
     def test_verify_theorem(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "3.6", "--n", "2",

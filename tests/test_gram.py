@@ -353,6 +353,23 @@ class TestDetExact:
                 assert len(a) == len(b) == gm.size
 
 
+def engine_with_variables(rows) -> tuple:
+    """det_by_evaluation(rows) and the variables its grid and box span,
+    None for a matrix with a zero row, which the engine answers at once."""
+    seen = []
+    original = gram.block_degree_bounds
+
+    def spy(codes, entries, plan, variables):
+        seen.append(list(variables))
+        return original(codes, entries, plan, variables)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gram, "block_degree_bounds", spy)
+        det = det_by_evaluation(rows)
+    assert len(seen) <= 1
+    return det, seen[0] if seen else None
+
+
 class TestDetByEvaluation:
     def test_class_matrix(self):
         expected = Polynomial.univariate("d", {4: 1, 2: -4})
@@ -426,8 +443,8 @@ class TestDetByEvaluation:
         lengths = []
         original = intdet.multiply_mod
 
-        def spy(factors, p):
-            offsets, residues = original(factors, p)
+        def spy(factors, p, cells):
+            offsets, residues = original(factors, p, cells)
             lengths.append(len(offsets))
             return offsets, residues
 
@@ -435,17 +452,35 @@ class TestDetByEvaluation:
         assert det_by_evaluation([[p0 * D]]) == p0 * D
         assert lengths == [0, 1]
 
-    def test_box_of_2_32_cells_is_refused_before_evaluation(self, monkeypatch):
-        # d^2048 w^2048 x^2048: a box of 2049^3 > 2^33 cells of degree bounds
-        entry = Polynomial.monomial(1, {"d": 2 ** 11, "w": 2 ** 11, "x": 2 ** 11})
+    def test_box_past_the_dense_cap_is_refused_before_evaluation(self, monkeypatch):
+        # d^2048 x^2048 z^2048 is graded, and its box over d, x and z has
+        # 2049^3 > 2^33 cells of degree bounds
+        entry = Polynomial.monomial(1, {"d": 2 ** 11, "x": 2 ** 11, "z": 2 ** 11})
+        assert gram.gradings(*gram._coded([[entry]])[:2]) is not None
         points = []
         monkeypatch.setattr(Polynomial, "evaluate", lambda self, point: points.append(point))
-        with pytest.raises(BoundExceededError, match=r"2\^32"):
+        with pytest.raises(BoundExceededError, match=f"more than {gram.DENSE_CELLS_LIMIT}:"):
             det_by_evaluation([[entry]])
         assert points == []
 
+    @settings(deadline=None, max_examples=60)
+    @given(graded_matrices())
+    def test_graded_family_matches_det_exact(self, case):
+        rows = case[0]
+        det, variables = engine_with_variables(rows)
+        assert variables == (["d", "x", "z"] if all(map(any, rows)) else None)
+        assert det == det_exact(rows)
+
+    def test_broken_grading_keeps_five_variables(self):
+        # x y on row 0 has deg_x + deg_w = 1 where d has 0: row 0 has two grades
+        rows = [[D, X * Y, Z + 2], [W * Y, D * W, X * Y - 3], [Y, W, D * D - Z]]
+        assert gram.gradings(*gram._coded(rows)[:2]) is None
+        det, variables = engine_with_variables(rows)
+        assert variables == list("dwxyz")
+        assert det == det_exact(rows) == poly_cofactor_det(rows)
+
     def test_full_n3_equals_the_closed_form(self):
-        # 35x35 in five variables, L = 6, not symmetric: 12 309 terms
+        # 35x35, graded to d, x and z, L = 6, not symmetric: 12 309 terms
         gm = assemble_gram(3, GramVariant.MB1_FULL)
         det = det_by_evaluation(gm)
         assert det.num_terms() == 12309

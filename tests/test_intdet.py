@@ -589,7 +589,7 @@ def check_multiply_mod(grids, p):
         for (i, j), c in np.ndenumerate(grid):
             product[i:, j:] += c * expected[:box[0] - i, :box[1] - j]
         expected = product % p
-    offsets, residues = multiply_mod(factors, p)
+    offsets, residues = multiply_mod(factors, p, expected.size)
     # the nonzero coefficients only, offsets ascending
     assert offsets.tolist() == np.flatnonzero(expected).tolist()
     assert residues.tolist() == expected.ravel()[np.flatnonzero(expected)].tolist()
@@ -604,20 +604,15 @@ def check_multiply_mod(grids, p):
 @example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0])
 # (1 + x)(1 - x): the two pairs at x sum to p, a zero residue the product drops
 @example(grids=[[[1], [1]], [[1], [-1]]], p=primes_for(2 ** 62)[0])
+# the product so far (4 terms, then 8) is longer than the last two factors
+# (2 terms each): the loop runs over the factor's terms
+@example(grids=[[[1, 2], [3, 4]], [[5, 0, 6]], [[-1, 2]]], p=primes_for(2 ** 62)[0])
+# the second factor (15 terms) is longer than the product so far (2
+# terms): the loop runs over the product's terms
+@example(grids=[[[0, 1], [2, 0]], [[1, -1, 2], [3, 4, 5], [6, 7, 8], [9, 1, 1], [2, 3, -4]]],
+         p=primes_for(2 ** 62)[0])
 def test_multiply_mod_matches_direct_product(grids, p):
     check_multiply_mod(grids, p)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(coefficient_grids, min_size=1, max_size=4), st.sampled_from(primes_for(2 ** 62)),
-       st.integers(1, 5))
-@example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0],
-         cells=2)
-def test_multiply_mod_in_slices_matches_direct_product(grids, p, cells):
-    # slices of a few pairs: each product spans several, merged one by one
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intdet, "_ELIMINATION_CELLS", cells)
-        check_multiply_mod(grids, p)
 
 
 @settings(deadline=None, max_examples=40)
