@@ -59,13 +59,14 @@ per variable, the smaller of its row-wise and column-wise sums of entry
 degrees (block_degree_bounds); over all blocks these sum to at most G's
 own row-wise and column-wise bounds.  Per prime it eliminates every
 needed block at each point of one grid, 0..max_k bound_k per variable,
-interpolates each det B_k mod p from the corner 0..bound_k of that grid,
-and multiplies the block polynomials mod p in one dense array over the
-box of the determinant's degree bounds (the sums of the block bounds;
-intdet.multiply_mod), so that one code path serves three variables and
-five.  Each prime returns the offsets of its product's nonzero
-coefficients only, and CRT runs over the union of those offsets, never
-over the box.  The primes exceed
+and interpolates each det B_k mod p from the corner 0..bound_k of that
+grid (block_polys_mod); intdet.multiply_mod then multiplies the block
+polynomials in the order of the plan's factors, into one dense array
+over the box of the determinant's degree bounds (the sums of the block
+bounds), so that one code path serves three variables and five.  The
+primes' products form one table, a row of int64 residues per prime over
+the box's cells, and CRT runs on its nonzero columns only, never on
+every cell.  The primes exceed
 twice the Hadamard bound of the matrix of entry l1 norms, which bounds
 every coefficient (proof at det_by_evaluation).  When G equals its
 transpose (every tilde and mbn1 matrix at n <= 5, whose entries carry x
@@ -119,8 +120,9 @@ BAREISS_MAX_SIZE = 15       # crossover: elimination up to this size
 PACKED_BITS_LIMIT = 1 << 22
 
 # det_by_evaluation refuses a box of degree bounds past this many cells,
-# 32 MB of int64 per dense product: mbn1 n=4, the largest Gram matrix it
-# accepts, has 4.72 * 10^5
+# 32 MB of int64 per dense product, and the CRT table holds primes x cells
+# int64: mbn1 n=4, the largest Gram matrix it accepts, has 4.72 * 10^5
+# cells and 6 primes, a table of 22.7 MB
 DENSE_CELLS_LIMIT = 1 << 22
 
 WITNESS_TERM_LIMIT = 120    # serialize full polynomials only up to this size
@@ -459,25 +461,31 @@ def block_degree_bounds(codes: np.ndarray, entries: list, plan: intdet.BlockPlan
     return [tuple(bound(block, degrees) for degrees in orbit_degrees) for block in plan.blocks]
 
 
-def _det_by_blocks_mod(values: list, codes: np.ndarray, plan: intdet.BlockPlan,
-                       grid_shape: tuple, block_bounds: list, box: tuple, p: int) -> tuple:
-    """det's nonzero coefficients mod p as (offsets, residues), the C-order
-    offsets in the box of its degree bounds ascending (intdet.multiply_mod);
-    values[g][e] is distinct entry e at grid point g (C order over
-    grid_shape), codes[i][j] names G_ij, plan is the code matrix's
-    intdet.block_plan and block_bounds[k] bounds det B_k's degrees."""
+def block_polys_mod(values: list, codes: np.ndarray, plan: intdet.BlockPlan,
+                    block_bounds: list, p: int) -> dict:
+    """{k: det B_k mod p} for each distinct k of the plan's factors
+    (intdet.block_plan), each an int64 array of coefficients, lowest degree
+    first along each axis, over its own corner 0..block_bounds[k] of the
+    grid.  codes[i][j] names G_ij, block_bounds[k] bounds det B_k's degree
+    per axis (block_degree_bounds), and values[g][e] is distinct entry e
+    at point g of the grid 0..max_k block_bounds[k] per axis, C order."""
+    grid_shape = tuple(max(b) + 1 for b in zip(*(block_bounds[k] for k in plan.factors)))
     residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    block_polys = {}
-    for k, block_dets in intdet.block_dets_mod(residues, codes, plan,
-                                               np.full(len(residues), p)).items():
-        # det B_k from the corner of the grid its bounds need
-        corner = tuple(slice(b + 1) for b in block_bounds[k])
-        coeffs = block_dets.reshape(grid_shape)[corner]
+    polys = intdet.block_dets_mod(residues, codes, plan, np.full(len(residues), p))
+    for k, block_dets in polys.items():
+        coeffs = block_dets.reshape(grid_shape)[tuple(slice(b + 1) for b in block_bounds[k])]
         for axis in np.flatnonzero(block_bounds[k]):  # a bound-0 axis holds its constant
             coeffs = intdet.interpolate_mod(coeffs, p, axis)
-        cells = np.nonzero(coeffs)
-        block_polys[k] = (np.ravel_multi_index(cells, box), coeffs[cells])
-    return intdet.multiply_mod([block_polys[k] for k in plan.factors], p, prod(box))
+        polys[k] = coeffs
+    return polys
+
+
+def _det_mod(values: list, codes: np.ndarray, plan: intdet.BlockPlan, block_bounds: list,
+             box: tuple, p: int) -> np.ndarray:
+    """det G mod p over the box, one prime's task of det_by_evaluation:
+    the block polynomials multiplied in the order of the plan's factors."""
+    polys = block_polys_mod(values, codes, plan, block_bounds, p)
+    return intdet.multiply_mod([polys[k] for k in plan.factors], p, box)
 
 
 def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
@@ -495,21 +503,22 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     once per point of one grid, 0..max_k bound_k in each of those
     variables, the bounds from block_degree_bounds; a variable no entry
     holds has bound 0, one grid point and one cell of the box.  Each
-    prime is one task: eliminate the plan's blocks at every grid point,
-    interpolate each det B_k from the corner 0..bound_k of the grid,
-    multiply the block polynomials (intdet.multiply_mod, each placed at
-    its offsets in the box of the sums of the block bounds, so one code
-    path serves every matrix), and return the product's nonzero
-    coefficients with their offsets.  The calling process gathers the
-    union of the primes' offsets, reads residue 0 for a prime whose
-    product lacks one (its coefficient vanishes mod that prime), CRTs
-    each and lifts w and y back (_lifted).
+    prime is one task (_det_mod): eliminate the plan's blocks at every
+    grid point and interpolate each det B_k from the corner 0..bound_k of
+    the grid (block_polys_mod), then multiply the block polynomials in the
+    order of the plan's factors (intdet.multiply_mod, which places each
+    in the box of the sums of the block bounds, so one code path serves
+    every matrix) and return the product's dense residues over the box.
+    The calling process stacks them into one table, a row per prime and a
+    column per cell, and CRTs each column with a nonzero residue only: a
+    zero in such a column is a coefficient that vanishes mod that prime.
+    Then it lifts w and y back (_lifted).
 
     A box of more than DENSE_CELLS_LIMIT cells raises BoundExceededError
     before any entry is evaluated: multiply_mod holds the product as one
-    int64 array over the box, and a box that large (graded full n=4 has
-    7.45 * 10^6 cells, mbn1 n=5 4.72 * 10^7) is past what the grid and the
-    primes can afford too.
+    int64 array over the box, the table holds one per prime, and a box
+    that large (graded full n=4 has 7.45 * 10^6 cells, mbn1 n=5
+    4.72 * 10^7) is past what the grid and the primes can afford too.
 
     The plan's factors list the blocks: when G equals its transpose (its
     code matrix does), det B_(L-k) = det B_k (proof at
@@ -547,15 +556,12 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
             for point in itertools.product(*map(range, grid_shape)))
     values = [[e.evaluate(point) for e in entries] for point in grid]
     primes = intdet.primes_for(bound, plan.order)
-    per_prime = _pool_map(partial(_det_by_blocks_mod, values, codes, plan, grid_shape,
-                                  block_bounds, box), primes, jobs)
-    # every offset some prime's product holds; a prime without it has residue 0 there
-    residues_at: dict = {}
-    for t, (offsets, residues) in enumerate(per_prime):
-        for offset, residue in zip(offsets.tolist(), residues.tolist()):
-            residues_at.setdefault(offset, [0] * len(primes))[t] = residue
-    offsets = sorted(residues_at)
-    return _lifted(offsets, [intdet.crt(residues_at[offset], primes) for offset in offsets],
+    # a row of residues per prime, a column per cell of the box
+    table = np.stack(_pool_map(partial(_det_mod, values, codes, plan, block_bounds, box),
+                               primes, jobs)).reshape(len(primes), -1)
+    offsets = np.flatnonzero(table.any(axis=0))
+    table = table[:, offsets]  # the nonzero columns only, each CRT'd once
+    return _lifted(offsets, [intdet.crt(column, primes) for column in table.T.tolist()],
                    variables, box, graded)
 
 

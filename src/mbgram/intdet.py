@@ -27,9 +27,11 @@
     (prime, point) matrix in one block_dets_mod call and recombines each
     point by CRT.  gram's engine reduces the distinct entries at the
     points of a grid under one prime, interpolates each block's
-    determinant on its own part of the grid (interpolate_mod) and
-    multiplies the block polynomials in one dense array over the box of
-    the product (multiply_mod).
+    determinant on its own part of the grid (interpolate_mod), and
+    multiplies the block polynomials, each given as its coefficient
+    array, into one dense array over the box of the product
+    (multiply_mod); it stacks the primes' products into one table and
+    recombines its nonzero columns by CRT.
 
 The test suite cross-checks bareiss_int and crt_det.
 
@@ -67,10 +69,11 @@ testing only w^(L/2) = -1 would accept w = -1 for L = 6.
 multiply_mod multiplies polynomials mod p in a sparse accumulator
 (Gilbert, Moler & Schreiber, SIAM J. Matrix Anal. Appl. 13 (1992)): the
 running product is one int64 array over the box of the product, and each
-factor is added into a fresh one term by term of the shorter side, the
-other side scaled and shifted by that term's offset, so that equal
-offsets sum where they land and nothing is sorted.  The caller bounds the
-box (gram.DENSE_CELLS_LIMIT).
+factor, a coefficient array placed at its C-order offsets in the box, is
+added into a fresh one term by term of the shorter side, the other side
+scaled and shifted by that term's offset, so that equal offsets sum where
+they land and nothing is sorted.  It returns the dense array, zeros
+included.  The caller bounds the box (gram.DENSE_CELLS_LIMIT).
 """
 
 from __future__ import annotations
@@ -360,33 +363,34 @@ def interpolate_mod(values: np.ndarray, p: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis(coeffs, 0, axis)
 
 
-def multiply_mod(factors: list, p: int, cells: int) -> tuple:
-    """The product mod a prime p < 2^31 of polynomials, as (offsets,
-    residues) of its nonzero coefficients, offsets ascending.  Each factor
-    is given the same way, its offsets in any order: the C-order offsets
-    of its nonzero coefficients in a box of `cells` cells that holds the
-    product, and their residues mod p.
+def multiply_mod(factors: list, p: int, box: tuple) -> np.ndarray:
+    """The product mod a prime p < 2^31 of polynomials, as its dense int64
+    residues over box.  Each factor is an int64 array of residues mod p,
+    its coefficient at exponents e in cell e, with as many axes as box;
+    box holds the product: along each axis, its length minus 1 is at least
+    the sum of the factors' lengths minus 1.
 
     Per factor (module docstring), each term of the shorter side, the
-    factor or the product so far, adds the other side times its residue,
-    mod p, at the other side's offsets plus its own: no axis of the box
+    factor's nonzero coefficients placed at their C-order offsets in box
+    or the product so far, adds the other side times its residue, mod p,
+    at the other side's offsets plus its own: no axis of the box
     overflows, and one side's offsets are distinct.  So a cell gains at
     most one residue below 2^31 per term of the shorter side, and int64
     holds while that side has fewer than 2^32 terms.  A factor with no
     nonzero coefficient makes the product zero.
     """
-    product = np.zeros(cells, dtype=np.int64)
+    product = np.zeros(prod(box), dtype=np.int64)
     product[0] = 1
     for factor in factors:
-        offsets = np.flatnonzero(product)
+        cells, offsets = np.nonzero(factor), np.flatnonzero(product)
         (short_offsets, short_residues), (long_offsets, long_residues) = sorted(
-            (factor, (offsets, product[offsets])), key=lambda side: len(side[0]))
-        product = np.zeros(cells, dtype=np.int64)
+            ((np.ravel_multi_index(cells, box), factor[cells]), (offsets, product[offsets])),
+            key=lambda side: len(side[0]))
+        product = np.zeros(prod(box), dtype=np.int64)
         for offset, residue in zip(short_offsets.tolist(), short_residues.tolist()):
             product[long_offsets + offset] += long_residues * residue % p
         product %= p
-    offsets = np.flatnonzero(product)
-    return offsets, product[offsets]
+    return product.reshape(box)
 
 
 def crt(residues: list, primes: list) -> int:

@@ -436,21 +436,38 @@ class TestDetByEvaluation:
 
     def test_coefficient_that_vanishes_mod_one_prime(self, monkeypatch):
         # p0 d, p0 the first prime: twice the bound p0 + 1 needs two primes,
-        # and mod p0 the product has no nonzero coefficient, so CRT takes the
-        # offset of d from the other prime's product and reads 0 for p0
+        # and mod p0 the product has no nonzero coefficient, so the column of
+        # d in the table is nonzero for the other prime only and CRT reads 0
+        # for p0
         p0 = intdet.primes_for(1)[0]
         assert p0 == 2 ** 31 - 1
         lengths = []
         original = intdet.multiply_mod
 
-        def spy(factors, p, cells):
-            offsets, residues = original(factors, p, cells)
-            lengths.append(len(offsets))
-            return offsets, residues
+        def spy(factors, p, box):
+            product = original(factors, p, box)
+            lengths.append(np.count_nonzero(product))
+            return product
 
         monkeypatch.setattr(intdet, "multiply_mod", spy)
         assert det_by_evaluation([[p0 * D]]) == p0 * D
         assert lengths == [0, 1]
+
+    def test_crt_runs_once_per_nonzero_coefficient(self, monkeypatch):
+        # full n=2: a box of 1 275 cells over d, x and z, and 142 terms;
+        # CRT reads the nonzero columns of the primes' table only
+        gm = assemble_gram(2, GramVariant.MB1_FULL)
+        calls = []
+        original = intdet.crt
+
+        def spy(residues, primes):
+            calls.append(residues)
+            return original(residues, primes)
+
+        monkeypatch.setattr(intdet, "crt", spy)
+        det = det_by_evaluation(gm)
+        assert det == conjecture_formula(ConjectureId.C3_4, 2)
+        assert det.num_terms() == len(calls) == 142
 
     def test_box_past_the_dense_cap_is_refused_before_evaluation(self, monkeypatch):
         # d^2048 x^2048 z^2048 is graded, and its box over d, x and z has
@@ -732,9 +749,10 @@ class TestRotationOrbits:
 
 def block_det_polys_mod(gm, p):
     """(variables, coefficient arrays mod p of det B_k for every block k of
-    gm's rotation plan), interpolated on the grid 0..size x max entry
-    degree per variable, which bounds the degree of every block's
-    determinant."""
+    gm's rotation plan), from gram.block_polys_mod on the grid 0..size x
+    max entry degree per variable, which bounds the degree of every block's
+    determinant: bounds of its own, not block_degree_bounds, which the
+    tests check against these arrays."""
     codes, entries = gm.codes, gm.values
     variables = [v for v in VARIABLES if any(e.degree_in(v) > 0 for e in entries)]
     shape = tuple(gm.size * max(e.degree_in(v) for e in entries) + 1 for v in variables)
@@ -742,15 +760,8 @@ def block_det_polys_mod(gm, p):
     values = [[e.evaluate(point) for e in entries] for point in grid]
     plan = plan_of(gm)
     plan = plan._replace(factors=list(range(plan.order)))  # also the blocks the rule skips
-    residues = np.array([[v % p for v in point] for point in values], dtype=np.int64)
-    dets = intdet.block_dets_mod(residues, codes, plan, np.full(len(grid), p))
-    polys = []
-    for det in dets.values():
-        coeffs = det.reshape(shape)
-        for axis in range(len(shape)):
-            coeffs = intdet.interpolate_mod(coeffs, p, axis)
-        polys.append(coeffs)
-    return variables, polys
+    bounds = [tuple(b - 1 for b in shape)] * plan.order
+    return variables, list(gram.block_polys_mod(values, codes, plan, bounds, p).values())
 
 
 class TestBlocks:

@@ -576,23 +576,19 @@ coefficient_grids = st.integers(1, 5).flatmap(lambda rows: st.integers(1, 3).fla
 
 
 def check_multiply_mod(grids, p):
-    # each factor as (offsets, residues) of its nonzero coefficients in
-    # the box of the product, flattened in C order
+    # each factor as its coefficient grid mod p, lowest degree first
     grids = [np.array(grid, dtype=object) % p for grid in grids]
     box = tuple(sum(grid.shape[v] - 1 for grid in grids) + 1 for v in range(2))
-    factors, expected = [], np.zeros(box, dtype=object)
+    expected = np.zeros(box, dtype=object)
     expected[0, 0] = 1
     for grid in grids:
-        cells = np.nonzero(grid)
-        factors.append((np.ravel_multi_index(cells, box), grid[cells].astype(np.int64)))
         product = np.zeros(box, dtype=object)
         for (i, j), c in np.ndenumerate(grid):
             product[i:, j:] += c * expected[:box[0] - i, :box[1] - j]
         expected = product % p
-    offsets, residues = multiply_mod(factors, p, expected.size)
-    # the nonzero coefficients only, offsets ascending
-    assert offsets.tolist() == np.flatnonzero(expected).tolist()
-    assert residues.tolist() == expected.ravel()[np.flatnonzero(expected)].tolist()
+    got = multiply_mod([grid.astype(np.int64) for grid in grids], p, box)
+    # the dense product over the whole box
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
 
 
 @settings(deadline=None, max_examples=60)
@@ -602,7 +598,7 @@ def check_multiply_mod(grids, p):
 # coefficients p - 1 only: every cell of the product's box is nonzero, and
 # equal offsets sum pair products near p^2 that overflow int64 unreduced
 @example(grids=[[[-1] * 3] * 5, [[-1] * 2] * 4, [[-1] * 3] * 2], p=primes_for(2 ** 62)[0])
-# (1 + x)(1 - x): the two pairs at x sum to p, a zero residue the product drops
+# (1 + x)(1 - x): the two pairs at x sum to p, so the cell of x reads 0
 @example(grids=[[[1], [1]], [[1], [-1]]], p=primes_for(2 ** 62)[0])
 # the product so far (4 terms, then 8) is longer than the last two factors
 # (2 terms each): the loop runs over the factor's terms
