@@ -25,7 +25,7 @@ modular route (det_by_evaluation) for larger ones, in any number of
 variables.  The two share intdet.hadamard_bound, the degree bounds and
 the graded reduction.  Every Gram matrix has gradings, row and column
 potentials that fix the exponents of w and y by that of x, so both
-routes work in d, x and z alone (_variables) and lift w and y back with
+routes work in d, x and z alone (_reduction) and lift w and y back with
 one helper (_lifted).  The elimination refuses a packed determinant past
 PACKED_BITS_LIMIT bits, and the modular route a box of degree bounds of
 more than DENSE_CELLS_LIMIT cells (full n=4, mbn1 n=5), before either
@@ -340,11 +340,13 @@ def gradings(codes: np.ndarray, entries: Sequence) -> tuple | None:
     return None if a is None or b is None else (a, b)
 
 
-def _variables(graded: tuple | None) -> list:
-    """The variables both determinant routes work in: d, x and z when the
-    matrix has gradings (w = y = 1, lifted back by _lifted), all five
-    otherwise."""
-    return [v for v in VARIABLES if graded is None or v not in ("w", "y")]
+def _reduction(codes: np.ndarray, entries: Sequence, plan: intdet.BlockPlan) -> tuple:
+    """(gradings or None, variables, block_degree_bounds under the plan)
+    of both determinant routes: d, x and z when the matrix has gradings
+    (w = y = 1, lifted back by _lifted), all five otherwise."""
+    graded = gradings(codes, entries)
+    variables = [v for v in VARIABLES if graded is None or v not in ("w", "y")]
+    return graded, variables, block_degree_bounds(codes, entries, plan, variables)
 
 
 def det_exact(matrix) -> Polynomial:
@@ -389,10 +391,8 @@ def det_exact(matrix) -> Polynomial:
     bound = intdet.hadamard_bound(codes, [sum(map(abs, e.terms.values())) for e in entries])
     if bound == 0:
         return Polynomial.zero()
-    graded = gradings(codes, entries)
-    variables = _variables(graded)
-    bounds = dict(zip(variables, block_degree_bounds(codes, entries, intdet.block_plan(codes),
-                                                     variables)[0]))
+    graded, variables, (block_bounds,) = _reduction(codes, entries, intdet.block_plan(codes))
+    bounds = dict(zip(variables, block_bounds))
     axes = sorted(variables, key=bounds.__getitem__)  # C order: the largest bound fastest
     box = tuple(bounds[v] + 1 for v in axes)
     cells, nb = prod(box), ((2 * bound).bit_length() + 7) // 8
@@ -497,7 +497,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     docstring).  The matrix is read through its code matrix, distinct
     entries and rotation (_coded): the norms, the gradings, the degree
     bounds and the plan come from them.  The engine works in det_exact's
-    variables (_variables): d, x and z with w = y = 1 when G has
+    variables (_reduction): d, x and z with w = y = 1 when G has
     gradings, which loses nothing and keeps every entry's l1 norm (proof
     at gradings), all five otherwise.  Each distinct entry is evaluated
     once per point of one grid, 0..max_k bound_k in each of those
@@ -541,9 +541,7 @@ def det_by_evaluation(matrix, jobs: int = 1) -> Polynomial:
     if bound == 0:
         return Polynomial.zero()
     plan = intdet.block_plan(codes, perm)
-    graded = gradings(codes, entries)
-    variables = _variables(graded)
-    block_bounds = block_degree_bounds(codes, entries, plan, variables)
+    graded, variables, block_bounds = _reduction(codes, entries, plan)
     # per variable: the largest bound of a needed block, and their sum
     per_variable = list(zip(*(block_bounds[k] for k in plan.factors)))
     grid_shape = tuple(max(bounds) + 1 for bounds in per_variable)

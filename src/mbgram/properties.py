@@ -6,6 +6,13 @@ counts check the tail-set construction, the transpose and diagonal laws
 certify the pairing conventions, the winding-sum range certifies the
 sweep bookkeeping, and the two determinant backends certify each other
 wherever both are feasible.
+
+The four pairing claims screen every pair with pairing.pair_exponents
+and flag the pairs that break the claim or hold an unclassified cycle;
+the kernel's flags are the verdict.  A claim with a flag walks only the
+first flagged pair, in the order the claim visits its pairs, with the
+scalar pairing, which names the FAIL's witness or raises
+UnclassifiableComponentError on the cycle; a PASS walks nothing.
 """
 
 from __future__ import annotations
@@ -86,25 +93,9 @@ def check_crosscap_pair_fixture() -> Report:
                  "value": str(actual)})
 
 
-def _swap_xy(profile: tuple) -> tuple:
-    swap = {"x": "y", "y": "x"}
-    return tuple(sorted(swap.get(c, c) for c in profile))
-
-
-def _first_report(check, flagged: np.ndarray) -> Report | None:
-    """The first Report that check(k) makes over the flagged indices k.
-
-    The claims below screen every pair with pairing.pair_exponents, flag
-    the pairs that break the claim or hold an unclassified cycle, and
-    walk only those with the scalar pairing, in the order the claim
-    visits its pairs: the walk raises or builds the FAIL's witness, and
-    returns None for a pair it clears.
-    """
-    for k in np.flatnonzero(flagged).tolist():
-        report = check(k)
-        if report is not None:
-            return report
-    return None
+def _first(flagged: np.ndarray) -> int | None:
+    """The first flagged index in C order, or None."""
+    return int(np.argmax(flagged)) if flagged.any() else None
 
 
 def check_transpose_symmetry(n_max: int = 4) -> Report:
@@ -119,21 +110,14 @@ def check_transpose_symmetry(n_max: int = 4) -> Report:
         unclassified = unclassified.reshape(size, size)
         flagged = ((exps.transpose(1, 0, 2)[:, :, swap] != exps).any(2)
                    | unclassified | unclassified.T)
-
-        def check(k):
+        k = _first(np.triu(flagged))
+        if k is not None:
             i, j = divmod(k, size)
-            forward = curve_profile(basis[i], basis[j])
-            backward = curve_profile(basis[j], basis[i])
-            if backward != _swap_xy(forward):
-                return Report(
-                    claim="transpose-symmetry", tag="pairing", status="FAIL",
-                    params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
-                    witness={"forward": list(forward), "backward": list(backward)})
-            return None
-
-        report = _first_report(check, np.triu(flagged))
-        if report is not None:
-            return report
+            return Report(
+                claim="transpose-symmetry", tag="pairing", status="FAIL",
+                params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                witness={"forward": list(curve_profile(basis[i], basis[j])),
+                         "backward": list(curve_profile(basis[j], basis[i]))})
         pairs += size * (size + 1) // 2
     return Report(
         claim="transpose-symmetry", tag="pairing", status="PASS",
@@ -153,19 +137,13 @@ def check_diagonal_law(n_max: int = 5) -> Report:
             exps, unclassified = pair_exponents(
                 diagrams, diagrams, [(k, k) for k in range(len(diagrams))])
             flagged = (exps != [expected.count(v) for v in VARIABLES]).any(1) | unclassified
-
-            def check(k):
+            k = _first(flagged)
+            if k is not None:
                 profile = curve_profile(diagrams[k], diagrams[k])
-                if profile != expected:
-                    return Report(
-                        claim="diagonal-law", tag="pairing", status="FAIL",
-                        params={"at": [n, diagrams[k].serialize()]},
-                        witness={"expected": list(expected), "actual": list(profile)})
-                return None
-
-            report = _first_report(check, flagged)
-            if report is not None:
-                return report
+                return Report(
+                    claim="diagonal-law", tag="pairing", status="FAIL",
+                    params={"at": [n, diagrams[k].serialize()]},
+                    witness={"expected": list(expected), "actual": list(profile)})
             checked += len(diagrams)
     return Report(
         claim="diagonal-law", tag="pairing", status="PASS",
@@ -177,29 +155,25 @@ def check_winding_range(n_max: int = 5) -> Report:
 
     One pairing.pair_exponents call per n pairs every ordered pair of the
     joint basis and flags each pair with a cycle outside {0, +/-2n}; the
-    scalar walk visits a flagged pair only, for the witness.  With no
-    flag, the fixed-point-free cycles are the d and z ones, which
+    scalar walk visits the first flagged pair only, and its first such
+    cycle is the witness (none, should the walk find no such cycle).
+    With no flag, the fixed-point-free cycles are the d and z ones, which
     components_walked counts.
     """
     walked = 0
     for n in range(1, n_max + 1):
         basis = gram_mod.gram_basis(n, gram_mod.GramVariant.MB1_FULL)
-        n2 = 2 * n
         exps, unclassified = pair_exponents(basis, basis)
-
-        def check(k):
+        k = _first(unclassified)
+        if k is not None:
             i, j = divmod(k, len(basis))
-            for vertices, on1, on2, psi in components(build_pairing_graph(basis[i], basis[j])):
-                if not (on1 or on2) and psi not in (0, n2, -n2):
-                    return Report(
-                        claim="winding-range", tag="pairing", status="FAIL",
-                        params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
-                        witness={"component": sorted(vertices), "psi": psi})
-            return None
-
-        report = _first_report(check, unclassified)
-        if report is not None:
-            return report
+            g = build_pairing_graph(basis[i], basis[j])
+            vertices, psi = next(((vertices, psi) for vertices, on1, on2, psi in components(g)
+                                  if not (on1 or on2) and psi not in (0, g.n2, -g.n2)), ((), None))
+            return Report(
+                claim="winding-range", tag="pairing", status="FAIL",
+                params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                witness={"component": sorted(vertices), "psi": psi})
         walked += int(exps[:, VAR_INDEX["d"]].sum() + exps[:, VAR_INDEX["z"]].sum())
     return Report(
         claim="winding-range", tag="pairing", status="PASS",
@@ -216,21 +190,13 @@ def check_entry_profiles(n_max: int = 4) -> Report:
         exps, unclassified = pair_exponents(basis, basis)
         part = exps[:, crosscap]
         allowed = (part == (1, 0, 0)).all(1) | (part == (0, 1, 1)).all(1)
-
-        def check(k):
+        k = _first(~allowed | unclassified)
+        if k is not None:
             i, j = divmod(k, len(basis))
-            profile = curve_profile(basis[i], basis[j])
-            crosscap_part = tuple(c for c in profile if c in ("x", "y", "w"))
-            if crosscap_part not in (("w",), ("x", "y")):
-                return Report(
-                    claim="entry-profiles", tag="pairing", status="FAIL",
-                    params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
-                    witness={"profile": list(profile)})
-            return None
-
-        report = _first_report(check, ~allowed | unclassified)
-        if report is not None:
-            return report
+            return Report(
+                claim="entry-profiles", tag="pairing", status="FAIL",
+                params={"at": [n, basis[i].serialize(), basis[j].serialize()]},
+                witness={"profile": list(curve_profile(basis[i], basis[j]))})
         checked += len(basis) ** 2
     return Report(
         claim="entry-profiles", tag="pairing", status="PASS",

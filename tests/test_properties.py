@@ -5,7 +5,7 @@ import pytest
 from mbgram import diagrams, gram, properties
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram
 from mbgram.errors import UnclassifiableComponentError
-from mbgram.pairing import curve_profile
+from mbgram.pairing import build_pairing_graph, components, curve_profile
 from mbgram.properties import (check_crosscap_pair_fixture, check_det_backends_agree,
                                check_diagonal_law, check_entry_profiles,
                                check_enumeration_counts, check_tilde_block_fixture,
@@ -81,6 +81,24 @@ def test_entry_profiles_small():
     assert check_entry_profiles(3).status == "PASS"
 
 
+def test_a_pass_walks_no_pair(monkeypatch):
+    # the kernel's verdict stands: the scalar walk only names a FAIL
+    walked = []
+
+    def spy(name, walk):
+        def spied(*args):
+            walked.append(name)
+            return walk(*args)
+        return spied
+
+    for name in ("curve_profile", "components", "build_pairing_graph"):
+        monkeypatch.setattr(properties, name, spy(name, getattr(properties, name)))
+    for check in (check_transpose_symmetry, check_diagonal_law, check_winding_range,
+                  check_entry_profiles):
+        assert check(3).status == "PASS"
+    assert walked == []
+
+
 def test_tilde_block_fixture(tmp_path):
     assert check_tilde_block_fixture(cache_dir=tmp_path).status == "PASS"
 
@@ -125,6 +143,18 @@ def scalar_diagonal_law(n_max):
     return None
 
 
+def scalar_winding_range(n_max):
+    for n in range(1, n_max + 1):
+        basis = gram.gram_basis(n, gram.GramVariant.MB1_FULL)
+        for m_i in basis:
+            for m_j in basis:
+                for vertices, on1, on2, psi in components(build_pairing_graph(m_i, m_j)):
+                    if not (on1 or on2) and psi not in (0, 2 * n, -2 * n):
+                        return {"at": [n, m_i.serialize(), m_j.serialize()]}, {
+                            "component": sorted(vertices), "psi": psi}
+    return None
+
+
 def scalar_entry_profiles(n_max):
     for n in range(1, n_max + 1):
         basis = enumerate_stratum(n, Stratum.ONE_CROSSCAP)
@@ -159,6 +189,9 @@ def plant(monkeypatch, text, sweep):
     (check_transpose_symmetry, scalar_transpose_symmetry, "(1 4)(2 3)",
      (None, 3, 1, None, -3)),
     (check_entry_profiles, scalar_entry_profiles, "(2 3)(1)(4)", (None, None, 1, -1, 0)),
+    # and vertex 4 of (1 4)(2 3) sweeps -1: the first bad pair is
+    # <(1 2)(3 4), (1 4)(2 3)>, whose cycle through 1 sweeps 1 + 1 + 1 - 1 = 2
+    (check_winding_range, scalar_winding_range, "(1 4)(2 3)", (None, 3, 1, -1, -1)),
 ])
 def test_planted_mismatch_fails_as_the_scalar_claim(monkeypatch, check, scalar, text, sweep):
     plant(monkeypatch, text, sweep)
