@@ -19,12 +19,52 @@ identity checks touch, so the closed form never goes unchecked.
 The module also knows a catalog of ten named identities (IdentityId)
 relating products, squares and index-doubling of T and S, including the
 factorization of S at Mersenne indices into a product of T's.  All ten
-run through the one loop in verify_identity, which builds both sides as
-expanded polynomials at each parameter tuple and compares them
-structurally; failures are reported, never raised.  functools caches hold
-the generated polynomials, the S products and the running power-of-two
-product of T's; a list keeps the parity prefix sums S_k + S_(k-2) + ...,
-which give ProdToSumS each of its sums by one subtraction.
+run through the one loop in verify_identity; failures are reported,
+never raised.  Each builder is written once over a ring r (_Ring), from
+the generators r.T(n) and r.S(n), the variable r.d, the parity sums
+r.s_sum(lo, hi) = S_lo + S_(lo+2) + ... + S_hi and the power products
+r.t_product(lo, hi) = T_(2^lo) T_(2^(lo+1)) ... T_(2^hi), with +, - and *
+alone, so the same code runs in three rings:
+
+  * the expansion (_Expansion): Z[d] itself, both sides expanded and
+    compared term by term;
+  * norms (_Norm): each polynomial p stands for a bound on its l1 norm
+    ||p||_1, the sum of its coefficients' absolute values, and on its
+    degree.  The l1 norm is subadditive and submultiplicative, so + and -
+    both add the bounds and * multiplies them;
+  * images: each polynomial p stands for the int phi_B(p) = p(B), with
+    B = 2^(8 nb).
+
+One Kronecker point decides each check (von zur Gathen & Gerhard, Modern
+Computer Algebra, 8.4).  A first pass evaluates the builders in norms
+over the run's tuples, skipped ones excluded, and takes bound, the
+largest ||lhs||_1 + ||rhs||_1 bound among them (and among the norms of
+the generators, so that every coefficient of theirs fits a slot), and
+nb, the fewest whole bytes with B > 2 bound.  Each T_k and S_k the run
+uses is then packed once into phi_B(T_k), phi_B(S_k) by
+polynomial._to_int, and the parity sums are differences of prefix sums
+of those images.  phi_B is a ring homomorphism Z[d] -> Z, so a builder
+evaluated on the images and on B for d returns phi_B(lhs) and
+phi_B(rhs), and the check compares two ints.  The step is exact: every
+coefficient c_k of lhs - rhs has |c_k| <= ||lhs - rhs||_1 <= ||lhs||_1 +
+||rhs||_1 <= bound < B/2, so the c_k are the balanced base-B digits
+(|digit| < B/2) of phi_B(lhs - rhs) = sum c_k B^k, and balanced digits
+are unique (polynomial._balanced_digits).  Hence phi_B(lhs) = phi_B(rhs),
+whose difference then has only zero digits, forces lhs = rhs; the
+converse holds as phi_B is a homomorphism.
+
+Two cases stay on the expansion.  A run whose largest image, (deg + 1)
+slots of nb bytes with deg the largest degree bound of the first pass,
+would reach polynomial.DECIMAL_MIN_BITS: past that measured crossover the
+expansion multiplies through Decimal, and the Python-int images are the
+slower route: Cor2_4a, Cor2_4b and Cor2_6 at their defaults, whose
+images took 0.61 and 2.7 s for Cor2_4a and Cor2_6 against 0.10 and
+0.13 s expanded (2-vCPU Xeon VM).  And a FAIL, which rebuilds its one
+tuple by expansion to give its witness.
+
+functools caches hold the generated polynomials and, for the expansion,
+the running power-of-two product of T's.  The packed generators, their
+norms and the parity prefix sums belong to the run's ring and go with it.
 """
 
 from __future__ import annotations
@@ -32,10 +72,11 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cache, lru_cache
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from mbgram.errors import BoundExceededError
-from mbgram.polynomial import Polynomial
+from mbgram.polynomial import DECIMAL_MIN_BITS, Polynomial, _to_int
 from mbgram.reporting import Report
 
 DEFAULT_BOUND = 4096
@@ -112,37 +153,97 @@ class IdentityId(Enum):
     T_SQ_BRIDGE = "TSqBridge"       # T_n^2 - d^2 = S_n S_{n-2} (d^2 - 4)
 
 
-# each identity builder returns (lhs, rhs, uses_negative_index)
+class _Norm:
+    """A bound on a polynomial in d: its l1 norm is at most `norm` and its
+    degree at most `deg`.  Sums and differences add the norms, products
+    multiply them; an int c is bounded by (|c|, 0)."""
 
-def _sum_of_S(lo: int, hi: int) -> Polynomial:
-    """S_lo + S_(lo+2) + ... + S_hi, for lo <= hi of equal parity."""
-    return _s_parity_sum(hi) - _s_parity_sum(lo - 2)
+    __slots__ = ("norm", "deg")
 
+    def __init__(self, norm: int, deg: int):
+        self.norm = norm
+        self.deg = deg
 
-# P(0), P(1), ..., grown bottom-up: a cached recursion on P(k - 2) would
-# pass the interpreter's recursion limit on a cold call near the bound
-_S_PARITY_SUMS: list = []
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Norm(self.norm + abs(other), self.deg)
+        return _Norm(self.norm + other.norm, max(self.deg, other.deg))
 
+    __radd__ = __sub__ = __rsub__ = __add__
 
-def _s_parity_sum(k: int) -> Polynomial:
-    """P(k) = S_k + S_(k-2) + ... down to S_0 or S_1; zero for k < 0."""
-    if k < 0:
-        return Polynomial.zero()
-    while len(_S_PARITY_SUMS) <= k:
-        i = len(_S_PARITY_SUMS)
-        _S_PARITY_SUMS.append(_s_parity_sum(i - 2) + cheb_S(i))
-    return _S_PARITY_SUMS[k]
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Norm(self.norm * abs(other), self.deg)
+        return _Norm(self.norm * other.norm, self.deg + other.deg)
 
-
-def _s_product(m: int, n: int) -> Polynomial:
-    """S_m * S_n, memoized under (min, max); the product identities reuse
-    the same pairs."""
-    return _ordered_s_product(min(m, n), max(m, n))
+    __rmul__ = __mul__
 
 
-@cache
-def _ordered_s_product(m: int, n: int) -> Polynomial:
-    return cheb_S(m) * cheb_S(n)
+def _norm_of(p: Polynomial) -> _Norm:
+    return _Norm(sum(map(abs, p.terms.values())), max(p.degree_in("d"), 0))
+
+
+def _dense(p: Polynomial) -> list:
+    """The coefficients of a polynomial in d, by degree from 0."""
+    cs = [0] * (p.degree_in("d") + 1)
+    for e, c in p.terms.items():
+        cs[e[0]] = c
+    return cs
+
+
+class _Ring:
+    """One ring the identity builders evaluate in (module docstring): `d`
+    is its image of the variable, `pack` maps a generator polynomial to its
+    image, and each generator is packed once per ring."""
+
+    def __init__(self, d, pack: Callable[[Polynomial], object]):
+        self.d = d
+        self._pack = pack
+        self._packed: dict = {}
+        # P(0), P(1), ..., grown bottom-up: a recursion on P(k - 2) would
+        # pass the interpreter's recursion limit near the index bound
+        self._parity_sums: list = []
+
+    def _generator(self, build: Callable[[int], Polynomial], n: int):
+        key = (build, n)
+        image = self._packed.get(key)
+        if image is None:
+            image = self._packed[key] = self._pack(build(n))
+        return image
+
+    def T(self, n: int):
+        return self._generator(cheb_T, n)
+
+    def S(self, n: int):
+        return self._generator(cheb_S, n)
+
+    def s_sum(self, lo: int, hi: int):
+        """S_lo + S_(lo+2) + ... + S_hi, for lo <= hi of equal parity."""
+        return self._parity_sum(hi) - self._parity_sum(lo - 2)
+
+    def _parity_sum(self, k: int):
+        """P(k) = S_k + S_(k-2) + ... down to S_0 or S_1; zero for k < 0."""
+        if k < 0:
+            return 0
+        sums = self._parity_sums
+        while len(sums) <= k:
+            i = len(sums)
+            sums.append(self._parity_sum(i - 2) + self.S(i))
+        return sums[k]
+
+    def t_product(self, lo: int, hi: int):
+        """prod_{i=lo}^{hi} T_{2^i} (1 when hi < lo)."""
+        return prod((self.T(2 ** i) for i in range(lo, hi + 1)), start=1)
+
+
+class _Expansion(_Ring):
+    """Z[d]: the builders' sides as expanded polynomials."""
+
+    def __init__(self):
+        super().__init__(Polynomial.variable("d"), lambda p: p)
+
+    def t_product(self, lo: int, hi: int):
+        return _t_power_product(lo, hi)
 
 
 @lru_cache(maxsize=1)
@@ -155,61 +256,61 @@ def _t_power_product(lo: int, hi: int) -> Polynomial:
     return _t_power_product(lo, hi - 1) * cheb_T(2 ** hi)
 
 
-def _d2m4() -> Polynomial:
-    d = Polynomial.variable("d")
+def _d2m4(d=Polynomial.variable("d")):
     return d * d - 4
 
 
-def _build_prod_to_sum_t(m: int, n: int):
-    return cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(abs(m - n)), False
+# each identity builder takes a ring and returns (lhs, rhs, uses_negative_index)
+
+def _build_prod_to_sum_t(r: _Ring, m: int, n: int):
+    return r.T(m) * r.T(n), r.T(m + n) + r.T(abs(m - n)), False
 
 
-def _build_prod_to_sum_s(m: int, n: int):
-    return _s_product(n, m), _sum_of_S(abs(n - m), n + m), False
+def _build_prod_to_sum_s(r: _Ring, m: int, n: int):
+    return r.S(n) * r.S(m), r.s_sum(abs(n - m), n + m), False
 
 
-def _build_s_prod_recur(m: int, n: int):
+def _build_s_prod_recur(r: _Ring, m: int, n: int):
     # at m = 0 or n = 0 the product on the right holds S_(-1) = 0
-    return _s_product(n, m), _s_product(m - 1, n - 1) + cheb_S(n + m), (m == 0 or n == 0)
+    return r.S(n) * r.S(m), r.S(m - 1) * r.S(n - 1) + r.S(n + m), (m == 0 or n == 0)
 
 
-def _build_lemma_2_3a(n: int):
-    tn2 = cheb_T(n) * cheb_T(n)
-    return cheb_T(4 * n) - 2, tn2 * (tn2 - 4), False
+def _build_lemma_2_3a(r: _Ring, n: int):
+    tn2 = r.T(n) * r.T(n)
+    return r.T(4 * n) - 2, tn2 * (tn2 - 4), False
 
 
-def _build_lemma_2_3b(n: int):
-    return cheb_T(2 * n) - 2, cheb_T(n) * cheb_T(n) - 4, False
+def _build_lemma_2_3b(r: _Ring, n: int):
+    return r.T(2 * n) - 2, r.T(n) * r.T(n) - 4, False
 
 
-def _build_cor_2_4a(n: int):
-    t = cheb_T(2 ** n)
-    t2 = cheb_T(2)
-    p = _t_power_product(1, n - 1)
+def _build_cor_2_4a(r: _Ring, n: int):
+    t = r.T(2 ** n)
+    t2 = r.T(2)
+    p = r.t_product(1, n - 1)
     return t * t - 4, (t2 * t2 - 4) * (p * p), False
 
 
-def _build_cor_2_4b(n: int):
-    t1 = cheb_T(1)
-    p = _t_power_product(0, n - 2)
-    return cheb_T(2 ** n) - 2, (t1 * t1 - 4) * (p * p), False
+def _build_cor_2_4b(r: _Ring, n: int):
+    t1 = r.T(1)
+    p = r.t_product(0, n - 2)
+    return r.T(2 ** n) - 2, (t1 * t1 - 4) * (p * p), False
 
 
-def _build_lemma_2_5(n: int):
-    s = cheb_S(n - 1)
-    return cheb_T(n) * cheb_T(n) - 4, _d2m4() * s * s, (n == 0)
+def _build_lemma_2_5(r: _Ring, n: int):
+    s = r.S(n - 1)
+    return r.T(n) * r.T(n) - 4, _d2m4(r.d) * s * s, (n == 0)
 
 
-def _build_cor_2_6(k: int):
+def _build_cor_2_6(r: _Ring, k: int):
     # the product first: its multiply then runs before S_(2^k - 1) is held
-    product = _t_power_product(0, k - 1)
-    return cheb_S(2 ** k - 1), product, False
+    product = r.t_product(0, k - 1)
+    return r.S(2 ** k - 1), product, False
 
 
-def _build_t_sq_bridge(n: int):
-    d = Polynomial.variable("d")
-    lhs = cheb_T(n) * cheb_T(n) - d * d
-    return lhs, cheb_S(n) * cheb_S(n - 2) * _d2m4(), (n <= 1)
+def _build_t_sq_bridge(r: _Ring, n: int):
+    lhs = r.T(n) * r.T(n) - r.d * r.d
+    return lhs, r.S(n) * r.S(n - 2) * _d2m4(r.d), (n <= 1)
 
 
 # identity registry rows: (arity, minimum parameters, default maximum, reach,
@@ -233,9 +334,28 @@ _IDENTITY_SPECS = {
 }
 
 
+def _comparison_ring(builder: Callable, tuples: list) -> _Ring:
+    """The ring a run compares its sides in: the images at one Kronecker
+    point sized by the run's norm bound, or the expansion when those images
+    would reach DECIMAL_MIN_BITS (module docstring)."""
+    norms = _Ring(_Norm(1, 1), _norm_of)
+    bound = deg = 0
+    for tup in tuples:
+        lhs, rhs, _ = builder(norms, *tup)
+        bound = max(bound, lhs.norm + rhs.norm)
+        deg = max(deg, lhs.deg, rhs.deg)
+    # a generator multiplied by S_(-1) = 0 counts in no side's bound; its
+    # coefficients must still fit the slots _to_int packs them into
+    bound = max([bound, *(g.norm for g in norms._packed.values())])
+    nb = ((2 * bound).bit_length() + 7) // 8  # the fewest bytes with 2^(8 nb) > 2 bound
+    if (deg + 1) * 8 * nb >= DECIMAL_MIN_BITS:
+        return _Expansion()
+    return _Ring(1 << 8 * nb, lambda p: _to_int(_dense(p), nb))
+
+
 def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None = None,
                     max_index: int | None = None) -> Report:
-    """Check one identity over a parameter range, structurally.
+    """Check one identity over a parameter range, exactly.
 
     `params` is an iterable of parameter tuples; when omitted, every tuple
     from the identity's minimum up to `max_index` (default: the identity's
@@ -243,7 +363,8 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     identity's minimum indices) are skipped and counted.  Mismatches
     become FAIL entries carrying both differing polynomials; nothing is
     raised, but a range whose reach at `max_index` passes the generator
-    bound raises BoundExceededError before any polynomial is built.
+    bound raises BoundExceededError before any polynomial is built, and a
+    tuple of the wrong length raises ValueError before any is checked.
     """
     arity, minima, default_max, reach, builder = _IDENTITY_SPECS[identity]
     if max_index is None:
@@ -254,19 +375,25 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
                 f"{identity.value} at {max_index} reaches index {reach(max_index)}, "
                 f"beyond Chebyshev index bound {DEFAULT_BOUND}")
         params = itertools.product(*(range(lo, max_index + 1) for lo in minima))
-    checked = 0
-    skipped = 0
-    used_negative = False
+    # in order, with None for each tuple below the identity's minima
+    tuples = []
     for tup in params:
         tup = tuple(tup)
         if len(tup) != arity:
             raise ValueError(f"{identity.value} takes {arity} parameter(s), got {tup}")
-        if any(t < lo for t, lo in zip(tup, minima)):
+        tuples.append(None if any(t < lo for t, lo in zip(tup, minima)) else tup)
+    ring = _comparison_ring(builder, [tup for tup in tuples if tup is not None])
+    checked = 0
+    skipped = 0
+    used_negative = False
+    for tup in tuples:
+        if tup is None:
             skipped += 1
             continue
-        lhs, rhs, negative = builder(*tup)
+        lhs, rhs, negative = builder(ring, *tup)
         used_negative = used_negative or negative
         if lhs != rhs:
+            lhs, rhs, _ = builder(_Expansion(), *tup)
             return Report(
                 claim=identity.value,
                 tag="chebyshev-identity",
@@ -283,4 +410,3 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
         params={"checked": checked, "skipped": skipped, "max_index": max_index},
         notes=notes,
     )
-

@@ -1,12 +1,12 @@
 """Chebyshev generators: initial values, recurrence, identities, bounds."""
 
+import itertools
 import random
 
 import pytest
 
 from mbgram import chebyshev
-from mbgram.chebyshev import (IdentityId, _sum_of_S, _t_power_product, cheb_S, cheb_T,
-                              verify_identity)
+from mbgram.chebyshev import IdentityId, _t_power_product, cheb_S, cheb_T, verify_identity
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
 
@@ -123,8 +123,9 @@ class TestIdentities:
         total = Polynomial.zero()
         for i in range(lo, hi + 1, 2):
             total = total + cheb_S(i)
-        assert _sum_of_S(lo, hi) == total
-        assert _sum_of_S(lo, hi).to_json_obj() == total.to_json_obj()
+        parity_sum = chebyshev._Expansion().s_sum(lo, hi)
+        assert parity_sum == total
+        assert parity_sum.to_json_obj() == total.to_json_obj()
 
     def test_prod_to_sum_t_hand_example(self):
         # T_2 T_3 = T_5 + T_1, both sides expanded by hand
@@ -220,3 +221,100 @@ class TestIdentities:
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[])
         assert report.status == "PASS"
         assert report.params["checked"] == 0
+
+
+def l1(p):
+    return sum(map(abs, p.terms.values()))
+
+
+class TestOnePointComparison:
+    """verify_identity compares both sides at one Kronecker point d = B."""
+
+    # ProdToSumT over 0..10 with one skipped tuple in front: T_5 + d^2 first
+    # breaks the identity at (1, 4), since T_0 T_5 = T_5 + T_5 holds for
+    # any T_5; S_6 + d^2 first breaks ProdToSumS at (1, 5), where the sum
+    # S_4 + S_6 is a difference of two prefix sums that hold it
+    @pytest.mark.parametrize("identity, kind, k, at, lhs, rhs", [
+        (IdentityId.PROD_TO_SUM_T, "cheb_T", 5, [1, 4],
+         lambda T, S: T(1) * T(4), lambda T, S: T(5) + T(3)),
+        (IdentityId.PROD_TO_SUM_S, "cheb_S", 6, [1, 5],
+         lambda T, S: S(5) * S(1), lambda T, S: S(4) + S(6)),
+    ])
+    def test_a_planted_generator_fails_with_the_expanded_sides(self, monkeypatch, identity,
+                                                               kind, k, at, lhs, rhs):
+        generator = getattr(chebyshev, kind)
+        monkeypatch.setattr(chebyshev, kind,
+                            lambda n: generator(n) + (D * D if n == k else 0))
+        params = [(-1, 2)] + list(itertools.product(range(11), repeat=2))
+        report = verify_identity(identity, params=params)
+        assert report.status == "FAIL"
+        assert report.params == {"at": at, "checked": 11 * at[0] + at[1], "skipped": 1}
+        T, S = chebyshev.cheb_T, chebyshev.cheb_S
+        assert report.witness == {"lhs": lhs(T, S).to_json_obj(), "rhs": rhs(T, S).to_json_obj()}
+        assert lhs(T, S) != rhs(T, S)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_difference_that_vanishes_at_one_side_s_point_fails(self, monkeypatch, side):
+        # plant d^2 - B d on one side of ProdToSumT at (7, 5); it vanishes at
+        # d = B, the point that the other side's norm bound alone would
+        # pick, so only a point sized by both sides tells the sides apart
+        m, n = 7, 5
+        norms = (l1(cheb_T(m)) * l1(cheb_T(n)), l1(cheb_T(m + n)) + l1(cheb_T(m - n)))
+        nb = ((2 * norms[1 - side]).bit_length() + 7) // 8
+        B = 1 << 8 * nb
+        arity, minima, default_max, reach, builder = \
+            chebyshev._IDENTITY_SPECS[IdentityId.PROD_TO_SUM_T]
+
+        def planted(r, *tup):
+            sides = list(builder(r, *tup)[:2])
+            sides[side] = sides[side] + r.d * r.d - B * r.d
+            return sides[0], sides[1], False
+
+        monkeypatch.setitem(chebyshev._IDENTITY_SPECS, IdentityId.PROD_TO_SUM_T,
+                            (arity, minima, default_max, reach, planted))
+        report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)])
+        assert report.status == "FAIL"
+        assert report.params == {"at": [m, n], "checked": 0, "skipped": 0}
+        sides = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
+        sides[side] = sides[side] + D * D - B * D
+        assert report.witness == {"lhs": sides[0].to_json_obj(), "rhs": sides[1].to_json_obj()}
+
+    def test_slots_are_the_fewest_bytes_above_twice_the_bound(self, monkeypatch):
+        # the run's bound at one ProdToSumT tuple is the l1 norm product on
+        # the left plus the two norms on the right; the tuple is one where
+        # twice the bound needs a byte more than the bound
+        def bound(m, n):
+            return l1(cheb_T(m)) * l1(cheb_T(n)) + l1(cheb_T(m + n)) + l1(cheb_T(m - n))
+
+        m, n = next((m, n) for m in range(64) for n in range(m + 1)
+                    if (2 * bound(m, n)).bit_length() % 8 == 1)
+        nb = next(k for k in itertools.count(1) if 2 ** (8 * k) > 2 * bound(m, n))
+        assert 2 ** (8 * (nb - 1)) > bound(m, n)
+        widths = set()
+        to_int = chebyshev._to_int
+        monkeypatch.setattr(chebyshev, "_to_int",
+                            lambda cs, width: widths.add(width) or to_int(cs, width))
+        assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)]).status == "PASS"
+        assert widths == {nb}
+
+    def test_a_default_run_below_the_crossover_multiplies_no_polynomial(self, monkeypatch):
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert verify_identity(IdentityId.PROD_TO_SUM_T).status == "PASS"
+        assert calls == []
+        # S_4095's images would pass polynomial.DECIMAL_MIN_BITS: expanded
+        assert verify_identity(IdentityId.COR_2_6).status == "PASS"
+        assert calls
+
+    def test_one_shot_params_count_every_tuple(self):
+        # the first pass over the tuples must not exhaust a generator
+        params = ((m, n) for m in range(-1, 6) for n in range(6))
+        report = verify_identity(IdentityId.PROD_TO_SUM_S, params=params)
+        assert report.status == "PASS"
+        assert report.params == {"checked": 36, "skipped": 6, "max_index": 64}
+
+    def test_a_tuple_of_the_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="takes 2 parameter"):
+            verify_identity(IdentityId.PROD_TO_SUM_T, params=[(1, 2), (3,)])
+
