@@ -29,38 +29,54 @@ alone, so the same code runs in three rings:
   * the expansion (_Expansion): Z[d] itself, both sides expanded and
     compared term by term;
   * norms (_Norm): each polynomial p stands for a bound on its l1 norm
-    ||p||_1, the sum of its coefficients' absolute values, and on its
-    degree.  The l1 norm is subadditive and submultiplicative, so + and -
-    both add the bounds and * multiplies them;
-  * images: each polynomial p stands for the int phi_B(p) = p(B), with
-    B = 2^(8 nb).
+    ||p||_1, the sum of its coefficients' absolute values, on its degree,
+    and for a 2-bit mask of the degree parities p may hold (bit 0 even,
+    bit 1 odd).  The l1 norm is subadditive and submultiplicative, so + and
+    - both add the bounds and * multiplies them.  A generator's mask is
+    read off its own exponents (the zero polynomial S_(-1) gets the empty
+    mask 0), a nonzero int is even and d is odd; + and - join the masks,
+    and * combines them by the 16-entry table _PARITY_PRODUCT;
+  * images: each polynomial p stands for the int p(d0) with d0 = 2^(4 nb),
+    or for the int p(B) with B = d0^2 = 2^(8 nb).
 
 One Kronecker point decides each check (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4).  A first pass evaluates the builders in norms
 over the run's tuples, skipped ones excluded, and takes bound, the
 largest ||lhs||_1 + ||rhs||_1 bound among them (and among the norms of
 the generators, so that every coefficient of theirs fits a slot), and
-nb, the fewest whole bytes with B > 2 bound.  Each T_k and S_k the run
-uses is then packed once into phi_B(T_k), phi_B(S_k) by
-polynomial._to_int, and the parity sums are differences of prefix sums
-of those images.  phi_B is a ring homomorphism Z[d] -> Z, so a builder
-evaluated on the images and on B for d returns phi_B(lhs) and
-phi_B(rhs), and the check compares two ints.  The step is exact: every
-coefficient c_k of lhs - rhs has |c_k| <= ||lhs - rhs||_1 <= ||lhs||_1 +
-||rhs||_1 <= bound < B/2, so the c_k are the balanced base-B digits
-(|digit| < B/2) of phi_B(lhs - rhs) = sum c_k B^k, and balanced digits
-are unique (polynomial._balanced_digits).  Hence phi_B(lhs) = phi_B(rhs),
-whose difference then has only zero digits, forces lhs = rhs; the
-converse holds as phi_B is a homomorphism.
+nb, the fewest whole bytes with B > 2 bound.  The same pass proves the
+point: when every tuple's mask of lhs joined with rhs has at most one
+bit, and so has every generator's, each side is d^r q(d^2) and the run
+evaluates at d0; otherwise at B.  Each T_k and S_k the run uses is then
+packed once by polynomial._to_int: at B its coefficient list gives
+T_k(B); at d0 a generator d^r q(d^2) of the parity r its mask proves
+packs to d0^r q(B), from its coefficients [r::2], so that every image
+holds half the slots.  The parity sums are differences of prefix sums of
+those images.  Evaluation at a point is a ring homomorphism Z[d] -> Z,
+so a builder evaluated on the images and on the point for d returns the
+images of lhs and rhs, and the check compares two ints.  The step is
+exact.  At B, every coefficient c_k of lhs - rhs has |c_k| <=
+||lhs - rhs||_1 <= ||lhs||_1 + ||rhs||_1 <= bound < B/2, so the c_k are
+the balanced base-B digits (|digit| < B/2) of (lhs - rhs)(B) = sum c_k
+B^k, and balanced digits are unique (polynomial._balanced_digits).
+Hence lhs(B) = rhs(B), whose difference then has only zero digits,
+forces lhs = rhs; the converse holds as evaluation is a homomorphism.
+At d0, lhs - rhs = d^r q(d^2) as both sides have degrees of parity r
+alone, so (lhs - rhs)(d0) = d0^r q(B), and q's coefficients are
+coefficients of lhs - rhs, each below B/2 in absolute value: q(B) = 0
+forces q = 0 by the same balanced digits.  With mixed parity this
+fails, d^2 - d0 d vanishes at d0, and so the point is chosen only by the
+parities the first pass proves, never by a polynomial's degree.
 
-Two cases stay on the expansion.  A run whose largest image, (deg + 1)
-slots of nb bytes with deg the largest degree bound of the first pass,
-would reach polynomial.DECIMAL_MIN_BITS: past that measured crossover the
-expansion multiplies through Decimal, and the Python-int images are the
-slower route: Cor2_4a, Cor2_4b and Cor2_6 at their defaults, whose
-images took 0.61 and 2.7 s for Cor2_4a and Cor2_6 against 0.10 and
-0.13 s expanded (2-vCPU Xeon VM).  And a FAIL, which rebuilds its one
-tuple by expansion to give its witness.
+Two cases stay on the expansion.  A run whose largest image would reach
+polynomial.DECIMAL_MIN_BITS, counting deg // 2 + 1 slots of nb bytes at
+d0 and deg + 1 at B, with deg the largest degree bound of the first
+pass: past that measured crossover the expansion multiplies through
+Decimal, and the Python-int images are the slower route: Cor2_4a,
+Cor2_4b and Cor2_6 at their defaults, whose images at B took 0.61 and
+2.7 s for Cor2_4a and Cor2_6 against 0.10 and 0.13 s expanded (2-vCPU
+Xeon VM).  And a FAIL, which rebuilds its one tuple by expansion to give
+its witness.
 
 functools caches hold the generated polynomials and, for the expansion,
 the running power-of-two product of T's.  The packed generators, their
@@ -153,34 +169,49 @@ class IdentityId(Enum):
     T_SQ_BRIDGE = "TSqBridge"       # T_n^2 - d^2 = S_n S_{n-2} (d^2 - 4)
 
 
+# _PARITY_PRODUCT[a << 2 | b]: the degree parities a product may hold when
+# its factors may hold those of the masks a and b (bit 0 even, bit 1 odd)
+_PARITY_PRODUCT = (0, 0, 0, 0,  0, 1, 2, 3,  0, 2, 1, 3,  0, 3, 3, 3)
+
+
 class _Norm:
-    """A bound on a polynomial in d: its l1 norm is at most `norm` and its
-    degree at most `deg`.  Sums and differences add the norms, products
-    multiply them; an int c is bounded by (|c|, 0)."""
+    """A bound on a polynomial in d: its l1 norm is at most `norm`, its
+    degree at most `deg`, and its degrees have only the parities of the
+    mask `par` (bit 0 even, bit 1 odd).  Sums and differences add the
+    norms and join the masks, products multiply the norms and combine the
+    masks by _PARITY_PRODUCT; an int c is bounded by (|c|, 0), even unless
+    it is 0."""
 
-    __slots__ = ("norm", "deg")
+    __slots__ = ("norm", "deg", "par")
 
-    def __init__(self, norm: int, deg: int):
+    def __init__(self, norm: int, deg: int, par: int):
         self.norm = norm
         self.deg = deg
+        self.par = par
 
     def __add__(self, other):
         if isinstance(other, int):
-            return _Norm(self.norm + abs(other), self.deg)
-        return _Norm(self.norm + other.norm, max(self.deg, other.deg))
+            return _Norm(self.norm + abs(other), self.deg, self.par | (other != 0))
+        deg = self.deg if self.deg >= other.deg else other.deg
+        return _Norm(self.norm + other.norm, deg, self.par | other.par)
 
     __radd__ = __sub__ = __rsub__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _Norm(self.norm * abs(other), self.deg)
-        return _Norm(self.norm * other.norm, self.deg + other.deg)
+            return _Norm(self.norm * abs(other), self.deg, self.par if other else 0)
+        return _Norm(self.norm * other.norm, self.deg + other.deg,
+                     _PARITY_PRODUCT[self.par << 2 | other.par])
 
     __rmul__ = __mul__
 
 
 def _norm_of(p: Polynomial) -> _Norm:
-    return _Norm(sum(map(abs, p.terms.values())), max(p.degree_in("d"), 0))
+    """p's l1 norm, degree and the parities of its own exponents."""
+    par = 0
+    for e in p.terms:
+        par |= 1 << (e[0] & 1)
+    return _Norm(sum(map(abs, p.terms.values())), max(p.degree_in("d"), 0), par)
 
 
 def _dense(p: Polynomial) -> list:
@@ -193,10 +224,11 @@ def _dense(p: Polynomial) -> list:
 
 class _Ring:
     """One ring the identity builders evaluate in (module docstring): `d`
-    is its image of the variable, `pack` maps a generator polynomial to its
-    image, and each generator is packed once per ring."""
+    is its image of the variable, `pack(build, n)` is the image of the
+    generator build(n) (cheb_T or cheb_S), and each generator is packed
+    once per ring."""
 
-    def __init__(self, d, pack: Callable[[Polynomial], object]):
+    def __init__(self, d, pack: Callable[[Callable, int], object]):
         self.d = d
         self._pack = pack
         self._packed: dict = {}
@@ -208,7 +240,7 @@ class _Ring:
         key = (build, n)
         image = self._packed.get(key)
         if image is None:
-            image = self._packed[key] = self._pack(build(n))
+            image = self._packed[key] = self._pack(build, n)
         return image
 
     def T(self, n: int):
@@ -240,7 +272,7 @@ class _Expansion(_Ring):
     """Z[d]: the builders' sides as expanded polynomials."""
 
     def __init__(self):
-        super().__init__(Polynomial.variable("d"), lambda p: p)
+        super().__init__(Polynomial.variable("d"), lambda build, n: build(n))
 
     def t_product(self, lo: int, hi: int):
         return _t_power_product(lo, hi)
@@ -336,21 +368,42 @@ _IDENTITY_SPECS = {
 
 def _comparison_ring(builder: Callable, tuples: list) -> _Ring:
     """The ring a run compares its sides in: the images at one Kronecker
-    point sized by the run's norm bound, or the expansion when those images
-    would reach DECIMAL_MIN_BITS (module docstring)."""
-    norms = _Ring(_Norm(1, 1), _norm_of)
+    point sized by the run's norm bound, d0 = 2^(4 nb) when the first pass
+    proves one degree parity per side and per generator, else B = d0^2; or
+    the expansion when those images would reach DECIMAL_MIN_BITS (module
+    docstring)."""
+    norms = _Ring(_Norm(1, 1, 2), lambda build, n: _norm_of(build(n)))
     bound = deg = 0
+    halved = True
     for tup in tuples:
         lhs, rhs, _ = builder(norms, *tup)
-        bound = max(bound, lhs.norm + rhs.norm)
-        deg = max(deg, lhs.deg, rhs.deg)
+        # comparisons rather than max(): this runs once per tuple
+        if lhs.norm + rhs.norm > bound:
+            bound = lhs.norm + rhs.norm
+        if lhs.deg > deg:
+            deg = lhs.deg
+        if rhs.deg > deg:
+            deg = rhs.deg
+        if lhs.par | rhs.par == 3:
+            halved = False
+    generators = norms._packed
     # a generator multiplied by S_(-1) = 0 counts in no side's bound; its
     # coefficients must still fit the slots _to_int packs them into
-    bound = max([bound, *(g.norm for g in norms._packed.values())])
+    bound = max([bound, *(g.norm for g in generators.values())])
+    halved = halved and all(g.par != 3 for g in generators.values())
     nb = ((2 * bound).bit_length() + 7) // 8  # the fewest bytes with 2^(8 nb) > 2 bound
-    if (deg + 1) * 8 * nb >= DECIMAL_MIN_BITS:
+    slots = deg // 2 + 1 if halved else deg + 1
+    if slots * 8 * nb >= DECIMAL_MIN_BITS:
         return _Expansion()
-    return _Ring(1 << 8 * nb, lambda p: _to_int(_dense(p), nb))
+    if not halved:
+        return _Ring(1 << 8 * nb, lambda build, n: _to_int(_dense(build(n)), nb))
+
+    def pack(build, n):
+        # d0^r q(B) for the generator d^r q(d^2), r its parity in the first pass
+        r = generators[build, n].par >> 1
+        return _to_int(_dense(build(n))[r::2], nb) << 4 * nb * r
+
+    return _Ring(1 << 4 * nb, pack)
 
 
 def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None = None,

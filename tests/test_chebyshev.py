@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbgram import chebyshev
 from mbgram.chebyshev import IdentityId, _t_power_product, cheb_S, cheb_T, verify_identity
@@ -227,8 +229,53 @@ def l1(p):
     return sum(map(abs, p.terms.values()))
 
 
+def parities(p):
+    """The parity mask of p's nonzero coefficients: bit 0 even, bit 1 odd."""
+    cs = chebyshev._dense(p)
+    return any(cs[0::2]) | any(cs[1::2]) << 1
+
+
+@st.composite
+def d_polys(draw):
+    """d-only polynomials: zero, of one degree parity, or of both."""
+    parity = draw(st.sampled_from([0, 1, None]))
+    exponent = st.integers(0, 8)
+    if parity is not None:
+        exponent = exponent.map(lambda k: 2 * k + parity)
+    terms = draw(st.dictionaries(exponent, st.integers(-5, 5).filter(bool), max_size=5))
+    return Polynomial.univariate("d", terms)
+
+
+class TestNormMasks:
+    """The first pass's bounds (_Norm) cover the polynomials they stand for."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(a=d_polys(), b=d_polys() | st.integers(-3, 3), swap=st.booleans())
+    def test_masks_cover_the_parities_of_every_result(self, a, b, swap):
+        norm_b = b if isinstance(b, int) else chebyshev._norm_of(b)
+        pairs = [(a, chebyshev._norm_of(a)), (b, norm_b)]
+        if swap:
+            pairs.reverse()
+        (x, nx), (y, ny) = pairs
+        for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+            result, bound = op(x, y), op(nx, ny)
+            assert parities(result) & ~bound.par == 0, (x, y, bound.par)
+            assert l1(result) <= bound.norm
+            assert result.degree_in("d") <= bound.deg
+
+    def test_the_zero_polynomial_has_the_empty_mask(self):
+        assert chebyshev._norm_of(Polynomial.zero()).par == 0
+        assert chebyshev._norm_of(cheb_S(-1)).par == 0
+
+    def test_generators_have_the_parity_of_their_index(self):
+        for n in range(0, 40):
+            assert chebyshev._norm_of(cheb_T(n)).par == 1 << (n & 1)
+            assert chebyshev._norm_of(cheb_S(n)).par == 1 << (n & 1)
+
+
 class TestOnePointComparison:
-    """verify_identity compares both sides at one Kronecker point d = B."""
+    """verify_identity compares both sides at one Kronecker point: d0 with
+    d0^2 = B when the first pass proves one degree parity, else B."""
 
     # ProdToSumT over 0..10 with one skipped tuple in front: T_5 + d^2 first
     # breaks the identity at (1, 4), since T_0 T_5 = T_5 + T_5 holds for
@@ -278,6 +325,70 @@ class TestOnePointComparison:
         sides = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
         sides[side] = sides[side] + D * D - B * D
         assert report.witness == {"lhs": sides[0].to_json_obj(), "rhs": sides[1].to_json_obj()}
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_mixed_parity_difference_that_vanishes_at_d0_fails(self, monkeypatch, side):
+        # plant d^2 - d0 d on one side of ProdToSumT at (7, 5), with d0 =
+        # 2^(4 nb) the halved point of the run; it vanishes at d0, so only
+        # its mixed parity mask keeps the run at B, where it does not
+        m, n = 7, 5
+        bound = l1(cheb_T(m)) * l1(cheb_T(n)) + l1(cheb_T(m + n)) + l1(cheb_T(m - n))
+        # the run's bound holds the planted norm 1 + d0 as well; the fewest
+        # bytes that fit it are the run's nb
+        nb = next(k for k in itertools.count(1) if 2 ** (8 * k) > 2 * (bound + 1 + 2 ** (4 * k)))
+        d0 = 1 << 4 * nb
+        arity, minima, default_max, reach, builder = \
+            chebyshev._IDENTITY_SPECS[IdentityId.PROD_TO_SUM_T]
+
+        def planted(r, *tup):
+            sides = list(builder(r, *tup)[:2])
+            sides[side] = sides[side] + r.d * r.d - d0 * r.d
+            return sides[0], sides[1], False
+
+        monkeypatch.setitem(chebyshev._IDENTITY_SPECS, IdentityId.PROD_TO_SUM_T,
+                            (arity, minima, default_max, reach, planted))
+        report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)])
+        assert report.status == "FAIL"
+        assert report.params == {"at": [m, n], "checked": 0, "skipped": 0}
+        expanded = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
+        expanded[side] = expanded[side] + D * D - d0 * D
+        assert report.witness == {"lhs": expanded[0].to_json_obj(),
+                                  "rhs": expanded[1].to_json_obj()}
+        # at d0 the planted term is zero, so a run there would pass
+        assert (D * D - d0 * D).evaluate({"d": d0}) == 0
+
+    @pytest.fixture
+    def packed_lengths(self, monkeypatch):
+        """The length of every coefficient list the identity checks pack."""
+        lengths = []
+        to_int = chebyshev._to_int
+        monkeypatch.setattr(chebyshev, "_to_int",
+                            lambda cs, width: lengths.append(len(cs)) or to_int(cs, width))
+        return lengths
+
+    def test_default_image_runs_pack_half_the_coefficients(self, packed_lengths):
+        lengths = packed_lengths
+        for identity, (_, _, default_max, reach, _) in chebyshev._IDENTITY_SPECS.items():
+            lengths.clear()
+            assert verify_identity(identity).status == "PASS"
+            if identity in (IdentityId.COR_2_4A, IdentityId.COR_2_4B, IdentityId.COR_2_6):
+                assert lengths == [], identity   # expanded
+            else:
+                # the top generator's index is the run's largest degree
+                assert max(lengths) == reach(default_max) // 2 + 1, identity
+
+    def test_one_mixed_parity_generator_packs_full_lists(self, monkeypatch, packed_lengths):
+        # T_0 T_5 = T_5 + T_5 holds for any T_5, so the run passes at B
+        lengths = packed_lengths
+        generator = chebyshev.cheb_T
+        monkeypatch.setattr(chebyshev, "cheb_T",
+                            lambda n: generator(n) + (D * D if n == 5 else 0))
+        assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
+        assert sorted(lengths) == [1, 6]
+        lengths.clear()
+        monkeypatch.setattr(chebyshev, "cheb_T", generator)
+        assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
+        assert sorted(lengths) == [1, 3]
 
     def test_slots_are_the_fewest_bytes_above_twice_the_bound(self, monkeypatch):
         # the run's bound at one ProdToSumT tuple is the l1 norm product on
