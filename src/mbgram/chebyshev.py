@@ -36,47 +36,45 @@ alone, so the same code runs in three rings:
     read off its own exponents (the zero polynomial S_(-1) gets the empty
     mask 0), a nonzero int is even and d is odd; + and - join the masks,
     and * combines them by the 16-entry table _PARITY_PRODUCT;
-  * images: each polynomial p stands for the int p(d0) with d0 = 2^(4 nb),
-    or for the int p(B) with B = d0^2 = 2^(8 nb).
+  * images: each polynomial p stands for the int p(d0), with d0 = 2^(4 nb)
+    and B = d0^2 = 2^(8 nb).
 
 One Kronecker point decides each check (von zur Gathen & Gerhard, Modern
-Computer Algebra, 8.4).  A first pass evaluates the builders in norms
-over the run's tuples, skipped ones excluded, and takes bound, the
-largest ||lhs||_1 + ||rhs||_1 bound among them (and among the norms of
-the generators, so that every coefficient of theirs fits a slot), and
-nb, the fewest whole bytes with B > 2 bound.  The same pass proves the
-point: when every tuple's mask of lhs joined with rhs has at most one
-bit, and so has every generator's, each side is d^r q(d^2) and the run
-evaluates at d0; otherwise at B.  Each T_k and S_k the run uses is then
-packed once by polynomial._to_int: at B its coefficient list gives
-T_k(B); at d0 a generator d^r q(d^2) of the parity r its mask proves
-packs to d0^r q(B), from its coefficients [r::2], so that every image
-holds half the slots.  The parity sums are differences of prefix sums of
-those images.  Evaluation at a point is a ring homomorphism Z[d] -> Z,
-so a builder evaluated on the images and on the point for d returns the
-images of lhs and rhs, and the check compares two ints.  The step is
-exact.  At B, every coefficient c_k of lhs - rhs has |c_k| <=
-||lhs - rhs||_1 <= ||lhs||_1 + ||rhs||_1 <= bound < B/2, so the c_k are
-the balanced base-B digits (|digit| < B/2) of (lhs - rhs)(B) = sum c_k
-B^k, and balanced digits are unique (polynomial._balanced_digits).
-Hence lhs(B) = rhs(B), whose difference then has only zero digits,
-forces lhs = rhs; the converse holds as evaluation is a homomorphism.
-At d0, lhs - rhs = d^r q(d^2) as both sides have degrees of parity r
-alone, so (lhs - rhs)(d0) = d0^r q(B), and q's coefficients are
-coefficients of lhs - rhs, each below B/2 in absolute value: q(B) = 0
-forces q = 0 by the same balanced digits.  With mixed parity this
-fails, d^2 - d0 d vanishes at d0, and so the point is chosen only by the
-parities the first pass proves, never by a polynomial's degree.
+Computer Algebra, 8.4), applied to d^2.  A first pass evaluates the
+builders in norms over the run's tuples, skipped ones excluded, and takes
+bound, the largest ||lhs||_1 + ||rhs||_1 bound among them (and among the
+norms of the generators, so that every coefficient of theirs fits a
+slot), and nb, the fewest whole bytes with B > 2 bound.  The same pass
+proves that every tuple's mask of lhs joined with rhs has at most one
+bit, and so has every generator's mask: each side, and each generator,
+is then d^r q(d^2) for its parity r.  Each T_k and S_k the run uses is
+packed once by polynomial._to_int into d0^r q(B), from its coefficients
+[r::2] with r the parity its mask proves, so that every image holds
+deg // 2 + 1 slots; the parity sums are differences of prefix sums of
+those images.  Evaluation at d0 is a ring homomorphism Z[d] -> Z, so a
+builder evaluated on the images and on d0 for d returns lhs(d0) and
+rhs(d0), and the check compares two ints.  The step is exact: lhs - rhs
+= d^r q(d^2), so (lhs - rhs)(d0) = d0^r q(B), and every coefficient c_k
+of q is a coefficient of lhs - rhs, with |c_k| <= ||lhs - rhs||_1 <=
+||lhs||_1 + ||rhs||_1 <= bound < B/2.  The c_k are thus the balanced
+base-B digits (|digit| < B/2) of q(B) = sum c_k B^k, and balanced digits
+are unique (polynomial._balanced_digits).  Hence lhs(d0) = rhs(d0), for
+which q(B) = 0 has only zero digits, forces lhs = rhs; the converse
+holds as evaluation is a homomorphism.  With mixed parity the step
+fails, d^2 - d0 d vanishes at d0, so the point is taken only when the
+first pass proves the parities, never from a polynomial's degree.
 
-Two cases stay on the expansion.  A run whose largest image would reach
-polynomial.DECIMAL_MIN_BITS, counting deg // 2 + 1 slots of nb bytes at
-d0 and deg + 1 at B, with deg the largest degree bound of the first
-pass: past that measured crossover the expansion multiplies through
-Decimal, and the Python-int images are the slower route: Cor2_4a,
-Cor2_4b and Cor2_6 at their defaults, whose images at B took 0.61 and
-2.7 s for Cor2_4a and Cor2_6 against 0.10 and 0.13 s expanded (2-vCPU
-Xeon VM).  And a FAIL, which rebuilds its one tuple by expansion to give
-its witness.
+Three cases stay on the expansion.  A run the first pass cannot prove of
+one parity: every generator T_n and S_n, d and every int have one, and
+each builder joins terms of equal parity only, so only a generator
+replaced by one of mixed parity reaches it.  A run whose largest image,
+deg // 2 + 1 slots of nb bytes with deg the largest degree bound of the
+first pass, would reach polynomial.DECIMAL_MIN_BITS: past that measured
+crossover the expansion multiplies through Decimal, and the Python-int
+images are the slower route: Cor2_4a, Cor2_4b and Cor2_6 at their
+defaults, whose images at B took 0.61 and 2.7 s for Cor2_4a and Cor2_6
+against 0.10 and 0.13 s expanded (2-vCPU Xeon VM).  And a FAIL, which
+rebuilds its one tuple by expansion to give its witness.
 
 functools caches hold the generated polynomials and, for the expansion,
 the running power-of-two product of T's.  The packed generators, their
@@ -192,8 +190,7 @@ class _Norm:
     def __add__(self, other):
         if isinstance(other, int):
             return _Norm(self.norm + abs(other), self.deg, self.par | (other != 0))
-        deg = self.deg if self.deg >= other.deg else other.deg
-        return _Norm(self.norm + other.norm, deg, self.par | other.par)
+        return _Norm(self.norm + other.norm, max(self.deg, other.deg), self.par | other.par)
 
     __radd__ = __sub__ = __rsub__ = __add__
 
@@ -367,36 +364,26 @@ _IDENTITY_SPECS = {
 
 
 def _comparison_ring(builder: Callable, tuples: list) -> _Ring:
-    """The ring a run compares its sides in: the images at one Kronecker
-    point sized by the run's norm bound, d0 = 2^(4 nb) when the first pass
-    proves one degree parity per side and per generator, else B = d0^2; or
-    the expansion when those images would reach DECIMAL_MIN_BITS (module
-    docstring)."""
+    """The ring a run compares its sides in: the images at the Kronecker
+    point d0 = 2^(4 nb) sized by the run's norm bound, when the first pass
+    proves one degree parity per side and per generator and those images
+    stay below DECIMAL_MIN_BITS; else the expansion (module docstring)."""
     norms = _Ring(_Norm(1, 1, 2), lambda build, n: _norm_of(build(n)))
     bound = deg = 0
-    halved = True
+    one_parity = True
     for tup in tuples:
         lhs, rhs, _ = builder(norms, *tup)
-        # comparisons rather than max(): this runs once per tuple
-        if lhs.norm + rhs.norm > bound:
-            bound = lhs.norm + rhs.norm
-        if lhs.deg > deg:
-            deg = lhs.deg
-        if rhs.deg > deg:
-            deg = rhs.deg
-        if lhs.par | rhs.par == 3:
-            halved = False
+        bound = max(bound, lhs.norm + rhs.norm)
+        deg = max(deg, lhs.deg, rhs.deg)
+        one_parity = one_parity and lhs.par | rhs.par != 3
     generators = norms._packed
     # a generator multiplied by S_(-1) = 0 counts in no side's bound; its
     # coefficients must still fit the slots _to_int packs them into
     bound = max([bound, *(g.norm for g in generators.values())])
-    halved = halved and all(g.par != 3 for g in generators.values())
+    one_parity = one_parity and all(g.par != 3 for g in generators.values())
     nb = ((2 * bound).bit_length() + 7) // 8  # the fewest bytes with 2^(8 nb) > 2 bound
-    slots = deg // 2 + 1 if halved else deg + 1
-    if slots * 8 * nb >= DECIMAL_MIN_BITS:
+    if not one_parity or (deg // 2 + 1) * 8 * nb >= DECIMAL_MIN_BITS:
         return _Expansion()
-    if not halved:
-        return _Ring(1 << 8 * nb, lambda build, n: _to_int(_dense(build(n)), nb))
 
     def pack(build, n):
         # d0^r q(B) for the generator d^r q(d^2), r its parity in the first pass

@@ -274,26 +274,44 @@ class TestNormMasks:
 
 
 class TestOnePointComparison:
-    """verify_identity compares both sides at one Kronecker point: d0 with
-    d0^2 = B when the first pass proves one degree parity, else B."""
+    """verify_identity compares both sides at one Kronecker point d0, with
+    d0^2 = B, when the first pass proves one degree parity, and expands
+    them otherwise."""
 
-    # ProdToSumT over 0..10 with one skipped tuple in front: T_5 + d^2 first
-    # breaks the identity at (1, 4), since T_0 T_5 = T_5 + T_5 holds for
-    # any T_5; S_6 + d^2 first breaks ProdToSumS at (1, 5), where the sum
-    # S_4 + S_6 is a difference of two prefix sums that hold it
-    @pytest.mark.parametrize("identity, kind, k, at, lhs, rhs", [
-        (IdentityId.PROD_TO_SUM_T, "cheb_T", 5, [1, 4],
+    @pytest.fixture
+    def packed_lengths(self, monkeypatch):
+        """The length of every coefficient list the identity checks pack."""
+        lengths = []
+        to_int = chebyshev._to_int
+        monkeypatch.setattr(chebyshev, "_to_int",
+                            lambda cs, width: lengths.append(len(cs)) or to_int(cs, width))
+        return lengths
+
+    # ProdToSumT over 0..10 with one skipped tuple in front: T_5 + d^3 or
+    # T_5 + d^2 first breaks the identity at (1, 4), since T_0 T_5 = T_5 +
+    # T_5 holds for any T_5; S_6 + d^4 or S_6 + d^3 first breaks ProdToSumS
+    # at (1, 5), where the sum S_4 + S_6 is a difference of two prefix sums
+    # that hold it.  A plant of the generator's own parity keeps the run at
+    # d0, one of the other parity sends it to the expansion.
+    @pytest.mark.parametrize("identity, kind, k, plant, at, lhs, rhs", [
+        (IdentityId.PROD_TO_SUM_T, "cheb_T", 5, 3, [1, 4],
          lambda T, S: T(1) * T(4), lambda T, S: T(5) + T(3)),
-        (IdentityId.PROD_TO_SUM_S, "cheb_S", 6, [1, 5],
+        (IdentityId.PROD_TO_SUM_T, "cheb_T", 5, 2, [1, 4],
+         lambda T, S: T(1) * T(4), lambda T, S: T(5) + T(3)),
+        (IdentityId.PROD_TO_SUM_S, "cheb_S", 6, 4, [1, 5],
+         lambda T, S: S(5) * S(1), lambda T, S: S(4) + S(6)),
+        (IdentityId.PROD_TO_SUM_S, "cheb_S", 6, 3, [1, 5],
          lambda T, S: S(5) * S(1), lambda T, S: S(4) + S(6)),
     ])
-    def test_a_planted_generator_fails_with_the_expanded_sides(self, monkeypatch, identity,
-                                                               kind, k, at, lhs, rhs):
+    def test_a_planted_generator_fails_with_the_expanded_sides(self, monkeypatch, packed_lengths,
+                                                               identity, kind, k, plant, at,
+                                                               lhs, rhs):
         generator = getattr(chebyshev, kind)
         monkeypatch.setattr(chebyshev, kind,
-                            lambda n: generator(n) + (D * D if n == k else 0))
+                            lambda n: generator(n) + (D ** plant if n == k else 0))
         params = [(-1, 2)] + list(itertools.product(range(11), repeat=2))
         report = verify_identity(identity, params=params)
+        assert bool(packed_lengths) == (plant % 2 == k % 2)
         assert report.status == "FAIL"
         assert report.params == {"at": at, "checked": 11 * at[0] + at[1], "skipped": 1}
         T, S = chebyshev.cheb_T, chebyshev.cheb_S
@@ -301,10 +319,12 @@ class TestOnePointComparison:
         assert lhs(T, S) != rhs(T, S)
 
     @pytest.mark.parametrize("side", [0, 1])
-    def test_a_difference_that_vanishes_at_one_side_s_point_fails(self, monkeypatch, side):
-        # plant d^2 - B d on one side of ProdToSumT at (7, 5); it vanishes at
-        # d = B, the point that the other side's norm bound alone would
-        # pick, so only a point sized by both sides tells the sides apart
+    def test_a_difference_that_vanishes_at_one_side_s_point_fails(self, monkeypatch,
+                                                                  packed_lengths, side):
+        # plant the even d^2 - B on one side of ProdToSumT at (7, 5), with
+        # B = d0^2 for the point d0 that the other side's norm bound alone
+        # would pick; it vanishes there, so only a point sized by both sides
+        # tells the sides apart
         m, n = 7, 5
         norms = (l1(cheb_T(m)) * l1(cheb_T(n)), l1(cheb_T(m + n)) + l1(cheb_T(m - n)))
         nb = ((2 * norms[1 - side]).bit_length() + 7) // 8
@@ -314,7 +334,7 @@ class TestOnePointComparison:
 
         def planted(r, *tup):
             sides = list(builder(r, *tup)[:2])
-            sides[side] = sides[side] + r.d * r.d - B * r.d
+            sides[side] = sides[side] + r.d * r.d - B
             return sides[0], sides[1], False
 
         monkeypatch.setitem(chebyshev._IDENTITY_SPECS, IdentityId.PROD_TO_SUM_T,
@@ -323,14 +343,16 @@ class TestOnePointComparison:
         assert report.status == "FAIL"
         assert report.params == {"at": [m, n], "checked": 0, "skipped": 0}
         sides = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
-        sides[side] = sides[side] + D * D - B * D
+        sides[side] = sides[side] + D * D - B
         assert report.witness == {"lhs": sides[0].to_json_obj(), "rhs": sides[1].to_json_obj()}
+        assert packed_lengths   # compared at d0, not expanded
+        assert (D * D - B).evaluate({"d": 1 << 4 * nb}) == 0
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_a_mixed_parity_difference_that_vanishes_at_d0_fails(self, monkeypatch, side):
         # plant d^2 - d0 d on one side of ProdToSumT at (7, 5), with d0 =
-        # 2^(4 nb) the halved point of the run; it vanishes at d0, so only
-        # its mixed parity mask keeps the run at B, where it does not
+        # 2^(4 nb) the point of the run; it vanishes at d0, so only its
+        # mixed parity mask, which sends the run to the expansion, finds it
         m, n = 7, 5
         bound = l1(cheb_T(m)) * l1(cheb_T(n)) + l1(cheb_T(m + n)) + l1(cheb_T(m - n))
         # the run's bound holds the planted norm 1 + d0 as well; the fewest
@@ -357,15 +379,6 @@ class TestOnePointComparison:
         # at d0 the planted term is zero, so a run there would pass
         assert (D * D - d0 * D).evaluate({"d": d0}) == 0
 
-    @pytest.fixture
-    def packed_lengths(self, monkeypatch):
-        """The length of every coefficient list the identity checks pack."""
-        lengths = []
-        to_int = chebyshev._to_int
-        monkeypatch.setattr(chebyshev, "_to_int",
-                            lambda cs, width: lengths.append(len(cs)) or to_int(cs, width))
-        return lengths
-
     def test_default_image_runs_pack_half_the_coefficients(self, packed_lengths):
         lengths = packed_lengths
         for identity, (_, _, default_max, reach, _) in chebyshev._IDENTITY_SPECS.items():
@@ -377,14 +390,15 @@ class TestOnePointComparison:
                 # the top generator's index is the run's largest degree
                 assert max(lengths) == reach(default_max) // 2 + 1, identity
 
-    def test_one_mixed_parity_generator_packs_full_lists(self, monkeypatch, packed_lengths):
-        # T_0 T_5 = T_5 + T_5 holds for any T_5, so the run passes at B
+    def test_one_mixed_parity_generator_sends_the_run_to_the_expansion(self, monkeypatch,
+                                                                       packed_lengths):
+        # T_0 T_5 = T_5 + T_5 holds for any T_5, so the run passes expanded
         lengths = packed_lengths
         generator = chebyshev.cheb_T
         monkeypatch.setattr(chebyshev, "cheb_T",
                             lambda n: generator(n) + (D * D if n == 5 else 0))
         assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
-        assert sorted(lengths) == [1, 6]
+        assert lengths == []
         lengths.clear()
         monkeypatch.setattr(chebyshev, "cheb_T", generator)
         assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
