@@ -24,73 +24,53 @@ never raised.  Each builder is written once over a ring r (_Ring), from
 the generators r.T(n) and r.S(n), the variable r.d, the parity sums
 r.s_sum(lo, hi) = S_lo + S_(lo+2) + ... + S_hi and the power products
 r.t_product(lo, hi) = T_(2^lo) T_(2^(lo+1)) ... T_(2^hi), with +, - and *
-alone, so the same code runs in three rings:
+alone, so the same code runs in three rings: the expansion (_Expansion),
+Z[d] itself; the images in t (_Image); and their norms (_Norm).
 
-  * the expansion (_Expansion): Z[d] itself, both sides expanded and
-    compared term by term;
-  * norms (_Norm): each polynomial p stands for a bound on its l1 norm
-    ||p||_1, the sum of its coefficients' absolute values, on its degree,
-    and for a 2-bit mask of the degree parities p may hold (bit 0 even,
-    bit 1 odd).  The l1 norm is subadditive and submultiplicative, so + and
-    - both add the bounds and * multiplies them.  A generator's mask is
-    read off its own exponents (the zero polynomial S_(-1) gets the empty
-    mask 0), a nonzero int is even and d is odd; + and - join the masks,
-    and * combines them by the 16-entry table _PARITY_PRODUCT;
-  * images: each polynomial p stands for the int p(d0), with d0 = 2^(4 nb)
-    and B = d0^2 = 2^(8 nb).
+The substitution d = t + 1/t (the z + 1/z of Mason & Handscomb, Chebyshev
+Polynomials (2003), ch. 1; the Kauffman bracket's d = -A^2 - A^-2) is a
+ring map phi: Z[d] -> Z[t, 1/t], injective as the top term of phi(p) is
+lc(p) t^deg(p).  By induction on the recurrence, phi(T_n) = t^n + t^-n
+(n >= 1) and phi(S_n) = t^n + t^(n-2) + ... + t^-n (n >= 0), of l1 norms
+2 and n + 1, and phi(p)'s exponents have the parity of p's degrees.  So
+the generators' images (_images) are closed forms, which never read the
+generated coefficients; the test suite links the two.
 
-One Kronecker point decides each check (von zur Gathen & Gerhard, Modern
-Computer Algebra, 8.4), applied to d^2.  A first pass evaluates the
-builders in norms over the run's tuples, skipped ones excluded, and takes
-bound, the largest ||lhs||_1 + ||rhs||_1 bound among them (and among the
-norms of the generators, so that every coefficient of theirs fits a
-slot), and nb, the fewest whole bytes with B > 2 bound.  The same pass
-proves that every tuple's mask of lhs joined with rhs has at most one
-bit, and so has every generator's mask: each side, and each generator,
-is then d^r q(d^2) for its parity r.  Each T_k and S_k the run uses is
-packed once by polynomial._to_int into d0^r q(B), from its coefficients
-[r::2] with r the parity its mask proves, so that every image holds
-deg // 2 + 1 slots; the parity sums are differences of prefix sums of
-those images.  Evaluation at d0 is a ring homomorphism Z[d] -> Z, so a
-builder evaluated on the images and on d0 for d returns lhs(d0) and
-rhs(d0), and the check compares two ints.  The step is exact: lhs - rhs
-= d^r q(d^2), so (lhs - rhs)(d0) = d0^r q(B), and every coefficient c_k
-of q is a coefficient of lhs - rhs, with |c_k| <= ||lhs - rhs||_1 <=
-||lhs||_1 + ||rhs||_1 <= bound < B/2.  The c_k are thus the balanced
-base-B digits (|digit| < B/2) of q(B) = sum c_k B^k, and balanced digits
-are unique (polynomial._balanced_digits).  Hence lhs(d0) = rhs(d0), for
-which q(B) = 0 has only zero digits, forces lhs = rhs; the converse
-holds as evaluation is a homomorphism.  With mixed parity the step
-fails, d^2 - d0 d vanishes at d0, so the point is taken only when the
-first pass proves the parities, never from a polynomial's degree.
+One point decides each check (von zur Gathen & Gerhard, Modern Computer
+Algebra, 8.4), applied to t^2.  A first pass evaluates the builders in
+norms over the run's tuples, skipped ones excluded, and takes bound, the
+largest ||phi(lhs)||_1 + ||phi(rhs)||_1 bound among them, and w, the
+fewest bits (at least one) with B > 2 bound.  The same pass proves that
+every tuple's mask of lhs joined with rhs has at most one bit; then, as
++ joins masks and a mixed factor keeps a product mixed, so has every
+mask inside a side, and each sum inside it adds a zero term or two whose
+offsets have the parity of their degrees, one parity.  The step is
+exact: moved to one offset s, t^s (phi(lhs) - phi(rhs)) = q(t^2), and
+every coefficient c_k of q is one of phi(lhs) - phi(rhs), with |c_k| <=
+||phi(lhs)||_1 + ||phi(rhs)||_1 <= bound < B/2.  The c_k are thus the
+balanced base-B digits (|digit| < B/2) of q(B), and balanced digits are
+unique (polynomial._balanced_digits).  Equal values, q(B) = 0, thus
+force phi(lhs) = phi(rhs), so lhs = rhs as phi is injective; the
+converse holds as phi and evaluation are homomorphisms.
 
-Three cases stay on the expansion.  A run the first pass cannot prove of
-one parity: every generator T_n and S_n, d and every int have one, and
-each builder joins terms of equal parity only, so only a generator
-replaced by one of mixed parity reaches it.  A run whose largest image,
-deg // 2 + 1 slots of nb bytes with deg the largest degree bound of the
-first pass, would reach polynomial.DECIMAL_MIN_BITS: past that measured
-crossover the expansion multiplies through Decimal, and the Python-int
-images are the slower route: Cor2_4a, Cor2_4b and Cor2_6 at their
-defaults, whose images at B took 0.61 and 2.7 s for Cor2_4a and Cor2_6
-against 0.10 and 0.13 s expanded (2-vCPU Xeon VM).  And a FAIL, which
-rebuilds its one tuple by expansion to give its witness.
-
-functools caches hold the generated polynomials and, for the expansion,
-the running power-of-two product of T's.  The packed generators, their
-norms and the parity prefix sums belong to the run's ring and go with it.
+A run the first pass cannot prove of one parity is expanded (each
+builder joins terms of equal parity only, so only a planted term of the
+other parity does that), and a FAIL rebuilds its one tuple by expansion
+for its witness.  functools caches hold the generated polynomials; the
+generators' images and norms and the parity prefix sums belong to the
+run's ring and go with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from functools import cache, lru_cache
+from functools import cache
 from math import prod
 from typing import Callable, Iterable, Sequence
 
 from mbgram.errors import BoundExceededError
-from mbgram.polynomial import DECIMAL_MIN_BITS, Polynomial, _to_int
+from mbgram.polynomial import Polynomial
 from mbgram.reporting import Report
 
 DEFAULT_BOUND = 4096
@@ -134,17 +114,20 @@ def _closed_form(coeffs: Callable[[int], dict], n: int) -> Polynomial:
     return Polynomial.univariate("d", coeffs(n))
 
 
-def cheb_T(n: int) -> Polynomial:
-    """First-kind polynomial T_n; T_{-n} = T_n."""
+def _check_index(n: int) -> None:
     if abs(n) > DEFAULT_BOUND:
         raise BoundExceededError(f"|{n}| exceeds Chebyshev index bound {DEFAULT_BOUND}")
+
+
+def cheb_T(n: int) -> Polynomial:
+    """First-kind polynomial T_n; T_{-n} = T_n."""
+    _check_index(n)
     return _closed_form(_t_coeffs, abs(n))
 
 
 def cheb_S(n: int) -> Polynomial:
     """Second-kind polynomial S_n; S_{-1} = 0 and S_{-n} = -S_{n-2}."""
-    if abs(n) > DEFAULT_BOUND:
-        raise BoundExceededError(f"|{n}| exceeds Chebyshev index bound {DEFAULT_BOUND}")
+    _check_index(n)
     if n >= 0:
         return _closed_form(_s_coeffs, n)
     if n == -1:
@@ -168,83 +151,107 @@ class IdentityId(Enum):
 
 
 # _PARITY_PRODUCT[a << 2 | b]: the degree parities a product may hold when
-# its factors may hold those of the masks a and b (bit 0 even, bit 1 odd)
-_PARITY_PRODUCT = (0, 0, 0, 0,  0, 1, 2, 3,  0, 2, 1, 3,  0, 3, 3, 3)
+# its factors may hold those of the masks a and b (bit 0 even, bit 1 odd).
+# A mixed factor (3) keeps the product mixed even beside a zero factor (0),
+# so that no sum of two parities inside a side hides from its mask
+_PARITY_PRODUCT = (0, 0, 0, 3,  0, 1, 2, 3,  0, 2, 1, 3,  3, 3, 3, 3)
 
 
 class _Norm:
-    """A bound on a polynomial in d: its l1 norm is at most `norm`, its
-    degree at most `deg`, and its degrees have only the parities of the
-    mask `par` (bit 0 even, bit 1 odd).  Sums and differences add the
-    norms and join the masks, products multiply the norms and combine the
-    masks by _PARITY_PRODUCT; an int c is bounded by (|c|, 0), even unless
-    it is 0."""
+    """A bound on a polynomial p in d: ||phi(p)||_1 is at most `norm`, and
+    p's degrees have only the parities of the mask `par` (bit 0 even, bit
+    1 odd).  The l1 norm is subadditive and submultiplicative, so sums and
+    differences add the norms and join the masks, and products multiply
+    the norms and combine the masks by _PARITY_PRODUCT; an int c is
+    bounded by |c| and is even unless it is 0, and d by 2, odd."""
 
-    __slots__ = ("norm", "deg", "par")
+    __slots__ = ("norm", "par")
 
-    def __init__(self, norm: int, deg: int, par: int):
-        self.norm = norm
-        self.deg = deg
-        self.par = par
+    def __init__(self, norm: int, par: int):
+        self.norm, self.par = norm, par
 
     def __add__(self, other):
         if isinstance(other, int):
-            return _Norm(self.norm + abs(other), self.deg, self.par | (other != 0))
-        return _Norm(self.norm + other.norm, max(self.deg, other.deg), self.par | other.par)
+            return _Norm(self.norm + abs(other), self.par | (other != 0))
+        return _Norm(self.norm + other.norm, self.par | other.par)
 
     __radd__ = __sub__ = __rsub__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _Norm(self.norm * abs(other), self.deg, self.par if other else 0)
-        return _Norm(self.norm * other.norm, self.deg + other.deg,
-                     _PARITY_PRODUCT[self.par << 2 | other.par])
+            return _Norm(self.norm * abs(other), _PARITY_PRODUCT[self.par << 2 | (other != 0)])
+        return _Norm(self.norm * other.norm, _PARITY_PRODUCT[self.par << 2 | other.par])
 
     __rmul__ = __mul__
 
 
-def _norm_of(p: Polynomial) -> _Norm:
-    """p's l1 norm, degree and the parities of its own exponents."""
-    par = 0
-    for e in p.terms:
-        par |= 1 << (e[0] & 1)
-    return _Norm(sum(map(abs, p.terms.values())), max(p.degree_in("d"), 0), par)
+class _Image:
+    """phi(p) = t^-offset Q(t^2) for a polynomial p in d, held as value =
+    Q(B), B = 2^w; an int c is (c, 0).  A product multiplies the values and
+    adds the offsets; a sum drops a zero term, and moves the other term of
+    the smaller offset up by w (difference / 2) bits (module docstring)."""
 
+    __slots__ = ("value", "offset", "w")
 
-def _dense(p: Polynomial) -> list:
-    """The coefficients of a polynomial in d, by degree from 0."""
-    cs = [0] * (p.degree_in("d") + 1)
-    for e, c in p.terms.items():
-        cs[e[0]] = c
-    return cs
+    def __init__(self, value: int, offset: int, w: int):
+        self.value, self.offset, self.w = value, offset, w
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = _Image(other, 0, self.w)
+        if not other.value:
+            return self
+        if not self.value:
+            return other
+        hi, lo = (self, other) if self.offset >= other.offset else (other, self)
+        return _Image(hi.value + (lo.value << self.w * ((hi.offset - lo.offset) // 2)),
+                      hi.offset, self.w)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Image(-self.value, self.offset, self.w)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Image(self.value * other, self.offset, self.w)
+        return _Image(self.value * other.value, self.offset + other.offset, self.w)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return not (self - other).value
 
 
 class _Ring:
     """One ring the identity builders evaluate in (module docstring): `d`
-    is its image of the variable, `pack(build, n)` is the image of the
-    generator build(n) (cheb_T or cheb_S), and each generator is packed
-    once per ring."""
+    is its image of the variable, and `first(n)` and `second(n)` make the
+    images of T_n and S_n, once per ring and within the index bound."""
 
-    def __init__(self, d, pack: Callable[[Callable, int], object]):
+    def __init__(self, d, first: Callable[[int], object], second: Callable[[int], object]):
         self.d = d
-        self._pack = pack
-        self._packed: dict = {}
+        self._first, self._second = first, second
+        self._generators: dict = {}
         # P(0), P(1), ..., grown bottom-up: a recursion on P(k - 2) would
         # pass the interpreter's recursion limit near the index bound
         self._parity_sums: list = []
 
-    def _generator(self, build: Callable[[int], Polynomial], n: int):
-        key = (build, n)
-        image = self._packed.get(key)
+    def _generator(self, make: Callable[[int], object], n: int):
+        key = (make, n)
+        image = self._generators.get(key)
         if image is None:
-            image = self._packed[key] = self._pack(build, n)
+            _check_index(n)
+            image = self._generators[key] = make(n)
         return image
 
     def T(self, n: int):
-        return self._generator(cheb_T, n)
+        return self._generator(self._first, n)
 
     def S(self, n: int):
-        return self._generator(cheb_S, n)
+        return self._generator(self._second, n)
 
     def s_sum(self, lo: int, hi: int):
         """S_lo + S_(lo+2) + ... + S_hi, for lo <= hi of equal parity."""
@@ -269,20 +276,30 @@ class _Expansion(_Ring):
     """Z[d]: the builders' sides as expanded polynomials."""
 
     def __init__(self):
-        super().__init__(Polynomial.variable("d"), lambda build, n: build(n))
-
-    def t_product(self, lo: int, hi: int):
-        return _t_power_product(lo, hi)
+        super().__init__(Polynomial.variable("d"), cheb_T, cheb_S)
 
 
-@lru_cache(maxsize=1)
-def _t_power_product(lo: int, hi: int) -> Polynomial:
-    """prod_{i=lo}^{hi} T_{2^i} (1 when hi < lo), extending the product for
-    hi - 1.  The identity loop walks hi upward, so the one cached entry is
-    the previous prefix."""
-    if hi < lo:
-        return Polynomial.one()
-    return _t_power_product(lo, hi - 1) * cheb_T(2 ** hi)
+def _norms() -> _Ring:
+    """The first pass's ring: T_n's l1 norm in t is 2 and S_n's |n + 1|,
+    and the mask is the index's parity (empty for S_(-1) = 0)."""
+    return _Ring(_Norm(2, 2), lambda n: _Norm(2, 1 << (n & 1)),
+                 lambda n: _Norm(abs(n + 1), (n != -1) << (n & 1)))
+
+
+def _images(w: int) -> _Ring:
+    """The images at t^2 = B = 2^w, w >= 1: T_n is (B^|n| + 1, |n|), S_n is
+    ((B^(n+1) - 1) / (B - 1), n), S_(-1) is 0 and S_(-n) is -S_(n-2), and d
+    is (B + 1, 1)."""
+
+    def first(n):
+        return _Image((1 << w * abs(n)) + 1, abs(n), w)
+
+    def second(n):
+        if n < 0:
+            return -second(-n - 2) if n < -1 else _Image(0, 0, w)
+        return _Image(((1 << w * (n + 1)) - 1) // ((1 << w) - 1), n, w)
+
+    return _Ring(_Image((1 << w) + 1, 1, w), first, second)
 
 
 def _d2m4(d=Polynomial.variable("d")):
@@ -332,9 +349,7 @@ def _build_lemma_2_5(r: _Ring, n: int):
 
 
 def _build_cor_2_6(r: _Ring, k: int):
-    # the product first: its multiply then runs before S_(2^k - 1) is held
-    product = r.t_product(0, k - 1)
-    return r.S(2 ** k - 1), product, False
+    return r.S(2 ** k - 1), r.t_product(0, k - 1), False
 
 
 def _build_t_sq_bridge(r: _Ring, n: int):
@@ -364,33 +379,16 @@ _IDENTITY_SPECS = {
 
 
 def _comparison_ring(builder: Callable, tuples: list) -> _Ring:
-    """The ring a run compares its sides in: the images at the Kronecker
-    point d0 = 2^(4 nb) sized by the run's norm bound, when the first pass
-    proves one degree parity per side and per generator and those images
-    stay below DECIMAL_MIN_BITS; else the expansion (module docstring)."""
-    norms = _Ring(_Norm(1, 1, 2), lambda build, n: _norm_of(build(n)))
-    bound = deg = 0
-    one_parity = True
-    for tup in tuples:
-        lhs, rhs, _ = builder(norms, *tup)
-        bound = max(bound, lhs.norm + rhs.norm)
-        deg = max(deg, lhs.deg, rhs.deg)
-        one_parity = one_parity and lhs.par | rhs.par != 3
-    generators = norms._packed
-    # a generator multiplied by S_(-1) = 0 counts in no side's bound; its
-    # coefficients must still fit the slots _to_int packs them into
-    bound = max([bound, *(g.norm for g in generators.values())])
-    one_parity = one_parity and all(g.par != 3 for g in generators.values())
-    nb = ((2 * bound).bit_length() + 7) // 8  # the fewest bytes with 2^(8 nb) > 2 bound
-    if not one_parity or (deg // 2 + 1) * 8 * nb >= DECIMAL_MIN_BITS:
+    """The ring a run compares its sides in: the images at t^2 = B = 2^w,
+    B the first power of two above twice the run's norm bound, when the
+    first pass proves one degree parity per side; else the expansion
+    (module docstring)."""
+    norms = _norms()
+    sides = [builder(norms, *tup)[:2] for tup in tuples]
+    if any(lhs.par | rhs.par == 3 for lhs, rhs in sides):
         return _Expansion()
-
-    def pack(build, n):
-        # d0^r q(B) for the generator d^r q(d^2), r its parity in the first pass
-        r = generators[build, n].par >> 1
-        return _to_int(_dense(build(n))[r::2], nb) << 4 * nb * r
-
-    return _Ring(1 << 4 * nb, pack)
+    bound = max((lhs.norm + rhs.norm for lhs, rhs in sides), default=0)
+    return _images(max((2 * bound).bit_length(), 1))
 
 
 def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None = None,
@@ -403,8 +401,9 @@ def verify_identity(identity: IdentityId, params: Iterable[Sequence[int]] | None
     identity's minimum indices) are skipped and counted.  Mismatches
     become FAIL entries carrying both differing polynomials; nothing is
     raised, but a range whose reach at `max_index` passes the generator
-    bound raises BoundExceededError before any polynomial is built, and a
-    tuple of the wrong length raises ValueError before any is checked.
+    bound raises BoundExceededError before any polynomial is built, a
+    tuple that passes it raises it, and a tuple of the wrong length
+    ValueError, before any tuple is checked.
     """
     arity, minima, default_max, reach, builder = _IDENTITY_SPECS[identity]
     if max_index is None:

@@ -17,7 +17,7 @@ inside a versioned JSON envelope.  All coefficients are Python ints, so
 nothing ever overflows.
 
 Products of two d-only polynomials with at least two terms each go by
-size, through _d_product, on one of three routes.
+size, through _d_product, on one of two routes.
 
   * A shorter factor below DENSE_MIN_TERMS terms: term pair by term pair,
     keyed on the d-exponent itself, with no packing layout.
@@ -34,28 +34,12 @@ size, through _d_product, on one of three routes.
     |P| < B^n / 2 over its n slots, and its balanced digits are unique:
     the ordinary digits of |P|, each one above B/2 lowered by B and a
     carry of one passed up, are the c_k times P's sign (_balanced_digits;
-    gram.det_exact reads its packed determinant the same way).
+    gram.det_exact reads its packed determinant the same way).  The
+    number is a Python int in slots of nb whole bytes, B = 2^(8 nb) >
+    2 bound, built and read by int.to_bytes and int.from_bytes: no
+    strings, so the interpreter's limit on integer string digits never
+    applies.
 
-  * Below DECIMAL_MIN_BITS packed bits (n slots times the bits of 2 bound)
-    the number is a Python int in slots of nb whole bytes, B = 2^(8 nb) >=
-    2^bits > 2 bound, built and read by int.to_bytes and int.from_bytes:
-    no strings, so the interpreter's limit on integer string digits never
-    applies.  From there on it is a decimal.Decimal in base 10^w, because
-    libmpdec multiplies large operands by a number-theoretic transform
-    while int multiplication is Karatsuba only.  The crossover is a
-    measurement, not a setting.  On a 2-vCPU Xeon VM (best of 7, int
-    against Decimal): T_256^2 (9.2e4 bits) 1.7 against 2.3 ms, T_384^2
-    (2.1e5 bits) 4.8 against 4.9 ms, T_448^2 (2.8e5 bits) 8.1 against
-    8.6 ms, T_512^2 (3.7e5 bits) 11.9 against 9.6 ms, and the last factor
-    of S_4095 = T_1 T_2 ... T_2048 (5.8e6 bits) 509 against 135 ms.  No
-    product of the identity catalogue falls between 1e5 and 3.6e5 bits.
-
-The transform allocates about four times the product's size, so the rest
-of the Decimal route is kept lean.  Digits are packed and unpacked in
-slices of _SLICE coefficients, so no product-sized string is ever built.
-int <-> str conversion is used only while w is within the interpreter's
-limit on integer string digits (4300 by default, never changed here);
-past it each coefficient goes through Decimal alone, which is slower.
 All d-only products and quotients, and univariate("d", ...), share one
 key tuple per degree up to 256 from the immutable table _D_KEYS, which
 saves 80 bytes per term of the Chebyshev memos; most of their terms have
@@ -95,8 +79,6 @@ returns None.  A one-term divisor divides term by term.
 
 from __future__ import annotations
 
-import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
@@ -115,11 +97,6 @@ POLY_FORMAT = "mbgram.poly/1"
 
 # the shorter factor's term count from which a d-only product is dense
 DENSE_MIN_TERMS = 16
-# packed product size, slots times bits per slot, from which a dense
-# product is one Decimal instead of one int (module docstring)
-DECIMAL_MIN_BITS = 300_000
-# coefficients per base-10^w string when packing and unpacking
-_SLICE = 128
 # one shared key per d-only degree up to 256: the Chebyshev memos hold
 # ~10^5 d-only terms of such degrees, at 80 bytes per key tuple
 _D_KEYS = tuple((i, 0, 0, 0, 0) for i in range(257))
@@ -591,10 +568,9 @@ def _d_product(a: dict, b: dict) -> dict:
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
     bits = (2 * bound).bit_length()  # 2^bits > 2 * bound
     n = len(dense[0]) + len(dense[1]) - 1
-    route = _binary_digits if n * bits < DECIMAL_MIN_BITS else _decimal_digits
     lo = lo_a + lo_b
     return {_d_key(lo + g * k): c
-            for k, c in enumerate(_balanced_digits(*route(*dense, bits, n))) if c}
+            for k, c in enumerate(_balanced_digits(*_binary_digits(*dense, bits, n))) if c}
 
 
 def _balanced_digits(negative: bool, digits: list, base: int) -> list:
@@ -656,45 +632,6 @@ def _to_int(cs: list, nb: int) -> int:
     pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in cs)
     neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in cs)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _decimal_digits(x: list, y: list, bits: int, n: int) -> tuple:
-    """_binary_digits in base 10^w > 2^bits, by one Decimal product."""
-    w = bits * 30103 // 100000 + 1  # 10^w > 2^bits
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
-    leaf = _SLICE if limit == 0 or w <= limit else 1  # int <-> str fails past the limit
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        product = _pack(x, w, leaf) * _pack(y, w, leaf)
-        digits: list = []
-        _unpack(product, n, w, leaf, digits)
-    return product < 0, digits, 10 ** w
-
-
-def _pack(cs: list, w: int, leaf: int) -> Decimal:
-    """sum cs[i] * 10^(w i), joined from slices of at most `leaf` coefficients."""
-    if len(cs) > leaf:
-        mid = len(cs) // 2
-        return _pack(cs[mid:], w, leaf).scaleb(w * mid) + _pack(cs[:mid], w, leaf)
-    if leaf == 1:
-        return Decimal(cs[0])
-    zero = "0" * w
-    pos = "".join(f"{c:0{w}d}" if c > 0 else zero for c in reversed(cs))
-    neg = "".join(f"{-c:0{w}d}" if c < 0 else zero for c in reversed(cs))
-    return Decimal(pos) - Decimal(neg)
-
-
-def _unpack(x: Decimal, n: int, w: int, leaf: int, out: list) -> None:
-    """Append the n base-10^w digits of the integer |x| < 10^(w n), low first."""
-    if n > leaf:
-        mid = n // 2
-        hi = x.shift(-w * mid)  # truncates toward zero: both parts keep x's sign
-        _unpack(x - hi.scaleb(w * mid), mid, w, leaf, out)
-        _unpack(hi, n - mid, w, leaf, out)
-    elif leaf == 1:
-        out.append(abs(int(x)))
-    else:
-        s = format(abs(x), "f").zfill(n * w)
-        out.extend(int(s[i - w:i]) for i in range(n * w, 0, -w))
 
 
 # -- interpolation ------------------------------------------------------------

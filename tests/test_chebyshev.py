@@ -1,14 +1,14 @@
 """Chebyshev generators: initial values, recurrence, identities, bounds."""
 
 import itertools
-import random
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbgram import chebyshev
-from mbgram.chebyshev import IdentityId, _t_power_product, cheb_S, cheb_T, verify_identity
+from mbgram.chebyshev import IdentityId, cheb_S, cheb_T, verify_identity
 from mbgram.errors import BoundExceededError
 from mbgram.polynomial import Polynomial
 
@@ -182,25 +182,17 @@ class TestIdentities:
         assert report.params == {"checked": 11, "skipped": 0, "max_index": 12}
         assert not report.notes
 
-    def test_t_power_product_in_any_order(self):
-        # the one-entry cache must not leak a prefix of another (lo, hi)
-        pairs = [(lo, hi) for lo in (0, 1) for hi in range(-1, 9)]
-        random.Random(7).shuffle(pairs)
-        for lo, hi in pairs + pairs[::-1]:
-            expected = Polynomial.one()
-            for i in range(lo, hi + 1):
-                expected = expected * cheb_T(2 ** i)
-            assert _t_power_product(lo, hi) == expected, (lo, hi)
-
-    def test_mersenne_mismatch_fails_with_witness(self, monkeypatch):
-        product = chebyshev._t_power_product
-        monkeypatch.setattr(chebyshev, "_t_power_product",
-                            lambda lo, hi: product(lo, hi) + (1 if hi == 3 else 0))
+    def test_mersenne_mismatch_fails_with_witness(self, monkeypatch, rings):
+        # an odd plant keeps both sides odd, so the run compares in t
+        product = chebyshev._Ring.t_product
+        monkeypatch.setattr(chebyshev._Ring, "t_product",
+                            lambda r, lo, hi: product(r, lo, hi) + (r.d if hi == 3 else 0))
         report = verify_identity(IdentityId.COR_2_6)
         assert report.status == "FAIL"
         assert report.params == {"at": [4], "checked": 2, "skipped": 0}
         assert Polynomial.from_json_obj(report.witness["lhs"]) == cheb_S(15)
-        assert Polynomial.from_json_obj(report.witness["rhs"]) == cheb_S(15) + 1
+        assert Polynomial.from_json_obj(report.witness["rhs"]) == cheb_S(15) + D
+        assert in_t(rings[0])
 
     @pytest.mark.parametrize("identity, max_index, top", [
         (IdentityId.LEMMA_2_3A, 1025, 4100), (IdentityId.COR_2_4A, 13, 8192),
@@ -219,20 +211,135 @@ class TestIdentities:
         # one below, the range stays within the bound
         assert reach(max_index - 1) <= chebyshev.DEFAULT_BOUND
 
+    @pytest.mark.parametrize("identity, params, index", [
+        (IdentityId.PROD_TO_SUM_T, [(1, 2), (5000, 1)], 5000),
+        (IdentityId.PROD_TO_SUM_S, [(1, 2), (0, 4097)], 4097),
+        (IdentityId.COR_2_6, [(12,), (13,)], 8191),
+    ])
+    def test_explicit_params_past_the_bound_raise_before_any_check(self, rings, identity,
+                                                                   params, index):
+        # the images in t are closed forms that never call cheb_T or cheb_S,
+        # so their rings check the index bound themselves, in the first pass
+        with pytest.raises(BoundExceededError, match=rf"\|{index}\| exceeds"):
+            verify_identity(identity, params=params)
+        assert rings == []
+
     def test_empty_range_passes_vacuously(self):
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[])
         assert report.status == "PASS"
         assert report.params["checked"] == 0
 
 
-def l1(p):
-    return sum(map(abs, p.terms.values()))
+def phi(p):
+    """The image of a polynomial in d under d = t + 1/t, as {t-exponent:
+    coefficient}: d^k goes to the sum of C(k, i) t^(k - 2i)."""
+    out = {}
+    for e, c in p.terms.items():
+        k = e[0]
+        for i in range(k + 1):
+            out[k - 2 * i] = out.get(k - 2 * i, 0) + c * comb(k, i)
+    return {e: c for e, c in out.items() if c}
+
+
+def l1_t(p):
+    """||phi(p)||_1, the l1 norm of p's image in t."""
+    return sum(map(abs, phi(p).values()))
 
 
 def parities(p):
-    """The parity mask of p's nonzero coefficients: bit 0 even, bit 1 odd."""
-    cs = chebyshev._dense(p)
-    return any(cs[0::2]) | any(cs[1::2]) << 1
+    """The parity mask of p's degrees: bit 0 even, bit 1 odd."""
+    mask = 0
+    for e in p.terms:
+        mask |= 1 << (e[0] & 1)
+    return mask
+
+
+def t_value(p, offset, h):
+    """t0^offset p(t0 + 1/t0) at t0 = 2^h, read from p's d-coefficients as
+    the sum of c_k (t0^2 + 1)^k t0^(offset - k), by Horner's rule in
+    t0^2 + 1; None when p's degree passes offset."""
+    if p.degree_in("d") > offset:
+        return None
+    cs = {e[0]: c for e, c in p.terms.items()}
+    y = (1 << 2 * h) + 1
+    acc = 0
+    for k in range(offset, -1, -1):
+        acc = acc * y + (cs.get(k, 0) << h * (offset - k))
+    return acc
+
+
+LINK_H = 8   # t0 = 2^8, so the images are taken at t0^2 = B = 2^16
+
+
+def link_mismatches(kind, indices):
+    """The indices n at which the generated polynomial P_n (kind "T" or "S",
+    read from chebyshev.cheb_T or cheb_S) misses its closed-form image in
+    t: t0^o P_n(t0 + 1/t0) against the image's value, o its offset."""
+    ring = chebyshev._images(2 * LINK_H)
+    generator = getattr(chebyshev, "cheb_" + kind)
+    image = getattr(ring, kind)
+    return [n for n in indices
+            if t_value(generator(n), image(n).offset, LINK_H) != image(n).value]
+
+
+# every index 0..130, every 2^k and 2^k - 1 up to the bound, and their negatives
+LINK_INDICES = sorted({*range(131), *(m for k in range(13) for m in (2 ** k, 2 ** k - 1))})
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """Every ring verify_identity compares a run in, in order: the images
+    in t when ring.d is a chebyshev._Image, else the expansion."""
+    made = []
+    choose = chebyshev._comparison_ring
+    monkeypatch.setattr(chebyshev, "_comparison_ring",
+                        lambda *args: made.append(choose(*args)) or made[-1])
+    return made
+
+
+def in_t(ring):
+    return isinstance(ring.d, chebyshev._Image)
+
+
+class TestGeneratorLink:
+    """The images in t never read the generated coefficients; t0^n P_n(t0 +
+    1/t0), computed from them, ties each generator to its closed form."""
+
+    @pytest.mark.parametrize("kind", ["T", "S"])
+    def test_generated_coefficients_meet_the_images_in_t(self, kind):
+        indices = LINK_INDICES + [-n for n in LINK_INDICES if n]
+        assert link_mismatches(kind, indices) == []
+
+    def test_horner_reads_the_image_of_small_hand_examples(self):
+        # t0^2 (d^2 - 2) at d = t0 + 1/t0 is t0^4 + 1, and t0^3 S_1 is t0^4 + t0^2
+        t0 = 1 << LINK_H
+        assert t_value(cheb_T(2), 2, LINK_H) == t0 ** 4 + 1
+        assert t_value(cheb_S(1), 3, LINK_H) == t0 ** 4 + t0 ** 2
+        assert t_value(cheb_S(-1), 0, LINK_H) == 0
+
+
+class TestImages:
+    """The image ring is phi at t^2 = B: a side built on images is t0^offset
+    side(t0 + 1/t0), read from the expanded side."""
+
+    @pytest.mark.parametrize("identity", list(IdentityId))
+    def test_sides_are_the_images_of_the_expanded_sides(self, identity):
+        _, minima, default_max, _, builder = chebyshev._IDENTITY_SPECS[identity]
+        top = {64: 9, 10: 5, 12: 6}[default_max]
+        images = chebyshev._images(2 * LINK_H)
+        for tup in itertools.product(*(range(lo, top + 1) for lo in minima)):
+            expanded = builder(chebyshev._Expansion(), *tup)[:2]
+            for image, side in zip(builder(images, *tup)[:2], expanded):
+                assert image.value == t_value(side, image.offset, LINK_H), (tup, side)
+
+    def test_a_zero_term_leaves_the_other_term_s_offset(self):
+        # S_(-1) d^3 is zero at the odd offset 3; T_2 beside it stays at 2,
+        # so that a later sum with T_4 shifts it by one slot
+        ring = chebyshev._images(2 * LINK_H)
+        zero = ring.S(-1) * ring.d * ring.d * ring.d
+        for total in (zero + ring.T(2), ring.T(2) + zero, ring.T(2) - zero):
+            assert (total.value, total.offset) == (ring.T(2).value, 2)
+            assert (total + ring.T(4)).value == t_value(cheb_T(2) + cheb_T(4), 4, LINK_H)
 
 
 @st.composite
@@ -246,53 +353,88 @@ def d_polys(draw):
     return Polynomial.univariate("d", terms)
 
 
+def norm_of(p):
+    return chebyshev._Norm(l1_t(p), parities(p))
+
+
 class TestNormMasks:
-    """The first pass's bounds (_Norm) cover the polynomials they stand for."""
+    """The first pass's bounds (_Norm) cover the images in t of the
+    polynomials they stand for."""
 
     @settings(deadline=None, max_examples=200)
     @given(a=d_polys(), b=d_polys() | st.integers(-3, 3), swap=st.booleans())
     def test_masks_cover_the_parities_of_every_result(self, a, b, swap):
-        norm_b = b if isinstance(b, int) else chebyshev._norm_of(b)
-        pairs = [(a, chebyshev._norm_of(a)), (b, norm_b)]
+        norm_b = b if isinstance(b, int) else norm_of(b)
+        pairs = [(a, norm_of(a)), (b, norm_b)]
         if swap:
             pairs.reverse()
         (x, nx), (y, ny) = pairs
         for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
             result, bound = op(x, y), op(nx, ny)
             assert parities(result) & ~bound.par == 0, (x, y, bound.par)
-            assert l1(result) <= bound.norm
-            assert result.degree_in("d") <= bound.deg
+            assert l1_t(result) <= bound.norm
 
     def test_the_zero_polynomial_has_the_empty_mask(self):
-        assert chebyshev._norm_of(Polynomial.zero()).par == 0
-        assert chebyshev._norm_of(cheb_S(-1)).par == 0
+        assert norm_of(Polynomial.zero()).par == 0
+        zero = chebyshev._norms().S(-1)
+        assert (zero.norm, zero.par) == (0, 0)
+        assert (chebyshev._Norm(2, 1) * 0).par == 0
+
+    def test_a_mixed_factor_keeps_even_a_zero_product_mixed(self):
+        # (d + 1) S_(-1) is zero, but the images cannot add d and 1
+        mixed = chebyshev._Norm(2, 2) + 1
+        assert mixed.par == 3
+        assert (mixed * chebyshev._norms().S(-1)).par == 3
+        assert (chebyshev._norms().S(-1) * mixed).par == 3
+        assert (mixed * 0).par == 3
 
     def test_generators_have_the_parity_of_their_index(self):
-        for n in range(0, 40):
-            assert chebyshev._norm_of(cheb_T(n)).par == 1 << (n & 1)
-            assert chebyshev._norm_of(cheb_S(n)).par == 1 << (n & 1)
+        # and the first pass's closed-form norms are those of the images in t
+        norms = chebyshev._norms()
+        for n in range(-40, 40):
+            assert (norms.T(n).norm, norms.T(n).par) == (l1_t(cheb_T(n)), parities(cheb_T(n)))
+            assert (norms.S(n).norm, norms.S(n).par) == (l1_t(cheb_S(n)), parities(cheb_S(n)))
+            assert norms.T(n).par == 1 << (n & 1)
+            assert norms.S(n).par == (0 if n == -1 else 1 << (n & 1))
+        assert (norms.d.norm, norms.d.par) == (l1_t(D), 2)
+
+
+def ring_plant(monkeypatch, kind, k, plant):
+    """Add d^plant to the generator kind ("T" or "S") at index k in every
+    ring: the first pass's norms, the images in t and the expansion."""
+    generator = getattr(chebyshev._Ring, kind)
+    monkeypatch.setattr(chebyshev._Ring, kind,
+                        lambda r, n: generator(r, n) + (prod([r.d] * plant, start=1)
+                                                        if n == k else 0))
+
+
+def planted_builder(identity, at, side, plant):
+    """The identity's registry row with plant(r) added to one side at the
+    tuple at."""
+    arity, minima, default_max, reach, builder = chebyshev._IDENTITY_SPECS[identity]
+
+    def build(r, *tup):
+        sides = list(builder(r, *tup)[:2])
+        if tup == at:
+            sides[side] = sides[side] + plant(r)
+        return sides[0], sides[1], False
+
+    return arity, minima, default_max, reach, build
 
 
 class TestOnePointComparison:
-    """verify_identity compares both sides at one Kronecker point d0, with
-    d0^2 = B, when the first pass proves one degree parity, and expands
-    them otherwise."""
-
-    @pytest.fixture
-    def packed_lengths(self, monkeypatch):
-        """The length of every coefficient list the identity checks pack."""
-        lengths = []
-        to_int = chebyshev._to_int
-        monkeypatch.setattr(chebyshev, "_to_int",
-                            lambda cs, width: lengths.append(len(cs)) or to_int(cs, width))
-        return lengths
+    """verify_identity compares both sides as images in t at one point t^2
+    = B when the first pass proves one degree parity, and expands them
+    otherwise."""
 
     # ProdToSumT over 0..10 with one skipped tuple in front: T_5 + d^3 or
     # T_5 + d^2 first breaks the identity at (1, 4), since T_0 T_5 = T_5 +
     # T_5 holds for any T_5; S_6 + d^4 or S_6 + d^3 first breaks ProdToSumS
     # at (1, 5), where the sum S_4 + S_6 is a difference of two prefix sums
-    # that hold it.  A plant of the generator's own parity keeps the run at
-    # d0, one of the other parity sends it to the expansion.
+    # that hold it.  The images in t do not read cheb_T or cheb_S, so a plant
+    # there is caught by the link to the closed forms; planted in every
+    # ring's generator, one of the generator's own parity keeps the run in
+    # t, and one of the other parity sends it to the expansion.
     @pytest.mark.parametrize("identity, kind, k, plant, at, lhs, rhs", [
         (IdentityId.PROD_TO_SUM_T, "cheb_T", 5, 3, [1, 4],
          lambda T, S: T(1) * T(4), lambda T, S: T(5) + T(3)),
@@ -303,134 +445,124 @@ class TestOnePointComparison:
         (IdentityId.PROD_TO_SUM_S, "cheb_S", 6, 3, [1, 5],
          lambda T, S: S(5) * S(1), lambda T, S: S(4) + S(6)),
     ])
-    def test_a_planted_generator_fails_with_the_expanded_sides(self, monkeypatch, packed_lengths,
+    def test_a_planted_generator_fails_with_the_expanded_sides(self, monkeypatch, rings,
                                                                identity, kind, k, plant, at,
                                                                lhs, rhs):
         generator = getattr(chebyshev, kind)
-        monkeypatch.setattr(chebyshev, kind,
-                            lambda n: generator(n) + (D ** plant if n == k else 0))
+
+        def planted(n):
+            return generator(n) + (D ** plant if n == k else 0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(chebyshev, kind, planted)
+            assert link_mismatches(kind[-1], range(-12, 13)) == [k]
+        ring_plant(monkeypatch, kind[-1], k, plant)
         params = [(-1, 2)] + list(itertools.product(range(11), repeat=2))
         report = verify_identity(identity, params=params)
-        assert bool(packed_lengths) == (plant % 2 == k % 2)
+        assert in_t(rings[0]) == (plant % 2 == k % 2)
         assert report.status == "FAIL"
         assert report.params == {"at": at, "checked": 11 * at[0] + at[1], "skipped": 1}
-        T, S = chebyshev.cheb_T, chebyshev.cheb_S
+        T, S = {"cheb_T": (planted, cheb_S), "cheb_S": (cheb_T, planted)}[kind]
         assert report.witness == {"lhs": lhs(T, S).to_json_obj(), "rhs": rhs(T, S).to_json_obj()}
         assert lhs(T, S) != rhs(T, S)
 
     @pytest.mark.parametrize("side", [0, 1])
-    def test_a_difference_that_vanishes_at_one_side_s_point_fails(self, monkeypatch,
-                                                                  packed_lengths, side):
-        # plant the even d^2 - B on one side of ProdToSumT at (7, 5), with
-        # B = d0^2 for the point d0 that the other side's norm bound alone
-        # would pick; it vanishes there, so only a point sized by both sides
-        # tells the sides apart
+    def test_a_difference_that_vanishes_at_one_side_s_point_fails(self, monkeypatch, rings,
+                                                                  side):
+        # plant B1 d^2 - (B1 + 1)^2 on one side of ProdToSumT at (7, 5), with
+        # B1 = 2^w1 the point t^2 that the other side's norm bound alone
+        # would pick: at t^2 = B1, d^2 = B1 + 2 + 1/B1, so it vanishes there,
+        # and only a point sized by both sides tells the sides apart
         m, n = 7, 5
-        norms = (l1(cheb_T(m)) * l1(cheb_T(n)), l1(cheb_T(m + n)) + l1(cheb_T(m - n)))
-        nb = ((2 * norms[1 - side]).bit_length() + 7) // 8
-        B = 1 << 8 * nb
-        arity, minima, default_max, reach, builder = \
-            chebyshev._IDENTITY_SPECS[IdentityId.PROD_TO_SUM_T]
+        norms = (l1_t(cheb_T(m)) * l1_t(cheb_T(n)), l1_t(cheb_T(m + n)) + l1_t(cheb_T(m - n)))
+        w1 = (2 * norms[1 - side]).bit_length()
+        B1 = 1 << w1
 
-        def planted(r, *tup):
-            sides = list(builder(r, *tup)[:2])
-            sides[side] = sides[side] + r.d * r.d - B
-            return sides[0], sides[1], False
+        def plant(r):
+            return r.d * r.d * B1 - (B1 + 1) ** 2
 
         monkeypatch.setitem(chebyshev._IDENTITY_SPECS, IdentityId.PROD_TO_SUM_T,
-                            (arity, minima, default_max, reach, planted))
+                            planted_builder(IdentityId.PROD_TO_SUM_T, (m, n), side, plant))
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)])
         assert report.status == "FAIL"
         assert report.params == {"at": [m, n], "checked": 0, "skipped": 0}
         sides = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
-        sides[side] = sides[side] + D * D - B
+        sides[side] = sides[side] + D * D * B1 - (B1 + 1) ** 2
         assert report.witness == {"lhs": sides[0].to_json_obj(), "rhs": sides[1].to_json_obj()}
-        assert packed_lengths   # compared at d0, not expanded
-        assert (D * D - B).evaluate({"d": 1 << 4 * nb}) == 0
+        assert in_t(rings[0]) and rings[0].d.w > w1
+        assert plant(chebyshev._images(w1)).value == 0
 
     @pytest.mark.parametrize("side", [0, 1])
-    def test_a_mixed_parity_difference_that_vanishes_at_d0_fails(self, monkeypatch, side):
-        # plant d^2 - d0 d on one side of ProdToSumT at (7, 5), with d0 =
-        # 2^(4 nb) the point of the run; it vanishes at d0, so only its
-        # mixed parity mask, which sends the run to the expansion, finds it
+    def test_a_mixed_parity_difference_fails_on_the_expansion(self, monkeypatch, rings, side):
+        # plant d^2 - d on one side of ProdToSumT at (7, 5): images in t^2
+        # cannot add its two parities, so its mixed mask sends the run to
+        # the expansion, which finds it
         m, n = 7, 5
-        bound = l1(cheb_T(m)) * l1(cheb_T(n)) + l1(cheb_T(m + n)) + l1(cheb_T(m - n))
-        # the run's bound holds the planted norm 1 + d0 as well; the fewest
-        # bytes that fit it are the run's nb
-        nb = next(k for k in itertools.count(1) if 2 ** (8 * k) > 2 * (bound + 1 + 2 ** (4 * k)))
-        d0 = 1 << 4 * nb
-        arity, minima, default_max, reach, builder = \
-            chebyshev._IDENTITY_SPECS[IdentityId.PROD_TO_SUM_T]
 
-        def planted(r, *tup):
-            sides = list(builder(r, *tup)[:2])
-            sides[side] = sides[side] + r.d * r.d - d0 * r.d
-            return sides[0], sides[1], False
+        def plant(r):
+            return r.d * r.d - r.d
 
         monkeypatch.setitem(chebyshev._IDENTITY_SPECS, IdentityId.PROD_TO_SUM_T,
-                            (arity, minima, default_max, reach, planted))
+                            planted_builder(IdentityId.PROD_TO_SUM_T, (m, n), side, plant))
         report = verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)])
         assert report.status == "FAIL"
         assert report.params == {"at": [m, n], "checked": 0, "skipped": 0}
         expanded = [cheb_T(m) * cheb_T(n), cheb_T(m + n) + cheb_T(m - n)]
-        expanded[side] = expanded[side] + D * D - d0 * D
+        expanded[side] = expanded[side] + D * D - D
         assert report.witness == {"lhs": expanded[0].to_json_obj(),
                                   "rhs": expanded[1].to_json_obj()}
-        # at d0 the planted term is zero, so a run there would pass
-        assert (D * D - d0 * D).evaluate({"d": d0}) == 0
+        assert isinstance(rings[0], chebyshev._Expansion)
 
-    def test_default_image_runs_pack_half_the_coefficients(self, packed_lengths):
-        lengths = packed_lengths
+    def test_default_image_runs_pack_half_the_coefficients(self, rings):
+        # an image holds one slot of w bits per power of t^2, half the 2n + 1
+        # powers of t that phi(T_n) and phi(S_n) span: the top generator's
+        # image, of the run's largest index, is n slots, the top one 1
         for identity, (_, _, default_max, reach, _) in chebyshev._IDENTITY_SPECS.items():
-            lengths.clear()
+            rings.clear()
             assert verify_identity(identity).status == "PASS"
-            if identity in (IdentityId.COR_2_4A, IdentityId.COR_2_4B, IdentityId.COR_2_6):
-                assert lengths == [], identity   # expanded
-            else:
-                # the top generator's index is the run's largest degree
-                assert max(lengths) == reach(default_max) // 2 + 1, identity
+            ring, = rings
+            assert in_t(ring), identity
+            images = ring._generators.values()
+            assert max(g.offset for g in images) == reach(default_max), identity
+            assert max(g.value.bit_length() for g in images) == \
+                reach(default_max) * ring.d.w + 1, identity
 
     def test_one_mixed_parity_generator_sends_the_run_to_the_expansion(self, monkeypatch,
-                                                                       packed_lengths):
+                                                                       rings):
         # T_0 T_5 = T_5 + T_5 holds for any T_5, so the run passes expanded
-        lengths = packed_lengths
-        generator = chebyshev.cheb_T
-        monkeypatch.setattr(chebyshev, "cheb_T",
-                            lambda n: generator(n) + (D * D if n == 5 else 0))
+        generator = chebyshev._Ring.T
+        ring_plant(monkeypatch, "T", 5, 2)
         assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
-        assert lengths == []
-        lengths.clear()
-        monkeypatch.setattr(chebyshev, "cheb_T", generator)
+        assert isinstance(rings[0], chebyshev._Expansion)
+        monkeypatch.setattr(chebyshev._Ring, "T", generator)
         assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(0, 5)]).status == "PASS"
-        assert sorted(lengths) == [1, 3]
+        assert in_t(rings[1])
+        assert sorted(g.offset for g in rings[1]._generators.values()) == [0, 5]
 
-    def test_slots_are_the_fewest_bytes_above_twice_the_bound(self, monkeypatch):
-        # the run's bound at one ProdToSumT tuple is the l1 norm product on
-        # the left plus the two norms on the right; the tuple is one where
-        # twice the bound needs a byte more than the bound
-        def bound(m, n):
-            return l1(cheb_T(m)) * l1(cheb_T(n)) + l1(cheb_T(m + n)) + l1(cheb_T(m - n))
+    # SProdRecur's bound at (1, 1) is 8: twice it is a power of two, which B
+    # must pass, not meet
+    @pytest.mark.parametrize("m, n, w", [(1, 1, 5), (2, 3, 6), (5, 7, 8)])
+    def test_slots_are_the_fewest_bits_above_twice_the_bound(self, rings, m, n, w):
+        # the run's bound at one SProdRecur tuple is the l1 norm product on
+        # the left plus the norm product and the norm on the right, in t
+        bound = (l1_t(cheb_S(n)) * l1_t(cheb_S(m)) + l1_t(cheb_S(m - 1)) * l1_t(cheb_S(n - 1))
+                 + l1_t(cheb_S(n + m)))
+        assert 2 ** w > 2 * bound >= 2 ** (w - 1)
+        assert verify_identity(IdentityId.S_PROD_RECUR, params=[(m, n)]).status == "PASS"
+        assert rings[0].d.w == w
 
-        m, n = next((m, n) for m in range(64) for n in range(m + 1)
-                    if (2 * bound(m, n)).bit_length() % 8 == 1)
-        nb = next(k for k in itertools.count(1) if 2 ** (8 * k) > 2 * bound(m, n))
-        assert 2 ** (8 * (nb - 1)) > bound(m, n)
-        widths = set()
-        to_int = chebyshev._to_int
-        monkeypatch.setattr(chebyshev, "_to_int",
-                            lambda cs, width: widths.add(width) or to_int(cs, width))
-        assert verify_identity(IdentityId.PROD_TO_SUM_T, params=[(m, n)]).status == "PASS"
-        assert widths == {nb}
-
-    def test_a_default_run_below_the_crossover_multiplies_no_polynomial(self, monkeypatch):
+    def test_a_default_run_multiplies_no_polynomial(self, monkeypatch, rings):
+        # every default run, Cor2_6's S_4095 included, compares closed-form
+        # images: no generator is built and no polynomial multiplied
         calls = []
         mul = Polynomial.__mul__
         monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-        assert verify_identity(IdentityId.PROD_TO_SUM_T).status == "PASS"
+        for kind in ("cheb_T", "cheb_S"):
+            monkeypatch.setattr(chebyshev, kind, lambda n: calls.append(n))
+        for identity in IdentityId:
+            assert verify_identity(identity).status == "PASS"
         assert calls == []
-        # S_4095's images would pass polynomial.DECIMAL_MIN_BITS: expanded
-        assert verify_identity(IdentityId.COR_2_6).status == "PASS"
-        assert calls
+        assert all(map(in_t, rings))
 
     def test_one_shot_params_count_every_tuple(self):
         # the first pass over the tuples must not exhaust a generator
@@ -443,3 +575,46 @@ class TestOnePointComparison:
         with pytest.raises(ValueError, match="takes 2 parameter"):
             verify_identity(IdentityId.PROD_TO_SUM_T, params=[(1, 2), (3,)])
 
+
+def expanded_only(monkeypatch):
+    monkeypatch.setattr(chebyshev, "_comparison_ring", lambda *args: chebyshev._Expansion())
+
+
+class TestCrossRoute:
+    """The catalogue at reduced ranges gives the same reports compared in t
+    and expanded in Z[d], planted faults included."""
+
+    @pytest.mark.parametrize("identity", list(IdentityId))
+    def test_the_same_reports_in_t_and_expanded(self, monkeypatch, rings, identity):
+        default_max = chebyshev._IDENTITY_SPECS[identity][2]
+        max_index = {64: 24, 10: 7, 12: 8}[default_max]
+        in_t_report = verify_identity(identity, max_index=max_index)
+        assert in_t(rings[0])
+        expanded_only(monkeypatch)
+        expanded = verify_identity(identity, max_index=max_index)
+        assert in_t_report.status == "PASS"
+        assert in_t_report.canonical_json() == expanded.canonical_json()
+
+    # each plant keeps its side of one parity; the third is B1 d^2 - (B1 + 1)^2
+    # with B1 = 2^4, the point t^2 that either side of ProdToSumT at (7, 5),
+    # of l1 norm 4 in t, would pick alone, where it vanishes
+    @pytest.mark.parametrize("identity, max_index, at, side, plant", [
+        (IdentityId.PROD_TO_SUM_T, 12, (11, 5), 1, lambda r: r.d * r.d),
+        (IdentityId.PROD_TO_SUM_S, 40, (30, 40), 1, lambda r: r.S(68) * -1),
+        (IdentityId.PROD_TO_SUM_T, 12, (7, 5), 0, lambda r: r.d * r.d * 16 - 17 ** 2),
+    ])
+    def test_a_planted_fault_fails_at_the_same_tuple_both_ways(self, monkeypatch, rings,
+                                                                identity, max_index, at,
+                                                                side, plant):
+        monkeypatch.setitem(chebyshev._IDENTITY_SPECS, identity,
+                            planted_builder(identity, at, side, plant))
+        in_t_report = verify_identity(identity, max_index=max_index)
+        assert in_t(rings[0])
+        expanded_only(monkeypatch)
+        expanded = verify_identity(identity, max_index=max_index)
+        assert in_t_report.status == "FAIL"
+        assert in_t_report.params["at"] == list(at)
+        assert in_t_report.canonical_json() == expanded.canonical_json()
+        lhs, rhs = (Polynomial.from_json_obj(in_t_report.witness[s]) for s in ("lhs", "rhs"))
+        difference = plant(chebyshev._Expansion())
+        assert lhs - rhs == (difference if side == 0 else -difference)

@@ -1,7 +1,6 @@
 """Exact polynomial ring: frozen examples, ring axioms, division, interpolation."""
 
 import json
-import math
 import random
 import sys
 from unittest import mock
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 
 from mbgram import polynomial
 from mbgram.errors import NonIntegralResultError
-from mbgram.polynomial import (DECIMAL_MIN_BITS, DENSE_MIN_TERMS, Polynomial, VARIABLES,
-                               _sparse_product, interpolate, monomial_key)
+from mbgram.polynomial import (DENSE_MIN_TERMS, Polynomial, VARIABLES, _sparse_product,
+                               interpolate, monomial_key)
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -78,8 +77,8 @@ class TestArithmetic:
 
 @st.composite
 def d_only_polys(draw):
-    """d-only polynomials with gaps, on both sides of DENSE_MIN_TERMS and,
-    with 2000-bit coefficients in both factors, of DECIMAL_MIN_BITS."""
+    """d-only polynomials with gaps, on both sides of DENSE_MIN_TERMS, with
+    coefficients of up to 2000 bits."""
     lo, step = draw(st.integers(0, 4)), draw(st.integers(1, 3))
     size = draw(st.integers(0, 2 * DENSE_MIN_TERMS + 4))
     degrees = draw(st.lists(st.integers(0, 3 * DENSE_MIN_TERMS), min_size=size,
@@ -89,23 +88,12 @@ def d_only_polys(draw):
     return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
 
 
-def packed_bits(a, b):
-    """The size DECIMAL_MIN_BITS is compared with: the dense product's
-    slots times the bits of twice its coefficient bound."""
-    da, db = [e[0] for e in a], [e[0] for e in b]
-    g = math.gcd(*(x - min(da) for x in da), *(x - min(db) for x in db)) or 1
-    slots = (max(da) - min(da)) // g + (max(db) - min(db)) // g + 1
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
-    return slots * (2 * bound).bit_length()
-
-
 # the constants that force each route of a d-only product of two or more
 # terms per factor (Polynomial.__mul__): the short loop, and Kronecker
-# substitution on one int or on one Decimal
+# substitution on one int
 D_ROUTES = {
     "short": {"DENSE_MIN_TERMS": 10 ** 9},
-    "int": {"DENSE_MIN_TERMS": 0, "DECIMAL_MIN_BITS": 10 ** 18},
-    "decimal": {"DENSE_MIN_TERMS": 0, "DECIMAL_MIN_BITS": 0},
+    "int": {"DENSE_MIN_TERMS": 0},
 }
 
 
@@ -169,7 +157,7 @@ class TestDenseProduct:
             real = getattr(polynomial, name)
             return lambda *args: calls.append(name) or real(*args)
 
-        routes = ("_sparse_product", "_short_d_product", "_binary_digits", "_decimal_digits")
+        routes = ("_sparse_product", "_short_d_product", "_binary_digits")
         with mock.patch.multiple(polynomial, **{name: spy(name) for name in routes}):
             got = a * b
         assert got.terms == _sparse_product(a.terms, b.terms)
@@ -180,10 +168,8 @@ class TestDenseProduct:
             assert calls == ["_sparse_product"]
         elif shorter < DENSE_MIN_TERMS:
             assert calls == ["_short_d_product"]
-        elif packed_bits(a.terms, b.terms) < DECIMAL_MIN_BITS:
-            assert calls == ["_binary_digits"]
         else:
-            assert calls == ["_decimal_digits"]
+            assert calls == ["_binary_digits"]
 
     # 7 * 31 * 151 = 2^15 - 1: the middle coefficient is +-bound, one below
     # half the int route's base 2^16; with -31 every coefficient is
@@ -220,9 +206,8 @@ class TestDenseProduct:
         limit = sys.get_int_max_str_digits()
         expected = _sparse_product(a.terms, b.terms)
         assert (a * b).terms == expected
-        for route in ("int", "decimal"):
-            with forced_route(route):
-                assert (a * b).terms == expected, route
+        with forced_route("int"):
+            assert (a * b).terms == expected
         assert sys.get_int_max_str_digits() == limit
 
 
