@@ -49,9 +49,9 @@ exact: moved to one offset s, t^s (phi(lhs) - phi(rhs)) = q(t^2), and
 every coefficient c_k of q is one of phi(lhs) - phi(rhs), with |c_k| <=
 ||phi(lhs)||_1 + ||phi(rhs)||_1 <= bound < B/2.  The c_k are thus the
 balanced base-B digits (|digit| < B/2) of q(B), and balanced digits are
-unique (polynomial._balanced_digits).  Equal values, q(B) = 0, thus
-force phi(lhs) = phi(rhs), so lhs = rhs as phi is injective; the
-converse holds as phi and evaluation are homomorphisms.
+unique (gram._balanced_digits).  Equal values, q(B) = 0, thus force
+phi(lhs) = phi(rhs), so lhs = rhs as phi is injective; the converse
+holds as phi and evaluation are homomorphisms.
 
 A run the first pass cannot prove of one parity is expanded (each
 builder joins terms of equal parity only, so only a planted term of the

@@ -104,7 +104,7 @@ from mbgram.chebyshev import _d2m4, cheb_S, cheb_T
 from mbgram.diagrams import Stratum, enumerate_stratum, parse_diagram, rotate
 from mbgram.errors import BoundExceededError
 from mbgram.pairing import bilinear_form, pair_exponents
-from mbgram.polynomial import VARIABLES, Polynomial, _balanced_digits, _slot_digits, _to_int
+from mbgram.polynomial import VARIABLES, Polynomial
 from mbgram.reporting import Report
 from mbgram.storage import cache_read, cache_write, resolve_cache_dir
 
@@ -375,7 +375,7 @@ def det_exact(matrix) -> Polynomial:
     det_by_evaluation), and dropping rows and columns does not raise it,
     as a nonzero integer row has l1 norm >= 1.  So they are below B / 2,
     the balanced digits of phi(M), one per cell, are M's coefficients
-    (polynomial._balanced_digits), and phi(M) = 0 only when M = 0.
+    (_balanced_digits), and phi(M) = 0 only when M = 0.
     bareiss_int is exact on every integer matrix and returns det phi(G) =
     phi(det G); by Sylvester's identity each of its pivots and interior
     entries is +-phi of a minor, so none outgrows the packed determinant,
@@ -415,6 +415,50 @@ def det_exact(matrix) -> Polynomial:
     coefficients = _balanced_digits(*_slot_digits(det, cells, nb))
     offsets = [k for k, c in enumerate(coefficients) if c]
     return _lifted(offsets, [coefficients[k] for k in offsets], axes, box, graded)
+
+
+def _to_int(cs: list, nb: int) -> int:
+    """sum cs[i] * 2^(8 nb i), every |cs[i]| below 2^(8 nb), built by
+    int.from_bytes: no strings, so the interpreter's limit on integer
+    string digits never applies."""
+    zero = bytes(nb)
+    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in cs)
+    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _slot_digits(value: int, n: int, nb: int) -> tuple:
+    """(negative, digits, base) of an int below 2^(8 nb n) in absolute
+    value: whether it is negative, and the n digits of its absolute value
+    in base 2^(8 nb), low first, read by int.to_bytes."""
+    buf = abs(value).to_bytes(n * nb, "little")
+    from_bytes = int.from_bytes
+    digits = [from_bytes(buf[i:i + nb], "little") for i in range(0, n * nb, nb)]
+    return value < 0, digits, 1 << 8 * nb
+
+
+def _balanced_digits(negative: bool, digits: list, base: int) -> list:
+    """The balanced digits (-base / 2 < digit <= base / 2), low first, of
+    the number with the given sign whose absolute value has the given
+    ordinary digits, low first: each digit above base / 2, carry included,
+    is lowered by base and passes a carry of one up.
+
+    They are unique: where two such digit lists of one number first
+    differ, the two digits differ by a nonzero multiple of base, yet by
+    less than base.  So P = sum c_k base^k with every |c_k| < base / 2
+    over n slots, for which |P| < base^n / 2 has n ordinary digits, reads
+    back as the c_k, and no carry leaves the top.
+    """
+    half = base // 2
+    out = []
+    carry = 0
+    for v in digits:
+        v += carry
+        carry = v > half
+        if carry:
+            v -= base
+        out.append(v)
+    return [-v for v in out] if negative else out
 
 
 def _lifted(offsets: list, coefficients: list, axes: Sequence[str], box: tuple,

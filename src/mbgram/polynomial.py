@@ -16,55 +16,16 @@ lists terms in descending canonical order (leading term first), as
 inside a versioned JSON envelope.  All coefficients are Python ints, so
 nothing ever overflows.
 
-Products of two d-only polynomials with at least two terms each go by
-size, through _d_product, on one of two routes.
-
-  * A shorter factor below DENSE_MIN_TERMS terms: term pair by term pair,
-    keyed on the d-exponent itself, with no packing layout.
-
-  * Otherwise Kronecker substitution (von zur Gathen & Gerhard, Modern
-    Computer Algebra, 8.4).  Each factor is written d^lo F(d^g), g the
-    common exponent step (2 for every Chebyshev polynomial); F's dense
-    coefficients become the digits of one number in a base B, one exact
-    multiplication replaces the term pairs, and the product's digits are
-    read back in balanced form, carrying across slots.  The slot bound:
-    a product coefficient sums at most s term pairs, s the shorter
-    factor's term count, so |c_k| <= bound = max|a| max|b| s, and B >
-    2 bound.  Then |c_k| < B/2, the packed product P = sum c_k B^k has
-    |P| < B^n / 2 over its n slots, and its balanced digits are unique:
-    the ordinary digits of |P|, each one above B/2 lowered by B and a
-    carry of one passed up, are the c_k times P's sign (_balanced_digits;
-    gram.det_exact reads its packed determinant the same way).  The
-    number is a Python int in slots of nb whole bytes, B = 2^(8 nb) >
-    2 bound, built and read by int.to_bytes and int.from_bytes: no
-    strings, so the interpreter's limit on integer string digits never
-    applies.
-
-All d-only products and quotients, and univariate("d", ...), share one
-key tuple per degree up to 256 from the immutable table _D_KEYS, which
-saves 80 bytes per term of the Chebyshev memos; most of their terms have
-such degrees, and a longer table would cost more than it shares.
-
-DENSE_MIN_TERMS is a measurement too.  Against the int route, on the
-same VM, the short loop took 35 against 39 us at 16 x 16 terms of
-Chebyshev factors, 45 against 43 us at 18 x 18 and 85 against 68 us at
-24 x 24; against a 64-term factor it broke even near 10 terms.
-Replaying the catalogue's 6605 d-only products with a factor below 64
-terms took 0.27-0.29 s for every crossover from 12 to 20 terms, 0.35 s at
-8 and 0.33 s at 24, so it stays at 16.
-
-A product with a multivariate factor of two or more terms is
-_sparse_product, term pair by term pair on packed monomial keys (Monagan
-& Pearce, Sparse polynomial division using a heap, J. Symbolic Comput.
-46 (2011)).  A monomial becomes one int, its exponents in bit fields, z
-lowest and d highest.  Variable i's field is wide enough for 2 m_i, m_i
-its largest exponent in either factor, so the sum of two exponents never
-carries into the next field; a variable neither factor uses gets no
-field.  Multiplying two monomials is then one int addition, and each
-product term is unpacked once.  When both operands are d-only (a d-only
-division; d-only products go to _d_product) no field lies below d's, so
-the key is the d-exponent itself, and unpacking goes through _d_key.  A
-monomial factor scales and shifts the other's terms.
+A product of two factors of two or more terms each is _sparse_product,
+term pair by term pair on packed monomial keys (Monagan & Pearce, Sparse
+polynomial division using a heap, J. Symbolic Comput. 46 (2011)).  A
+monomial becomes one int, its exponents in bit fields, z lowest and d
+highest.  Variable i's field is wide enough for 2 m_i, m_i its largest
+exponent in either factor, so the sum of two exponents never carries
+into the next field; a variable neither factor uses gets no field, so a
+d-only key is the d-exponent itself.  Multiplying two monomials is then
+one int addition, and each product term is unpacked once.  A monomial
+factor scales and shifts the other's terms.
 
 divide_exact uses the same layout with one width for every field in
 use: the bit length of the largest total degree of either operand, plus
@@ -82,7 +43,6 @@ from __future__ import annotations
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd
 from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -94,12 +54,6 @@ NVARS = len(VARIABLES)
 ZERO_EXP = (0,) * NVARS
 
 POLY_FORMAT = "mbgram.poly/1"
-
-# the shorter factor's term count from which a d-only product is dense
-DENSE_MIN_TERMS = 16
-# one shared key per d-only degree up to 256: the Chebyshev memos hold
-# ~10^5 d-only terms of such degrees, at 80 bytes per key tuple
-_D_KEYS = tuple((i, 0, 0, 0, 0) for i in range(257))
 
 Exponents = tuple  # length-5 tuple of non-negative ints
 PolyLike = Union["Polynomial", int]
@@ -178,7 +132,7 @@ class Polynomial:
             if c:
                 exps = [0] * NVARS
                 exps[i] = deg
-                raw[_d_key(deg) if i == 0 else tuple(exps)] = c
+                raw[tuple(exps)] = c
         return cls(_raw=raw)
 
     # -- basic queries ----------------------------------------------------
@@ -260,8 +214,6 @@ class Polynomial:
                 (ea[0] + e[0], ea[1] + e[1], ea[2] + e[2], ea[3] + e[3], ea[4] + e[4]): ca * c
                 for e, c in b.items()
             })
-        if _d_only(a) and _d_only(b):
-            return Polynomial(_raw=_d_product(a, b))
         return Polynomial(_raw=_sparse_product(a, b))
 
     __rmul__ = __mul__
@@ -514,9 +466,6 @@ def _layout(widths: tuple) -> tuple:
 def _packed_keys(terms, shifts: tuple) -> list:
     """Each monomial's exponents shifted into their fields, summed."""
     sd, sw, sx, sy, _ = shifts
-    if not sd:
-        # no field below d's: the key is the d-exponent itself
-        return list(map(sum, terms))
     return [(d << sd) + (w << sw) + (x << sx) + (y << sy) + z for d, w, x, y, z in terms]
 
 
@@ -526,112 +475,11 @@ def _graded_keys(terms, shifts: tuple, top: int) -> list:
 
 
 def _unpacked_terms(packed: dict, shifts: tuple, masks: tuple) -> dict:
-    """The term map of packed keys, zero coefficients dropped; d-only keys
-    become the shared tuples of _d_key."""
+    """The term map of packed keys, zero coefficients dropped."""
     sd, sw, sx, sy, _ = shifts
     md, mw, mx, my, mz = masks
-    if not sd:
-        return {_d_key(k & md): c for k, c in packed.items() if c}
     return {(k >> sd & md, k >> sw & mw, k >> sx & mx, k >> sy & my, k & mz): c
             for k, c in packed.items() if c}
-
-
-def _d_key(deg: int) -> Exponents:
-    return _D_KEYS[deg] if deg < len(_D_KEYS) else (deg, 0, 0, 0, 0)
-
-
-def _d_only(terms: dict) -> bool:
-    return not any(e[1] or e[2] or e[3] or e[4] for e in terms)
-
-
-def _d_product(a: dict, b: dict) -> dict:
-    """Terms of a * b for d-only term maps of at least two terms each, a
-    the shorter, by the route their sizes pick (module docstring).
-
-    A short a multiplies term pair by term pair on d-exponents.  Otherwise
-    each factor is d^lo * F(d^g), with g the gcd of the exponent steps of
-    both factors; F's coefficients are packed as the digits of one number
-    in a base above twice the largest possible product coefficient, the
-    two numbers are multiplied exactly, and the product's digits are read
-    back in balanced form (|digit| < base / 2).
-    """
-    if len(a) < DENSE_MIN_TERMS:
-        return _short_d_product(a, b)
-    lo_a, lo_b = min(e[0] for e in a), min(e[0] for e in b)
-    g = gcd(*(e[0] - lo_a for e in a), *(e[0] - lo_b for e in b)) or 1
-    dense = []
-    for terms, lo in ((a, lo_a), (b, lo_b)):
-        cs = [0] * ((max(e[0] for e in terms) - lo) // g + 1)
-        for e, c in terms.items():
-            cs[(e[0] - lo) // g] = c
-        dense.append(cs)
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
-    bits = (2 * bound).bit_length()  # 2^bits > 2 * bound
-    n = len(dense[0]) + len(dense[1]) - 1
-    lo = lo_a + lo_b
-    return {_d_key(lo + g * k): c
-            for k, c in enumerate(_balanced_digits(*_binary_digits(*dense, bits, n))) if c}
-
-
-def _balanced_digits(negative: bool, digits: list, base: int) -> list:
-    """The balanced digits (|digit| <= base / 2), low first, of the number
-    with the given sign whose absolute value has the given ordinary digits,
-    low first: each digit above base / 2, carry included, is lowered by
-    base and passes a carry of one up.  They are unique when they exist,
-    so a number packed from digits below base / 2 in absolute value reads
-    back as those digits."""
-    half = base // 2
-    out = []
-    carry = 0
-    for v in digits:
-        v += carry
-        carry = v > half
-        if carry:
-            v -= base
-        out.append(v)
-    return [-v for v in out] if negative else out
-
-
-def _short_d_product(a: dict, b: dict) -> dict:
-    """Terms of a * b for d-only term maps, term pair by term pair keyed
-    on the d-exponent itself."""
-    out: dict = {}
-    get = out.get
-    pb = [(e[0], c) for e, c in b.items()]
-    for ea, ca in a.items():
-        da = ea[0]
-        for db, cb in pb:
-            k = da + db
-            v = get(k)
-            out[k] = ca * cb if v is None else v + ca * cb
-    return {_d_key(k): c for k, c in out.items() if c}
-
-
-def _binary_digits(x: list, y: list, bits: int, n: int) -> tuple:
-    """(negative, digits, base) of the product of the dense coefficient
-    lists x and y, packed into slots of nb whole bytes, base 2^(8 nb) >=
-    2^bits: whether the packed product is negative, and the n digits of
-    its absolute value, low first."""
-    nb = (bits + 7) // 8
-    return _slot_digits(_to_int(x, nb) * _to_int(y, nb), n, nb)
-
-
-def _slot_digits(value: int, n: int, nb: int) -> tuple:
-    """(negative, digits, base) of an int below 2^(8 nb n) in absolute
-    value: whether it is negative, and the n digits of its absolute value
-    in base 2^(8 nb), low first, read by int.to_bytes."""
-    buf = abs(value).to_bytes(n * nb, "little")
-    from_bytes = int.from_bytes
-    digits = [from_bytes(buf[i:i + nb], "little") for i in range(0, n * nb, nb)]
-    return value < 0, digits, 1 << 8 * nb
-
-
-def _to_int(cs: list, nb: int) -> int:
-    """sum cs[i] * 2^(8 nb i), every |cs[i]| below 2^(8 nb)."""
-    zero = bytes(nb)
-    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in cs)
-    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in cs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # -- interpolation ------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import random
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbgram import diagrams, gram, intdet
@@ -351,6 +351,28 @@ class TestDetExact:
                 gm = assemble_gram(n, variant)
                 a, b = gram.gradings(gm.codes, gm.values)
                 assert len(a) == len(b) == gm.size
+
+    # det_exact's Kronecker image: digits of |c| < B / 2, B = 2^(8 nb).
+    # +-(B/2 - 1) in every slot, B = 2^8, and a negative packed value
+    @example((1, [127, -127, 127, -127]))
+    @example((1, [-127] * 5))
+    @example((1, [1, -1]))
+    # |value| = B^3 - 1 has ordinary digits 255, 255, 255: the carry runs
+    # across every slot into the top one
+    @example((1, [-1, 0, 0, 1]))
+    # str(int) and int(str) refuse more than 4300 digits by default;
+    # packing and reading back go by bytes
+    @example((((2 * 10 ** 4400).bit_length() + 7) // 8,
+              [10 ** 4400, 1 - 10 ** 4400, 0, 7, -10 ** 4400, 10 ** 4400 - 1]))
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 3).flatmap(lambda nb: st.tuples(
+        st.just(nb), st.lists(st.integers(-(1 << 8 * nb - 1) + 1, (1 << 8 * nb - 1) - 1),
+                              min_size=1, max_size=12))))
+    def test_packed_digits_round_trip(self, case):
+        nb, cs = case
+        value = gram._to_int(cs, nb)
+        assert value == sum(c << 8 * nb * i for i, c in enumerate(cs))
+        assert gram._balanced_digits(*gram._slot_digits(value, len(cs), nb)) == cs
 
 
 def engine_with_variables(rows) -> tuple:

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from mbgram import polynomial
 from mbgram.errors import NonIntegralResultError
-from mbgram.polynomial import (DENSE_MIN_TERMS, Polynomial, VARIABLES, _sparse_product,
-                               interpolate, monomial_key)
+from mbgram.polynomial import Polynomial, VARIABLES, interpolate, monomial_key
 
 D = Polynomial.variable("d")
 W = Polynomial.variable("w")
@@ -75,33 +74,6 @@ class TestArithmetic:
         assert q.terms == {}
 
 
-@st.composite
-def d_only_polys(draw):
-    """d-only polynomials with gaps, on both sides of DENSE_MIN_TERMS, with
-    coefficients of up to 2000 bits."""
-    lo, step = draw(st.integers(0, 4)), draw(st.integers(1, 3))
-    size = draw(st.integers(0, 2 * DENSE_MIN_TERMS + 4))
-    degrees = draw(st.lists(st.integers(0, 3 * DENSE_MIN_TERMS), min_size=size,
-                            max_size=size, unique=True))
-    big = draw(st.sampled_from([10 ** 40, 2 ** 2000]))
-    coeffs = st.integers(-3, 3).filter(bool) | st.integers(-big, big).filter(bool)
-    return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
-
-
-# the constants that force each route of a d-only product of two or more
-# terms per factor (Polynomial.__mul__): the short loop, and Kronecker
-# substitution on one int
-D_ROUTES = {
-    "short": {"DENSE_MIN_TERMS": 10 ** 9},
-    "int": {"DENSE_MIN_TERMS": 0},
-}
-
-
-def forced_route(route):
-    """The patches that send every d-only product down one route."""
-    return mock.patch.multiple(polynomial, **D_ROUTES[route])
-
-
 # exponents at powers of two and one below: the sum of two of them fills a
 # field of packed keys to its last bit, so a carry into the next would show
 EDGE_EXPONENTS = st.tuples(*[st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64,
@@ -116,6 +88,19 @@ def tuple_keyed_product(a, b):
             k = tuple(x + y for x, y in zip(ea, eb))
             out[k] = out.get(k, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def d_only_polys(draw):
+    """d-only polynomials with gaps and exponent steps, of up to 36 terms,
+    with coefficients of up to 2000 bits."""
+    lo, step = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    size = draw(st.integers(0, 36))
+    degrees = draw(st.lists(st.integers(0, 48), min_size=size, max_size=size,
+                            unique=True))
+    big = draw(st.sampled_from([10 ** 40, 2 ** 2000]))
+    coeffs = st.integers(-3, 3).filter(bool) | st.integers(-big, big).filter(bool)
+    return Polynomial.univariate("d", {lo + step * k: draw(coeffs) for k in degrees})
 
 
 class TestPackedProduct:
@@ -133,17 +118,28 @@ class TestPackedProduct:
             assert product.evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert product.terms == tuple_keyed_product(a.terms, b.terms)
 
-    def test_d_only_products_share_key_tuples(self):
-        a = Polynomial.univariate("d", {0: 1, 3: -2, 5: 7})
-        b = Polynomial.univariate("d", {1: 4, 2: 1})
-        for exps in (a * b).terms:
-            assert exps is Polynomial.univariate("d", {exps[0]: 1}).leading_term()[0]
+    # 7 * 31 * 151 = 2^15 - 1 is the middle coefficient; with -31 every
+    # coefficient is negative
+    @example(a=Polynomial.univariate("d", {k: 31 for k in range(7)}),
+             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
+    @example(a=Polynomial.univariate("d", {k: -31 for k in range(7)}),
+             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
+    # lowest exponents above 0 in both factors, exponent steps 4 and 6
+    @example(a=Polynomial.univariate("d", {3 + 4 * k: k - 9 for k in range(20)}),
+             b=Polynomial.univariate("d", {5 + 6 * k: 2 ** 70 - k for k in range(17)}))
+    # a 16-term factor against a 19-term one
+    @example(a=Polynomial.univariate("d", {k: (-1) ** k * (k + 1) for k in range(16)}),
+             b=Polynomial.univariate("d", {2 * k: 10 ** 40 - k for k in range(19)}))
+    @settings(deadline=None, max_examples=100)
+    @given(a=d_only_polys(), b=d_only_polys())
+    def test_univariate_matches_tuple_keyed(self, a, b):
+        expected = tuple_keyed_product(a.terms, b.terms)
+        assert (a * b).terms == expected
+        assert (b * a).terms == expected
 
-
-class TestDenseProduct:
     @settings(deadline=None, max_examples=100)
     @given(a=d_only_polys(), b=d_only_polys(), data=st.data())
-    def test_matches_dict_loop(self, a, b, data):
+    def test_multi_term_factors_go_through_sparse_product(self, a, b, data):
         # an extra w, x, y or z term makes one factor multivariate
         mixed = data.draw(st.sampled_from([None, "a", "b"]))
         extra = data.draw(st.sampled_from([W, X, Y, Z])) * D ** 2
@@ -151,63 +147,21 @@ class TestDenseProduct:
             a = a + extra
         elif mixed == "b":
             b = b + extra
-        calls = []
-
-        def spy(name):
-            real = getattr(polynomial, name)
-            return lambda *args: calls.append(name) or real(*args)
-
-        routes = ("_sparse_product", "_short_d_product", "_binary_digits")
-        with mock.patch.multiple(polynomial, **{name: spy(name) for name in routes}):
+        with mock.patch.object(polynomial, "_sparse_product",
+                               wraps=polynomial._sparse_product) as spy:
             got = a * b
-        assert got.terms == _sparse_product(a.terms, b.terms)
-        shorter = min(a.num_terms(), b.num_terms())
-        if shorter < 2:  # a monomial factor scales and shifts the other
-            assert calls == []
-        elif mixed:
-            assert calls == ["_sparse_product"]
-        elif shorter < DENSE_MIN_TERMS:
-            assert calls == ["_short_d_product"]
-        else:
-            assert calls == ["_binary_digits"]
-
-    # 7 * 31 * 151 = 2^15 - 1: the middle coefficient is +-bound, one below
-    # half the int route's base 2^16; with -31 every coefficient is
-    # negative, and so is the packed product
-    @example(a=Polynomial.univariate("d", {k: 31 for k in range(7)}),
-             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
-    @example(a=Polynomial.univariate("d", {k: -31 for k in range(7)}),
-             b=Polynomial.univariate("d", {k: 151 for k in range(7)}))
-    # lo > 0 in both factors, exponent steps 4 and 6: g = 2
-    @example(a=Polynomial.univariate("d", {3 + 4 * k: k - 9 for k in range(20)}),
-             b=Polynomial.univariate("d", {5 + 6 * k: 2 ** 70 - k for k in range(17)}))
-    # the shorter factor at exactly DENSE_MIN_TERMS terms
-    @example(a=Polynomial.univariate("d", {k: (-1) ** k * (k + 1)
-                                           for k in range(DENSE_MIN_TERMS)}),
-             b=Polynomial.univariate("d", {2 * k: 10 ** 40 - k
-                                           for k in range(DENSE_MIN_TERMS + 3)}))
-    @settings(deadline=None, max_examples=100)
-    @given(a=d_only_polys(), b=d_only_polys())
-    def test_every_route_matches_tuple_keyed(self, a, b):
-        expected = tuple_keyed_product(a.terms, b.terms)
-        assert (a * b).terms == expected
-        for route in D_ROUTES:
-            with forced_route(route):
-                assert (a * b).terms == expected, route
-                assert (b * a).terms == expected, route
+        assert got.terms == tuple_keyed_product(a.terms, b.terms)
+        # a monomial factor scales and shifts the other
+        assert spy.call_count == (0 if min(a.num_terms(), b.num_terms()) < 2 else 1)
 
     def test_coefficients_past_int_string_limit(self):
         # str(int) and int(str) refuse more than 4300 digits by default
         big = 10 ** 4400
-        a = Polynomial.univariate("d", {k: big + k if k % 3 else -big
-                                        for k in range(DENSE_MIN_TERMS + 4)})
+        a = Polynomial.univariate("d", {k: big + k if k % 3 else -big for k in range(20)})
         b = Polynomial.univariate("d", {2 * k + 1: (-1) ** k * (7 * big - k)
-                                        for k in range(DENSE_MIN_TERMS)})
+                                        for k in range(16)})
         limit = sys.get_int_max_str_digits()
-        expected = _sparse_product(a.terms, b.terms)
-        assert (a * b).terms == expected
-        with forced_route("int"):
-            assert (a * b).terms == expected
+        assert (a * b).terms == tuple_keyed_product(a.terms, b.terms)
         assert sys.get_int_max_str_digits() == limit
 
 
@@ -318,7 +272,7 @@ class TestDivision:
         assert (2 * Y - Y * Z).divide_exact(2 * Z - Z ** 2) is None
         assert (Y ** 3 + 2 * Y ** 3 * Z).divide_exact(2 * Y * Z ** 2 + Y * Z) is None
 
-    def test_mixed_d_only_and_multivariate(self):
+    def test_mixed_univariate_and_multivariate(self):
         # a d-only dividend, a multivariate divisor, and the other way round
         assert (D ** 4).divide_exact(D * X + 1) is None
         assert (D * X).divide_exact(D ** 2 + 1) is None
